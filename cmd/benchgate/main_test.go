@@ -16,7 +16,7 @@ pkg: dyncg
 BenchmarkPerf/scan/mesh/n=256-8         	     100	     12345 ns/op	       0 B/op	       0 allocs/op
 BenchmarkPerfLargeN/scan/hypercube/n=1048576-16 	      20	 232739023 ns/op	       0 B/op	       0 allocs/op
 BenchmarkNoMem-4	100	99 ns/op
-BenchmarkServerThroughput/shards=2/dup=50-8 	   12000	     83000 ns/op	     12048 req/s
+BenchmarkServerThroughput/dup=50-8 	   12000	     83000 ns/op	     12048 req/s
 PASS
 `)
 	got, err := parse(in)
@@ -40,7 +40,7 @@ PASS
 	if got[2].Name != "BenchmarkPerfLargeN/scan/hypercube/n=1048576" || got[2].NsOp != 232739023 {
 		t.Errorf("got[2] = %+v", got[2])
 	}
-	if got[3].Name != "BenchmarkServerThroughput/shards=2/dup=50" || got[3].ReqS != 12048 {
+	if got[3].Name != "BenchmarkServerThroughput/dup=50" || got[3].ReqS != 12048 {
 		t.Errorf("got[3] = %+v (want req/s metric parsed)", got[3])
 	}
 	if got[0].ReqS != 0 || got[1].ReqS != 0 {

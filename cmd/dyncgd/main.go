@@ -77,8 +77,7 @@ var (
 	logFormat    = flag.String("log", "json", "request log format: json|text")
 	logDir       = flag.String("log-dir", "", "record every /v1/* request into a hash-chained replay log under this directory (empty disables)")
 	logMaxBytes  = flag.Int64("log-max-bytes", replaylog.DefaultMaxSegment, "replay-log segment rotation threshold in bytes")
-	shards       = flag.Int("shards", 1, "number of in-process server shards; requests route by machine class, sessions by ID (consistent hash)")
-	rcacheBytes  = flag.Int64("rcache-bytes", server.DefaultCacheBytes, "response cache budget in bytes, per shard (0 disables)")
+	rcacheBytes  = flag.Int64("rcache-bytes", server.DefaultCacheBytes, "response cache budget in bytes (0 disables)")
 	coalesce     = flag.Bool("coalesce", true, "merge identical in-flight requests into one computation")
 	fleetSpec    = flag.String("fleet", "", "run as a fleet front door over these workers: comma-separated id=url pairs (m0=http://127.0.0.1:9101,...)")
 	fleetConfig  = flag.String("fleet-config", "", "run as a fleet front door over the members in this JSON file ({\"members\":[{\"id\":...,\"url\":...},...]})")
@@ -121,7 +120,7 @@ func main() {
 		os.Exit(runFrontDoor(log, rlog))
 	}
 
-	cfg := server.Config{
+	srv := server.New(server.Config{
 		MemberID:       *memberID,
 		FleetIDs:       splitIDs(*fleetIDs),
 		PoolCap:        *poolCap,
@@ -136,26 +135,13 @@ func main() {
 		ReplayLog:      rlog,
 		CacheBytes:     *rcacheBytes,
 		Coalesce:       *coalesce,
-	}
-
-	// A Server and a Router expose the same serving surface; -shards 1
-	// skips the routing layer entirely.
-	var srv interface {
-		Handler() http.Handler
-		SetDraining(bool)
-		InFlight() int
-	}
-	if *shards > 1 {
-		srv = server.NewRouter(*shards, cfg)
-	} else {
-		srv = server.New(cfg)
-	}
+	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	log.Info("dyncgd listening", "addr", *addr, "pool_cap", *poolCap,
-		"shards", *shards, "rcache_bytes", *rcacheBytes, "coalesce", *coalesce)
+		"rcache_bytes", *rcacheBytes, "coalesce", *coalesce)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -2,14 +2,13 @@ package api
 
 // The v1 cluster-introspection envelope (GET /v1/cluster): the
 // debugging entry point for "why did this request land there". It
-// reports the serving topology — one member for a plain server, the
-// in-process shards of a sharded server, or the worker processes of a
-// fleet — with per-member health and load, and resolves an optional
-// ?key= probe (a canonical request hash or a session ID) to the member
-// the consistent-hash ring routes it to.
+// reports the serving topology — one member for a plain server, or the
+// worker processes of a fleet — with per-member health and load, and
+// resolves an optional ?key= probe (a canonical request hash or a
+// session ID) to the member the consistent-hash ring routes it to.
 
-// ClusterMember describes one routing target: a fleet member, an
-// in-process shard, or the server itself.
+// ClusterMember describes one routing target: a fleet member or the
+// server itself.
 type ClusterMember struct {
 	ID string `json:"id"`
 	// URL is the member's base URL (fleet mode only).
@@ -40,9 +39,8 @@ type ClusterProbe struct {
 // ClusterResponse is the v1 envelope of GET /v1/cluster.
 type ClusterResponse struct {
 	V int `json:"v"`
-	// Mode is the serving topology: "single" (one process, no routing),
-	// "sharded" (in-process shards), or "fleet" (worker processes
-	// behind a front door).
+	// Mode is the serving topology: "single" (one process, no routing)
+	// or "fleet" (worker processes behind a front door).
 	Mode    string          `json:"mode"`
 	Members []ClusterMember `json:"members"`
 	Probe   *ClusterProbe   `json:"probe,omitempty"`

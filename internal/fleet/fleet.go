@@ -1,12 +1,13 @@
 // Package fleet is the multi-process front door: one HTTP surface
 // routing /v1/* traffic across N worker dyncgd processes with a
-// consistent-hash ring (internal/shard.NamedRing) — the process-level
-// counterpart of the in-process shard router (internal/server.Router).
+// consistent-hash ring (internal/shard.NamedRing). It is the only
+// routing layer; a standalone dyncgd serves everything in one
+// internal/server.Server.
 //
-// Routing mirrors the shard router's keys. One-shot algorithm requests
-// route by canonical hash (internal/canon) when cacheable, falling
-// back to the machine size-class key for fault-injected requests, so
-// identical requests always meet at the same worker's warm pool.
+// One-shot algorithm requests route by canonical hash (internal/canon)
+// when cacheable, falling back to the machine size-class key for
+// fault-injected requests, so identical requests always meet at the
+// same worker's warm pool.
 // Session creation round-robins across live members; each worker mints
 // session IDs that consistent-hash home to it (server.Config.FleetIDs)
 // and salts them with its member ID, so follow-up session requests
@@ -47,7 +48,6 @@ import (
 	"dyncg/internal/coalesce"
 	"dyncg/internal/rcache"
 	"dyncg/internal/replaylog"
-	"dyncg/internal/server"
 	"dyncg/internal/shard"
 	"dyncg/internal/topo"
 )
@@ -423,6 +423,24 @@ func machineMeta(status int, body []byte) api.ReplayMeta {
 	return api.ReplayMeta{Topology: mi.Topology, PEs: mi.PEs, Workers: mi.Workers}
 }
 
+// classKey is the routing key of a one-shot request the front door
+// cannot canonically hash: a deterministic digest of the machine size
+// class it will occupy. Requests that differ only in coefficients or
+// query fields share it, keeping a working set's machine classes warm
+// on as few members as possible.
+func classKey(req *api.Request) string {
+	n := len(req.System)
+	k := 0
+	for _, pt := range req.System {
+		for _, cf := range pt {
+			if len(cf) > k {
+				k = len(cf)
+			}
+		}
+	}
+	return fmt.Sprintf("%s|%d|%d|%d|%d", req.Options.Topology, n, k, req.Options.PEs, req.Options.Workers)
+}
+
 // handleAlgorithm proxies POST /v1/{algorithm}: decode enough to
 // compute the routing key, then cache-check, coalesce, and forward
 // along the ring.
@@ -460,7 +478,7 @@ func (f *FrontDoor) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 			cacheKey, cacheable = k, true
 			key = k
 		} else {
-			key = server.ClassKey(&req)
+			key = classKey(&req)
 		}
 	}
 

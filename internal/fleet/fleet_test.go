@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dyncg/internal/api"
 	"dyncg/internal/motion"
@@ -286,6 +287,38 @@ func TestFleetSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestFleetErrorsMatchSingleServer: error envelopes the front door
+// produces itself (an oversized body) or forwards from a worker (an
+// unknown session ID) are byte-identical to a single server's.
+func TestFleetErrorsMatchSingleServer(t *testing.T) {
+	tf := newTestFleet(t, 3, func(c *Config) { c.MaxBody = 256 })
+	single := server.New(server.Config{MaxBody: 256, PoolCap: -1})
+	oversized := []byte(fmt.Sprintf(`{"v":1,"system":[%s]}`, strings.Repeat("1,", 400)))
+	for _, tc := range []struct {
+		method, path string
+		body         []byte
+		status       int
+		code         api.ErrorCode
+	}{
+		{http.MethodPost, "/v1/steady-hull", oversized, http.StatusRequestEntityTooLarge, api.CodeBadRequest},
+		{http.MethodGet, "/v1/sessions/s-99-deadbeef/query", nil, http.StatusNotFound, api.CodeNoSession},
+	} {
+		fleetW := tf.do(t, tc.method, tc.path, tc.body)
+		singleW := singleDo(t, single.Handler(), tc.method, tc.path, tc.body)
+		if fleetW.Code != tc.status || singleW.Code != tc.status {
+			t.Errorf("%s %s: status fleet %d, single %d, want %d", tc.method, tc.path, fleetW.Code, singleW.Code, tc.status)
+			continue
+		}
+		var e api.Error
+		if err := json.Unmarshal(fleetW.Body.Bytes(), &e); err != nil || e.Code != tc.code {
+			t.Errorf("%s %s: fleet envelope %s (err %v), want code %s", tc.method, tc.path, fleetW.Body, err, tc.code)
+		}
+		if !bytes.Equal(fleetW.Body.Bytes(), singleW.Body.Bytes()) {
+			t.Errorf("%s %s: envelope differs:\n  fleet:  %s\n  single: %s", tc.method, tc.path, fleetW.Body, singleW.Body)
+		}
+	}
+}
+
 // TestFleetMemberKillRestart: with one member dead, stateless traffic
 // keeps flowing with zero errors (bounded failover along the ring);
 // sessions homed on the dead member answer 503 member_down; after the
@@ -363,6 +396,28 @@ func TestFleetMemberKillRestart(t *testing.T) {
 	if w := tf.do(t, http.MethodGet, "/v1/sessions/"+homed["m1"]+"/query", nil); w.Code != http.StatusOK {
 		t.Fatalf("session after member return: %d: %s", w.Code, w.Body)
 	}
+}
+
+// TestFleetBackgroundProbe: the prober started by Start marks a dead
+// member down and re-admits it once it answers /healthz again; Close
+// stops it.
+func TestFleetBackgroundProbe(t *testing.T) {
+	tf := newTestFleet(t, 3, func(c *Config) { c.ProbeInterval = 5 * time.Millisecond })
+	tf.fd.Start()
+	defer tf.fd.Close()
+	waitUp := func(want bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if tf.fd.members["m1"].up.Load() == want {
+				return
+			}
+		}
+		t.Fatalf("prober never marked m1 up=%v", want)
+	}
+	tf.workers[1].dead.Store(true)
+	waitUp(false)
+	tf.workers[1].dead.Store(false)
+	waitUp(true)
 }
 
 // TestFleetAllDown: every member dead → stateless requests answer a

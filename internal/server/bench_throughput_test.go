@@ -47,8 +47,8 @@ func newThroughputWorkload(b *testing.B) *throughputWorkload {
 
 // BenchmarkServerThroughput is the saturation suite behind the req/s
 // axis of BENCH_perf.json: closed-loop parallel clients driving
-// steady-hull through the full serving stack at shard counts {1,2,4}
-// and duplicate ratios {0%,50%}, plus an uncached/uncoalesced baseline
+// steady-hull through the full serving stack at duplicate ratios
+// {0%,50%}, plus an uncached/uncoalesced baseline
 // at 50% duplicates — the row the cached dup=50 rows must beat by ≥2×.
 // Rows report req/s via b.ReportMetric (higher is better; benchgate
 // gates collapses). scripts/bench.sh runs this suite without -benchmem:
@@ -84,18 +84,10 @@ func BenchmarkServerThroughput(b *testing.B) {
 	}
 
 	cached := Config{CacheBytes: DefaultCacheBytes, Coalesce: true}
-	for _, shards := range []int{1, 2, 4} {
-		for _, dupPct := range []int{0, 50} {
-			b.Run(fmt.Sprintf("shards=%d/dup=%d", shards, dupPct), func(b *testing.B) {
-				var h http.Handler
-				if shards > 1 {
-					h = NewRouter(shards, cached).Handler()
-				} else {
-					h = New(cached).Handler()
-				}
-				run(b, h, dupPct)
-			})
-		}
+	for _, dupPct := range []int{0, 50} {
+		b.Run(fmt.Sprintf("dup=%d", dupPct), func(b *testing.B) {
+			run(b, New(cached).Handler(), dupPct)
+		})
 	}
 	b.Run("nocache/dup=50", func(b *testing.B) {
 		run(b, New(Config{}).Handler(), 50)

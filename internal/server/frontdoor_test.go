@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +10,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dyncg/internal/api"
+	"dyncg/internal/canon"
 )
 
 // postRec sends one request and returns the full recorder, for tests
@@ -226,7 +230,7 @@ func TestFrontDoorMetrics(t *testing.T) {
 		"dyncg_rcache_evictions_total 0",
 		"dyncg_coalesce_inflight_merged_total 0",
 		"dyncgd_pool_idle_pes ",
-		"dyncgd_shard_queue_depth{shard=\"0\"} 0",
+		"dyncgd_queue_depth 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)
@@ -271,5 +275,53 @@ func TestDistinctRequestsDoNotShareCache(t *testing.T) {
 	rec := postRec(t, s.Handler(), "closest-point-sequence", b)
 	if got := rec.Header().Get("X-Dyncg-Source"); got != "computed" {
 		t.Errorf("different origin served from %q", got)
+	}
+}
+
+// TestCanonHashEqualImpliesSameResponse is the canon property test at
+// the serving layer: requests whose canonical keys agree receive
+// byte-identical responses from independent fresh servers.
+func TestCanonHashEqualImpliesSameResponse(t *testing.T) {
+	// Pairs of distinct spellings of one request.
+	pairs := [][2][]byte{
+		{
+			[]byte(`{"v":1,"system":[[[0,1],[0]],[[10,-1],[1]],[[3],[4]],[[5,2],[1]]],"origin":1}`),
+			[]byte(`{"origin":1,"v":1,"system":[[[0,1,0],[0,0,0]],[[10,-1],[1,0]],[[3,0],[4]],[[5,2],[1]]]}`),
+		},
+		{
+			[]byte(`{"v":1,"system":[[[2],[3]],[[4],[5]],[[6],[7]],[[8],[9]]],"dims":[40,40]}`),
+			[]byte(`{"v":1,"dims":[4e1,40.0],"system":[[[2.0],[3]],[[4],[5,0]],[[6],[7]],[[8],[9]]]}`),
+		},
+	}
+	algos := []string{"closest-point-sequence", "containment-intervals"}
+	for i, pair := range pairs {
+		var keys [2]string
+		var bodies [2][]byte
+		for j, raw := range pair {
+			var req api.Request
+			if err := json.Unmarshal(raw, &req); err != nil {
+				t.Fatalf("pair %d[%d]: %v", i, j, err)
+			}
+			// Topology and workers are server-resolved inputs; any fixed
+			// values expose the property under test (key equality across
+			// spellings of one system).
+			k, ok := canon.Key(algos[i], "hypercube", 1, &req)
+			if !ok {
+				t.Fatalf("pair %d[%d]: uncacheable", i, j)
+			}
+			keys[j] = k
+			rec := postRec(t, New(Config{}).Handler(), algos[i], raw)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("pair %d[%d]: status %d: %s", i, j, rec.Code, rec.Body.String())
+			}
+			bodies[j] = rec.Body.Bytes()
+		}
+		if keys[0] != keys[1] {
+			t.Errorf("pair %d: canonical keys differ:\n  %s\n  %s", i, keys[0], keys[1])
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Errorf("pair %d: hash-equal requests got different bytes:\n  %s\n  %s",
+				i, bodies[0], bodies[1])
+		}
 	}
 }

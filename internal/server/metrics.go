@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"dyncg/internal/replaylog"
 )
 
 // latBuckets are the upper bounds, in microseconds, of the request
@@ -50,30 +48,6 @@ func (x *Metrics) Observe(algo string, status int, d time.Duration) {
 	am.buckets[i]++
 }
 
-// foldInto accumulates x's counters into dst. dst must be private to
-// the caller (the Router folds every shard's registry into a scratch
-// one per scrape, so the merged exposition has one series per
-// algorithm, not one per shard).
-func (x *Metrics) foldInto(dst *Metrics) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	for name, am := range x.algos {
-		d := dst.algos[name]
-		if d == nil {
-			d = &algoMetrics{codes: make(map[int]uint64), buckets: make([]uint64, len(latBuckets)+1)}
-			dst.algos[name] = d
-		}
-		for c, v := range am.codes {
-			d.codes[c] += v
-		}
-		for i, v := range am.buckets {
-			d.buckets[i] += v
-		}
-		d.count += am.count
-		d.sumUs += am.sumUs
-	}
-}
-
 // Write writes the registry in the Prometheus text exposition format,
 // with algorithms and status codes in sorted order so scrapes (and
 // tests) see deterministic output.
@@ -114,38 +88,14 @@ func (x *Metrics) Write(w io.Writer) {
 	}
 }
 
-// writeAllMetrics writes the full Prometheus exposition for a set of
-// shards sharing one replay log. A single Server passes itself as the
-// only shard; the Router passes its whole fleet, so counters are
-// summed (or folded per algorithm) across shards and the per-shard
-// queue depths appear as one labelled series per shard. Everything a
-// pre-shard scrape exposed keeps its name and meaning; sharding only
-// adds series.
-func writeAllMetrics(w io.Writer, shards []*Server, rlog *replaylog.Log) {
-	merged := NewMetrics()
-	for _, s := range shards {
-		s.met.foldInto(merged)
-	}
-	merged.Write(w)
+// writeMetrics writes the server's full Prometheus exposition: the
+// request registry, the session layer, the pool, admission, the front
+// door, and (when recording) the replay log.
+func (s *Server) writeMetrics(w io.Writer) {
+	s.met.Write(w)
+	s.sessMet.write(w, s.sessions.Len(), s.sessions.Evictions())
 
-	sm := newSessionMetrics()
-	active, evictions := 0, uint64(0)
-	for _, s := range shards {
-		s.sessMet.foldInto(sm)
-		active += s.sessions.Len()
-		evictions += s.sessions.Evictions()
-	}
-	sm.write(w, active, evictions)
-
-	var ps PoolStats
-	for _, s := range shards {
-		st := s.pool.Stats()
-		ps.Hits += st.Hits
-		ps.Misses += st.Misses
-		ps.Evictions += st.Evictions
-		ps.Idle += st.Idle
-		ps.IdlePEs += st.IdlePEs
-	}
+	ps := s.pool.Stats()
 	fmt.Fprintf(w, "# TYPE dyncgd_pool_checkouts_total counter\n")
 	fmt.Fprintf(w, "dyncgd_pool_checkouts_total{result=\"hit\"} %d\n", ps.Hits)
 	fmt.Fprintf(w, "dyncgd_pool_checkouts_total{result=\"miss\"} %d\n", ps.Misses)
@@ -156,49 +106,31 @@ func writeAllMetrics(w io.Writer, shards []*Server, rlog *replaylog.Log) {
 	fmt.Fprintf(w, "# TYPE dyncgd_pool_idle_pes gauge\n")
 	fmt.Fprintf(w, "dyncgd_pool_idle_pes %d\n", ps.IdlePEs)
 
-	inflight, queued := 0, 0
-	for _, s := range shards {
-		inflight += len(s.sem)
-		queued += len(s.queue) - len(s.sem)
-	}
 	fmt.Fprintf(w, "# TYPE dyncgd_inflight gauge\n")
-	fmt.Fprintf(w, "dyncgd_inflight %d\n", inflight)
+	fmt.Fprintf(w, "dyncgd_inflight %d\n", len(s.sem))
 	fmt.Fprintf(w, "# TYPE dyncgd_queue_depth gauge\n")
-	fmt.Fprintf(w, "dyncgd_queue_depth %d\n", queued)
-	fmt.Fprintf(w, "# TYPE dyncgd_shard_queue_depth gauge\n")
-	for i, s := range shards {
-		fmt.Fprintf(w, "dyncgd_shard_queue_depth{shard=\"%d\"} %d\n", i, len(s.queue)-len(s.sem))
-	}
+	fmt.Fprintf(w, "dyncgd_queue_depth %d\n", len(s.queue)-len(s.sem))
 	fmt.Fprintf(w, "# TYPE dyncgd_draining gauge\n")
 	d := 0
-	if shards[0].draining.Load() {
+	if s.draining.Load() {
 		d = 1
 	}
 	fmt.Fprintf(w, "dyncgd_draining %d\n", d)
 
-	var cs rcacheStatsSum
-	var coalesced int64
-	for _, s := range shards {
-		st := s.rc.Stats()
-		cs.hits += st.Hits
-		cs.misses += st.Misses
-		cs.evictions += st.Evictions
-		cs.bytes += st.Bytes
-		coalesced += s.CoalesceMerged()
-	}
+	cs := s.rc.Stats()
 	fmt.Fprintf(w, "# TYPE dyncg_coalesce_inflight_merged_total counter\n")
-	fmt.Fprintf(w, "dyncg_coalesce_inflight_merged_total %d\n", coalesced)
+	fmt.Fprintf(w, "dyncg_coalesce_inflight_merged_total %d\n", s.CoalesceMerged())
 	fmt.Fprintf(w, "# TYPE dyncg_rcache_hits_total counter\n")
-	fmt.Fprintf(w, "dyncg_rcache_hits_total %d\n", cs.hits)
+	fmt.Fprintf(w, "dyncg_rcache_hits_total %d\n", cs.Hits)
 	fmt.Fprintf(w, "# TYPE dyncg_rcache_misses_total counter\n")
-	fmt.Fprintf(w, "dyncg_rcache_misses_total %d\n", cs.misses)
+	fmt.Fprintf(w, "dyncg_rcache_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "# TYPE dyncg_rcache_evictions_total counter\n")
-	fmt.Fprintf(w, "dyncg_rcache_evictions_total %d\n", cs.evictions)
+	fmt.Fprintf(w, "dyncg_rcache_evictions_total %d\n", cs.Evictions)
 	fmt.Fprintf(w, "# TYPE dyncg_rcache_bytes gauge\n")
-	fmt.Fprintf(w, "dyncg_rcache_bytes %d\n", cs.bytes)
+	fmt.Fprintf(w, "dyncg_rcache_bytes %d\n", cs.Bytes)
 
-	if rlog != nil {
-		rs := rlog.Stats()
+	if s.rlog != nil {
+		rs := s.rlog.Stats()
 		fmt.Fprintf(w, "# TYPE dyncg_replaylog_records_total counter\n")
 		fmt.Fprintf(w, "dyncg_replaylog_records_total %d\n", rs.Records)
 		fmt.Fprintf(w, "# TYPE dyncg_replaylog_bytes_total counter\n")
@@ -208,9 +140,4 @@ func writeAllMetrics(w io.Writer, shards []*Server, rlog *replaylog.Log) {
 		fmt.Fprintf(w, "# TYPE dyncg_replaylog_append_errors_total counter\n")
 		fmt.Fprintf(w, "dyncg_replaylog_append_errors_total %d\n", rs.Errors)
 	}
-}
-
-// rcacheStatsSum accumulates response-cache counters across shards.
-type rcacheStatsSum struct {
-	hits, misses, evictions, bytes int64
 }

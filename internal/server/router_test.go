@@ -1,4 +1,4 @@
-package server
+package server_test
 
 import (
 	"bytes"
@@ -10,11 +10,52 @@ import (
 	"testing"
 
 	"dyncg/internal/api"
-	"dyncg/internal/canon"
+	"dyncg/internal/fleet"
+	"dyncg/internal/server"
+	"dyncg/internal/shard"
 )
 
-// routerDo sends one request through a router and returns the recorder.
-func routerDo(t *testing.T, rt *Router, method, path string, body []byte) *httptest.ResponseRecorder {
+// The request router over a set of servers is the fleet front door:
+// these tests drive n in-process servers through it and check that
+// routing stays invisible on the wire and keeps every key on one
+// member.
+
+// routedFleet is n servers behind a fleet front door.
+type routedFleet struct {
+	fd      *fleet.FrontDoor
+	ids     []string
+	servers []*server.Server
+}
+
+// newRoutedFleet starts n servers built from cfg (member identity
+// filled in) behind a front door whose body cap is cfg.MaxBody.
+func newRoutedFleet(t *testing.T, n int, cfg server.Config) *routedFleet {
+	t.Helper()
+	rf := &routedFleet{}
+	for i := 0; i < n; i++ {
+		rf.ids = append(rf.ids, fmt.Sprintf("m%d", i))
+	}
+	members := make([]fleet.Member, n)
+	for i, id := range rf.ids {
+		c := cfg
+		c.MemberID, c.FleetIDs = id, rf.ids
+		srv := server.New(c)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		rf.servers = append(rf.servers, srv)
+		members[i] = fleet.Member{ID: id, URL: ts.URL}
+	}
+	fd, err := fleet.New(fleet.Config{Members: members, MaxBody: cfg.MaxBody, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf.fd = fd
+	return rf
+}
+
+// routerDo sends one request through the front door and returns the
+// recorder.
+func routerDo(t *testing.T, h http.Handler, method, path string, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
 	var r *http.Request
 	if body != nil {
@@ -23,24 +64,33 @@ func routerDo(t *testing.T, rt *Router, method, path string, body []byte) *httpt
 		r = httptest.NewRequest(method, path, nil)
 	}
 	w := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(w, r)
+	h.ServeHTTP(w, r)
 	return w
 }
 
+func errCode(t *testing.T, body []byte) api.ErrorCode {
+	t.Helper()
+	var e api.Error
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("decoding error envelope: %v (%s)", err, body)
+	}
+	return e.Code
+}
+
 // TestRouterMatchesSingleServer: every endpoint served through a
-// 3-shard router returns bytes identical to a single fresh server —
-// sharding must be invisible on the wire.
+// 3-member router returns bytes identical to a single fresh server —
+// distribution must be invisible on the wire.
 func TestRouterMatchesSingleServer(t *testing.T) {
-	for name, req := range endpointCases(t) {
+	for name, req := range server.EndpointCases(t) {
 		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Fresh router and server per case: the request is then the first
+		// Fresh fleet and server per case: the request is then the first
 		// of its machine class on both sides, so pool info matches.
-		rt := NewRouter(3, Config{})
-		single := postRec(t, New(Config{}).Handler(), name, body)
-		routed := routerDo(t, rt, http.MethodPost, "/v1/"+name, body)
+		rf := newRoutedFleet(t, 3, server.Config{})
+		single := routerDo(t, server.New(server.Config{}).Handler(), http.MethodPost, "/v1/"+name, body)
+		routed := routerDo(t, rf.fd.Handler(), http.MethodPost, "/v1/"+name, body)
 		if routed.Code != single.Code {
 			t.Errorf("%s: routed status %d, single %d", name, routed.Code, single.Code)
 			continue
@@ -53,25 +103,25 @@ func TestRouterMatchesSingleServer(t *testing.T) {
 }
 
 // TestRouterRoutingDeterminism: identical requests always land on the
-// same shard — observable as a cache hit on the repeat, which can only
-// happen if both visits reached the shard holding the entry.
+// same member — observable as a cache hit on the repeat, which can
+// only happen if both visits reached the member holding the entry.
 func TestRouterRoutingDeterminism(t *testing.T) {
-	algo, body := benchRequest(t)
-	rt := NewRouter(4, Config{CacheBytes: 1 << 20})
-	first := routerDo(t, rt, http.MethodPost, "/v1/"+algo, body)
+	algo, body := server.BenchRequest(t)
+	rf := newRoutedFleet(t, 4, server.Config{CacheBytes: 1 << 20})
+	first := routerDo(t, rf.fd.Handler(), http.MethodPost, "/v1/"+algo, body)
 	if first.Code != http.StatusOK {
 		t.Fatalf("first: status %d: %s", first.Code, first.Body.String())
 	}
-	second := routerDo(t, rt, http.MethodPost, "/v1/"+algo, body)
+	second := routerDo(t, rf.fd.Handler(), http.MethodPost, "/v1/"+algo, body)
 	if got := second.Header().Get("X-Dyncg-Source"); got != "cache" {
 		t.Fatalf("repeat request missed the cache (source %q): inconsistent routing", got)
 	}
 	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
 		t.Error("cached routed response differs")
 	}
-	// Exactly one shard saw traffic: one miss then one hit, fleet-wide.
+	// Exactly one member saw traffic: one miss then one hit, fleet-wide.
 	var hits, misses int64
-	for _, s := range rt.Shards() {
+	for _, s := range rf.servers {
 		st := s.RCacheStats()
 		hits += st.Hits
 		misses += st.Misses
@@ -83,9 +133,10 @@ func TestRouterRoutingDeterminism(t *testing.T) {
 
 // TestRouterSessionLifecycle: sessions created through the router are
 // reachable for update/query/delete — the minted IDs hash back to the
-// owning shard.
+// owning member.
 func TestRouterSessionLifecycle(t *testing.T) {
-	rt := NewRouter(3, Config{})
+	rf := newRoutedFleet(t, 3, server.Config{})
+	ring := shard.NewNamed(rf.ids, 0)
 	create := []byte(`{"v":1,"algorithm":"closest-point-sequence","origin":0,` +
 		`"system":[[[0,1],[0]],[[10,-1],[1]],[[3],[4]],[[5,2],[1]]]}`)
 
@@ -96,7 +147,7 @@ func TestRouterSessionLifecycle(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 9; i++ {
-		w := routerDo(t, rt, http.MethodPost, "/v1/sessions", create)
+		w := routerDo(t, rf.fd.Handler(), http.MethodPost, "/v1/sessions", create)
 		if w.Code != http.StatusOK {
 			t.Fatalf("create %d: status %d: %s", i, w.Code, w.Body.String())
 		}
@@ -104,39 +155,41 @@ func TestRouterSessionLifecycle(t *testing.T) {
 		if err := json.Unmarshal(w.Body.Bytes(), &sr); err != nil || sr.Session.ID == "" {
 			t.Fatalf("create %d: bad response %s", i, w.Body.String())
 		}
+		if home, minted := ring.Lookup(sr.Session.ID), w.Header().Get("X-Dyncg-Member"); home != minted {
+			t.Errorf("session %s minted by %q but hashes to %q", sr.Session.ID, minted, home)
+		}
 		ids = append(ids, sr.Session.ID)
 	}
 
-	// Round-robin creation spreads sessions across all shards; every
-	// shard's registry must only hold IDs that hash back to it.
-	perShard := make([]int, 3)
+	// Every member's registry must only hold IDs that hash back to it.
+	perMember := make(map[string]int)
 	for _, id := range ids {
-		perShard[rt.ring.Lookup(id)]++
+		perMember[ring.Lookup(id)]++
 	}
-	for i, s := range rt.Shards() {
-		if s.sessions.Len() != perShard[i] {
-			t.Errorf("shard %d holds %d sessions, ring says %d", i, s.sessions.Len(), perShard[i])
+	for i, s := range rf.servers {
+		if s.Sessions().Len() != perMember[rf.ids[i]] {
+			t.Errorf("member %s holds %d sessions, ring says %d", rf.ids[i], s.Sessions().Len(), perMember[rf.ids[i]])
 		}
 	}
 
 	for _, id := range ids {
-		w := routerDo(t, rt, http.MethodGet, "/v1/sessions/"+id+"/query", nil)
+		w := routerDo(t, rf.fd.Handler(), http.MethodGet, "/v1/sessions/"+id+"/query", nil)
 		if w.Code != http.StatusOK {
 			t.Fatalf("query %s: status %d: %s", id, w.Code, w.Body.String())
 		}
 		upd := []byte(`{"v":1,"deltas":[{"op":"retarget","id":1,"point":[[7,1],[2]]}]}`)
-		w = routerDo(t, rt, http.MethodPost, "/v1/sessions/"+id+"/update", upd)
+		w = routerDo(t, rf.fd.Handler(), http.MethodPost, "/v1/sessions/"+id+"/update", upd)
 		if w.Code != http.StatusOK {
 			t.Fatalf("update %s: status %d: %s", id, w.Code, w.Body.String())
 		}
-		w = routerDo(t, rt, http.MethodDelete, "/v1/sessions/"+id, nil)
+		w = routerDo(t, rf.fd.Handler(), http.MethodDelete, "/v1/sessions/"+id, nil)
 		if w.Code != http.StatusOK {
 			t.Fatalf("delete %s: status %d: %s", id, w.Code, w.Body.String())
 		}
 	}
-	for i, s := range rt.Shards() {
-		if s.sessions.Len() != 0 {
-			t.Errorf("shard %d still holds %d sessions after deletes", i, s.sessions.Len())
+	for i, s := range rf.servers {
+		if s.Sessions().Len() != 0 {
+			t.Errorf("member %s still holds %d sessions after deletes", rf.ids[i], s.Sessions().Len())
 		}
 	}
 }
@@ -144,22 +197,22 @@ func TestRouterSessionLifecycle(t *testing.T) {
 // TestRouterUnknownSession: a made-up ID routes deterministically and
 // reports no_session, matching single-server behavior.
 func TestRouterUnknownSession(t *testing.T) {
-	rt := NewRouter(3, Config{})
-	w := routerDo(t, rt, http.MethodGet, "/v1/sessions/s-99-deadbeef/query", nil)
+	rf := newRoutedFleet(t, 3, server.Config{})
+	w := routerDo(t, rf.fd.Handler(), http.MethodGet, "/v1/sessions/s-99-deadbeef/query", nil)
 	if w.Code != http.StatusNotFound {
 		t.Fatalf("status %d, want 404: %s", w.Code, w.Body.String())
 	}
-	if e := decodeErr(t, w.Body.Bytes()); e.Code != "no_session" {
-		t.Errorf("code %q, want no_session", e.Code)
+	if code := errCode(t, w.Body.Bytes()); code != api.CodeNoSession {
+		t.Errorf("code %q, want %s", code, api.CodeNoSession)
 	}
 }
 
 // TestRouterDecodeErrors: malformed and oversized bodies produce the
 // same envelopes through the router as through a single server.
 func TestRouterDecodeErrors(t *testing.T) {
-	cfg := Config{MaxBody: 256}
-	rt := NewRouter(3, cfg)
-	single := New(cfg)
+	cfg := server.Config{MaxBody: 256}
+	rf := newRoutedFleet(t, 3, cfg)
+	single := server.New(cfg)
 
 	cases := map[string][]byte{
 		"malformed": []byte(`{"v":1,`),
@@ -170,131 +223,14 @@ func TestRouterDecodeErrors(t *testing.T) {
 		"oversized": http.StatusRequestEntityTooLarge,
 	}
 	for name, body := range cases {
-		routed := routerDo(t, rt, http.MethodPost, "/v1/steady-hull", body)
-		ref := postRec(t, single.Handler(), "steady-hull", body)
+		routed := routerDo(t, rf.fd.Handler(), http.MethodPost, "/v1/steady-hull", body)
+		ref := routerDo(t, single.Handler(), http.MethodPost, "/v1/steady-hull", body)
 		if routed.Code != wantStatus[name] {
 			t.Errorf("%s: routed status %d, want %d", name, routed.Code, wantStatus[name])
 		}
 		if routed.Code != ref.Code || !bytes.Equal(routed.Body.Bytes(), ref.Body.Bytes()) {
 			t.Errorf("%s: routed error differs from single server:\n  %d %s\n  %d %s",
 				name, routed.Code, routed.Body, ref.Code, ref.Body)
-		}
-	}
-}
-
-// TestRouterUnknownAlgorithm: an unknown algorithm name decodes fine,
-// routes by class, and gets the shard's 404 envelope.
-func TestRouterUnknownAlgorithm(t *testing.T) {
-	rt := NewRouter(3, Config{})
-	req := endpointCases(t)["steady-hull"]
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := routerDo(t, rt, http.MethodPost, "/v1/no-such-algorithm", body)
-	if w.Code != http.StatusNotFound {
-		t.Fatalf("status %d, want 404: %s", w.Code, w.Body.String())
-	}
-	if e := decodeErr(t, w.Body.Bytes()); e.Code != "unknown_algorithm" {
-		t.Errorf("code %q, want unknown_algorithm", e.Code)
-	}
-}
-
-// TestRouterMergedMetrics: /metrics reports one merged exposition with
-// per-shard queue depths and fleet-summed front-door counters.
-func TestRouterMergedMetrics(t *testing.T) {
-	algo, body := benchRequest(t)
-	rt := NewRouter(3, Config{CacheBytes: 1 << 20})
-	routerDo(t, rt, http.MethodPost, "/v1/"+algo, body)
-	routerDo(t, rt, http.MethodPost, "/v1/"+algo, body) // cache hit on same shard
-
-	w := routerDo(t, rt, http.MethodGet, "/metrics", nil)
-	out := w.Body.String()
-	for _, want := range []string{
-		`dyncgd_requests_total{algorithm="steady-hull",code="200"} 2`,
-		`dyncgd_shard_queue_depth{shard="0"} 0`,
-		`dyncgd_shard_queue_depth{shard="1"} 0`,
-		`dyncgd_shard_queue_depth{shard="2"} 0`,
-		"dyncg_rcache_hits_total 1",
-		"dyncg_rcache_misses_total 1",
-		"dyncgd_pool_idle_pes 64",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("merged metrics missing %q", want)
-		}
-	}
-	if n := strings.Count(out, "# TYPE dyncgd_requests_total counter"); n != 1 {
-		t.Errorf("dyncgd_requests_total TYPE line appears %d times, want 1 (merged exposition)", n)
-	}
-}
-
-// TestRouterHealthz: health and drain flow through the router.
-func TestRouterHealthz(t *testing.T) {
-	rt := NewRouter(2, Config{})
-	if w := routerDo(t, rt, http.MethodGet, "/healthz", nil); w.Code != http.StatusOK {
-		t.Fatalf("healthz: status %d", w.Code)
-	}
-	rt.SetDraining(true)
-	if w := routerDo(t, rt, http.MethodGet, "/healthz", nil); w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("draining healthz: status %d", w.Code)
-	}
-	algo, body := benchRequest(t)
-	if w := routerDo(t, rt, http.MethodPost, "/v1/"+algo, body); w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("draining request: status %d", w.Code)
-	}
-	rt.SetDraining(false)
-	if w := routerDo(t, rt, http.MethodPost, "/v1/"+algo, body); w.Code != http.StatusOK {
-		t.Fatalf("post-drain request: status %d", w.Code)
-	}
-	if rt.InFlight() != 0 {
-		t.Errorf("InFlight = %d at rest", rt.InFlight())
-	}
-}
-
-// TestCanonHashEqualImpliesSameResponse is the canon property test at
-// the serving layer: requests whose canonical keys agree receive
-// byte-identical responses from independent fresh servers.
-func TestCanonHashEqualImpliesSameResponse(t *testing.T) {
-	// Pairs of distinct spellings of one request.
-	pairs := [][2][]byte{
-		{
-			[]byte(`{"v":1,"system":[[[0,1],[0]],[[10,-1],[1]],[[3],[4]],[[5,2],[1]]],"origin":1}`),
-			[]byte(`{"origin":1,"v":1,"system":[[[0,1,0],[0,0,0]],[[10,-1],[1,0]],[[3,0],[4]],[[5,2],[1]]]}`),
-		},
-		{
-			[]byte(`{"v":1,"system":[[[2],[3]],[[4],[5]],[[6],[7]],[[8],[9]]],"dims":[40,40]}`),
-			[]byte(`{"v":1,"dims":[4e1,40.0],"system":[[[2.0],[3]],[[4],[5,0]],[[6],[7]],[[8],[9]]]}`),
-		},
-	}
-	algos := []string{"closest-point-sequence", "containment-intervals"}
-	for i, pair := range pairs {
-		var keys [2]string
-		var bodies [2][]byte
-		for j, raw := range pair {
-			var req api.Request
-			if err := json.Unmarshal(raw, &req); err != nil {
-				t.Fatalf("pair %d[%d]: %v", i, j, err)
-			}
-			// Topology and workers are server-resolved inputs; any fixed
-			// values expose the property under test (key equality across
-			// spellings of one system).
-			k, ok := canon.Key(algos[i], "hypercube", 1, &req)
-			if !ok {
-				t.Fatalf("pair %d[%d]: uncacheable", i, j)
-			}
-			keys[j] = k
-			rec := postRec(t, New(Config{}).Handler(), algos[i], raw)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("pair %d[%d]: status %d: %s", i, j, rec.Code, rec.Body.String())
-			}
-			bodies[j] = rec.Body.Bytes()
-		}
-		if keys[0] != keys[1] {
-			t.Errorf("pair %d: canonical keys differ:\n  %s\n  %s", i, keys[0], keys[1])
-		}
-		if !bytes.Equal(bodies[0], bodies[1]) {
-			t.Errorf("pair %d: hash-equal requests got different bytes:\n  %s\n  %s",
-				i, bodies[0], bodies[1])
 		}
 	}
 }

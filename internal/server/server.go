@@ -362,26 +362,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.sessions.Sweep() // lazy TTL eviction rides the scrape path
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	writeAllMetrics(w, []*Server{s}, s.rlog)
-}
-
-// predecoded carries a /v1/{algorithm} body already read and decoded by
-// the shard Router, so the owning shard does not re-read or re-parse
-// it. err, when non-nil, is the decode failure the shard must reproduce
-// (with the recorded status) so routed and unrouted serving emit
-// byte-identical error envelopes.
-type predecoded struct {
-	raw    []byte
-	req    *api.Request
-	status int
-	err    error
-}
-
-type predecodedKey struct{}
-
-func predecodedFrom(ctx context.Context) *predecoded {
-	pd, _ := ctx.Value(predecodedKey{}).(*predecoded)
-	return pd
+	s.writeMetrics(w)
 }
 
 // outcome is the complete result of serving one algorithm request: the
@@ -497,31 +478,21 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+	raw, err := io.ReadAll(r.Body)
+	if err != nil {
+		st := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			st = http.StatusRequestEntityTooLarge
+		}
+		fail(st, api.CodeBadRequest, fmt.Errorf("server: decoding request: %w", err))
+		return
+	}
 	var req api.Request
-	if pd := predecodedFrom(r.Context()); pd != nil {
-		raw = pd.raw
-		if pd.err != nil {
-			fail(pd.status, api.CodeBadRequest, pd.err)
-			return
-		}
-		req = *pd.req
-	} else {
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-		var rerr error
-		raw, rerr = io.ReadAll(r.Body)
-		if rerr != nil {
-			st := http.StatusBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.As(rerr, &tooBig) {
-				st = http.StatusRequestEntityTooLarge
-			}
-			fail(st, api.CodeBadRequest, fmt.Errorf("server: decoding request: %w", rerr))
-			return
-		}
-		if err := json.Unmarshal(raw, &req); err != nil {
-			fail(http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("server: decoding request: %w", err))
-			return
-		}
+	if err := json.Unmarshal(raw, &req); err != nil {
+		fail(http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("server: decoding request: %w", err))
+		return
 	}
 	if req.V != api.Version {
 		fail(http.StatusBadRequest, api.CodeBadVersion,

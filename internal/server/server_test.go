@@ -440,15 +440,23 @@ func TestErrorMapping(t *testing.T) {
 }
 
 func TestMalformedBody(t *testing.T) {
-	s := New(Config{})
-	r := httptest.NewRequest(http.MethodPost, "/v1/steady-hull", strings.NewReader("{not json"))
-	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, r)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", w.Code)
-	}
-	if e := decodeErr(t, w.Body.Bytes()); e.Code != "bad_request" {
-		t.Errorf("code = %q, want bad_request", e.Code)
+	s := New(Config{MaxBody: 256})
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"malformed", "{not json", http.StatusBadRequest},
+		{"oversized", `{"v":1,"system":[` + strings.Repeat("1,", 400) + `]}`, http.StatusRequestEntityTooLarge},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/steady-hull", strings.NewReader(tc.body))
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, r)
+		if w.Code != tc.status {
+			t.Errorf("%s: status = %d, want %d", tc.name, w.Code, tc.status)
+		}
+		if e := decodeErr(t, w.Body.Bytes()); e.Code != "bad_request" {
+			t.Errorf("%s: code = %q, want bad_request", tc.name, e.Code)
+		}
 	}
 }
 

@@ -70,20 +70,8 @@ func (x *sessionMetrics) observeUpdate(d time.Duration) {
 	x.buckets[i]++
 }
 
-// foldInto accumulates x's counters into dst (a scratch instance the
-// merged scrape builds per call).
-func (x *sessionMetrics) foldInto(dst *sessionMetrics) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	dst.updates += x.updates
-	dst.sumUs += x.sumUs
-	for i, v := range x.buckets {
-		dst.buckets[i] += v
-	}
-}
-
 // write emits the session-layer exposition. active and evictions come
-// from the registry (or the sum across a Router's shard registries).
+// from the registry.
 func (x *sessionMetrics) write(w io.Writer, active int, evictions uint64) {
 	x.mu.Lock()
 	defer x.mu.Unlock()

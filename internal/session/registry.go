@@ -70,10 +70,10 @@ type Registry struct {
 	now     func() time.Time // test seam
 
 	// idCheck, when set, is a predicate every minted session ID must
-	// satisfy; Add re-mints the random suffix until it passes. The
-	// serving layer's shard router installs "this ID consistent-hashes
-	// back to my shard", so routing a session ID always finds the shard
-	// holding its pinned machine.
+	// satisfy; Add re-mints the random suffix until it passes. A fleet
+	// worker installs "this ID consistent-hashes back to me on the
+	// fleet ring", so the front door routing a session ID always finds
+	// the process holding its pinned machine.
 	idCheck func(string) bool
 
 	// idSalt, when set, is embedded in every minted ID ("s-<salt>-…").
@@ -136,7 +136,7 @@ func (r *Registry) Add(eng *Engine, m *machine.M, topo string, workers int) (*Se
 		if r.idCheck == nil || r.idCheck(id) {
 			break
 		}
-		// Each mint passes an n-shard check with probability ~1/n, so
+		// Each mint passes an n-member check with probability ~1/n, so
 		// even a wide fleet converges in a handful of draws; the cap
 		// only guards against a broken predicate.
 		if attempt >= 256 {

@@ -1,19 +1,33 @@
+// Package shard is the consistent-hash ring the fleet front door
+// (internal/fleet) routes by, and that every fleet worker rebuilds to
+// mint session IDs which hash home to it (server.Config.FleetIDs).
+//
+// The ring is the textbook construction over named members: each
+// member is hashed at many virtual points on a circle, a key is hashed
+// once, and the owning member is the first virtual point clockwise.
+// Virtual points smooth the load split (with 64 points per member the
+// imbalance is a few percent) and keep reassignment minimal when the
+// roster changes: keys move only onto or off the members whose points
+// appeared or vanished.
 package shard
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 )
 
-// NamedRing is an immutable consistent-hash ring over named members —
-// the fleet-mode counterpart of Ring, which routes across in-process
-// shards by index. Keying the ring by member ID (rather than position)
-// means the front door and every worker process can build the same
-// ring from the same ID list, and that membership is stable under
-// reordering: the ring for "a,b,c" equals the ring for "c,a,b", so a
-// fleet config can list members in any order without remapping keys.
-// It is safe for concurrent use (all methods are read-only after
-// NewNamed).
+// DefaultReplicas is the virtual-point count per member used by
+// NewNamed when replicas <= 0.
+const DefaultReplicas = 64
+
+// NamedRing is an immutable consistent-hash ring over named members.
+// Keying the ring by member ID (rather than position) means the front
+// door and every worker process can build the same ring from the same
+// ID list, and that membership is stable under reordering: the ring
+// for "a,b,c" equals the ring for "c,a,b", so a fleet config can list
+// members in any order without remapping keys. It is safe for
+// concurrent use (all methods are read-only after NewNamed).
 type NamedRing struct {
 	ids    []string // member IDs, sorted
 	points []uint32 // sorted virtual point hashes
@@ -108,4 +122,12 @@ func (r *NamedRing) Sequence(key string) []string {
 		}
 	}
 	return seq
+}
+
+// hash is FNV-1a over the key bytes — fast, dependency-free, and
+// uniform enough for virtual-point smoothing to even out.
+func hash(key string) uint32 {
+	h := fnv.New32a()
+	h.Write([]byte(key))
+	return h.Sum32()
 }

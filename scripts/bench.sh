@@ -29,8 +29,8 @@
 # a benchmark never breaks CI before its first pin (cmd/benchgate tests
 # this explicitly).
 #
-# BenchmarkServerThroughput (the req/s saturation rows: shard counts x
-# duplicate ratios plus the uncached baseline) runs in a third
+# BenchmarkServerThroughput (the req/s saturation rows: duplicate ratios
+# 0% and 50% plus the uncached baseline at 50%) runs in a third
 # invocation WITHOUT -benchmem: per-op allocation under concurrent
 # closed-loop load is nondeterministic, and the row's point is the
 # higher-is-better req/s metric, which benchgate gates against

@@ -29,6 +29,11 @@ fi
 echo "==> go build"
 go build ./...
 
+echo "==> dyncgbench (nested module: vet and test)"
+# The root go build/vet/test never compile the nested benchmark module,
+# so an API change it depends on would otherwise break it unnoticed.
+(cd dyncgbench && go vet ./... && go test ./...)
+
 echo "==> go test -race"
 # 20m headroom: the root package carries the full columnar differential
 # battery (n up to 65536), which race instrumentation slows well past

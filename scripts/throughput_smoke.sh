@@ -1,8 +1,8 @@
 #!/bin/sh
-# Sharded-serving throughput smoke test (CI: throughput-smoke).
+# Serving throughput smoke test (CI: throughput-smoke).
 #
-# Starts dyncgd with -shards 2 (response cache and coalescing at their
-# defaults) and a replay log, drives it with cmd/loadgen for ~10s at a
+# Starts a single dyncgd (response cache and coalescing at their
+# defaults) with a replay log, drives it with cmd/loadgen for ~10s at a
 # 50% duplicate ratio and a small session mix, and asserts that
 #
 #   - loadgen finished with zero transport errors and nonzero load,
@@ -26,7 +26,7 @@ go build -o /tmp/dyncgd.tp ./cmd/dyncgd
 go build -o /tmp/loadgen.tp ./cmd/loadgen
 
 logdir=$(mktemp -d /tmp/dyncgd.tplog.XXXXXX)
-/tmp/dyncgd.tp -addr "$addr" -shards 2 -log text -log-dir "$logdir" 2>/tmp/dyncgd.tp.log &
+/tmp/dyncgd.tp -addr "$addr" -log text -log-dir "$logdir" 2>/tmp/dyncgd.tp.log &
 pid=$!
 trap 'kill "$pid" 2>/dev/null || true; rm -f /tmp/dyncgd.tp /tmp/loadgen.tp; rm -rf "$logdir"' EXIT
 
@@ -40,7 +40,7 @@ until curl -fsS "$base/healthz" >/dev/null 2>&1; do
     fi
     sleep 0.1
 done
-echo "==> healthz OK (2 shards)"
+echo "==> healthz OK"
 
 echo "==> loadgen $duration at 50% duplicates"
 summary=$(/tmp/loadgen.tp -addr "$base" -duration "$duration" -concurrency 8 \
