@@ -5,10 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"dyncg/internal/curve"
+	"dyncg/internal/dsseq"
 	"dyncg/internal/geom"
+	"dyncg/internal/hypercube"
 	"dyncg/internal/machine"
 	"dyncg/internal/motion"
 	"dyncg/internal/pieces"
+	"dyncg/internal/poly"
 )
 
 // sampleTimes returns a time grid avoiding the exact breakpoints of the
@@ -290,6 +294,57 @@ func TestCorollary48SmallestEver(t *testing.T) {
 			if span(tm) < dmin-1e-6*(1+dmin) {
 				t.Fatalf("trial %d: D(%v)=%v < reported min %v", trial, tm, span(tm), dmin)
 			}
+		}
+	}
+}
+
+// TestMinimizeEdgeNeverNaN backs the associativity of MinimizeEdge's
+// semigroup op (a.v <= b.v keeps the leftmost minimum — associative on
+// any totally ordered v, but not once a NaN takes part). minimizePiece
+// starts from Eval(Lo) and only replaces it by a strictly smaller value,
+// so v is NaN only if Eval(Lo) is; with finite coefficients and a finite
+// Lo, Horner evaluation overflows to ±Inf at worst and never yields NaN.
+// The test drives pieces with an unbounded last piece (Hi = +Inf, where
+// the probe moves to Lo + 1e6), leading coefficients of both signs, and
+// coefficients near the top of the float64 range.
+func TestMinimizeEdgeNeverNaN(t *testing.T) {
+	r := rand.New(rand.NewSource(109))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(6)
+		d := make(pieces.Piecewise, n)
+		lo := 0.0
+		for i := range d {
+			coef := make(poly.Poly, 1+r.Intn(5))
+			for k := range coef {
+				coef[k] = r.NormFloat64() * math.Pow(10, float64(r.Intn(9)))
+				if r.Intn(20) == 0 {
+					coef[k] = math.Copysign(math.MaxFloat64/4, coef[k])
+				}
+			}
+			hi := lo + 0.1 + 10*r.Float64()
+			if i == n-1 {
+				hi = math.Inf(1)
+			}
+			d[i] = pieces.Piece{F: curve.Poly{P: coef}, ID: i, Lo: lo, Hi: hi}
+			lo = hi
+		}
+		want, wantT := math.Inf(1), 0.0
+		for i, p := range d {
+			v, tm := minimizePiece(p)
+			if math.IsNaN(v) {
+				t.Fatalf("trial %d: piece %d (%v on [%v, %v]) minimises to NaN", trial, i, p.F, p.Lo, p.Hi)
+			}
+			if i == 0 || v < want {
+				want, wantT = v, tm
+			}
+		}
+		m := machine.New(hypercube.MustNew(dsseq.NextPow2(n)))
+		got, gotT, err := MinimizeEdge(m, d)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got != want || gotT != wantT {
+			t.Fatalf("trial %d: MinimizeEdge = (%v, %v), leftmost serial minimum (%v, %v)", trial, got, gotT, want, wantT)
 		}
 	}
 }

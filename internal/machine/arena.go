@@ -3,10 +3,10 @@ package machine
 // This file implements the per-machine scratch arena: a typed,
 // generation-stamped pool of recyclable scratch slices. Every data
 // movement primitive of ops.go needs O(n) scratch per call (shift
-// targets, segment-flag doubling buffers, compaction ranks, routing
-// source/destination lists); before the arena each call allocated them
-// fresh, so one Table-2/3 run performed thousands of O(n) heap
-// allocations that dominated simulator wall-clock. The arena hands the
+// targets, flood copies, compaction ranks, routing source/destination
+// lists); before the arena each call allocated them fresh, so one
+// Table-2/3 run performed thousands of O(n) heap allocations that
+// dominated simulator wall-clock. The arena hands the
 // same few buffers back out call after call, making the steady-state
 // hot paths allocation-free (see bench_perf_test.go and the
 // AllocsPerRun assertions in alloc_test.go).

@@ -19,10 +19,17 @@ package machine
 // too: every primitive draws its O(n) scratch from the machine's arena
 // and releases it before returning (a File is two arena buffers — see
 // GetCols/PutCols).
+//
+// The parallel prefix is the one primitive whose host work does not
+// follow its round structure: the doubling scan would cost the host
+// O(n log n), so ScanCols computes the same registers with one O(n)
+// sequential fold and charges the doubling's rounds in closed form. The
+// doubling kernel survives as the test oracle in scanref_test.go.
 
 import (
-	"dyncg/internal/colstore"
+	"math/bits"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/par"
 )
 
@@ -61,90 +68,123 @@ func joinRegs[T any](f colstore.File[T], regs []Reg[T]) {
 
 // --- Parallel prefix (segmented scan) -------------------------------------
 
-// scanRoundCols is the columnar per-PE body of one doubling round of
-// ScanCols: PE i reads only the round-stable val/occ/fl arrays and
-// writes only index i of the next-state arrays, so shards are disjoint.
-// It is the transliteration of scanRound+combine in ops.go: empty
-// registers are identities, a nil op floods (occupied neighbour wins).
-func scanRoundCols[T any](val, nextVal []T, occ, nextOcc, fl, nextFl []bool, off int, dir ScanDir, op func(a, b T) T, lo, hi int) int {
-	n := len(val)
-	msgs := 0
-	for i := lo; i < hi; i++ {
-		var j int
-		if dir == Forward {
-			j = i - off
-		} else {
-			j = i + off
-		}
-		if j < 0 || j >= n || fl[i] {
-			continue
-		}
-		msgs++
-		switch {
-		case !occ[j]: // empty neighbour: keep local
-			nextVal[i], nextOcc[i] = val[i], occ[i]
-		case !occ[i]: // empty local: take neighbour
-			nextVal[i], nextOcc[i] = val[j], occ[j]
-		case op == nil: // flood mode: occupied neighbour wins
-			nextVal[i], nextOcc[i] = val[j], true
-		case dir == Forward:
-			nextVal[i], nextOcc[i] = op(val[j], val[i]), true
-		default:
-			nextVal[i], nextOcc[i] = op(val[i], val[j]), true
-		}
-		nextFl[i] = fl[i] || fl[j]
+// scanHist is the segment-length histogram a scan's charges are computed
+// from: bucket b holds the segments of length L with ⌈log₂ L⌉ = b, i.e.
+// exactly those that take part in the doubling rounds at offsets
+// 1, 2, …, 2^(b−1). cnt counts the segments, sum adds up their lengths.
+type scanHist struct {
+	cnt, sum [bits.UintSize + 1]int
+}
+
+// add records one segment of length l ≥ 1.
+func (h *scanHist) add(l int) {
+	b := bits.Len(uint(l - 1))
+	h.cnt[b]++
+	h.sum[b] += l
+}
+
+// chargeScanRounds charges the rounds of a Hillis–Steele doubling scan
+// over the segments in h, in the order the doubling runs them: one shift
+// round per offset off = 1, 2, 4, … below the longest segment, carrying
+// Σ_segments max(0, L − off) messages — PE i receives from i ∓ off iff
+// both lie in the same segment (the boundary flag that stops a PE has
+// spread over exactly off PEs after the rounds below off). The whole
+// machine as one string is the case of a single segment of length n.
+func chargeScanRounds(m *M, h *scanHist) {
+	c, s := 0, 0
+	for b := range h.cnt {
+		c += h.cnt[b]
+		s += h.sum[b]
 	}
-	return msgs
+	for b := 0; ; b++ {
+		// Segments with ⌈log₂ L⌉ ≤ b are shorter than or equal to
+		// off = 2^b and send nothing from this round on.
+		c -= h.cnt[b]
+		s -= h.sum[b]
+		if c == 0 {
+			return
+		}
+		off := 1 << b
+		m.chargeShift(off, s-off*c)
+	}
+}
+
+// scanForward is the host pass of a forward segmented scan: a left fold
+// acc = op(acc, x) per segment. An empty register is an identity and
+// keeps its stale bytes until the segment's first occupied PE reaches
+// it; a nil op keeps the first occupied value (flood). It records the
+// segment lengths into h.
+func scanForward[T any](val []T, occ, segStart []bool, op func(a, b T) T, h *scanHist) {
+	n := len(val)
+	var acc T
+	have := false
+	start := 0
+	for i := 0; i < n; i++ {
+		if segStart[i] && i > start {
+			h.add(i - start)
+			start, have = i, false
+		}
+		switch {
+		case !have:
+			if occ[i] {
+				acc, have = val[i], true
+			}
+			continue
+		case !occ[i]:
+			occ[i] = true
+		case op != nil:
+			acc = op(acc, val[i])
+		}
+		val[i] = acc
+	}
+	if n > 0 {
+		h.add(n - start)
+	}
+}
+
+// scanBackward is scanForward mirrored: a right fold acc = op(x, acc)
+// per segment, run from each segment's last PE down to its first.
+func scanBackward[T any](val []T, occ, segStart []bool, op func(a, b T) T, h *scanHist) {
+	n := len(val)
+	var acc T
+	have := false
+	end := n
+	for i := n - 1; i >= 0; i-- {
+		if i+1 < end && segStart[i+1] {
+			h.add(end - i - 1)
+			end, have = i+1, false
+		}
+		switch {
+		case !have:
+			if occ[i] {
+				acc, have = val[i], true
+			}
+			continue
+		case !occ[i]:
+			occ[i] = true
+		case op != nil:
+			acc = op(val[i], acc)
+		}
+		val[i] = acc
+	}
+	if n > 0 {
+		h.add(end)
+	}
 }
 
 // ScanCols is the columnar segmented inclusive scan — see Scan in ops.go
-// for the cost model and the flood (nil-op) mode.
+// for the cost model, the flood (nil-op) mode and the associativity
+// requirement on op. The host does one O(n) pass and then charges the
+// rounds of the Θ(log n)-round doubling scan in closed form.
 func ScanCols[T any](m *M, f colstore.File[T], segStart []bool, dir ScanDir, op func(a, b T) T) {
 	defer closeSpan(pspan(m, "prefix", f.Len()))
-	n := f.Len()
-	fl := GetScratch[bool](m, n)
+	var h scanHist
 	if dir == Forward {
-		copy(fl, segStart)
+		scanForward(f.Val, f.Occ, segStart, op, &h)
 	} else {
-		for i := 0; i < n; i++ {
-			fl[i] = i+1 >= n || segStart[i+1]
-		}
+		scanBackward(f.Val, f.Occ, segStart, op, &h)
 	}
-	maxSeg, run := 0, 0
-	for i := 0; i < n; i++ {
-		if segStart[i] {
-			run = 0
-		}
-		run++
-		if run > maxSeg {
-			maxSeg = run
-		}
-	}
-	if maxSeg > 1 {
-		next := GetCols[T](m, n)
-		nextFl := GetScratch[bool](m, n)
-		for off := 1; off < maxSeg; off <<= 1 {
-			copy(next.Val, f.Val)
-			copy(next.Occ, f.Occ)
-			copy(nextFl, fl)
-			var msgs int
-			if m.workers > 1 {
-				off := off
-				msgs = par.Reduce(m.workers, n, 0, func(lo, hi int) int {
-					return scanRoundCols(f.Val, next.Val, f.Occ, next.Occ, fl, nextFl, off, dir, op, lo, hi)
-				}, addInt)
-			} else {
-				msgs = scanRoundCols(f.Val, next.Val, f.Occ, next.Occ, fl, nextFl, off, dir, op, 0, n)
-			}
-			copy(f.Val, next.Val)
-			copy(f.Occ, next.Occ)
-			copy(fl, nextFl)
-			m.chargeShift(off, msgs)
-		}
-		PutScratch(m, nextFl)
-		PutCols(m, next)
-	}
-	PutScratch(m, fl)
+	chargeScanRounds(m, &h)
 }
 
 // --- Broadcast -------------------------------------------------------------
@@ -191,7 +231,7 @@ func markLastCols[T any](markedVal, val []T, markedOcc, occ, segStart []bool, lo
 }
 
 // SemigroupCols is the columnar semigroup computation of §2.6 — see
-// Semigroup in ops.go.
+// Semigroup in ops.go; op must be associative (see Scan).
 func SemigroupCols[T any](m *M, f colstore.File[T], segStart []bool, op func(a, b T) T) {
 	defer closeSpan(pspan(m, "semigroup", f.Len()))
 	ScanCols(m, f, segStart, Forward, op)

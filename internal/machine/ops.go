@@ -96,6 +96,16 @@ const (
 // place; each PE ends with the combined value of all items from its
 // segment boundary through itself.
 //
+// The simulated cost is that of the Hillis–Steele doubling scan: one
+// shift round per offset 1, 2, 4, … below the longest segment. The host
+// does not run the doubling, though: it computes the result with one
+// O(n) fold per call and charges the doubling's rounds in closed form
+// (chargeScanRounds in colops.go). A fold equals the doubling tree only
+// when op is associative — op(op(a, b), c) == op(a, op(b, c)) bit for
+// bit on every value a caller can pass — so that is a hard requirement
+// of Scan, ScanCols, Semigroup and SemigroupCols, not a hint. Floating-
+// point sums, or comparisons that a NaN can reach, do not qualify.
+//
 // A nil op is the flood mode: when both registers are occupied the
 // neighbour's value wins, which spreads each segment's boundary value
 // across the segment. Spread, Semigroup, and Compact use it internally —
@@ -122,7 +132,8 @@ func Spread[T any](m *M, regs []Reg[T], segStart []bool) {
 
 // Semigroup applies the associative operation to all items of each
 // segment and delivers the result to every PE of the segment (§2.6:
-// semigroup computation — min, max, sum, …).
+// semigroup computation — min, max, sum, …). op must be associative in
+// the exact sense Scan requires.
 func Semigroup[T any](m *M, regs []Reg[T], segStart []bool, op func(a, b T) T) {
 	f := splitRegs(m, regs)
 	SemigroupCols(m, f, segStart, op)

@@ -12,9 +12,11 @@ package machine
 // n PEs regardless of occupancy, so Stats — rounds, comm steps, local
 // steps, and message counts — are occupancy-independent for the
 // scan/sort round structures used here and are reproduced closed-form
-// (the message count of a whole-machine scan round at offset `off` is
-// n − off; a compare-exchange round on pair mask `mask` moves
-// 2·pairCount(n, mask) messages). Answer-and-Stats identity with the
+// (a compare-exchange round on pair mask `mask` moves
+// 2·pairCount(n, mask) messages). Dense and sparse scans share one
+// charge formula, chargeScanRounds in colops.go: a scan round at offset
+// `off` carries Σ_segments max(0, L − off) messages, which for the whole
+// machine as one string is n − off. Answer-and-Stats identity with the
 // dense primitives is pinned by the property tests and
 // FuzzActiveSetRounds in sparse_test.go.
 //
@@ -123,15 +125,16 @@ func (s *Sparse[T]) rebuildRange(lo, hi int) {
 }
 
 // sparseScanCharges emits the exact charge stream of a dense
-// whole-machine scan over n PEs: one span, and one shift round per
-// doubling offset with the occupancy-independent message count n − off
-// (PE i receives from i∓off unless it is left of the spreading boundary
-// flag, which after rounds 1..off/2 covers exactly off PEs).
+// whole-machine scan over n PEs: one span, and the doubling rounds of a
+// single segment of length n (chargeScanRounds), whose message count at
+// offset off is n − off.
 func sparseScanCharges(m *M, n int) {
 	defer closeSpan(pspan(m, "prefix", n))
-	for off := 1; off < n; off <<= 1 {
-		m.chargeShift(off, n-off)
+	var h scanHist
+	if n > 0 {
+		h.add(n)
 	}
+	chargeScanRounds(m, &h)
 }
 
 // SparseScan is the whole-machine inclusive scan over a sparse file —
@@ -143,7 +146,6 @@ func sparseScanCharges(m *M, n int) {
 // host work is O(final occupied).
 func SparseScan[T any](m *M, s *Sparse[T], dir ScanDir, op func(a, b T) T) {
 	n := s.Len()
-	defer closeSpan(pspan(m, "prefix", n))
 	if k := len(s.act); k > 0 {
 		val := s.f.Val
 		if dir == Forward {
@@ -182,9 +184,7 @@ func SparseScan[T any](m *M, s *Sparse[T], dir ScanDir, op func(a, b T) T) {
 			s.rebuildRange(0, last+1)
 		}
 	}
-	for off := 1; off < n; off <<= 1 {
-		m.chargeShift(off, n-off)
-	}
+	sparseScanCharges(m, n)
 }
 
 // SparseSpread is the whole-machine broadcast over a sparse file — dense

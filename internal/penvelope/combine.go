@@ -3,6 +3,7 @@ package penvelope
 import (
 	"fmt"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/machine"
 	"dyncg/internal/pieces"
 )
@@ -23,22 +24,17 @@ func Combine2(m *machine.M, f, g pieces.Piecewise, window func(fw, gw pieces.Pie
 		return nil, fmt.Errorf("penvelope: Combine2 inputs (%d, %d pieces) exceed machine halves (%d PEs): %w",
 			len(f), len(g), N, machine.ErrTooFewPEs)
 	}
-	regs := make([]machine.Reg[envReg], N)
+	regs := colstore.New[envReg](N)
 	for j, p := range f {
-		regs[j] = machine.Some(envReg{p: p})
+		regs.Set(j, envReg{p: p})
 	}
 	for j, p := range g {
-		regs[N/2+j] = machine.Some(envReg{p: p})
+		regs.Set(N/2+j, envReg{p: p})
 	}
 	if err := mergeLevel(m, regs, N, window); err != nil {
 		return nil, err
 	}
-	out := pieces.Piecewise{}
-	for _, r := range regs {
-		if r.Ok {
-			out = append(out, r.V.p)
-		}
-	}
+	out := occupiedPieces(regs)
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("penvelope: Combine2 produced invalid pieces: %w", err)
 	}
@@ -80,7 +76,7 @@ func MapPieces(m *machine.M, f pieces.Piecewise, fn func(pieces.Piece) []pieces.
 	}
 	machine.ScanCols(m, counts, machine.WholeMachine(N), machine.Forward,
 		func(a, b int) int { return a + b })
-	regs := make([]machine.Reg[envReg], N)
+	regs := colstore.New[envReg](N)
 	maxEmit := 0
 	for i := range emitted {
 		if len(emitted[i]) > maxEmit {
@@ -88,7 +84,7 @@ func MapPieces(m *machine.M, f pieces.Piecewise, fn func(pieces.Piece) []pieces.
 		}
 		base := counts.Val[i] - len(emitted[i])
 		for j, p := range emitted[i] {
-			regs[base+j] = machine.Some(envReg{p: p})
+			regs.Set(base+j, envReg{p: p})
 		}
 	}
 	for j := 0; j < maxEmit; j++ {
@@ -105,12 +101,7 @@ func MapPieces(m *machine.M, f pieces.Piecewise, fn func(pieces.Piece) []pieces.
 	if err := combineRuns(m, regs, N); err != nil {
 		return nil, err
 	}
-	out := pieces.Piecewise{}
-	for _, r := range regs {
-		if r.Ok {
-			out = append(out, r.V.p)
-		}
-	}
+	out := occupiedPieces(regs)
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("penvelope: MapPieces produced invalid pieces: %w", err)
 	}

@@ -27,6 +27,7 @@ import (
 	"math"
 	"strconv"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/curve"
 	"dyncg/internal/dsseq"
 	"dyncg/internal/machine"
@@ -93,7 +94,11 @@ func Envelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind) (pieces.Pie
 // front-packed envelopes of their function groups. NewMergeTree uses the
 // hook to capture every internal node of the recursion tree in one
 // bottom-up pass.
-func envelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind, snap func(block int, regs []machine.Reg[envReg])) (pieces.Piecewise, error) {
+//
+// The register file stays in the columnar layout for the whole build:
+// every merge level runs the columnar primitives on it directly, with no
+// record split/join per primitive call.
+func envelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind, snap func(block int, regs colstore.File[envReg])) (pieces.Piecewise, error) {
 	n := len(fs)
 	N := m.Size()
 	if n == 0 {
@@ -123,11 +128,11 @@ func envelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind, snap func(b
 	}
 	// Spread the inputs: function i's pieces at PEs i·stride, i·stride+1, …
 	// (Step 1 of Theorem 3.2: split the descriptions evenly).
-	regs := machine.GetScratch[machine.Reg[envReg]](m, N)
-	defer machine.PutScratch(m, regs)
+	regs := machine.GetCols[envReg](m, N)
+	defer machine.PutCols(m, regs)
 	for i, f := range fs {
 		for j, p := range f {
-			regs[i*stride+j] = machine.Some(envReg{p: p})
+			regs.Set(i*stride+j, envReg{p: p})
 		}
 	}
 	// Bottom-up recursive halving (Step 2–3 of Theorem 3.2).
@@ -142,12 +147,7 @@ func envelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind, snap func(b
 			snap(block, regs)
 		}
 	}
-	out := pieces.Piecewise{}
-	for _, r := range regs {
-		if r.Ok {
-			out = append(out, r.V.p)
-		}
-	}
+	out := occupiedPieces(regs)
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("penvelope: invalid result: %w", err)
 	}
@@ -161,21 +161,19 @@ func envelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind, snap func(b
 // or any other Θ(1)-per-window combination (the generalisation the paper
 // notes after Lemma 3.1: "the algorithm ... can also be used to construct
 // ... any of a variety of operations (e.g., max, sum, product)").
-func mergeLevel(m *machine.M, regs []machine.Reg[envReg], block int, window func(fw, gw pieces.Piecewise) pieces.Piecewise) error {
+func mergeLevel(m *machine.M, regs colstore.File[envReg], block int, window func(fw, gw pieces.Piecewise) pieces.Piecewise) error {
 	if m.Observed() {
 		m.SpanBegin("lemma3.1-merge", "block", strconv.Itoa(block))
 		defer m.SpanEnd()
 	}
-	N := len(regs)
+	N := regs.Len()
 	half := block / 2
 	// Step 1: tag sides.
 	m.ChargeLocal(1)
 	par.ForEach(m.Workers(), N, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if regs[i].Ok {
-				r := regs[i].V
-				r.side = uint8((i / half) % 2)
-				regs[i] = machine.Some(r)
+			if regs.Occ[i] {
+				regs.Val[i].side = uint8((i / half) % 2)
 			}
 		}
 	})
@@ -183,7 +181,7 @@ func mergeLevel(m *machine.M, regs []machine.Reg[envReg], block int, window func
 	// by side then ID for determinism (the paper breaks ties in favour of
 	// Right records; any fixed rule works here because empty windows are
 	// skipped).
-	machine.MergeBlocks(m, regs, block, func(a, b envReg) bool {
+	machine.MergeBlocksCols(m, regs, block, func(a, b envReg) bool {
 		if a.p.Lo != b.p.Lo {
 			return a.p.Lo < b.p.Lo
 		}
@@ -198,16 +196,14 @@ func mergeLevel(m *machine.M, regs []machine.Reg[envReg], block int, window func
 	for i := 0; i < N; i += block {
 		seg[i] = true
 	}
-	// seen is self-contained scratch (never crosses back into regs), so it
-	// lives natively in the columnar layout — no record split/join.
 	seen := machine.GetCols[lastSeen](m, N)
 	m.ChargeLocal(1)
 	par.ForEach(m.Workers(), N, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if !regs[i].Ok {
+			if !regs.Occ[i] {
 				continue
 			}
-			r := regs[i].V
+			r := regs.Val[i]
 			ls := lastSeen{}
 			if r.side == 0 {
 				ls.f, ls.fOk = r.p, true
@@ -219,7 +215,7 @@ func mergeLevel(m *machine.M, regs []machine.Reg[envReg], block int, window func
 	})
 	machine.ScanCols(m, seen, seg, machine.Forward, mergeSeen)
 	// Each PE also needs the start of the next piece to bound its window.
-	next := machine.ShiftWithin(m, regs, block, -1)
+	next := machine.ShiftWithinCols(m, regs, block, -1)
 	// Step 4–5: Θ(1) local work per PE — build the envelope restricted to
 	// the window [myLo, nextLo) from the two active pieces, via the same
 	// bounded computation a single PE performs in Lemma 3.1 (root
@@ -233,13 +229,13 @@ func mergeLevel(m *machine.M, regs []machine.Reg[envReg], block int, window func
 	maxEmit := par.Reduce(m.Workers(), N, 0, func(lo, hi int) int {
 		maxEmit := 0
 		for i := lo; i < hi; i++ {
-			if !regs[i].Ok || !seen.Occ[i] {
+			if !regs.Occ[i] || !seen.Occ[i] {
 				continue
 			}
-			w0 := regs[i].V.p.Lo
+			w0 := regs.Val[i].p.Lo
 			w1 := math.Inf(1)
-			if next[i].Ok {
-				w1 = next[i].V.p.Lo
+			if next.Occ[i] {
+				w1 = next.Val[i].p.Lo
 			}
 			if !(w0 < w1) {
 				continue // empty window (tied left endpoints)
@@ -272,8 +268,8 @@ func mergeLevel(m *machine.M, regs []machine.Reg[envReg], block int, window func
 		counts.Val[i], counts.Occ[i] = len(emitted[i]), true
 	}
 	machine.ScanCols(m, counts, seg, machine.Forward, func(a, b int) int { return a + b })
-	out := machine.GetScratch[machine.Reg[envReg]](m, N)
-	for i := range regs {
+	out := machine.GetCols[envReg](m, N)
+	for i := 0; i < N; i++ {
 		if len(emitted[i]) == 0 {
 			continue
 		}
@@ -282,7 +278,7 @@ func mergeLevel(m *machine.M, regs []machine.Reg[envReg], block int, window func
 			if base+j >= (i/block+1)*block {
 				return fmt.Errorf("%w at level %d", ErrBlockCapacity, block)
 			}
-			out[base+j] = machine.Some(envReg{p: p})
+			out.Set(base+j, envReg{p: p})
 		}
 	}
 	srcBuf := machine.GetScratch[int](m, N)
@@ -290,7 +286,7 @@ func mergeLevel(m *machine.M, regs []machine.Reg[envReg], block int, window func
 	for j := 0; j < maxEmit; j++ {
 		// Each of the ≤ maxEmit rounds is one structured route.
 		src, dst := srcBuf[:0], dstBuf[:0]
-		for i := range regs {
+		for i := 0; i < N; i++ {
 			if j < len(emitted[i]) {
 				src = append(src, i)
 				dst = append(dst, (i/block)*block+counts.Val[i]-len(emitted[i])+j)
@@ -298,17 +294,17 @@ func mergeLevel(m *machine.M, regs []machine.Reg[envReg], block int, window func
 		}
 		m.ChargeRoute(src, dst)
 	}
-	copy(regs, out)
+	regs.CopyFrom(out)
 	// Release this level's scratch before recursing into Step 6. The
 	// emitted buffer still holds per-PE subpiece slices (heap values from
 	// window); clear it so the parked buffer does not pin them.
 	clear(emitted)
 	machine.PutScratch(m, dstBuf)
 	machine.PutScratch(m, srcBuf)
-	machine.PutScratch(m, out)
+	machine.PutCols(m, out)
 	machine.PutCols(m, counts)
 	machine.PutScratch(m, emitted)
-	machine.PutScratch(m, next)
+	machine.PutCols(m, next)
 	machine.PutCols(m, seen)
 	machine.PutScratch(m, seg)
 	// Step 6: combine adjacent subpieces with the same generating
@@ -318,50 +314,48 @@ func mergeLevel(m *machine.M, regs []machine.Reg[envReg], block int, window func
 
 // combineRuns merges maximal runs of adjacent pieces with equal ID whose
 // intervals abut, the parallel form of Piecewise.Compact.
-func combineRuns(m *machine.M, regs []machine.Reg[envReg], block int) error {
+func combineRuns(m *machine.M, regs colstore.File[envReg], block int) error {
 	if m.Observed() {
 		m.SpanBegin("combine-runs", "block", strconv.Itoa(block))
 		defer m.SpanEnd()
 	}
-	N := len(regs)
-	prev := machine.ShiftWithin(m, regs, block, +1) // prev[i] = regs[i-1]
+	N := regs.Len()
+	prev := machine.ShiftWithinCols(m, regs, block, +1) // prev[i] = regs[i-1]
 	runStart := machine.GetScratch[bool](m, N)
 	m.ChargeLocal(1)
 	par.ForEach(m.Workers(), N, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if !regs[i].Ok {
+			if !regs.Occ[i] {
 				runStart[i] = i%block == 0
 				continue
 			}
-			if !prev[i].Ok {
+			if !prev.Occ[i] {
 				runStart[i] = true
 				continue
 			}
-			a, b := prev[i].V.p, regs[i].V.p
+			a, b := prev.Val[i].p, regs.Val[i].p
 			runStart[i] = !(a.ID == b.ID && a.Hi == b.Lo)
 		}
 	})
-	machine.PutScratch(m, prev)
+	machine.PutCols(m, prev)
 	// Bring each run's final Hi to its head: a backward flood (nil op)
 	// within runs.
 	his := machine.GetCols[float64](m, N)
-	for i := range regs {
-		if regs[i].Ok {
-			his.Val[i], his.Occ[i] = regs[i].V.p.Hi, true
+	for i := 0; i < N; i++ {
+		if regs.Occ[i] {
+			his.Set(i, regs.Val[i].p.Hi)
 		}
 	}
 	machine.ScanCols(m, his, runStart, machine.Backward, nil)
 	m.ChargeLocal(1)
-	for i := range regs {
-		if !regs[i].Ok {
+	for i := 0; i < N; i++ {
+		if !regs.Occ[i] {
 			continue
 		}
 		if runStart[i] {
-			r := regs[i].V
-			r.p.Hi = his.Val[i]
-			regs[i] = machine.Some(r)
+			regs.Val[i].p.Hi = his.Val[i]
 		} else {
-			regs[i] = machine.None[envReg]()
+			regs.Clear(i)
 		}
 	}
 	machine.PutCols(m, his)
@@ -369,10 +363,22 @@ func combineRuns(m *machine.M, regs []machine.Reg[envReg], block int) error {
 	for i := 0; i < N; i += block {
 		seg[i] = true
 	}
-	machine.Compact(m, regs, seg)
+	machine.CompactCols(m, regs, seg)
 	machine.PutScratch(m, seg)
 	machine.PutScratch(m, runStart)
 	return nil
+}
+
+// occupiedPieces returns the occupied registers' pieces in PE order,
+// as a non-nil slice.
+func occupiedPieces(regs colstore.File[envReg]) pieces.Piecewise {
+	out := pieces.Piecewise{}
+	for i, ok := range regs.Occ {
+		if ok {
+			out = append(out, regs.Val[i].p)
+		}
+	}
+	return out
 }
 
 // clip restricts a piece to the window [w0, w1), returning at most one

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/dsseq"
 	"dyncg/internal/machine"
 	"dyncg/internal/pieces"
@@ -108,18 +109,11 @@ func NewMergeTree(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind) (*Merge
 // snap is the per-level snapshot hook: after the merge level of the
 // given block size, block b of regs holds the sorted, front-packed
 // envelope of leaves [b·w, (b+1)·w) where w = block/stride.
-func (t *MergeTree) snap(block int, regs []machine.Reg[envReg]) {
+func (t *MergeTree) snap(block int, regs colstore.File[envReg]) {
 	l := bits.Len(uint(block/t.stride)) - 1
 	nodes := t.levels[l]
 	for b := range nodes {
-		var pw pieces.Piecewise
-		for i := b * block; i < (b+1)*block; i++ {
-			if !regs[i].Ok {
-				break // front-packed: the first empty register ends the run
-			}
-			pw = append(pw, regs[i].V.p)
-		}
-		nodes[b] = pw
+		nodes[b] = frontRun(regs, b*block, (b+1)*block)
 	}
 }
 
@@ -228,13 +222,13 @@ func (t *MergeTree) mergeNode(m *machine.M, level int, f, g pieces.Piecewise) (p
 // mergeOnce lays the two child strings in the halves of one scratch
 // block and runs a single merge level over it.
 func (t *MergeTree) mergeOnce(m *machine.M, f, g pieces.Piecewise, block int) (pieces.Piecewise, error) {
-	regs := machine.GetScratch[machine.Reg[envReg]](m, block)
-	defer machine.PutScratch(m, regs)
+	regs := machine.GetCols[envReg](m, block)
+	defer machine.PutCols(m, regs)
 	for j, p := range f {
-		regs[j] = machine.Some(envReg{p: p})
+		regs.Set(j, envReg{p: p})
 	}
 	for j, p := range g {
-		regs[block/2+j] = machine.Some(envReg{p: p})
+		regs.Set(block/2+j, envReg{p: p})
 	}
 	window := func(fw, gw pieces.Piecewise) pieces.Piecewise {
 		return pieces.Merge(fw, gw, t.kind)
@@ -242,14 +236,17 @@ func (t *MergeTree) mergeOnce(m *machine.M, f, g pieces.Piecewise, block int) (p
 	if err := mergeLevel(m, regs, block, window); err != nil {
 		return nil, err
 	}
-	var out pieces.Piecewise
-	for _, r := range regs {
-		if !r.Ok {
-			break // front-packed
-		}
-		out = append(out, r.V.p)
+	return frontRun(regs, 0, block), nil
+}
+
+// frontRun returns the pieces of the front-packed run that starts at PE
+// lo: the occupied registers up to the first empty one or hi.
+func frontRun(regs colstore.File[envReg], lo, hi int) pieces.Piecewise {
+	var pw pieces.Piecewise
+	for i := lo; i < hi && regs.Occ[i]; i++ {
+		pw = append(pw, regs.Val[i].p)
 	}
-	return out, nil
+	return pw
 }
 
 // Rebuild constructs the envelope of the current leaves from scratch on
