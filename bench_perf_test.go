@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/dsseq"
 	"dyncg/internal/hypercube"
 	"dyncg/internal/machine"
@@ -73,39 +74,39 @@ func BenchmarkPerf(b *testing.B) {
 		for _, tc := range perfTopologies(n) {
 			ops := []struct {
 				name string
-				run  func(m *machine.M, regs []machine.Reg[int], seg []bool)
+				run  func(m *machine.M, regs colstore.File[int], seg []bool)
 			}{
-				{"scan", func(m *machine.M, regs []machine.Reg[int], seg []bool) {
-					machine.Scan(m, regs, seg, machine.Forward, minInt)
+				{"scan", func(m *machine.M, regs colstore.File[int], seg []bool) {
+					machine.ScanCols(m, regs, seg, machine.Forward, minInt)
 				}},
-				{"semigroup", func(m *machine.M, regs []machine.Reg[int], seg []bool) {
-					machine.Semigroup(m, regs, seg, minInt)
+				{"semigroup", func(m *machine.M, regs colstore.File[int], seg []bool) {
+					machine.SemigroupCols(m, regs, seg, minInt)
 				}},
-				{"broadcast", func(m *machine.M, regs []machine.Reg[int], seg []bool) {
-					machine.Spread(m, regs, seg)
+				{"broadcast", func(m *machine.M, regs colstore.File[int], seg []bool) {
+					machine.SpreadCols(m, regs, seg)
 				}},
-				{"sort", func(m *machine.M, regs []machine.Reg[int], seg []bool) {
-					machine.Sort(m, regs, func(a, b int) bool { return a < b })
+				{"sort", func(m *machine.M, regs colstore.File[int], seg []bool) {
+					machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 				}},
-				{"merge", func(m *machine.M, regs []machine.Reg[int], seg []bool) {
-					machine.MergeBlocks(m, regs, len(regs), func(a, b int) bool { return a < b })
+				{"merge", func(m *machine.M, regs colstore.File[int], seg []bool) {
+					machine.MergeBlocksCols(m, regs, regs.Len(), func(a, b int) bool { return a < b })
 				}},
-				{"compact", func(m *machine.M, regs []machine.Reg[int], seg []bool) {
-					machine.Compact(m, regs, seg)
+				{"compact", func(m *machine.M, regs colstore.File[int], seg []bool) {
+					machine.CompactCols(m, regs, seg)
 				}},
-				{"route", func(m *machine.M, regs []machine.Reg[int], seg []bool) {
-					dest := perfDest(len(regs))
-					machine.Route(m, regs, dest)
+				{"route", func(m *machine.M, regs colstore.File[int], seg []bool) {
+					dest := perfDest(regs.Len())
+					machine.RouteCols(m, regs, dest)
 				}},
-				{"shift", func(m *machine.M, regs []machine.Reg[int], seg []bool) {
-					out := machine.ShiftWithin(m, regs, len(regs), 1)
-					machine.PutScratch(m, out)
+				{"shift", func(m *machine.M, regs colstore.File[int], seg []bool) {
+					out := machine.ShiftWithinCols(m, regs, regs.Len(), 1)
+					machine.PutCols(m, out)
 				}},
 			}
 			for _, op := range ops {
 				b.Run(fmt.Sprintf("%s/%s/n=%d", op.name, tc.name, n), func(b *testing.B) {
 					m := tc.mk()
-					regs := machine.Scatter(m.Size(), perfVals(m.Size()))
+					regs := colstore.Scatter(m.Size(), perfVals(m.Size()))
 					seg := machine.WholeMachine(m.Size())
 					op.run(m, regs, seg) // warm the arena (untimed)
 					b.ReportAllocs()
@@ -139,9 +140,9 @@ func perfDest(n int) []int {
 
 // BenchmarkPerfLargeN pins the scale rows of the columnar core: cheap
 // data-movement primitives at n = 64k, 256k and 1M PEs, the regime the
-// struct-of-arrays refactor targets. Dense rows run scan — the canonical
-// flat-loop round body — through the public facade (split, columnar
-// rounds, join); the par8 row exercises internal/par sharding of the
+// struct-of-arrays refactor targets. Dense rows run scan and semigroup
+// — one host fold per call, the doubling's rounds charged in closed
+// form — on a colstore.File in place; the par8 row exercises internal/par sharding of the
 // same rounds; sparse rows run the active-set primitives at 1%
 // occupancy, whose host work is O(occupied), not O(n). All rows run
 // steady-state on a warm machine; the single-worker rows must hold
@@ -153,48 +154,48 @@ func BenchmarkPerfLargeN(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 18, 1 << 20} {
 		b.Run(fmt.Sprintf("scan/hypercube/n=%d", n), func(b *testing.B) {
 			m := machine.New(hypercube.MustNew(n))
-			regs := machine.Scatter(n, perfVals(n))
+			regs := colstore.Scatter(n, perfVals(n))
 			seg := machine.WholeMachine(n)
-			machine.Scan(m, regs, seg, machine.Forward, minInt)
+			machine.ScanCols(m, regs, seg, machine.Forward, minInt)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				machine.Scan(m, regs, seg, machine.Forward, minInt)
+				machine.ScanCols(m, regs, seg, machine.Forward, minInt)
 			}
 		})
 	}
 	const big = 1 << 20
 	b.Run(fmt.Sprintf("scan/mesh/n=%d", big), func(b *testing.B) {
 		m := machine.New(mesh.MustNew(big, mesh.Proximity))
-		regs := machine.Scatter(big, perfVals(big))
+		regs := colstore.Scatter(big, perfVals(big))
 		seg := machine.WholeMachine(big)
-		machine.Scan(m, regs, seg, machine.Forward, minInt)
+		machine.ScanCols(m, regs, seg, machine.Forward, minInt)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			machine.Scan(m, regs, seg, machine.Forward, minInt)
+			machine.ScanCols(m, regs, seg, machine.Forward, minInt)
 		}
 	})
 	b.Run(fmt.Sprintf("scan/hypercube-par8/n=%d", big), func(b *testing.B) {
 		m := machine.New(hypercube.MustNew(big), machine.WithParallel(8))
-		regs := machine.Scatter(big, perfVals(big))
+		regs := colstore.Scatter(big, perfVals(big))
 		seg := machine.WholeMachine(big)
-		machine.Scan(m, regs, seg, machine.Forward, minInt)
+		machine.ScanCols(m, regs, seg, machine.Forward, minInt)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			machine.Scan(m, regs, seg, machine.Forward, minInt)
+			machine.ScanCols(m, regs, seg, machine.Forward, minInt)
 		}
 	})
 	b.Run(fmt.Sprintf("semigroup/hypercube/n=%d", big), func(b *testing.B) {
 		m := machine.New(hypercube.MustNew(big))
-		regs := machine.Scatter(big, perfVals(big))
+		regs := colstore.Scatter(big, perfVals(big))
 		seg := machine.WholeMachine(big)
-		machine.Semigroup(m, regs, seg, minInt)
+		machine.SemigroupCols(m, regs, seg, minInt)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			machine.Semigroup(m, regs, seg, minInt)
+			machine.SemigroupCols(m, regs, seg, minInt)
 		}
 	})
 	// Active-set rows: 1% occupancy. Both workloads are idempotent after
@@ -238,13 +239,13 @@ func BenchmarkPerfEndToEnd(b *testing.B) {
 		for _, tc := range perfTopologies(n) {
 			b.Run(fmt.Sprintf("grouping/%s/n=%d", tc.name, n), func(b *testing.B) {
 				m := tc.mk()
-				regs := machine.Scatter(m.Size(), perfVals(m.Size()))
+				regs := colstore.Scatter(m.Size(), perfVals(m.Size()))
 				seg := machine.BlockSegments(m.Size(), 16)
 				groupOnce := func() {
-					machine.Sort(m, regs, func(a, b int) bool { return a < b })
-					machine.Scan(m, regs, seg, machine.Forward,
+					machine.SortCols(m, regs, func(a, b int) bool { return a < b })
+					machine.ScanCols(m, regs, seg, machine.Forward,
 						func(a, b int) int { return a })
-					machine.Sort(m, regs, func(a, b int) bool { return a < b })
+					machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 				}
 				groupOnce() // warm the arena (untimed)
 				b.ReportAllocs()

@@ -18,6 +18,7 @@ import (
 
 	"dyncg"
 	"dyncg/internal/ccc"
+	"dyncg/internal/colstore"
 	"dyncg/internal/core"
 	"dyncg/internal/curve"
 	"dyncg/internal/dsseq"
@@ -63,8 +64,8 @@ func BenchmarkTable1(b *testing.B) {
 		for topoName, mk := range topologies(n) {
 			ops := map[string]func(m *machine.M){
 				"semigroup": func(m *machine.M) {
-					regs := machine.Scatter(n, vals)
-					machine.Semigroup(m, regs, machine.WholeMachine(n), func(a, b int) int {
+					regs := colstore.Scatter(n, vals)
+					machine.SemigroupCols(m, regs, machine.WholeMachine(n), func(a, b int) int {
 						if a < b {
 							return a
 						}
@@ -72,32 +73,32 @@ func BenchmarkTable1(b *testing.B) {
 					})
 				},
 				"broadcast": func(m *machine.M) {
-					regs := make([]machine.Reg[int], n)
-					regs[n/3] = machine.Some(42)
-					machine.Spread(m, regs, machine.WholeMachine(n))
+					regs := colstore.New[int](n)
+					regs.Set(n/3, 42)
+					machine.SpreadCols(m, regs, machine.WholeMachine(n))
 				},
 				"prefix": func(m *machine.M) {
-					regs := machine.Scatter(n, vals)
-					machine.Scan(m, regs, machine.WholeMachine(n), machine.Forward,
+					regs := colstore.Scatter(n, vals)
+					machine.ScanCols(m, regs, machine.WholeMachine(n), machine.Forward,
 						func(a, b int) int { return a + b })
 				},
 				"merge": func(m *machine.M) {
-					regs := machine.Scatter(n, vals)
-					machine.SortBlocks(m, regs, n/2, func(a, b int) bool { return a < b })
+					regs := colstore.Scatter(n, vals)
+					machine.SortBlocksCols(m, regs, n/2, func(a, b int) bool { return a < b })
 					m.Reset()
-					machine.MergeBlocks(m, regs, n, func(a, b int) bool { return a < b })
+					machine.MergeBlocksCols(m, regs, n, func(a, b int) bool { return a < b })
 				},
 				"sort": func(m *machine.M) {
-					regs := machine.Scatter(n, vals)
-					machine.Sort(m, regs, func(a, b int) bool { return a < b })
+					regs := colstore.Scatter(n, vals)
+					machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 				},
 				"grouping": func(m *machine.M) {
 					// Sort-based concurrent read: sort, segment scan, sort back.
-					regs := machine.Scatter(n, vals)
-					machine.Sort(m, regs, func(a, b int) bool { return a < b })
-					machine.Scan(m, regs, machine.BlockSegments(n, 16), machine.Forward,
+					regs := colstore.Scatter(n, vals)
+					machine.SortCols(m, regs, func(a, b int) bool { return a < b })
+					machine.ScanCols(m, regs, machine.BlockSegments(n, 16), machine.Forward,
 						func(a, b int) int { return a })
-					machine.Sort(m, regs, func(a, b int) bool { return a < b })
+					machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 				},
 			}
 			for opName, op := range ops {
@@ -145,8 +146,8 @@ func BenchmarkParallelSort(b *testing.B) {
 				} else {
 					m = machine.New(topo)
 				}
-				regs := machine.Scatter(n, vals)
-				machine.Sort(m, regs, func(a, b int) bool { return a < b })
+				regs := colstore.Scatter(n, vals)
+				machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 				last = m
 			}
 			reportSim(b, last)
@@ -441,8 +442,8 @@ func BenchmarkAblationIndexing(b *testing.B) {
 			var last *machine.M
 			for i := 0; i < b.N; i++ {
 				m := machine.New(mesh.MustNew(n, ix))
-				regs := machine.Scatter(n, vals)
-				machine.Sort(m, regs, func(a, b int) bool { return a < b })
+				regs := colstore.Scatter(n, vals)
+				machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 				last = m
 			}
 			reportSim(b, last)
@@ -582,8 +583,8 @@ func BenchmarkLockstepShearsort(b *testing.B) {
 			var last *machine.M
 			for i := 0; i < b.N; i++ {
 				m := machine.New(mesh.MustNew(n, mesh.Proximity))
-				regs := machine.Scatter(n, vals)
-				machine.Sort(m, regs, func(a, b int) bool { return a < b })
+				regs := colstore.Scatter(n, vals)
+				machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 				last = m
 			}
 			reportSim(b, last)

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"dyncg/internal/ccc"
+	"dyncg/internal/colstore"
 	"dyncg/internal/core"
 	"dyncg/internal/dsseq"
 	"dyncg/internal/fault"
@@ -108,36 +109,36 @@ var chaosCases = []chaosCase{
 				vals[i] = r.Intn(1 << 16)
 			}
 			// Sort.
-			regs := machine.Scatter(items, vals)
-			machine.Sort(m, regs, func(a, b int) bool { return a < b })
-			outs = append(outs, machine.Gather(regs))
+			regs := colstore.Scatter(items, vals)
+			machine.SortCols(m, regs, func(a, b int) bool { return a < b })
+			outs = append(outs, regs.Gather())
 			// Segmented scans, forward and backward.
-			regs = machine.Scatter(items, vals)
+			regs = colstore.Scatter(items, vals)
 			seg := machine.BlockSegments(items, 4)
-			machine.Scan(m, regs, seg, machine.Forward, func(a, b int) int { return a + b })
-			outs = append(outs, machine.Gather(regs))
-			machine.Scan(m, regs, seg, machine.Backward, func(a, b int) int { return a + b })
-			outs = append(outs, machine.Gather(regs))
+			machine.ScanCols(m, regs, seg, machine.Forward, func(a, b int) int { return a + b })
+			outs = append(outs, regs.Gather())
+			machine.ScanCols(m, regs, seg, machine.Backward, func(a, b int) int { return a + b })
+			outs = append(outs, regs.Gather())
 			// Semigroup (min) and broadcast.
-			regs = machine.Scatter(items, vals)
-			machine.Semigroup(m, regs, seg, func(a, b int) int {
+			regs = colstore.Scatter(items, vals)
+			machine.SemigroupCols(m, regs, seg, func(a, b int) int {
 				if a < b {
 					return a
 				}
 				return b
 			})
-			outs = append(outs, machine.Gather(regs))
-			bregs := make([]machine.Reg[int], items)
-			bregs[items/3] = machine.Some(vals[0])
-			machine.Spread(m, bregs, machine.WholeMachine(items))
-			outs = append(outs, machine.Gather(bregs))
+			outs = append(outs, regs.Gather())
+			bregs := colstore.New[int](items)
+			bregs.Set(items/3, vals[0])
+			machine.SpreadCols(m, bregs, machine.WholeMachine(items))
+			outs = append(outs, bregs.Gather())
 			// Compaction of a sparse file.
-			sparse := make([]machine.Reg[int], items)
+			sparse := colstore.New[int](items)
 			for i := 0; i < items; i += 3 {
-				sparse[i] = machine.Some(vals[i])
+				sparse.Set(i, vals[i])
 			}
-			machine.Compact(m, sparse, seg)
-			outs = append(outs, machine.Gather(sparse))
+			machine.CompactCols(m, sparse, seg)
+			outs = append(outs, sparse.Gather())
 			return nil
 		}
 		return body, func() any { return outs }

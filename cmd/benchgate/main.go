@@ -35,6 +35,13 @@
 // A benchmark present in the baseline but missing from stdin fails the
 // gate (a silently dropped benchmark would hide any regression); new
 // benchmarks not yet in the baseline are reported and pass.
+//
+// Host facts. -out records the host the rows were measured on (NumCPU,
+// GOMAXPROCS, GOOS/GOARCH and the CPU model from the `cpu:` header of
+// the benchmark output) in the baseline's "host" object; -check prints
+// the pinned facts next to the current ones, so a wall-clock delta can
+// be read against a change of machine. Baselines written before the
+// field existed are accepted and reported as "not recorded".
 package main
 
 import (
@@ -44,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,11 +68,46 @@ type Result struct {
 	ReqS     float64 `json:"req_s,omitempty"`
 }
 
+// Host is the machine a baseline was measured on.
+type Host struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu,omitempty"`
+}
+
 // Baseline is the committed BENCH_perf.json schema.
 type Baseline struct {
 	Note       string   `json:"note"`
 	Benchtime  string   `json:"benchtime"`
+	Host       *Host    `json:"host,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
+}
+
+// currentHost describes this process's host; cpu is the model string
+// from the benchmark output's `cpu:` header.
+func currentHost(cpu string) *Host {
+	return &Host{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPU:        cpu,
+	}
+}
+
+// String renders the host facts on one line; a nil host is one the
+// baseline did not record.
+func (h *Host) String() string {
+	if h == nil {
+		return "not recorded"
+	}
+	s := fmt.Sprintf("NumCPU=%d GOMAXPROCS=%d %s/%s", h.NumCPU, h.GOMAXPROCS, h.GOOS, h.GOARCH)
+	if h.CPU != "" {
+		s += " cpu=" + h.CPU
+	}
+	return s
 }
 
 func main() {
@@ -77,7 +120,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	results, err := parse(os.Stdin)
+	results, cpu, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
@@ -91,6 +134,7 @@ func main() {
 		b := Baseline{
 			Note:       "Pinned perf baseline for BenchmarkPerf*/; regenerate with scripts/bench.sh, gate with scripts/bench.sh -check.",
 			Benchtime:  *benchtime,
+			Host:       currentHost(cpu),
 			Benchmarks: results,
 		}
 		data, err := json.MarshalIndent(b, "", "  ")
@@ -116,6 +160,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", *checkPath, err)
 		os.Exit(2)
 	}
+	fmt.Printf("benchgate: pinned host: %v\n", base.Host)
+	fmt.Printf("benchgate: this host:   %v\n", currentHost(cpu))
 	if gate(base, results) {
 		fmt.Println("benchgate: OK")
 		return
@@ -123,14 +169,18 @@ func main() {
 	os.Exit(1)
 }
 
-// parse extracts Benchmark lines from `go test -bench` output. The
-// trailing -N GOMAXPROCS suffix is stripped so baselines compare across
-// machines with different core counts.
-func parse(f io.Reader) ([]Result, error) {
-	var out []Result
+// parse extracts Benchmark lines from `go test -bench` output, plus the
+// CPU model of the first `cpu:` header. The trailing -N GOMAXPROCS
+// suffix is stripped so baselines compare across machines with
+// different core counts.
+func parse(f io.Reader) (out []Result, cpu string, err error) {
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		if m, ok := strings.CutPrefix(line, "cpu:"); ok && cpu == "" {
+			cpu = strings.TrimSpace(m)
+			continue
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -149,7 +199,7 @@ func parse(f io.Reader) ([]Result, error) {
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("bad value %q in %q", fields[i], line)
+				return nil, "", fmt.Errorf("bad value %q in %q", fields[i], line)
 			}
 			switch fields[i+1] {
 			case "ns/op":
@@ -165,10 +215,10 @@ func parse(f io.Reader) ([]Result, error) {
 		out = append(out, r)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	return out, cpu, nil
 }
 
 // gate compares current results against the baseline, printing one line

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -13,15 +15,19 @@ func TestParseBenchOutput(t *testing.T) {
 	in := strings.NewReader(`goos: linux
 goarch: amd64
 pkg: dyncg
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkPerf/scan/mesh/n=256-8         	     100	     12345 ns/op	       0 B/op	       0 allocs/op
 BenchmarkPerfLargeN/scan/hypercube/n=1048576-16 	      20	 232739023 ns/op	       0 B/op	       0 allocs/op
 BenchmarkNoMem-4	100	99 ns/op
 BenchmarkServerThroughput/dup=50-8 	   12000	     83000 ns/op	     12048 req/s
 PASS
 `)
-	got, err := parse(in)
+	got, cpu, err := parse(in)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cpu != "Intel(R) Xeon(R) Processor @ 2.10GHz" {
+		t.Errorf("cpu = %q", cpu)
 	}
 	if len(got) != 4 {
 		t.Fatalf("parsed %d results, want 4", len(got))
@@ -45,6 +51,38 @@ PASS
 	}
 	if got[0].ReqS != 0 || got[1].ReqS != 0 {
 		t.Errorf("rows without a throughput metric should record ReqS 0: %+v, %+v", got[0], got[1])
+	}
+}
+
+// TestHostFacts: -out records the host, and a baseline written before
+// the host field existed still loads and reports it as not recorded.
+func TestHostFacts(t *testing.T) {
+	h := currentHost("Some CPU")
+	if h.NumCPU != runtime.NumCPU() || h.GOMAXPROCS != runtime.GOMAXPROCS(0) ||
+		h.GOOS != runtime.GOOS || h.GOARCH != runtime.GOARCH || h.CPU != "Some CPU" {
+		t.Fatalf("currentHost = %+v", h)
+	}
+	data, err := json.Marshal(Baseline{Benchtime: "100x", Host: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned Baseline
+	if err := json.Unmarshal(data, &pinned); err != nil {
+		t.Fatal(err)
+	}
+	if pinned.Host == nil || *pinned.Host != *h {
+		t.Fatalf("host did not round-trip: %+v", pinned.Host)
+	}
+	if got := pinned.Host.String(); !strings.Contains(got, "GOMAXPROCS=") || !strings.Contains(got, "cpu=Some CPU") {
+		t.Errorf("String() = %q", got)
+	}
+
+	var old Baseline
+	if err := json.Unmarshal([]byte(`{"note":"","benchtime":"100x","benchmarks":[]}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if old.Host != nil || old.Host.String() != "not recorded" {
+		t.Errorf("baseline without host: %+v, %q", old.Host, old.Host.String())
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"dyncg/internal/api"
+	"dyncg/internal/colstore"
 	"dyncg/internal/core"
 	"dyncg/internal/curve"
 	"dyncg/internal/dsseq"
@@ -413,8 +414,8 @@ func table1() {
 	rows := []row{
 		{"semigroup", "semigroup", "Θ(√n) / Θ(log n)", bnd(sqrtN, logN), func(n int, topo string) (int64, error) {
 			m := machineOf(n, topo)
-			regs := machine.Scatter(m.Size(), mkVals(m.Size()))
-			machine.Semigroup(m, regs, machine.WholeMachine(m.Size()), func(a, b int) int {
+			regs := colstore.Scatter(m.Size(), mkVals(m.Size()))
+			machine.SemigroupCols(m, regs, machine.WholeMachine(m.Size()), func(a, b int) int {
 				if a < b {
 					return a
 				}
@@ -424,39 +425,39 @@ func table1() {
 		}},
 		{"broadcast", "broadcast", "Θ(√n) / Θ(log n)", bnd(sqrtN, logN), func(n int, topo string) (int64, error) {
 			m := machineOf(n, topo)
-			regs := make([]machine.Reg[int], m.Size())
-			regs[m.Size()/3] = machine.Some(1)
-			machine.Spread(m, regs, machine.WholeMachine(m.Size()))
+			regs := colstore.New[int](m.Size())
+			regs.Set(m.Size()/3, 1)
+			machine.SpreadCols(m, regs, machine.WholeMachine(m.Size()))
 			return m.Stats().Time(), nil
 		}},
 		{"parallel prefix", "prefix", "Θ(√n) / Θ(log n)", bnd(sqrtN, logN), func(n int, topo string) (int64, error) {
 			m := machineOf(n, topo)
-			regs := machine.Scatter(m.Size(), mkVals(m.Size()))
-			machine.Scan(m, regs, machine.WholeMachine(m.Size()), machine.Forward,
+			regs := colstore.Scatter(m.Size(), mkVals(m.Size()))
+			machine.ScanCols(m, regs, machine.WholeMachine(m.Size()), machine.Forward,
 				func(a, b int) int { return a + b })
 			return m.Stats().Time(), nil
 		}},
 		{"merging", "merge", "Θ(√n) / Θ(log n)", bnd(sqrtN, logN), func(n int, topo string) (int64, error) {
 			m := machineOf(n, topo)
-			regs := machine.Scatter(m.Size(), mkVals(m.Size()))
-			machine.SortBlocks(m, regs, m.Size()/2, func(a, b int) bool { return a < b })
+			regs := colstore.Scatter(m.Size(), mkVals(m.Size()))
+			machine.SortBlocksCols(m, regs, m.Size()/2, func(a, b int) bool { return a < b })
 			m.Reset()
-			machine.MergeBlocks(m, regs, m.Size(), func(a, b int) bool { return a < b })
+			machine.MergeBlocksCols(m, regs, m.Size(), func(a, b int) bool { return a < b })
 			return m.Stats().Time(), nil
 		}},
 		{"sorting", "sort", "Θ(√n) / Θ(log² n)", bnd(sqrtN, log2N), func(n int, topo string) (int64, error) {
 			m := machineOf(n, topo)
-			regs := machine.Scatter(m.Size(), mkVals(m.Size()))
-			machine.Sort(m, regs, func(a, b int) bool { return a < b })
+			regs := colstore.Scatter(m.Size(), mkVals(m.Size()))
+			machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 			return m.Stats().Time(), nil
 		}},
 		{"grouping", "group", "Θ(√n) / Θ(log² n)", bnd(sqrtN, log2N), func(n int, topo string) (int64, error) {
 			m := machineOf(n, topo)
-			regs := machine.Scatter(m.Size(), mkVals(m.Size()))
-			machine.Sort(m, regs, func(a, b int) bool { return a < b })
-			machine.Scan(m, regs, machine.BlockSegments(m.Size(), 16), machine.Forward,
+			regs := colstore.Scatter(m.Size(), mkVals(m.Size()))
+			machine.SortCols(m, regs, func(a, b int) bool { return a < b })
+			machine.ScanCols(m, regs, machine.BlockSegments(m.Size(), 16), machine.Forward,
 				func(a, b int) int { return a })
-			machine.Sort(m, regs, func(a, b int) bool { return a < b })
+			machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 			return m.Stats().Time(), nil
 		}},
 	}

@@ -38,7 +38,7 @@
 //	    dyncg.NewPoint(dyncg.Polynomial(0, 1), dyncg.Polynomial(0)),   // (t, 0)
 //	    dyncg.NewPoint(dyncg.Polynomial(10, -1), dyncg.Polynomial(1)), // (10−t, 1)
 //	})
-//	m := dyncg.NewCubeMachine(dyncg.EnvelopePEs(sys.N(), 2*sys.K))
+//	m, _ := dyncg.NewMachine(dyncg.Hypercube, dyncg.EnvelopePEs(sys.N(), 2*sys.K))
 //	seq, _ := dyncg.ClosestPointSequence(m, sys, 0)
 //	fmt.Println(seq, m.Stats())
 //
@@ -196,30 +196,6 @@ func MachineTracer(m *Machine) *Tracer {
 		return t
 	}
 	return nil
-}
-
-// NewMeshMachine returns a proximity-ordered mesh with at least n PEs
-// (rounded up to a power of four).
-//
-// Deprecated: use NewMachine(Mesh, n).
-func NewMeshMachine(n int) *Machine {
-	m, err := NewMachine(Mesh, n)
-	if err != nil {
-		panic(err) // unreachable for the mesh family
-	}
-	return m
-}
-
-// NewCubeMachine returns a Gray-code-labelled hypercube with at least n
-// PEs (rounded up to a power of two).
-//
-// Deprecated: use NewMachine(Hypercube, n).
-func NewCubeMachine(n int) *Machine {
-	m, err := NewMachine(Hypercube, n)
-	if err != nil {
-		panic(err) // unreachable for the hypercube family
-	}
-	return m
 }
 
 // EnvelopePEs returns the number of PEs the envelope-based algorithms

@@ -49,40 +49,6 @@ func TestNewMachineAllTopologies(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersMatchNewMachine pins the compatibility contract:
-// the old one-shot constructors are thin wrappers over NewMachine and
-// produce machines with identical topology and behaviour.
-func TestDeprecatedWrappersMatchNewMachine(t *testing.T) {
-	sys := dyncg.RandomSystem(rand.New(rand.NewSource(5)), 10, 1, 2, 8)
-	pes := dyncg.EnvelopePEs(sys.N(), 2*sys.K)
-
-	oldCube := dyncg.NewCubeMachine(pes)
-	newCube, err := dyncg.NewMachine(dyncg.Hypercube, pes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldCube.Size() != newCube.Size() {
-		t.Fatalf("cube sizes differ: %d vs %d", oldCube.Size(), newCube.Size())
-	}
-	oldSeq, err1 := dyncg.ClosestPointSequence(oldCube, sys, 0)
-	newSeq, err2 := dyncg.ClosestPointSequence(newCube, sys, 0)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !reflect.DeepEqual(oldSeq, newSeq) || oldCube.Stats() != newCube.Stats() {
-		t.Fatal("wrapper and NewMachine runs diverge")
-	}
-
-	oldMesh := dyncg.NewMeshMachine(sys.N())
-	newMesh, err := dyncg.NewMachine(dyncg.Mesh, sys.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldMesh.Size() != newMesh.Size() {
-		t.Fatalf("mesh sizes differ: %d vs %d", oldMesh.Size(), newMesh.Size())
-	}
-}
-
 // TestWithTracer checks the construction-time tracer option: the tracer
 // is retrievable, and its finished root accounts for every simulated
 // step.

@@ -8,6 +8,16 @@ import (
 	"dyncg"
 )
 
+// newMachine is NewMachine for a topology that cannot fail at test sizes.
+func newMachine(t *testing.T, topo dyncg.Topology, n int) *dyncg.Machine {
+	t.Helper()
+	m, err := dyncg.NewMachine(topo, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestQuickstartScenario exercises the documented quick-start flow end
 // to end through the public facade.
 func TestQuickstartScenario(t *testing.T) {
@@ -19,7 +29,7 @@ func TestQuickstartScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := dyncg.NewCubeMachine(dyncg.EnvelopePEs(sys.N(), 2*sys.K))
+	m := newMachine(t, dyncg.Hypercube, dyncg.EnvelopePEs(sys.N(), 2*sys.K))
 	seq, err := dyncg.ClosestPointSequence(m, sys, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -41,17 +51,17 @@ func TestFacadeEndToEnd(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
 	sys := dyncg.RandomSystem(r, 12, 2, 2, 6)
 
-	m := dyncg.NewMeshMachine(dyncg.EnvelopePEs(sys.N(), 2*sys.K))
+	m := newMachine(t, dyncg.Mesh, dyncg.EnvelopePEs(sys.N(), 2*sys.K))
 	if _, err := dyncg.FarthestPointSequence(m, sys, 3); err != nil {
 		t.Fatal(err)
 	}
 
-	m = dyncg.NewCubeMachine(8 * sys.N())
+	m = newMachine(t, dyncg.Hypercube, 8*sys.N())
 	if _, err := dyncg.CollisionTimes(m, sys, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	m = dyncg.NewCubeMachine(dyncg.EnvelopePEs(sys.N(), 4*sys.K+2))
+	m = newMachine(t, dyncg.Hypercube, dyncg.EnvelopePEs(sys.N(), 4*sys.K+2))
 	ivs, err := dyncg.HullVertexIntervals(m, sys, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -62,11 +72,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 		}
 	}
 
-	m = dyncg.NewCubeMachine(dyncg.EnvelopePEs(sys.N(), sys.K+2))
+	m = newMachine(t, dyncg.Hypercube, dyncg.EnvelopePEs(sys.N(), sys.K+2))
 	if _, err := dyncg.ContainmentIntervals(m, sys, []float64{15, 15}); err != nil {
 		t.Fatal(err)
 	}
-	m = dyncg.NewCubeMachine(dyncg.EnvelopePEs(sys.N(), sys.K+2))
+	m = newMachine(t, dyncg.Hypercube, dyncg.EnvelopePEs(sys.N(), sys.K+2))
 	dfn, err := dyncg.SmallestHypercubeEdge(m, sys)
 	if err != nil {
 		t.Fatal(err)
@@ -74,22 +84,22 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if v, ok := dfn.Eval(1); !ok || v < 0 {
 		t.Fatalf("D(1) = %v, %v", v, ok)
 	}
-	m = dyncg.NewCubeMachine(dyncg.EnvelopePEs(sys.N(), sys.K+2))
+	m = newMachine(t, dyncg.Hypercube, dyncg.EnvelopePEs(sys.N(), sys.K+2))
 	dmin, tmin, err := dyncg.SmallestEverHypercube(m, sys)
 	if err != nil || dmin < 0 || tmin < 0 {
 		t.Fatalf("smallest ever: %v %v %v", dmin, tmin, err)
 	}
 
 	// Steady-state battery.
-	m = dyncg.NewMeshMachine(sys.N())
+	m = newMachine(t, dyncg.Mesh, sys.N())
 	if _, err := dyncg.SteadyNearestNeighbor(m, sys, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	m = dyncg.NewCubeMachine(4 * sys.N())
+	m = newMachine(t, dyncg.Hypercube, 4*sys.N())
 	if _, _, err := dyncg.SteadyClosestPair(m, sys); err != nil {
 		t.Fatal(err)
 	}
-	m = dyncg.NewCubeMachine(8 * sys.N())
+	m = newMachine(t, dyncg.Hypercube, 8*sys.N())
 	hull, err := dyncg.SteadyHull(m, sys)
 	if err != nil {
 		t.Fatal(err)
@@ -97,12 +107,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if len(hull) < 3 {
 		t.Fatalf("steady hull too small: %v", hull)
 	}
-	m = dyncg.NewCubeMachine(8 * sys.N())
+	m = newMachine(t, dyncg.Hypercube, 8*sys.N())
 	a, b, d2, err := dyncg.SteadyFarthestPair(m, sys)
 	if err != nil || a == b || d2.Degree() < 0 {
 		t.Fatalf("farthest pair: %v %v %v %v", a, b, d2, err)
 	}
-	m = dyncg.NewCubeMachine(8 * sys.N())
+	m = newMachine(t, dyncg.Hypercube, 8*sys.N())
 	rect, err := dyncg.SteadyMinAreaRect(m, sys)
 	if err != nil || rect.Area.Sign() <= 0 {
 		t.Fatalf("rect: %+v %v", rect, err)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/curve"
 	"dyncg/internal/hypercube"
 	"dyncg/internal/machine"
@@ -91,9 +92,9 @@ func TestMachineOpsOnCCC(t *testing.T) {
 	for i := range vals {
 		vals[i] = r.Intn(1000)
 	}
-	regs := machine.Scatter(64, vals)
-	machine.Sort(m, regs, func(a, b int) bool { return a < b })
-	got := machine.Gather(regs)
+	regs := colstore.Scatter(64, vals)
+	machine.SortCols(m, regs, func(a, b int) bool { return a < b })
+	got := regs.Gather()
 	want := append([]int{}, vals...)
 	sort.Ints(want)
 	for i := range want {

@@ -1,15 +1,12 @@
-// Package colstore provides the columnar (struct-of-arrays) register
-// layout of the machine simulator. A register file used to be a slice of
-// per-PE records ([]Reg[T], one {value, occupied} struct per PE); at
-// production scale (n in the millions) that layout makes every round
-// body a loop over fat interleaved records. A File[T] instead keeps the
-// values and the occupancy mask in two parallel flat slices, so round
-// bodies in internal/machine become tight loops over contiguous memory —
-// bounds-check friendly, no per-element struct shuffling, and directly
-// shardable by internal/par.
+// Package colstore provides the register layout of the machine
+// simulator, the only one it has. A File[T] keeps the values and the
+// occupancy mask in two parallel flat slices, so round bodies in
+// internal/machine are tight loops over contiguous memory — bounds-check
+// friendly, no per-element struct shuffling, and directly shardable by
+// internal/par.
 //
 // The package is deliberately machine-free: it owns the layout and its
-// pure-data helpers (conversion, masked equality, active-set
+// pure-data helpers (scatter and gather, masked equality, active-set
 // extraction), while internal/machine owns the operations and the cost
 // accounting over it.
 package colstore
@@ -71,6 +68,19 @@ func (f File[T]) Count() int {
 		}
 	}
 	return c
+}
+
+// First returns the value of the lowest-indexed occupied register and
+// whether there is one — how callers read back a whole-machine
+// semigroup's result.
+func (f File[T]) First() (T, bool) {
+	for i, ok := range f.Occ {
+		if ok {
+			return f.Val[i], true
+		}
+	}
+	var zero T
+	return zero, false
 }
 
 // Gather returns the occupied values in index order.

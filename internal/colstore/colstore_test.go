@@ -24,6 +24,19 @@ func TestScatterGather(t *testing.T) {
 	}
 }
 
+func TestFirst(t *testing.T) {
+	f := New[int](6)
+	if _, ok := f.First(); ok {
+		t.Fatal("First on an empty file reported a value")
+	}
+	f.Val[0] = 99 // stale value of an empty register
+	f.Set(3, 5)
+	f.Set(4, 8)
+	if v, ok := f.First(); !ok || v != 5 {
+		t.Fatalf("First = %d, %v; want 5, true", v, ok)
+	}
+}
+
 func TestScatterOverflowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

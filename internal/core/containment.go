@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/curve"
 	"dyncg/internal/machine"
 	"dyncg/internal/motion"
@@ -232,22 +233,20 @@ func SmallestEverHypercube(m *machine.M, sys *motion.System) (dmin, tmin float64
 func MinimizeEdge(m *machine.M, d pieces.Piecewise) (dmin, tmin float64, err error) {
 	type cand struct{ v, t float64 }
 	n := m.Size()
-	regs := make([]machine.Reg[cand], n)
+	regs := colstore.New[cand](n)
 	m.ChargeLocal(1)
 	for i, p := range d {
 		v, t := minimizePiece(p)
-		regs[i%n] = machine.Some(cand{v: v, t: t})
+		regs.Set(i%n, cand{v: v, t: t})
 	}
-	machine.Semigroup(m, regs, machine.WholeMachine(n), func(a, b cand) cand {
+	machine.SemigroupCols(m, regs, machine.WholeMachine(n), func(a, b cand) cand {
 		if a.v <= b.v {
 			return a
 		}
 		return b
 	})
-	for i := range regs {
-		if regs[i].Ok {
-			return regs[i].V.v, regs[i].V.t, nil
-		}
+	if c, ok := regs.First(); ok {
+		return c.v, c.t, nil
 	}
 	return 0, 0, fmt.Errorf("core: empty span function")
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/curve"
 	"dyncg/internal/machine"
 	"dyncg/internal/motion"
@@ -51,9 +52,9 @@ func HullVertexIntervals(m *machine.M, sys *motion.System, origin int) ([]Interv
 	}
 	// Broadcast P₀'s trajectory (Θ(1) rounds).
 	N := m.Size()
-	fregs := make([]machine.Reg[motion.Point], N)
-	fregs[origin%N] = machine.Some(sys.Points[origin])
-	machine.Spread(m, fregs, machine.WholeMachine(N))
+	fregs := colstore.New[motion.Point](N)
+	fregs.Set(origin%N, sys.Points[origin])
+	machine.SpreadCols(m, fregs, machine.WholeMachine(N))
 	m.ChargeLocal(1)
 
 	// Step 1: G_j and B_j as partial angle curves.

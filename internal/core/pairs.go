@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/curve"
 	"dyncg/internal/dsseq"
 	"dyncg/internal/machine"
@@ -87,11 +88,11 @@ func pairSequence(m *machine.M, sys *motion.System, kind pieces.Kind) ([]PairEve
 // concurrent read) on the pair machine.
 func chargeReplication(m *machine.M) {
 	nn := m.Size()
-	regs := make([]machine.Reg[int], nn)
-	for i := range regs {
-		regs[i] = machine.Some(nn - i)
+	regs := colstore.New[int](nn)
+	for i := range regs.Val {
+		regs.Set(i, nn-i)
 	}
-	machine.Sort(m, regs, func(a, b int) bool { return a < b })
+	machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 }
 
 // SerialClosestPairSequence is the serial baseline for the §6 pair
@@ -129,22 +130,22 @@ func SteadyNearestNeighborD(m *machine.M, sys *motion.System, origin int, farthe
 		defer m.SpanEnd()
 	}
 	n := m.Size()
-	fregs := make([]machine.Reg[motion.Point], n)
-	fregs[origin%n] = machine.Some(sys.Points[origin])
-	machine.Spread(m, fregs, machine.WholeMachine(n))
+	fregs := colstore.New[motion.Point](n)
+	fregs.Set(origin%n, sys.Points[origin])
+	machine.SpreadCols(m, fregs, machine.WholeMachine(n))
 	m.ChargeLocal(1)
 	type cand struct {
 		d2 []float64 // polynomial coefficients of d²
 		id int
 	}
-	regs := make([]machine.Reg[cand], n)
+	regs := colstore.New[cand](n)
 	for j, q := range sys.Points {
 		if j == origin {
 			continue
 		}
-		regs[j%n] = machine.Some(cand{d2: sys.Points[origin].DistSq(q), id: j})
+		regs.Set(j%n, cand{d2: sys.Points[origin].DistSq(q), id: j})
 	}
-	machine.Semigroup(m, regs, machine.WholeMachine(n), func(a, b cand) cand {
+	machine.SemigroupCols(m, regs, machine.WholeMachine(n), func(a, b cand) cand {
 		// Lemma 5.1: compare bounded-degree polynomials at t → ∞.
 		c := poly.Poly(a.d2).CompareAtInfinity(poly.Poly(b.d2))
 		if farthest {
@@ -155,10 +156,8 @@ func SteadyNearestNeighborD(m *machine.M, sys *motion.System, origin int, farthe
 		}
 		return b
 	})
-	for i := range regs {
-		if regs[i].Ok {
-			return regs[i].V.id, nil
-		}
+	if c, ok := regs.First(); ok {
+		return c.id, nil
 	}
 	return -1, fmt.Errorf("core: no neighbour found")
 }

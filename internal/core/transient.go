@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/machine"
 	"dyncg/internal/motion"
 	"dyncg/internal/penvelope"
@@ -49,9 +50,9 @@ func neighborSequence(m *machine.M, sys *motion.System, origin int, kind pieces.
 	}
 	// Broadcast the query point's trajectory (one broadcast, §4.1).
 	n := m.Size()
-	fregs := make([]machine.Reg[motion.Point], n)
-	fregs[origin%n] = machine.Some(sys.Points[origin])
-	machine.Spread(m, fregs, machine.WholeMachine(n))
+	fregs := colstore.New[motion.Point](n)
+	fregs.Set(origin%n, sys.Points[origin])
+	machine.SpreadCols(m, fregs, machine.WholeMachine(n))
 	m.ChargeLocal(1) // each PE forms d²_{0j}(t), a Θ(1) polynomial op
 
 	cs, ids := sys.DistSqCurves(origin)
@@ -97,9 +98,9 @@ func CollisionTimes(m *machine.M, sys *motion.System, origin int) ([]Collision, 
 		defer m.SpanEnd()
 	}
 	n := m.Size()
-	fregs := make([]machine.Reg[motion.Point], n)
-	fregs[origin%n] = machine.Some(sys.Points[origin])
-	machine.Spread(m, fregs, machine.WholeMachine(n))
+	fregs := colstore.New[motion.Point](n)
+	fregs.Set(origin%n, sys.Points[origin])
+	machine.SpreadCols(m, fregs, machine.WholeMachine(n))
 
 	// Each PE j solves d²_{0j}(t) = 0 on [0, ∞): Θ(1) local work.
 	m.ChargeLocal(1)
@@ -120,13 +121,13 @@ func CollisionTimes(m *machine.M, sys *motion.System, origin int) ([]Collision, 
 	}
 	// Pack (prefix + bounded routes) and sort chronologically.
 	regs := packLists(m, emitted)
-	machine.Sort(m, regs, func(a, b Collision) bool {
+	machine.SortCols(m, regs, func(a, b Collision) bool {
 		if a.T != b.T {
 			return a.T < b.T
 		}
 		return a.B < b.B
 	})
-	return machine.Gather(regs), nil
+	return regs.Gather(), nil
 }
 
 // SerialCollisionTimes is the serial baseline for Theorem 4.2.
@@ -151,14 +152,12 @@ func SerialCollisionTimes(sys *motion.System, origin int) []Collision {
 
 // packLists packs per-PE bounded lists into one register per PE via a
 // parallel prefix and a constant number of structured routes.
-func packLists[T any](m *machine.M, lists [][]T) []machine.Reg[T] {
+func packLists[T any](m *machine.M, lists [][]T) colstore.File[T] {
 	if m.Observed() {
 		m.SpanBegin("pack", "n", strconv.Itoa(len(lists)))
 		defer m.SpanEnd()
 	}
 	n := len(lists)
-	// counts is self-contained scratch: run the rank prefix natively on
-	// the columnar layout.
 	counts := machine.GetCols[int](m, n)
 	defer machine.PutCols(m, counts)
 	m.ChargeLocal(1)
@@ -171,11 +170,11 @@ func packLists[T any](m *machine.M, lists [][]T) []machine.Reg[T] {
 	}
 	machine.ScanCols(m, counts, machine.WholeMachine(n), machine.Forward,
 		func(a, b int) int { return a + b })
-	regs := make([]machine.Reg[T], n)
+	regs := colstore.New[T](n)
 	for i := range lists {
 		base := counts.Val[i] - len(lists[i])
 		for j, v := range lists[i] {
-			regs[base+j] = machine.Some(v)
+			regs.Set(base+j, v)
 		}
 	}
 	for j := 0; j < maxLen; j++ {

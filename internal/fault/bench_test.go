@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/hypercube"
 	"dyncg/internal/machine"
 )
@@ -30,8 +31,8 @@ func BenchmarkInjectorOverhead(b *testing.B) {
 				plan.Bind(n)
 				m.SetInjector(plan)
 			}
-			regs := machine.Scatter(n, vals)
-			machine.Sort(m, regs, func(a, b int) bool { return a < b })
+			regs := colstore.Scatter(n, vals)
+			machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 		}
 	}
 	b.Run("disabled", func(b *testing.B) { run(b, nil) })

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dyncg/internal/ccc"
+	"dyncg/internal/colstore"
 	"dyncg/internal/hypercube"
 	"dyncg/internal/machine"
 	"dyncg/internal/mesh"
@@ -188,9 +189,9 @@ func sortBody(vals []int) (func(*machine.M) error, *[]int) {
 		if m.Size() < len(vals) {
 			return ErrNotSurvivable
 		}
-		regs := machine.Scatter(m.Size(), vals)
-		machine.Sort(m, regs, func(a, b int) bool { return a < b })
-		*out = machine.Gather(regs)
+		regs := colstore.Scatter(m.Size(), vals)
+		machine.SortCols(m, regs, func(a, b int) bool { return a < b })
+		*out = regs.Gather()
 		return nil
 	}, out
 }
@@ -209,9 +210,9 @@ func TestRunCleanMatchesDirect(t *testing.T) {
 	vals := []int{9, 3, 7, 1, 8, 2, 6, 4, 5, 0, 11, 10}
 	for name, topo := range testTopologies() {
 		direct := machine.New(topo)
-		regs := machine.Scatter(direct.Size(), vals)
-		machine.Sort(direct, regs, func(a, b int) bool { return a < b })
-		want := machine.Gather(regs)
+		regs := colstore.Scatter(direct.Size(), vals)
+		machine.SortCols(direct, regs, func(a, b int) bool { return a < b })
+		want := regs.Gather()
 
 		body, out := sortBody(vals)
 		res, err := Run(topo, nil, body)

@@ -5,13 +5,14 @@ import (
 	"sort"
 	"testing"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/hypercube"
 	"dyncg/internal/lockstep"
 	"dyncg/internal/machine"
 )
 
 // TestBitonicSortHypercube cross-validates the goroutine hypercube
-// against the vector simulator: same sorted output as machine.Sort on the
+// against the vector simulator: same sorted output as machine.SortCols on the
 // same values, and the same q(q+1)/2 compare-exchange round count that
 // the simulator charges in Stats.Rounds.
 func TestBitonicSortHypercube(t *testing.T) {
@@ -41,12 +42,12 @@ func TestBitonicSortHypercube(t *testing.T) {
 		// The simulator's bitonic sort on the same hypercube: identical
 		// output in PE order and an identical communication round count.
 		m := machine.New(hypercube.MustNew(n))
-		regs := machine.Scatter(n, vals)
-		machine.Sort(m, regs, func(a, b int) bool { return a < b })
-		for i := range regs {
-			if !regs[i].Ok || regs[i].V != got[i] {
+		regs := colstore.Scatter(n, vals)
+		machine.SortCols(m, regs, func(a, b int) bool { return a < b })
+		for i, ok := range regs.Occ {
+			if !ok || regs.Val[i] != got[i] {
 				t.Fatalf("dim=%d: simulator PE %d holds (%d, %v), lockstep holds %d",
-					dim, i, regs[i].V, regs[i].Ok, got[i])
+					dim, i, regs.Val[i], ok, got[i])
 			}
 		}
 		if simRounds := m.Stats().Rounds; simRounds != int64(rounds) {

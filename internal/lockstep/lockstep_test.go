@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/hypercube"
 	"dyncg/internal/machine"
 	"dyncg/internal/mesh"
@@ -105,9 +106,9 @@ func TestCrossValidateWithVectorSimulator(t *testing.T) {
 		hypercube.MustNew(n),
 	} {
 		m := machine.New(topo)
-		regs := machine.Scatter(n, vals)
-		machine.Sort(m, regs, func(a, b int) bool { return a < b })
-		fromVector := machine.Gather(regs)
+		regs := colstore.Scatter(n, vals)
+		machine.SortCols(m, regs, func(a, b int) bool { return a < b })
+		fromVector := regs.Gather()
 		for i := range fromLockstep {
 			if fromLockstep[i] != fromVector[i] {
 				t.Fatalf("%s: divergence at %d: lockstep %v vs vector %v",
@@ -128,12 +129,12 @@ func TestCrossValidateWithVectorSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := machine.New(hypercube.MustNew(n))
-	regs := machine.Scatter(n, vals)
-	machine.Semigroup(m, regs, machine.WholeMachine(n), min)
-	for i := range regs {
-		if regs[i].V != fromChain[i] {
+	regs := colstore.Scatter(n, vals)
+	machine.SemigroupCols(m, regs, machine.WholeMachine(n), min)
+	for i, v := range regs.Val {
+		if v != fromChain[i] {
 			t.Fatalf("semigroup divergence at PE %d: %d vs %d",
-				i, regs[i].V, fromChain[i])
+				i, v, fromChain[i])
 		}
 	}
 }

@@ -13,6 +13,7 @@ package machine
 import (
 	"testing"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/hypercube"
 )
 
@@ -25,14 +26,15 @@ func intMin(a, b int) int {
 
 func intLess(a, b int) bool { return a < b }
 
-// warmMachine returns a machine plus a register file and whole-machine
-// segment mask, with the arena warmed by one run of each exercised op.
-func warmMachine(t *testing.T, n int) (*M, []Reg[int], []bool) {
+// warmMachine returns a machine plus a full register file and a
+// whole-machine segment mask. Callers warm the arena with one untimed
+// run of the op they measure.
+func warmMachine(t *testing.T, n int) (*M, colstore.File[int], []bool) {
 	t.Helper()
 	m := New(hypercube.MustNew(n))
-	regs := make([]Reg[int], n)
-	for i := range regs {
-		regs[i] = Some((i * 7919) % 1024)
+	regs := colstore.New[int](n)
+	for i := range regs.Val {
+		regs.Set(i, (i*7919)%1024)
 	}
 	seg := WholeMachine(n)
 	return m, regs, seg
@@ -43,9 +45,9 @@ func TestScanAllocFree(t *testing.T) {
 		t.Skip("race detector instrumentation allocates")
 	}
 	m, regs, seg := warmMachine(t, 1024)
-	Scan(m, regs, seg, Forward, intMin) // warm the arena
+	ScanCols(m, regs, seg, Forward, intMin) // warm the arena
 	allocs := testing.AllocsPerRun(10, func() {
-		Scan(m, regs, seg, Forward, intMin)
+		ScanCols(m, regs, seg, Forward, intMin)
 	})
 	if allocs != 0 {
 		t.Errorf("Scan on a warm machine: %v allocs/run, want 0", allocs)
@@ -57,9 +59,9 @@ func TestSemigroupAllocFree(t *testing.T) {
 		t.Skip("race detector instrumentation allocates")
 	}
 	m, regs, seg := warmMachine(t, 1024)
-	Semigroup(m, regs, seg, intMin)
+	SemigroupCols(m, regs, seg, intMin)
 	allocs := testing.AllocsPerRun(10, func() {
-		Semigroup(m, regs, seg, intMin)
+		SemigroupCols(m, regs, seg, intMin)
 	})
 	if allocs != 0 {
 		t.Errorf("Semigroup on a warm machine: %v allocs/run, want 0", allocs)
@@ -71,12 +73,57 @@ func TestSortAllocFree(t *testing.T) {
 		t.Skip("race detector instrumentation allocates")
 	}
 	m, regs, _ := warmMachine(t, 1024)
-	Sort(m, regs, intLess)
+	SortCols(m, regs, intLess)
 	allocs := testing.AllocsPerRun(10, func() {
-		Sort(m, regs, intLess)
+		SortCols(m, regs, intLess)
 	})
 	if allocs != 0 {
 		t.Errorf("Sort on a warm machine: %v allocs/run, want 0", allocs)
+	}
+}
+
+// TestDataMovementAllocFree covers the remaining Table-1 primitives:
+// broadcast, block merge, compaction, routing, and a shift whose result
+// file goes back to the arena.
+func TestDataMovementAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const n = 1024
+	ident := make([]int, n)
+	for i := range ident {
+		ident[i] = i
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(m *M, regs colstore.File[int], seg []bool)
+	}{
+		{"Spread", func(m *M, regs colstore.File[int], seg []bool) {
+			SpreadCols(m, regs, seg)
+		}},
+		{"MergeBlocks", func(m *M, regs colstore.File[int], _ []bool) {
+			MergeBlocksCols(m, regs, n, intLess)
+		}},
+		{"Compact", func(m *M, regs colstore.File[int], seg []bool) {
+			CompactCols(m, regs, seg)
+		}},
+		{"Route", func(m *M, regs colstore.File[int], _ []bool) {
+			RouteCols(m, regs, ident)
+		}},
+		{"ShiftWithin", func(m *M, regs colstore.File[int], _ []bool) {
+			PutCols(m, ShiftWithinCols(m, regs, n, 1))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, regs, seg := warmMachine(t, n)
+			tc.run(m, regs, seg) // warm the arena
+			allocs := testing.AllocsPerRun(10, func() {
+				tc.run(m, regs, seg)
+			})
+			if allocs != 0 {
+				t.Errorf("%s on a warm machine: %v allocs/run, want 0", tc.name, allocs)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,7 @@ package machine
 
 // This file implements the per-machine scratch arena: a typed,
 // generation-stamped pool of recyclable scratch slices. Every data
-// movement primitive of ops.go needs O(n) scratch per call (shift
+// movement primitive of colops.go needs O(n) scratch per call (shift
 // targets, flood copies, compaction ranks, routing source/destination
 // lists); before the arena each call allocated them fresh, so one
 // Table-2/3 run performed thousands of O(n) heap allocations that
@@ -14,10 +14,10 @@ package machine
 // Design:
 //
 //   - One free list per element type, keyed by reflect.Type and created
-//     on first use, so the one arena serves []Reg[T] for every T the
-//     generic op layer is instantiated at, plus []bool, []int, and any
-//     caller-side element type (penvelope's piece buffers, pgeom's
-//     candidate registers).
+//     on first use, so the one arena serves the value column of a
+//     colstore.File for every T the generic op layer is instantiated
+//     at, plus []bool occupancy columns, []int, and any caller-side
+//     element type (penvelope's piece buffers).
 //
 //   - Buffers are generation-stamped: every parked buffer records the
 //     arena generation at Put time, and M.Reset() starts a new
@@ -83,7 +83,7 @@ func poolOf[E any](m *M) *pool[E] {
 // from the current generation is parked. The slice is owned by the
 // caller until released with PutScratch (releasing is optional — an
 // unreleased buffer is simply collected by the GC, which is the right
-// thing for results that escape to the caller, like ShiftWithin's).
+// thing for results that escape to the caller, like ShiftWithinCols').
 func GetScratch[E any](m *M, n int) []E {
 	p := poolOf[E](m)
 	for k := len(p.free) - 1; k >= 0; k-- {

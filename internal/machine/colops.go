@@ -1,24 +1,21 @@
 package machine
 
-// This file is the columnar core of the simulator: every Table-1 data
-// movement primitive implemented over struct-of-arrays register files
-// (colstore.File — parallel Val/Occ slices) instead of per-PE []Reg[T]
-// records. Round bodies are flat loops over two contiguous slices, which
-// is what lets the compiler keep them bounds-check-light, keeps per-PE
-// work free of record shuffling, and shards cleanly under internal/par.
-// The legacy []Reg[T] entry points in ops.go are thin split/run/join
-// wrappers over these functions, so both layouts execute the exact same
-// round structure and charge the exact same Stats — bit-identity is
-// structural, not re-proved per primitive (and is pinned end to end by
-// the columnardiff battery in the repository root).
+// This file implements every Table-1 data movement primitive over the
+// simulator's one register layout, colstore.File: a value column and an
+// occupancy column, one entry per PE. Round bodies are flat loops over
+// the two contiguous slices, which keeps them bounds-check-light and
+// lets internal/par shard them. Every primitive works in place on the
+// caller's file. An empty register keeps whatever stale value it held;
+// swaps and copies carry those bytes along, and callers may observe
+// them, so the outputs pinned by the columnardiff battery in the
+// repository root include them.
 //
-// The charging discipline is unchanged from ops.go: round bodies never
-// touch the machine; all chargeXOR/chargeShift/ChargeLocal/ChargeRoute
-// calls happen on the owning goroutine between rounds, so serial and
-// sharded execution stay bit-identical. Scratch discipline is unchanged
-// too: every primitive draws its O(n) scratch from the machine's arena
-// and releases it before returning (a File is two arena buffers — see
-// GetCols/PutCols).
+// Charging discipline: round bodies never touch the machine; all
+// chargeXOR/chargeShift/ChargeLocal/ChargeRoute calls happen on the
+// owning goroutine between rounds, so serial and sharded execution stay
+// bit-identical. Every primitive draws its O(n) scratch from the
+// machine's arena and releases it before returning (a File is two arena
+// buffers — see GetCols/PutCols).
 //
 // The parallel prefix is the one primitive whose host work does not
 // follow its round structure: the doubling scan would cost the host
@@ -43,27 +40,6 @@ func GetCols[T any](m *M, n int) colstore.File[T] {
 func PutCols[T any](m *M, f colstore.File[T]) {
 	PutScratch(m, f.Occ)
 	PutScratch(m, f.Val)
-}
-
-// splitRegs copies a record-layout register file into a columnar file
-// drawn from the arena. It is the entry bridge of the legacy wrappers.
-func splitRegs[T any](m *M, regs []Reg[T]) colstore.File[T] {
-	f := GetCols[T](m, len(regs))
-	for i := range regs {
-		f.Val[i] = regs[i].V
-		f.Occ[i] = regs[i].Ok
-	}
-	return f
-}
-
-// joinRegs copies a columnar file back into a record-layout register
-// file, stale values of empty registers included — the wrappers must be
-// byte-identical to the old record implementation, which propagated
-// those bytes through swaps and copies.
-func joinRegs[T any](f colstore.File[T], regs []Reg[T]) {
-	for i := range regs {
-		regs[i] = Reg[T]{V: f.Val[i], Ok: f.Occ[i]}
-	}
 }
 
 // --- Parallel prefix (segmented scan) -------------------------------------
@@ -172,10 +148,28 @@ func scanBackward[T any](val []T, occ, segStart []bool, op func(a, b T) T, h *sc
 	}
 }
 
-// ScanCols is the columnar segmented inclusive scan — see Scan in ops.go
-// for the cost model, the flood (nil-op) mode and the associativity
-// requirement on op. The host does one O(n) pass and then charges the
-// rounds of the Θ(log n)-round doubling scan in closed form.
+// ScanCols performs a segmented inclusive scan with the associative
+// operation op, in Θ(√n) mesh / Θ(log n) hypercube time (Table 1:
+// parallel prefix). Empty registers act as identity elements. The result
+// is written in place; each PE ends with the combined value of all items
+// from its segment boundary through itself.
+//
+// The simulated cost is that of the Hillis–Steele doubling scan: one
+// shift round per offset 1, 2, 4, … below the longest segment. The host
+// does not run the doubling, though: it computes the result with one
+// O(n) fold per call and charges the doubling's rounds in closed form
+// (chargeScanRounds). A fold equals the doubling tree only when op is
+// associative — op(op(a, b), c) == op(a, op(b, c)) bit for bit on every
+// value a caller can pass — so that is a hard requirement of ScanCols
+// and SemigroupCols, not a hint. Floating-point sums, or comparisons
+// that a NaN can reach, do not qualify.
+//
+// A nil op is the flood mode: when both registers are occupied the
+// neighbour's value wins, which spreads each segment's boundary value
+// across the segment. SpreadCols, SemigroupCols and CompactCols use it
+// internally — a named nil beats a func literal here because closures
+// materialised inside generic functions carry the instantiation
+// dictionary and hence heap-allocate per call.
 func ScanCols[T any](m *M, f colstore.File[T], segStart []bool, dir ScanDir, op func(a, b T) T) {
 	defer closeSpan(pspan(m, "prefix", f.Len()))
 	var h scanHist
@@ -200,7 +194,10 @@ func spreadFixCols[T any](val, fwdVal []T, occ, fwdOcc []bool, lo, hi int) {
 	}
 }
 
-// SpreadCols is the columnar broadcast of §2.6 — see Spread in ops.go.
+// SpreadCols gives every PE the value of the nearest occupied register
+// within its segment: marked items flood in both directions. With
+// exactly one marked item per string this is the broadcast operation of
+// §2.6, costing Θ(√n) mesh / Θ(log n) hypercube time.
 func SpreadCols[T any](m *M, f colstore.File[T], segStart []bool) {
 	defer closeSpan(pspan(m, "broadcast", f.Len()))
 	n := f.Len()
@@ -230,8 +227,10 @@ func markLastCols[T any](markedVal, val []T, markedOcc, occ, segStart []bool, lo
 	}
 }
 
-// SemigroupCols is the columnar semigroup computation of §2.6 — see
-// Semigroup in ops.go; op must be associative (see Scan).
+// SemigroupCols applies the associative operation to all items of each
+// segment and delivers the result to every PE of the segment (§2.6:
+// semigroup computation — min, max, sum, …). op must be associative in
+// the exact sense ScanCols requires.
 func SemigroupCols[T any](m *M, f colstore.File[T], segStart []bool, op func(a, b T) T) {
 	defer closeSpan(pspan(m, "semigroup", f.Len()))
 	ScanCols(m, f, segStart, Forward, op)
@@ -252,11 +251,11 @@ func SemigroupCols[T any](m *M, f colstore.File[T], segStart []bool, op func(a, 
 
 // --- Bitonic merge and sort ------------------------------------------------
 
-// ceRoundCols is the columnar per-PE body of one compare-exchange round;
-// each pair (i, i ⊕ mask) is handled from its smaller index, so writes
-// stay disjoint across shards. Transliteration of ceRound+regLess:
-// occupied registers sort before empty ones, and swaps exchange the full
-// register — stale values of empty registers included.
+// ceRoundCols is the per-PE body of one compare-exchange round; each
+// pair (i, i ⊕ mask) is handled from its smaller index, so writes stay
+// disjoint across shards. Occupied registers sort before empty ones, and
+// swaps exchange the full register — stale values of empty registers
+// included.
 func ceRoundCols[T any](val []T, occ []bool, mask, block int, less func(a, b T) bool, lo, hi int) int {
 	n := len(val)
 	msgs := 0
@@ -274,8 +273,9 @@ func ceRoundCols[T any](val []T, occ []bool, mask, block int, less func(a, b T) 
 	return msgs
 }
 
-// compareExchangeCols performs one lock-step compare-exchange round over
-// a columnar file — see compareExchange in ops.go.
+// compareExchangeCols performs one lock-step compare-exchange round
+// between PEs i and i ⊕ mask within aligned blocks, charged as one XOR
+// round along the mask's highest bit.
 func compareExchangeCols[T any](m *M, f colstore.File[T], mask, block int, less func(a, b T) bool) {
 	n := f.Len()
 	var msgs int
@@ -293,8 +293,10 @@ func compareExchangeCols[T any](m *M, f colstore.File[T], mask, block int, less 
 	m.chargeXOR(b, msgs)
 }
 
-// MergeBlocksCols is the columnar block merge of §2.6 — see MergeBlocks
-// in ops.go.
+// MergeBlocksCols merges, within every aligned block of the given size,
+// the two sorted halves of the block into one sorted block — the merge
+// operation of §2.6 (Θ(√n) mesh, Θ(log n) hypercube for full-machine
+// blocks). All blocks are processed in the same rounds.
 func MergeBlocksCols[T any](m *M, f colstore.File[T], block int, less func(a, b T) bool) {
 	if block < 2 {
 		return
@@ -306,8 +308,10 @@ func MergeBlocksCols[T any](m *M, f colstore.File[T], block int, less func(a, b 
 	}
 }
 
-// SortBlocksCols is the columnar bitonic block sort — see SortBlocks in
-// ops.go. Empty registers gather at the tail of each block.
+// SortBlocksCols sorts every aligned block of the given size by bitonic
+// sort: Θ(√n) on the mesh (shuffled/proximity indexing) and Θ(log² n) on
+// the hypercube for full-machine blocks (Table 1: sort). Empty registers
+// gather at the tail of each block.
 func SortBlocksCols[T any](m *M, f colstore.File[T], block int, less func(a, b T) bool) {
 	defer closeSpan(pspan(m, "sort", block))
 	for sub := 2; sub <= block; sub *= 2 {
@@ -315,7 +319,7 @@ func SortBlocksCols[T any](m *M, f colstore.File[T], block int, less func(a, b T
 	}
 }
 
-// SortCols sorts the whole machine (one string) in columnar layout.
+// SortCols sorts the whole machine (one string).
 func SortCols[T any](m *M, f colstore.File[T], less func(a, b T) bool) {
 	SortBlocksCols(m, f, f.Len(), less)
 }
@@ -344,8 +348,11 @@ func markSegBaseCols(segBase colstore.File[int], segStart []bool, lo, hi int) {
 	}
 }
 
-// CompactCols is the columnar order-preserving segment compaction — see
-// Compact in ops.go. Vacated registers are left empty with zeroed values.
+// CompactCols moves the occupied registers of each segment to the front
+// of the segment, preserving order: a parallel-prefix rank computation
+// plus one structured route (the "pack into a string" step used
+// throughout §4–§5). Vacated registers are left empty with zeroed
+// values.
 func CompactCols[T any](m *M, f colstore.File[T], segStart []bool) {
 	defer closeSpan(pspan(m, "compact", f.Len()))
 	n := f.Len()
@@ -390,8 +397,10 @@ func CompactCols[T any](m *M, f colstore.File[T], segStart []bool) {
 	PutCols(m, counts)
 }
 
-// RouteCols moves item i to dest[i] (−1 to drop) in columnar layout —
-// see Route in ops.go. dest must be injective.
+// RouteCols moves item i to dest[i] (−1 to drop). dest must be
+// injective. It is charged as one structured route; callers only use
+// monotone or block-local patterns that admit congestion-free greedy
+// routing.
 func RouteCols[T any](m *M, f colstore.File[T], dest []int) {
 	defer closeSpan(pspan(m, "route", f.Len()))
 	n := f.Len()
@@ -416,7 +425,7 @@ func RouteCols[T any](m *M, f colstore.File[T], dest []int) {
 	PutCols(m, out)
 }
 
-// shiftRoundCols is the columnar per-PE body of ShiftWithinCols: PE i
+// shiftRoundCols is the per-PE body of ShiftWithinCols: PE i
 // writes only index i of the out file; the source file is read-only for
 // the round.
 func shiftRoundCols[T any](out colstore.File[T], val []T, occ []bool, block, delta, lo, hi int) int {
@@ -434,9 +443,11 @@ func shiftRoundCols[T any](out colstore.File[T], val []T, occ []bool, block, del
 }
 
 // ShiftWithinCols returns what each PE receives when every PE sends its
-// register to PE i+delta within aligned blocks — see ShiftWithin in
-// ops.go. The result file is drawn from the machine's arena; release it
-// with PutCols when done (or drop it).
+// register to PE i+delta, with transfers confined to aligned blocks of
+// the given size (one shift communication round). The result file is
+// drawn from the machine's arena: release it with PutCols when done to
+// keep the enclosing loop allocation-free (or simply drop it — an
+// unreleased buffer is garbage-collected).
 func ShiftWithinCols[T any](m *M, f colstore.File[T], block, delta int) colstore.File[T] {
 	n := f.Len()
 	out := GetCols[T](m, n)

@@ -9,22 +9,23 @@ package machine
 import (
 	"testing"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/hypercube"
 )
 
 func TestShiftWithinDeltaBeyondBlock(t *testing.T) {
 	m := New(hypercube.MustNew(16))
-	regs := make([]Reg[int], 16)
-	for i := range regs {
-		regs[i] = Some(i)
+	regs := colstore.New[int](16)
+	for i := range regs.Val {
+		regs.Set(i, i)
 	}
 	for _, delta := range []int{4, 5, 16, -4, -16} {
 		before := m.Stats()
-		out := ShiftWithin(m, regs, 4, delta) // |delta| ≥ block: nothing survives
+		out := ShiftWithinCols(m, regs, 4, delta) // |delta| ≥ block: nothing survives
 		after := m.Stats()
-		for i, r := range out {
-			if r.Ok {
-				t.Errorf("delta=%d: out[%d] occupied, want all-None (transfer left its block)", delta, i)
+		for i, ok := range out.Occ {
+			if ok {
+				t.Errorf("delta=%d: out[%d] occupied, want all empty (transfer left its block)", delta, i)
 			}
 		}
 		if after.Rounds != before.Rounds+1 {
@@ -33,52 +34,52 @@ func TestShiftWithinDeltaBeyondBlock(t *testing.T) {
 		if after.Messages != before.Messages {
 			t.Errorf("delta=%d: charged %d messages, want 0", delta, after.Messages-before.Messages)
 		}
-		PutScratch(m, out)
+		PutCols(m, out)
 	}
 }
 
 func TestShiftWithinAllNone(t *testing.T) {
 	m := New(hypercube.MustNew(8))
-	regs := make([]Reg[int], 8) // all None
+	regs := colstore.New[int](8) // all empty
 	before := m.Stats()
-	out := ShiftWithin(m, regs, 8, 1)
+	out := ShiftWithinCols(m, regs, 8, 1)
 	after := m.Stats()
-	for i, r := range out {
-		if r.Ok {
-			t.Errorf("out[%d] occupied, want all-None", i)
+	for i, ok := range out.Occ {
+		if ok {
+			t.Errorf("out[%d] occupied, want all empty", i)
 		}
 	}
 	if after.Rounds != before.Rounds+1 || after.Messages != before.Messages {
-		t.Errorf("all-None shift: rounds+%d msgs+%d, want rounds+1 msgs+0",
+		t.Errorf("all-empty shift: rounds+%d msgs+%d, want rounds+1 msgs+0",
 			after.Rounds-before.Rounds, after.Messages-before.Messages)
 	}
-	PutScratch(m, out)
+	PutCols(m, out)
 }
 
 func TestRouteAllNone(t *testing.T) {
 	m := New(hypercube.MustNew(8))
-	regs := make([]Reg[int], 8)
+	regs := colstore.New[int](8)
 	dest := []int{7, 6, 5, 4, 3, 2, 1, 0}
 	before := m.Stats()
-	Route(m, regs, dest)
+	RouteCols(m, regs, dest)
 	after := m.Stats()
-	for i, r := range regs {
-		if r.Ok {
+	for i, ok := range regs.Occ {
+		if ok {
 			t.Errorf("regs[%d] occupied after routing an empty file", i)
 		}
 	}
 	if after.Rounds != before.Rounds+1 || after.Messages != before.Messages {
-		t.Errorf("all-None route: rounds+%d msgs+%d, want rounds+1 msgs+0",
+		t.Errorf("all-empty route: rounds+%d msgs+%d, want rounds+1 msgs+0",
 			after.Rounds-before.Rounds, after.Messages-before.Messages)
 	}
 }
 
 func TestRouteDropAll(t *testing.T) {
 	m := New(hypercube.MustNew(4))
-	regs := []Reg[int]{Some(1), Some(2), Some(3), Some(4)}
-	Route(m, regs, []int{-1, -1, -1, -1})
-	for i, r := range regs {
-		if r.Ok {
+	regs := colstore.Scatter(4, []int{1, 2, 3, 4})
+	RouteCols(m, regs, []int{-1, -1, -1, -1})
+	for i, ok := range regs.Occ {
+		if ok {
 			t.Errorf("regs[%d] occupied, want dropped (dest −1)", i)
 		}
 	}
@@ -88,31 +89,31 @@ func TestRouteDropAll(t *testing.T) {
 // (the general n=1 primitive sweep lives in machine_test.go).
 func TestSinglePEShiftRoute(t *testing.T) {
 	m := New(hypercube.MustNew(1))
-	regs := []Reg[int]{Some(42)}
+	regs := colstore.Scatter(1, []int{42})
 
-	out := ShiftWithin(m, regs, 1, 0) // self-shift: the value stays
-	if !out[0].Ok || out[0].V != 42 {
-		t.Errorf("n=1 self-shift: got %+v, want Some(42)", out[0])
+	out := ShiftWithinCols(m, regs, 1, 0) // self-shift: the value stays
+	if v, ok := out.Get(0); !ok || v != 42 {
+		t.Errorf("n=1 self-shift: got (%d, %v), want 42", v, ok)
 	}
-	PutScratch(m, out)
+	PutCols(m, out)
 
-	out = ShiftWithin(m, regs, 1, 1) // off the machine
-	if out[0].Ok {
-		t.Errorf("n=1 shift by 1: got %+v, want None", out[0])
+	out = ShiftWithinCols(m, regs, 1, 1) // off the machine
+	if out.Occ[0] {
+		t.Errorf("n=1 shift by 1: got %d, want empty", out.Val[0])
 	}
-	PutScratch(m, out)
+	PutCols(m, out)
 
-	Route(m, regs, []int{0})
-	if !regs[0].Ok || regs[0].V != 42 {
-		t.Errorf("n=1 identity route: got %+v, want Some(42)", regs[0])
+	RouteCols(m, regs, []int{0})
+	if v, ok := regs.Get(0); !ok || v != 42 {
+		t.Errorf("n=1 identity route: got (%d, %v), want 42", v, ok)
 	}
 
 	seg := WholeMachine(1)
-	Scan(m, regs, seg, Forward, intMin)
-	Semigroup(m, regs, seg, intMin)
-	Compact(m, regs, seg)
-	Sort(m, regs, intLess)
-	if !regs[0].Ok || regs[0].V != 42 {
-		t.Errorf("n=1 primitives disturbed the register: got %+v, want Some(42)", regs[0])
+	ScanCols(m, regs, seg, Forward, intMin)
+	SemigroupCols(m, regs, seg, intMin)
+	CompactCols(m, regs, seg)
+	SortCols(m, regs, intLess)
+	if v, ok := regs.Get(0); !ok || v != 42 {
+		t.Errorf("n=1 primitives disturbed the register: got (%d, %v), want 42", v, ok)
 	}
 }

@@ -31,9 +31,6 @@ func Group[T any](m *M, data, queries []T, less func(a, b T) bool) []int {
 		query bool
 		idx   int
 	}
-	// Native columnar register file: Group runs its whole pipeline over
-	// the struct-of-arrays layout, skipping the record split/join of the
-	// []Reg wrappers.
 	f := GetCols[entry](m, n)
 	for i, v := range data {
 		f.Set(i, entry{v: v, idx: i})

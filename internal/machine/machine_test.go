@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/hypercube"
 	"dyncg/internal/mesh"
 )
@@ -64,9 +65,9 @@ func TestTopologySharedAcrossMachines(t *testing.T) {
 				for i := range vals {
 					vals[i] = r.Intn(1000)
 				}
-				regs := Scatter(m.Size(), vals)
-				Sort(m, regs, func(a, b int) bool { return a < b })
-				got := Gather(regs)
+				regs := colstore.Scatter(m.Size(), vals)
+				SortCols(m, regs, func(a, b int) bool { return a < b })
+				got := regs.Gather()
 				if !sort.IntsAreSorted(got) {
 					t.Errorf("goroutine %d: sort produced unsorted output", g)
 				}
@@ -93,13 +94,13 @@ func TestSinglePEMachine(t *testing.T) {
 		mesh.MustNew(1, mesh.Proximity), hypercube.MustNew(1),
 	} {
 		m := New(topo)
-		regs := Scatter(1, []int{42})
-		Sort(m, regs, func(a, b int) bool { return a < b })
-		Scan(m, regs, WholeMachine(1), Forward, func(a, b int) int { return a + b })
-		Spread(m, regs, WholeMachine(1))
-		Semigroup(m, regs, WholeMachine(1), func(a, b int) int { return a + b })
-		MergeBlocks(m, regs, 1, func(a, b int) bool { return a < b })
-		if got := Gather(regs); len(got) != 1 || got[0] != 42 {
+		regs := colstore.Scatter(1, []int{42})
+		SortCols(m, regs, func(a, b int) bool { return a < b })
+		ScanCols(m, regs, WholeMachine(1), Forward, func(a, b int) int { return a + b })
+		SpreadCols(m, regs, WholeMachine(1))
+		SemigroupCols(m, regs, WholeMachine(1), func(a, b int) int { return a + b })
+		MergeBlocksCols(m, regs, 1, func(a, b int) bool { return a < b })
+		if got := regs.Gather(); len(got) != 1 || got[0] != 42 {
 			t.Errorf("%s: n=1 primitives corrupted the register: %v", topo.Name(), got)
 		}
 		if st := m.Stats(); st.CommSteps != 0 {
@@ -143,9 +144,9 @@ func TestResetPreservesCostCaches(t *testing.T) {
 	} {
 		m := New(topo)
 		run := func() Stats {
-			regs := Scatter(m.Size(), make([]int, m.Size()))
-			Sort(m, regs, func(a, b int) bool { return a < b })
-			Scan(m, regs, WholeMachine(m.Size()), Forward, func(a, b int) int { return a + b })
+			regs := colstore.Scatter(m.Size(), make([]int, m.Size()))
+			SortCols(m, regs, func(a, b int) bool { return a < b })
+			ScanCols(m, regs, WholeMachine(m.Size()), Forward, func(a, b int) int { return a + b })
 			return m.Stats()
 		}
 		first := run()

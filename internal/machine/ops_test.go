@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/hypercube"
 	"dyncg/internal/mesh"
 )
@@ -34,11 +35,14 @@ func TestSortRandom(t *testing.T) {
 			for i := range vals {
 				vals[i] = r.Intn(100)
 			}
-			regs := Scatter(m.Size(), vals)
+			regs := colstore.Scatter(m.Size(), vals)
 			// Shuffle occupied registers across PEs.
-			r.Shuffle(m.Size(), func(i, j int) { regs[i], regs[j] = regs[j], regs[i] })
-			Sort(m, regs, func(a, b int) bool { return a < b })
-			got := Gather(regs)
+			r.Shuffle(m.Size(), func(i, j int) {
+				regs.Val[i], regs.Val[j] = regs.Val[j], regs.Val[i]
+				regs.Occ[i], regs.Occ[j] = regs.Occ[j], regs.Occ[i]
+			})
+			SortCols(m, regs, func(a, b int) bool { return a < b })
+			got := regs.Gather()
 			want := append([]int{}, vals...)
 			sort.Ints(want)
 			if len(got) != len(want) {
@@ -52,7 +56,7 @@ func TestSortRandom(t *testing.T) {
 			}
 			// Occupied registers must be packed at the front.
 			for i := 0; i < len(got); i++ {
-				if !regs[i].Ok {
+				if !regs.Occ[i] {
 					t.Fatalf("%s: hole at %d", name, i)
 				}
 			}
@@ -63,20 +67,19 @@ func TestSortRandom(t *testing.T) {
 func TestSortBlocksIndependent(t *testing.T) {
 	m := New(hypercube.MustNew(16))
 	vals := []int{9, 3, 7, 1, 8, 2, 6, 4, 15, 11, 13, 10, 5, 0, 14, 12}
-	regs := Scatter(16, vals)
-	SortBlocks(m, regs, 4, func(a, b int) bool { return a < b })
+	regs := colstore.Scatter(16, vals)
+	SortBlocksCols(m, regs, 4, func(a, b int) bool { return a < b })
 	for blk := 0; blk < 4; blk++ {
 		for i := 0; i+1 < 4; i++ {
-			a, b := regs[blk*4+i], regs[blk*4+i+1]
-			if a.V > b.V {
-				t.Fatalf("block %d unsorted: %v", blk, regs[blk*4:blk*4+4])
+			if regs.Val[blk*4+i] > regs.Val[blk*4+i+1] {
+				t.Fatalf("block %d unsorted: %v", blk, regs.Val[blk*4:blk*4+4])
 			}
 		}
 	}
 	// Block contents must be preserved.
 	got := map[int]bool{}
-	for _, r := range regs[:4] {
-		got[r.V] = true
+	for _, v := range regs.Val[:4] {
+		got[v] = true
 	}
 	for _, w := range vals[:4] {
 		if !got[w] {
@@ -89,14 +92,14 @@ func TestMergeBlocks(t *testing.T) {
 	m := New(mesh.MustNew(16, mesh.Proximity))
 	// Two sorted halves per block of 8.
 	vals := []int{1, 3, 5, 7, 2, 4, 6, 8, 0, 2, 4, 6, 1, 3, 5, 7}
-	regs := Scatter(16, vals)
-	MergeBlocks(m, regs, 8, func(a, b int) bool { return a < b })
+	regs := colstore.Scatter(16, vals)
+	MergeBlocksCols(m, regs, 8, func(a, b int) bool { return a < b })
 	want := [][]int{{1, 2, 3, 4, 5, 6, 7, 8}, {0, 1, 2, 3, 4, 5, 6, 7}}
 	for blk := 0; blk < 2; blk++ {
 		for i := 0; i < 8; i++ {
-			if regs[blk*8+i].V != want[blk][i] {
+			if regs.Val[blk*8+i] != want[blk][i] {
 				t.Fatalf("block %d = %v, want %v", blk,
-					Gather(regs[blk*8:blk*8+8]), want[blk])
+					regs.Val[blk*8:blk*8+8], want[blk])
 			}
 		}
 	}
@@ -104,27 +107,27 @@ func TestMergeBlocks(t *testing.T) {
 
 func TestScanSegmented(t *testing.T) {
 	for name, m := range machines(16) {
-		regs := make([]Reg[int], 16)
-		for i := range regs {
-			regs[i] = Some(1)
+		regs := colstore.New[int](16)
+		for i := range regs.Val {
+			regs.Set(i, 1)
 		}
 		seg := BlockSegments(16, 4)
-		Scan(m, regs, seg, Forward, func(a, b int) int { return a + b })
-		for i := range regs {
+		ScanCols(m, regs, seg, Forward, func(a, b int) int { return a + b })
+		for i, v := range regs.Val {
 			want := i%4 + 1
-			if regs[i].V != want {
-				t.Fatalf("%s: prefix[%d] = %d, want %d", name, i, regs[i].V, want)
+			if v != want {
+				t.Fatalf("%s: prefix[%d] = %d, want %d", name, i, v, want)
 			}
 		}
 		// Backward suffix sums.
-		for i := range regs {
-			regs[i] = Some(1)
+		for i := range regs.Val {
+			regs.Set(i, 1)
 		}
-		Scan(m, regs, seg, Backward, func(a, b int) int { return a + b })
-		for i := range regs {
+		ScanCols(m, regs, seg, Backward, func(a, b int) int { return a + b })
+		for i, v := range regs.Val {
 			want := 4 - i%4
-			if regs[i].V != want {
-				t.Fatalf("%s: suffix[%d] = %d, want %d", name, i, regs[i].V, want)
+			if v != want {
+				t.Fatalf("%s: suffix[%d] = %d, want %d", name, i, v, want)
 			}
 		}
 	}
@@ -132,12 +135,16 @@ func TestScanSegmented(t *testing.T) {
 
 func TestScanSkipsEmpty(t *testing.T) {
 	m := New(hypercube.MustNew(8))
-	regs := []Reg[int]{Some(1), None[int](), Some(2), None[int](), Some(3), None[int](), None[int](), Some(4)}
-	Scan(m, regs, WholeMachine(8), Forward, func(a, b int) int { return a + b })
+	regs := colstore.New[int](8)
+	regs.Set(0, 1)
+	regs.Set(2, 2)
+	regs.Set(4, 3)
+	regs.Set(7, 4)
+	ScanCols(m, regs, WholeMachine(8), Forward, func(a, b int) int { return a + b })
 	wantVals := []int{1, 1, 3, 3, 6, 6, 6, 10}
 	for i, w := range wantVals {
-		if !regs[i].Ok || regs[i].V != w {
-			t.Fatalf("prefix[%d] = %+v, want %d", i, regs[i], w)
+		if v, ok := regs.Get(i); !ok || v != w {
+			t.Fatalf("prefix[%d] = (%d, %v), want %d", i, v, ok, w)
 		}
 	}
 }
@@ -145,22 +152,22 @@ func TestScanSkipsEmpty(t *testing.T) {
 func TestSemigroupMin(t *testing.T) {
 	for name, m := range machines(16) {
 		vals := []int{5, 3, 8, 1, 9, 2, 7, 6, 4, 0, 11, 10, 15, 13, 12, 14}
-		regs := Scatter(16, vals)
+		regs := colstore.Scatter(16, vals)
 		seg := BlockSegments(16, 8)
-		Semigroup(m, regs, seg, func(a, b int) int {
+		SemigroupCols(m, regs, seg, func(a, b int) int {
 			if a < b {
 				return a
 			}
 			return b
 		})
 		for i := 0; i < 8; i++ {
-			if regs[i].V != 1 {
-				t.Fatalf("%s: seg0 min at %d = %d", name, i, regs[i].V)
+			if regs.Val[i] != 1 {
+				t.Fatalf("%s: seg0 min at %d = %d", name, i, regs.Val[i])
 			}
 		}
 		for i := 8; i < 16; i++ {
-			if regs[i].V != 0 {
-				t.Fatalf("%s: seg1 min at %d = %d", name, i, regs[i].V)
+			if regs.Val[i] != 0 {
+				t.Fatalf("%s: seg1 min at %d = %d", name, i, regs.Val[i])
 			}
 		}
 	}
@@ -168,19 +175,19 @@ func TestSemigroupMin(t *testing.T) {
 
 func TestSpreadBroadcast(t *testing.T) {
 	for name, m := range machines(16) {
-		regs := make([]Reg[string], 16)
-		regs[5] = Some("a")
-		regs[12] = Some("b")
+		regs := colstore.New[string](16)
+		regs.Set(5, "a")
+		regs.Set(12, "b")
 		seg := BlockSegments(16, 8)
-		Spread(m, regs, seg)
+		SpreadCols(m, regs, seg)
 		for i := 0; i < 8; i++ {
-			if regs[i].V != "a" {
-				t.Fatalf("%s: PE %d = %+v, want a", name, i, regs[i])
+			if regs.Val[i] != "a" {
+				t.Fatalf("%s: PE %d = %q, want a", name, i, regs.Val[i])
 			}
 		}
 		for i := 8; i < 16; i++ {
-			if regs[i].V != "b" {
-				t.Fatalf("%s: PE %d = %+v, want b", name, i, regs[i])
+			if regs.Val[i] != "b" {
+				t.Fatalf("%s: PE %d = %q, want b", name, i, regs.Val[i])
 			}
 		}
 	}
@@ -188,46 +195,47 @@ func TestSpreadBroadcast(t *testing.T) {
 
 func TestSpreadEmptySegmentStaysEmpty(t *testing.T) {
 	m := New(hypercube.MustNew(8))
-	regs := make([]Reg[int], 8)
-	regs[1] = Some(7)
+	regs := colstore.New[int](8)
+	regs.Set(1, 7)
 	seg := BlockSegments(8, 4)
-	Spread(m, regs, seg)
+	SpreadCols(m, regs, seg)
 	for i := 4; i < 8; i++ {
-		if regs[i].Ok {
-			t.Fatalf("empty segment PE %d became %+v", i, regs[i])
+		if regs.Occ[i] {
+			t.Fatalf("empty segment PE %d became %d", i, regs.Val[i])
 		}
 	}
 }
 
 func TestCompact(t *testing.T) {
 	for name, m := range machines(16) {
-		regs := make([]Reg[int], 16)
-		regs[2], regs[5], regs[7] = Some(10), Some(20), Some(30)
-		regs[9], regs[14] = Some(40), Some(50)
-		seg := BlockSegments(16, 8)
-		Compact(m, regs, seg)
-		if regs[0].V != 10 || regs[1].V != 20 || regs[2].V != 30 || regs[3].Ok {
-			t.Fatalf("%s: seg0 = %v", name, regs[:8])
+		regs := colstore.New[int](16)
+		for i, v := range map[int]int{2: 10, 5: 20, 7: 30, 9: 40, 14: 50} {
+			regs.Set(i, v)
 		}
-		if regs[8].V != 40 || regs[9].V != 50 || regs[10].Ok {
-			t.Fatalf("%s: seg1 = %v", name, regs[8:])
+		seg := BlockSegments(16, 8)
+		CompactCols(m, regs, seg)
+		if regs.Val[0] != 10 || regs.Val[1] != 20 || regs.Val[2] != 30 || regs.Occ[3] {
+			t.Fatalf("%s: seg0 = %v %v", name, regs.Val[:8], regs.Occ[:8])
+		}
+		if regs.Val[8] != 40 || regs.Val[9] != 50 || regs.Occ[10] {
+			t.Fatalf("%s: seg1 = %v %v", name, regs.Val[8:], regs.Occ[8:])
 		}
 	}
 }
 
 func TestRoute(t *testing.T) {
 	m := New(mesh.MustNew(16, mesh.Proximity))
-	regs := Scatter(16, []int{1, 2, 3})
+	regs := colstore.Scatter(16, []int{1, 2, 3})
 	dest := make([]int, 16)
 	for i := range dest {
 		dest[i] = -1
 	}
 	dest[0], dest[1], dest[2] = 15, 0, 7
-	Route(m, regs, dest)
-	if regs[15].V != 1 || regs[0].V != 2 || regs[7].V != 3 {
-		t.Fatalf("Route result = %v", regs)
+	RouteCols(m, regs, dest)
+	if regs.Val[15] != 1 || regs.Val[0] != 2 || regs.Val[7] != 3 {
+		t.Fatalf("Route result = %v %v", regs.Val, regs.Occ)
 	}
-	if regs[1].Ok || regs[2].Ok {
+	if regs.Occ[1] || regs.Occ[2] {
 		t.Fatal("sources not cleared")
 	}
 }
@@ -254,22 +262,22 @@ func TestTable1CostShapes(t *testing.T) {
 		less := func(a, b int) bool { return a < b }
 		plus := func(a, b int) int { return a + b }
 
-		regs := Scatter(n, vals)
-		Sort(mm, regs, less)
+		regs := colstore.Scatter(n, vals)
+		SortCols(mm, regs, less)
 		meshSortT[si] = float64(mm.Stats().CommSteps)
 
-		regs = Scatter(n, vals)
-		Sort(hc, regs, less)
+		regs = colstore.Scatter(n, vals)
+		SortCols(hc, regs, less)
 		cubeSortT[si] = float64(hc.Stats().CommSteps)
 
 		mm.Reset()
-		regs = Scatter(n, vals)
-		Scan(mm, regs, WholeMachine(n), Forward, plus)
+		regs = colstore.Scatter(n, vals)
+		ScanCols(mm, regs, WholeMachine(n), Forward, plus)
 		meshScanT[si] = float64(mm.Stats().CommSteps)
 
 		hc.Reset()
-		regs = Scatter(n, vals)
-		Scan(hc, regs, WholeMachine(n), Forward, plus)
+		regs = colstore.Scatter(n, vals)
+		ScanCols(hc, regs, WholeMachine(n), Forward, plus)
 		cubeScanT[si] = float64(hc.Stats().CommSteps)
 	}
 	// Mesh sort and scan: quadrupling n must roughly double time (√n).
@@ -319,9 +327,9 @@ func TestMeshIndexingAblation(t *testing.T) {
 		for i := range vals {
 			vals[i] = (i * 2654435761) % 1000003
 		}
-		regs := Scatter(n, vals)
-		Sort(m, regs, func(a, b int) bool { return a < b })
-		got := Gather(regs)
+		regs := colstore.Scatter(n, vals)
+		SortCols(m, regs, func(a, b int) bool { return a < b })
+		got := regs.Gather()
 		for i := 1; i < len(got); i++ {
 			if got[i-1] > got[i] {
 				t.Fatalf("%v: unsorted", ix)
@@ -348,8 +356,8 @@ func TestStatsAccounting(t *testing.T) {
 	if m.Stats().Time() != 0 {
 		t.Fatal("fresh machine has nonzero time")
 	}
-	regs := Scatter(8, []int{3, 1, 2})
-	Sort(m, regs, func(a, b int) bool { return a < b })
+	regs := colstore.Scatter(8, []int{3, 1, 2})
+	SortCols(m, regs, func(a, b int) bool { return a < b })
 	st := m.Stats()
 	if st.CommSteps <= 0 || st.Rounds <= 0 || st.Messages <= 0 {
 		t.Fatalf("stats not accumulated: %v", st)
@@ -366,5 +374,5 @@ func TestScatterPanicsOnOverflow(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Scatter(2, []int{1, 2, 3})
+	colstore.Scatter(2, []int{1, 2, 3})
 }

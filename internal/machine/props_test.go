@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/hypercube"
 	"dyncg/internal/mesh"
 )
@@ -25,10 +26,13 @@ func TestSortPermutationProperty(t *testing.T) {
 			mesh.MustNew(n, mesh.Proximity), hypercube.MustNew(n),
 		} {
 			m := New(topo)
-			regs := Scatter(n, vals)
-			r.Shuffle(n, func(i, j int) { regs[i], regs[j] = regs[j], regs[i] })
-			Sort(m, regs, func(a, b int) bool { return a < b })
-			got := Gather(regs)
+			regs := colstore.Scatter(n, vals)
+			r.Shuffle(n, func(i, j int) {
+				regs.Val[i], regs.Val[j] = regs.Val[j], regs.Val[i]
+				regs.Occ[i], regs.Occ[j] = regs.Occ[j], regs.Occ[i]
+			})
+			SortCols(m, regs, func(a, b int) bool { return a < b })
+			got := regs.Gather()
 			want := append([]int{}, vals...)
 			sort.Ints(want)
 			if len(got) != len(want) {
@@ -53,44 +57,44 @@ func TestScanMatchesSerialProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 64
-		regs := make([]Reg[int], n)
+		regs := colstore.New[int](n)
 		seg := make([]bool, n)
 		seg[0] = true
-		for i := range regs {
+		for i := range regs.Val {
 			if r.Intn(3) > 0 {
-				regs[i] = Some(r.Intn(100))
+				regs.Set(i, r.Intn(100))
 			}
 			if i > 0 && r.Intn(5) == 0 {
 				seg[i] = true
 			}
 		}
 		// Serial oracle.
-		want := make([]Reg[int], n)
+		want := colstore.New[int](n)
 		acc, accOk := 0, false
 		for i := 0; i < n; i++ {
 			if seg[i] {
 				acc, accOk = 0, false
 			}
-			if regs[i].Ok {
+			if regs.Occ[i] {
 				if accOk {
-					acc += regs[i].V
+					acc += regs.Val[i]
 				} else {
-					acc, accOk = regs[i].V, true
+					acc, accOk = regs.Val[i], true
 				}
-				want[i] = Some(acc)
+				want.Set(i, acc)
 			} else if accOk {
-				want[i] = Some(acc)
+				want.Set(i, acc)
 			}
 		}
 		m := New(hypercube.MustNew(n))
-		got := make([]Reg[int], n)
-		copy(got, regs)
-		Scan(m, got, seg, Forward, func(a, b int) int { return a + b })
-		for i := range got {
+		got := colstore.New[int](n)
+		got.CopyFrom(regs)
+		ScanCols(m, got, seg, Forward, func(a, b int) int { return a + b })
+		for i, ok := range regs.Occ {
 			// Occupied positions must match the oracle exactly; empty
 			// positions may or may not have been filled by the scan's
 			// identity-skipping, so only compare where input was occupied.
-			if regs[i].Ok && (got[i].V != want[i].V || !got[i].Ok) {
+			if ok && (got.Val[i] != want.Val[i] || !got.Occ[i]) {
 				return false
 			}
 		}
@@ -108,30 +112,30 @@ func TestCompactOrderProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 64
 		block := []int{8, 16, 32, 64}[r.Intn(4)]
-		regs := make([]Reg[int], n)
+		regs := colstore.New[int](n)
 		var wantPerSeg [][]int
 		for s := 0; s < n; s += block {
 			var w []int
 			for i := s; i < s+block; i++ {
 				if r.Intn(2) == 0 {
 					v := r.Intn(1000)
-					regs[i] = Some(v)
+					regs.Set(i, v)
 					w = append(w, v)
 				}
 			}
 			wantPerSeg = append(wantPerSeg, w)
 		}
 		m := New(mesh.MustNew(64, mesh.Proximity))
-		Compact(m, regs, BlockSegments(n, block))
+		CompactCols(m, regs, BlockSegments(n, block))
 		for si, w := range wantPerSeg {
 			base := si * block
 			for i, v := range w {
-				if !regs[base+i].Ok || regs[base+i].V != v {
+				if !regs.Occ[base+i] || regs.Val[base+i] != v {
 					return false
 				}
 			}
 			for i := len(w); i < block; i++ {
-				if regs[base+i].Ok {
+				if regs.Occ[base+i] {
 					return false
 				}
 			}

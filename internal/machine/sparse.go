@@ -35,7 +35,7 @@ package machine
 //     occupy every PE from the first active index onward (scans flood),
 //     which is a property of the operation, not the layout.
 //
-// Charging discipline matches ops.go/colops.go: charges and observer
+// Charging discipline matches colops.go: charges and observer
 // events are emitted in the same order as the dense implementation, so
 // an attached tracer sees a bit-identical span/round stream.
 

@@ -40,26 +40,16 @@ func (r *streamRec) Round(ri RoundInfo) {
 
 // maskRegs builds the dense and sparse views of the same occupancy mask,
 // with value i*3+1 at each occupied PE i.
-func maskRegs(n int, occ []bool) ([]Reg[int], *Sparse[int]) {
-	regs := make([]Reg[int], n)
+func maskRegs(n int, occ []bool) (colstore.File[int], *Sparse[int]) {
+	regs := colstore.New[int](n)
 	s := NewSparse[int](n)
 	for i := 0; i < n; i++ {
 		if occ[i] {
-			regs[i] = Some(i*3 + 1)
+			regs.Set(i, i*3+1)
 			s.Set(i, i*3+1)
 		}
 	}
 	return regs, s
-}
-
-func toFile(regs []Reg[int]) colstore.File[int] {
-	f := colstore.New[int](len(regs))
-	for i, r := range regs {
-		if r.Ok {
-			f.Set(i, r.V)
-		}
-	}
-	return f
 }
 
 // checkSparseInvariant verifies the active list matches the occupancy
@@ -74,11 +64,11 @@ func checkSparseInvariant(t *testing.T, s *Sparse[int]) {
 
 // requireSparseMatch asserts masked register identity, Stats identity,
 // and observer stream identity between a dense run and a sparse run.
-func requireSparseMatch(t *testing.T, op string, denseRegs []Reg[int], denseStats Stats, denseObs *streamRec, s *Sparse[int], sparseStats Stats, sparseObs *streamRec) {
+func requireSparseMatch(t *testing.T, op string, denseRegs colstore.File[int], denseStats Stats, denseObs *streamRec, s *Sparse[int], sparseStats Stats, sparseObs *streamRec) {
 	t.Helper()
-	if !colstore.Equal(toFile(denseRegs), s.File()) {
-		t.Fatalf("%s: sparse registers diverge from dense\ndense: %v\nsparse: %v %v",
-			op, denseRegs, s.File().Val, s.File().Occ)
+	if !colstore.Equal(denseRegs, s.File()) {
+		t.Fatalf("%s: sparse registers diverge from dense\ndense: %v %v\nsparse: %v %v",
+			op, denseRegs.Val, denseRegs.Occ, s.File().Val, s.File().Occ)
 	}
 	checkSparseInvariant(t, s)
 	if denseStats != sparseStats {
@@ -104,53 +94,53 @@ func minOp(a, b int) int {
 // the dense primitive on regs and the sparse primitive on s.
 var sparseOps = []struct {
 	name   string
-	dense  func(m *M, regs []Reg[int], seg []bool)
+	dense  func(m *M, regs colstore.File[int], seg []bool)
 	sparse func(m *M, s *Sparse[int])
 }{
 	{"scan-fwd-add",
-		func(m *M, regs []Reg[int], seg []bool) { Scan(m, regs, seg, Forward, addOp) },
+		func(m *M, regs colstore.File[int], seg []bool) { ScanCols(m, regs, seg, Forward, addOp) },
 		func(m *M, s *Sparse[int]) { SparseScan(m, s, Forward, addOp) }},
 	{"scan-bwd-add",
-		func(m *M, regs []Reg[int], seg []bool) { Scan(m, regs, seg, Backward, addOp) },
+		func(m *M, regs colstore.File[int], seg []bool) { ScanCols(m, regs, seg, Backward, addOp) },
 		func(m *M, s *Sparse[int]) { SparseScan(m, s, Backward, addOp) }},
 	{"scan-fwd-flood",
-		func(m *M, regs []Reg[int], seg []bool) { Scan(m, regs, seg, Forward, nil) },
+		func(m *M, regs colstore.File[int], seg []bool) { ScanCols(m, regs, seg, Forward, nil) },
 		func(m *M, s *Sparse[int]) { SparseScan(m, s, Forward, nil) }},
 	{"scan-bwd-flood",
-		func(m *M, regs []Reg[int], seg []bool) { Scan(m, regs, seg, Backward, nil) },
+		func(m *M, regs colstore.File[int], seg []bool) { ScanCols(m, regs, seg, Backward, nil) },
 		func(m *M, s *Sparse[int]) { SparseScan(m, s, Backward, nil) }},
 	{"spread",
-		func(m *M, regs []Reg[int], seg []bool) { Spread(m, regs, seg) },
+		func(m *M, regs colstore.File[int], seg []bool) { SpreadCols(m, regs, seg) },
 		func(m *M, s *Sparse[int]) { SparseSpread(m, s) }},
 	{"semigroup-min",
-		func(m *M, regs []Reg[int], seg []bool) { Semigroup(m, regs, seg, minOp) },
+		func(m *M, regs colstore.File[int], seg []bool) { SemigroupCols(m, regs, seg, minOp) },
 		func(m *M, s *Sparse[int]) { SparseSemigroup(m, s, minOp) }},
 	{"sort",
-		func(m *M, regs []Reg[int], seg []bool) {
-			Sort(m, regs, func(a, b int) bool { return a%7 < b%7 }) // ties exercise the unstable network
+		func(m *M, regs colstore.File[int], seg []bool) {
+			SortCols(m, regs, func(a, b int) bool { return a%7 < b%7 }) // ties exercise the unstable network
 		},
 		func(m *M, s *Sparse[int]) {
 			SparseSort(m, s, func(a, b int) bool { return a%7 < b%7 })
 		}},
 	{"compact",
-		func(m *M, regs []Reg[int], seg []bool) { Compact(m, regs, seg) },
+		func(m *M, regs colstore.File[int], seg []bool) { CompactCols(m, regs, seg) },
 		func(m *M, s *Sparse[int]) { SparseCompact(m, s) }},
 	{"shift+3",
-		func(m *M, regs []Reg[int], seg []bool) {
-			out := ShiftWithin(m, regs, len(regs), 3)
-			copy(regs, out)
-			PutScratch(m, out)
+		func(m *M, regs colstore.File[int], seg []bool) {
+			out := ShiftWithinCols(m, regs, regs.Len(), 3)
+			regs.CopyFrom(out)
+			PutCols(m, out)
 		},
 		func(m *M, s *Sparse[int]) { SparseShiftWithin(m, s, s.Len(), 3) }},
 	{"shift-block-neg",
-		func(m *M, regs []Reg[int], seg []bool) {
-			block := len(regs) / 2
+		func(m *M, regs colstore.File[int], seg []bool) {
+			block := regs.Len() / 2
 			if block < 1 {
 				block = 1
 			}
-			out := ShiftWithin(m, regs, block, -2)
-			copy(regs, out)
-			PutScratch(m, out)
+			out := ShiftWithinCols(m, regs, block, -2)
+			regs.CopyFrom(out)
+			PutCols(m, out)
 		},
 		func(m *M, s *Sparse[int]) {
 			block := s.Len() / 2
@@ -160,8 +150,8 @@ var sparseOps = []struct {
 			SparseShiftWithin(m, s, block, -2)
 		}},
 	{"route-reverse",
-		func(m *M, regs []Reg[int], seg []bool) {
-			n := len(regs)
+		func(m *M, regs colstore.File[int], seg []bool) {
+			n := regs.Len()
 			dest := make([]int, n)
 			for i := range dest {
 				if i%5 == 4 {
@@ -170,7 +160,7 @@ var sparseOps = []struct {
 					dest[i] = n - 1 - i
 				}
 			}
-			Route(m, regs, dest)
+			RouteCols(m, regs, dest)
 		},
 		func(m *M, s *Sparse[int]) {
 			n := s.Len()

@@ -94,10 +94,6 @@ func Envelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind) (pieces.Pie
 // front-packed envelopes of their function groups. NewMergeTree uses the
 // hook to capture every internal node of the recursion tree in one
 // bottom-up pass.
-//
-// The register file stays in the columnar layout for the whole build:
-// every merge level runs the columnar primitives on it directly, with no
-// record split/join per primitive call.
 func envelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind, snap func(block int, regs colstore.File[envReg])) (pieces.Piecewise, error) {
 	n := len(fs)
 	N := m.Size()

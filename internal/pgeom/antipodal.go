@@ -36,16 +36,16 @@ func sectorOwners[T ratfun.Real[T]](m *machine.M, hull []geom.Point[T], queries 
 	if h+len(queries) > n {
 		panic("pgeom: machine too small for sector grouping")
 	}
-	entries := machine.GetScratch[machine.Reg[entry]](m, n)
-	defer machine.PutScratch(m, entries)
+	entries := machine.GetCols[entry](m, n)
+	defer machine.PutCols(m, entries)
 	for j := 0; j < h; j++ {
 		e := hull[(j+1)%h].Sub(hull[j]) // direction of edge j
-		entries[j] = machine.Some(entry{dir: e, boundary: true, owner: (j + 1) % h, qIdx: -1})
+		entries.Set(j, entry{dir: e, boundary: true, owner: (j + 1) % h, qIdx: -1})
 	}
 	for q, d := range queries {
-		entries[h+q] = machine.Some(entry{dir: d, boundary: false, owner: -1, qIdx: q})
+		entries.Set(h+q, entry{dir: d, boundary: false, owner: -1, qIdx: q})
 	}
-	machine.Sort(m, entries, func(a, b entry) bool {
+	machine.SortCols(m, entries, func(a, b entry) bool {
 		if !DirEq(a.dir, b.dir) {
 			return DirLess(a.dir, b.dir)
 		}
@@ -62,14 +62,12 @@ func sectorOwners[T ratfun.Real[T]](m *machine.M, hull []geom.Point[T], queries 
 		owner int
 		dir   geom.Point[T]
 	}
-	// lastB is self-contained scratch, so it lives natively in the
-	// columnar layout (no record split/join around the scan).
 	lastB := machine.GetCols[seen](m, n)
 	defer machine.PutCols(m, lastB)
 	m.ChargeLocal(1)
-	for i := range entries {
-		if entries[i].Ok && entries[i].V.boundary {
-			lastB.Set(i, seen{owner: entries[i].V.owner, dir: entries[i].V.dir})
+	for i, ok := range entries.Occ {
+		if ok && entries.Val[i].boundary {
+			lastB.Set(i, seen{owner: entries.Val[i].owner, dir: entries.Val[i].dir})
 		}
 	}
 	seg := machine.GetScratch[bool](m, n)
@@ -81,33 +79,34 @@ func sectorOwners[T ratfun.Real[T]](m *machine.M, hull []geom.Point[T], queries 
 	machine.PutScratch(m, seg)
 	// Circular wrap: queries before the first boundary belong to the
 	// globally last boundary's sector (one semigroup/broadcast).
-	var wrap machine.Reg[seen]
+	var wrap seen
+	haveWrap := false
 	for i := n - 1; i >= 0; i-- {
 		if lastB.Occ[i] {
-			wrap = machine.Some(lastB.Val[i])
+			wrap, haveWrap = lastB.Val[i], true
 			break
 		}
 	}
 	m.ChargeLocal(1)
 	out := make([][]int, len(queries))
-	for i := range entries {
-		if !entries[i].Ok || entries[i].V.boundary {
+	for i, ok := range entries.Occ {
+		if !ok || entries.Val[i].boundary {
 			continue
 		}
-		e := entries[i].V
-		sb := wrap
+		e := entries.Val[i]
+		sb, have := wrap, haveWrap
 		if lastB.Occ[i] {
-			sb = machine.Some(lastB.Val[i])
+			sb, have = lastB.Val[i], true
 		}
-		if !sb.Ok {
+		if !have {
 			continue
 		}
-		owners := []int{sb.V.owner}
+		owners := []int{sb.owner}
 		// Query on the boundary ray: it also belongs to the preceding
 		// sector, i.e. to vertex owner−1 (the paper's "pair of sectors if
 		// −R coincides with an edge-ray").
-		if DirEq(e.dir, sb.V.dir) {
-			owners = append(owners, (sb.V.owner+h-1)%h)
+		if DirEq(e.dir, sb.dir) {
+			owners = append(owners, (sb.owner+h-1)%h)
 		}
 		out[e.qIdx] = owners
 	}
@@ -173,8 +172,8 @@ func Diameter[T ratfun.Real[T]](m *machine.M, hull []geom.Point[T]) (T, [2]int) 
 		pair [2]int
 	}
 	n := m.Size()
-	regs := machine.GetScratch[machine.Reg[cand]](m, n)
-	defer machine.PutScratch(m, regs)
+	regs := machine.GetCols[cand](m, n)
+	defer machine.PutCols(m, regs)
 	m.ChargeLocal(1)
 	for i, p := range pairs {
 		// ≤ 4 pairs per PE in the Lemma 5.5 layout; the simulator stores
@@ -182,25 +181,23 @@ func Diameter[T ratfun.Real[T]](m *machine.M, hull []geom.Point[T]) (T, [2]int) 
 		// which only spreads the same Θ(1) local work.
 		c := cand{d: geom.DistSq(hull[p[0]], hull[p[1]]), pair: p}
 		at := i % n
-		if !regs[at].Ok || c.d.Cmp(regs[at].V.d) > 0 {
-			regs[at] = machine.Some(c)
+		if !regs.Occ[at] || c.d.Cmp(regs.Val[at].d) > 0 {
+			regs.Set(at, c)
 		}
 	}
 	seg := machine.GetScratch[bool](m, n)
 	if n > 0 {
 		seg[0] = true
 	}
-	machine.Semigroup(m, regs, seg, func(a, b cand) cand {
+	machine.SemigroupCols(m, regs, seg, func(a, b cand) cand {
 		if a.d.Cmp(b.d) >= 0 {
 			return a
 		}
 		return b
 	})
 	machine.PutScratch(m, seg)
-	for i := range regs {
-		if regs[i].Ok {
-			return regs[i].V.d, regs[i].V.pair
-		}
+	if c, ok := regs.First(); ok {
+		return c.d, c.pair
 	}
 	var zero T
 	return zero, [2]int{}
@@ -248,8 +245,8 @@ func MinAreaRect[T ratfun.Real[T]](m *machine.M, hull []geom.Point[T]) geom.Rect
 		p2   int // support vertex in −e⊥
 	}
 	n := m.Size()
-	regs := machine.GetScratch[machine.Reg[cand]](m, n)
-	defer machine.PutScratch(m, regs)
+	regs := machine.GetCols[cand](m, n)
+	defer machine.PutCols(m, regs)
 	m.ChargeLocal(1)
 	for j := 0; j < h; j++ {
 		far := owners[3*j]
@@ -278,27 +275,20 @@ func MinAreaRect[T ratfun.Real[T]](m *machine.M, hull []geom.Point[T]) geom.Rect
 			}
 		}
 		area := prMax.Sub(prMin).Mul(height).Div(uu)
-		regs[j] = machine.Some(cand{area: area, edge: j, far: far[0], p1: o1[0], p2: o2[0]})
+		regs.Set(j, cand{area: area, edge: j, far: far[0], p1: o1[0], p2: o2[0]})
 	}
 	seg := machine.GetScratch[bool](m, n)
 	if n > 0 {
 		seg[0] = true
 	}
-	machine.Semigroup(m, regs, seg, func(a, b cand) cand {
+	machine.SemigroupCols(m, regs, seg, func(a, b cand) cand {
 		if a.area.Cmp(b.area) <= 0 {
 			return a
 		}
 		return b
 	})
 	machine.PutScratch(m, seg)
-	var win cand
-	found := false
-	for i := range regs {
-		if regs[i].Ok {
-			win, found = regs[i].V, true
-			break
-		}
-	}
+	win, found := regs.First()
 	if !found {
 		panic("pgeom: MinAreaRect found no candidate")
 	}

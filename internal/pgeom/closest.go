@@ -3,6 +3,7 @@ package pgeom
 import (
 	"strconv"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/geom"
 	"dyncg/internal/machine"
 	"dyncg/internal/par"
@@ -61,13 +62,13 @@ func ClosestPair[T ratfun.Real[T]](m *machine.M, pts []geom.Point[T]) (a, b int,
 		p.ID = i
 		tagged[i] = p
 	}
-	byX := machine.Scatter(n, tagged)
-	machine.Sort(m, byX, lessX)
-	byY := machine.GetScratch[machine.Reg[geom.Point[T]]](m, n)
-	defer machine.PutScratch(m, byY)
-	copy(byY, byX) // blocks of size 1 are trivially y-sorted
-	best := machine.GetScratch[machine.Reg[pairCand[T]]](m, n)
-	defer machine.PutScratch(m, best)
+	byX := colstore.Scatter(n, tagged)
+	machine.SortCols(m, byX, lessX)
+	byY := machine.GetCols[geom.Point[T]](m, n)
+	defer machine.PutCols(m, byY)
+	byY.CopyFrom(byX) // blocks of size 1 are trivially y-sorted
+	best := machine.GetCols[pairCand[T]](m, n)
+	defer machine.PutCols(m, best)
 
 	minPair := func(x, y pairCand[T]) pairCand[T] {
 		if x.d.Cmp(y.d) <= 0 {
@@ -82,14 +83,14 @@ func ClosestPair[T ratfun.Real[T]](m *machine.M, pts []geom.Point[T]) (a, b int,
 	defer machine.PutScratch(m, seg)
 	half := machine.GetScratch[bool](m, n)
 	defer machine.PutScratch(m, half)
-	xs := machine.GetScratch[machine.Reg[T]](m, n)
-	defer machine.PutScratch(m, xs)
-	split := machine.GetScratch[machine.Reg[T]](m, n)
-	defer machine.PutScratch(m, split)
-	delta := machine.GetScratch[machine.Reg[pairCand[T]]](m, n)
-	defer machine.PutScratch(m, delta)
-	strip := machine.GetScratch[machine.Reg[geom.Point[T]]](m, n)
-	defer machine.PutScratch(m, strip)
+	xs := machine.GetCols[T](m, n)
+	defer machine.PutCols(m, xs)
+	split := machine.GetCols[T](m, n)
+	defer machine.PutCols(m, split)
+	delta := machine.GetCols[pairCand[T]](m, n)
+	defer machine.PutCols(m, delta)
+	strip := machine.GetCols[geom.Point[T]](m, n)
+	defer machine.PutCols(m, strip)
 
 	for block := 2; block <= n; block *= 2 {
 		clear(seg)
@@ -102,55 +103,55 @@ func ClosestPair[T ratfun.Real[T]](m *machine.M, pts []geom.Point[T]) (a, b int,
 		}
 
 		// Maintain the y-sorted invariant.
-		machine.MergeBlocks(m, byY, block, lessY)
+		machine.MergeBlocksCols(m, byY, block, lessY)
 
 		// Split abscissa: max X over each left half-block, spread right.
-		clear(xs)
+		xs.Reset()
 		m.ChargeLocal(1)
 		par.ForEach(m.Workers(), n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				if byX[i].Ok {
-					xs[i] = machine.Some(byX[i].V.X)
+				if byX.Occ[i] {
+					xs.Set(i, byX.Val[i].X)
 				}
 			}
 		})
-		machine.Semigroup(m, xs, half, func(p, q T) T {
+		machine.SemigroupCols(m, xs, half, func(p, q T) T {
 			if p.Cmp(q) >= 0 {
 				return p
 			}
 			return q
 		})
-		clear(split)
+		split.Reset()
 		m.ChargeLocal(1)
 		par.ForEach(m.Workers(), n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				if xs[i].Ok && (i/(block/2))%2 == 0 {
-					split[i] = machine.Some(xs[i].V)
+				if xs.Occ[i] && (i/(block/2))%2 == 0 {
+					split.Set(i, xs.Val[i])
 				}
 			}
 		})
-		machine.Spread(m, split, seg)
+		machine.SpreadCols(m, split, seg)
 
 		// Block δ so far (exact within each half, by induction).
-		copy(delta, best)
-		machine.Semigroup(m, delta, seg, minPair)
+		delta.CopyFrom(best)
+		machine.SemigroupCols(m, delta, seg, minPair)
 
 		// Strip membership and compaction.
-		clear(strip)
+		strip.Reset()
 		m.ChargeLocal(1)
 		par.ForEach(m.Workers(), n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				if !byY[i].Ok || !split[i].Ok {
+				if !byY.Occ[i] || !split.Occ[i] {
 					continue
 				}
-				p := byY[i].V
-				dx := p.X.Sub(split[i].V)
-				if !delta[i].Ok || dx.Mul(dx).Cmp(delta[i].V.d) < 0 {
-					strip[i] = machine.Some(p)
+				p := byY.Val[i]
+				dx := p.X.Sub(split.Val[i])
+				if !delta.Occ[i] || dx.Mul(dx).Cmp(delta.Val[i].d) < 0 {
+					strip.Set(i, p)
 				}
 			}
 		})
-		machine.Compact(m, strip, seg)
+		machine.CompactCols(m, strip, seg)
 
 		// Compare each strip point with its ≤ 7 successors. Each shift
 		// draws a fresh arena buffer; the previous one is released as
@@ -158,37 +159,35 @@ func ClosestPair[T ratfun.Real[T]](m *machine.M, pts []geom.Point[T]) (a, b int,
 		// for the whole level).
 		cur := strip
 		for k := 0; k < 7; k++ {
-			next := machine.ShiftWithin(m, cur, block, -1)
+			next := machine.ShiftWithinCols(m, cur, block, -1)
 			if k > 0 {
-				machine.PutScratch(m, cur)
+				machine.PutCols(m, cur)
 			}
 			cur = next
 			m.ChargeLocal(1)
 			cur := cur
 			par.ForEach(m.Workers(), n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					if !strip[i].Ok || !cur[i].Ok {
+					if !strip.Occ[i] || !cur.Occ[i] {
 						continue
 					}
-					d := geom.DistSq(strip[i].V, cur[i].V)
-					cand := pairCand[T]{a: strip[i].V.ID, b: cur[i].V.ID, d: d}
-					if !best[i].Ok || d.Cmp(best[i].V.d) < 0 {
-						best[i] = machine.Some(cand)
+					d := geom.DistSq(strip.Val[i], cur.Val[i])
+					cand := pairCand[T]{a: strip.Val[i].ID, b: cur.Val[i].ID, d: d}
+					if !best.Occ[i] || d.Cmp(best.Val[i].d) < 0 {
+						best.Set(i, cand)
 					}
 				}
 			})
 		}
-		machine.PutScratch(m, cur)
+		machine.PutCols(m, cur)
 	}
 	clear(seg)
 	if n > 0 {
 		seg[0] = true
 	}
-	machine.Semigroup(m, best, seg, minPair)
-	for i := range best {
-		if best[i].Ok {
-			return best[i].V.a, best[i].V.b, best[i].V.d
-		}
+	machine.SemigroupCols(m, best, seg, minPair)
+	if c, ok := best.First(); ok {
+		return c.a, c.b, c.d
 	}
 	panic("pgeom: ClosestPair found no candidate")
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/curve"
 	"dyncg/internal/geom"
 	"dyncg/internal/machine"
@@ -90,8 +91,7 @@ func HullStatic(m *machine.M, pts []geom.Point[ratfun.F64]) ([]int, error) {
 	// h + O(1) points; one more sort-bounded machine pass (charged here)
 	// plus the exact chain scan over the candidates restores the clean
 	// CCW cycle.
-	sortRegs := machine.Scatter(m.Size(), cand)
-	machine.Sort(m, sortRegs, func(a, b int) bool { return a < b })
+	machine.SortCols(m, colstore.Scatter(m.Size(), cand), func(a, b int) bool { return a < b })
 	candPts := make([]geom.Point[ratfun.F64], len(cand))
 	for i, j := range cand {
 		candPts[i] = uniq[j]
@@ -109,12 +109,12 @@ func HullStatic(m *machine.M, pts []geom.Point[ratfun.F64]) ([]int, error) {
 // round.
 func dedupe(m *machine.M, pts []geom.Point[ratfun.F64]) []geom.Point[ratfun.F64] {
 	n := m.Size()
-	regs := machine.GetScratch[machine.Reg[geom.Point[ratfun.F64]]](m, n)
-	defer machine.PutScratch(m, regs)
+	regs := machine.GetCols[geom.Point[ratfun.F64]](m, n)
+	defer machine.PutCols(m, regs)
 	for i, p := range pts {
-		regs[i] = machine.Some(p)
+		regs.Set(i, p)
 	}
-	machine.Sort(m, regs, func(a, b geom.Point[ratfun.F64]) bool {
+	machine.SortCols(m, regs, func(a, b geom.Point[ratfun.F64]) bool {
 		if a.X != b.X {
 			return a.X < b.X
 		}
@@ -123,24 +123,24 @@ func dedupe(m *machine.M, pts []geom.Point[ratfun.F64]) []geom.Point[ratfun.F64]
 		}
 		return a.ID < b.ID
 	})
-	prev := machine.ShiftWithin(m, regs, n, +1)
+	prev := machine.ShiftWithinCols(m, regs, n, +1)
 	m.ChargeLocal(1)
 	par.ForEach(m.Workers(), n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if regs[i].Ok && prev[i].Ok &&
-				prev[i].V.X == regs[i].V.X && prev[i].V.Y == regs[i].V.Y {
-				regs[i] = machine.None[geom.Point[ratfun.F64]]()
+			if regs.Occ[i] && prev.Occ[i] &&
+				prev.Val[i].X == regs.Val[i].X && prev.Val[i].Y == regs.Val[i].Y {
+				regs.Clear(i)
 			}
 		}
 	})
-	machine.PutScratch(m, prev)
+	machine.PutCols(m, prev)
 	seg := machine.GetScratch[bool](m, n)
 	if n > 0 {
 		seg[0] = true
 	}
-	machine.Compact(m, regs, seg)
+	machine.CompactCols(m, regs, seg)
 	machine.PutScratch(m, seg)
-	return machine.Gather(regs)
+	return regs.Gather()
 }
 
 // normalize maps the points rigidly+affinely into O(1) scale: a fixed
@@ -167,31 +167,25 @@ func normalize(m *machine.M, pts []geom.Point[ratfun.F64]) []geom.Point[ratfun.F
 	})
 	pts = rotated
 	n := m.Size()
-	regs := machine.GetScratch[machine.Reg[bbox]](m, n)
-	defer machine.PutScratch(m, regs)
+	regs := machine.GetCols[bbox](m, n)
+	defer machine.PutCols(m, regs)
 	m.ChargeLocal(1)
 	for i, p := range pts {
 		x, y := float64(p.X), float64(p.Y)
-		regs[i] = machine.Some(bbox{x, x, y, y})
+		regs.Set(i, bbox{x, x, y, y})
 	}
 	seg := machine.GetScratch[bool](m, n)
 	defer machine.PutScratch(m, seg)
 	if n > 0 {
 		seg[0] = true
 	}
-	machine.Semigroup(m, regs, seg, func(a, b bbox) bbox {
+	machine.SemigroupCols(m, regs, seg, func(a, b bbox) bbox {
 		return bbox{
 			minX: math.Min(a.minX, b.minX), maxX: math.Max(a.maxX, b.maxX),
 			minY: math.Min(a.minY, b.minY), maxY: math.Max(a.maxY, b.maxY),
 		}
 	})
-	var bb bbox
-	for i := range regs {
-		if regs[i].Ok {
-			bb = regs[i].V
-			break
-		}
-	}
+	bb, _ := regs.First()
 	cx, cy := (bb.minX+bb.maxX)/2, (bb.minY+bb.maxY)/2
 	scale := math.Max(bb.maxX-bb.minX, bb.maxY-bb.minY) / 2
 	if scale == 0 {
@@ -218,28 +212,28 @@ type bbox struct{ minX, maxX, minY, maxY float64 }
 // points (which bounds every pairwise slope).
 func slopeBound(m *machine.M, pts []geom.Point[ratfun.F64]) float64 {
 	n := m.Size()
-	regs := machine.GetScratch[machine.Reg[geom.Point[ratfun.F64]]](m, n)
-	defer machine.PutScratch(m, regs)
+	regs := machine.GetCols[geom.Point[ratfun.F64]](m, n)
+	defer machine.PutCols(m, regs)
 	for i, p := range pts {
-		regs[i] = machine.Some(p)
+		regs.Set(i, p)
 	}
-	machine.Sort(m, regs, func(a, b geom.Point[ratfun.F64]) bool {
+	machine.SortCols(m, regs, func(a, b geom.Point[ratfun.F64]) bool {
 		if a.X != b.X {
 			return a.X < b.X
 		}
 		return a.Y < b.Y
 	})
-	prev := machine.ShiftWithin(m, regs, n, +1)
-	slopes := machine.GetScratch[machine.Reg[float64]](m, n)
-	defer machine.PutScratch(m, slopes)
+	prev := machine.ShiftWithinCols(m, regs, n, +1)
+	slopes := machine.GetCols[float64](m, n)
+	defer machine.PutCols(m, slopes)
 	m.ChargeLocal(1)
 	par.ForEach(m.Workers(), n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if !regs[i].Ok || !prev[i].Ok {
+			if !regs.Occ[i] || !prev.Occ[i] {
 				continue
 			}
-			dx := float64(regs[i].V.X - prev[i].V.X)
-			dy := float64(regs[i].V.Y - prev[i].V.Y)
+			dx := float64(regs.Val[i].X - prev.Val[i].X)
+			dy := float64(regs.Val[i].Y - prev.Val[i].Y)
 			if math.Abs(dx) <= 1e-9 {
 				// (Near-)vertical in normalised coordinates: exact duplicates
 				// of x give parallel dual lines (handled by the envelope);
@@ -247,20 +241,20 @@ func slopeBound(m *machine.M, pts []geom.Point[ratfun.F64]) float64 {
 				// would only blow up the slope bound.
 				continue
 			}
-			slopes[i] = machine.Some(math.Abs(dy / dx))
+			slopes.Set(i, math.Abs(dy/dx))
 		}
 	})
-	machine.PutScratch(m, prev)
+	machine.PutCols(m, prev)
 	seg := machine.GetScratch[bool](m, n)
 	defer machine.PutScratch(m, seg)
 	if n > 0 {
 		seg[0] = true
 	}
-	machine.Semigroup(m, slopes, seg, math.Max)
+	machine.SemigroupCols(m, slopes, seg, math.Max)
 	best := 1.0
-	for i := range slopes {
-		if slopes[i].Ok && slopes[i].V+1 > best {
-			best = slopes[i].V + 1
+	for i, ok := range slopes.Occ {
+		if ok && slopes.Val[i]+1 > best {
+			best = slopes.Val[i] + 1
 		}
 	}
 	return best
@@ -393,17 +387,17 @@ func verifySteadyHull(m *machine.M, pts []geom.Point[ratfun.RatFun], cand []int)
 		// of the probe (forces the serial fallback path eventually).
 		return verifySteadySerial(pts, cand, o), 0
 	}
-	entries := machine.GetScratch[machine.Reg[entry]](m, n)
-	defer machine.PutScratch(m, entries)
+	entries := machine.GetCols[entry](m, n)
+	defer machine.PutCols(m, entries)
 	for i := 0; i < h; i++ {
-		entries[i] = machine.Some(entry{
+		entries.Set(i, entry{
 			dir: pts[cand[i]].Sub(o), boundary: true, hullPos: i, ptIdx: -1,
 		})
 	}
 	for i, p := range pts {
-		entries[h+i] = machine.Some(entry{dir: p.Sub(o), boundary: false, hullPos: -1, ptIdx: i})
+		entries.Set(h+i, entry{dir: p.Sub(o), boundary: false, hullPos: -1, ptIdx: i})
 	}
-	machine.Sort(m, entries, func(a, b entry) bool {
+	machine.SortCols(m, entries, func(a, b entry) bool {
 		if !DirEq(a.dir, b.dir) {
 			return DirLess(a.dir, b.dir)
 		}
@@ -415,13 +409,12 @@ func verifySteadyHull(m *machine.M, pts []geom.Point[ratfun.RatFun], cand []int)
 		return false
 	})
 	// Forward scan: latest boundary position; wrap via global last.
-	// lastB is self-contained scratch — native columnar, no split/join.
 	lastB := machine.GetCols[int](m, n)
 	defer machine.PutCols(m, lastB)
 	m.ChargeLocal(1)
-	for i := range entries {
-		if entries[i].Ok && entries[i].V.boundary {
-			lastB.Set(i, entries[i].V.hullPos)
+	for i, ok := range entries.Occ {
+		if ok && entries.Val[i].boundary {
+			lastB.Set(i, entries.Val[i].hullPos)
 		}
 	}
 	seg := machine.GetScratch[bool](m, n)
@@ -431,30 +424,28 @@ func verifySteadyHull(m *machine.M, pts []geom.Point[ratfun.RatFun], cand []int)
 	machine.ScanCols(m, lastB, seg, machine.Forward,
 		func(a, b int) int { return b })
 	machine.PutScratch(m, seg)
-	globalLast := machine.Some(-1)
+	globalLast := -1
 	for i := n - 1; i >= 0; i-- {
 		if lastB.Occ[i] {
-			globalLast = machine.Some(lastB.Val[i])
+			globalLast = lastB.Val[i]
 			break
 		}
 	}
 	m.ChargeLocal(1)
-	for i := range entries {
-		if !entries[i].Ok || entries[i].V.boundary {
+	for i, ok := range entries.Occ {
+		if !ok || entries.Val[i].boundary {
 			continue
 		}
-		sector := -1
+		sector := globalLast
 		if lastB.Occ[i] {
 			sector = lastB.Val[i]
-		} else if globalLast.Ok {
-			sector = globalLast.V
 		}
 		if sector < 0 {
 			return false, 0
 		}
 		a := pts[cand[sector]]
 		b := pts[cand[(sector+1)%h]]
-		p := pts[entries[i].V.ptIdx]
+		p := pts[entries.Val[i].ptIdx]
 		if geom.Orient(a, b, p) < 0 {
 			return false, predBound(geom.Cross(b.Sub(a), p.Sub(a)))
 		}

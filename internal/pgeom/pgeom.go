@@ -14,6 +14,7 @@ package pgeom
 import (
 	"strconv"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/geom"
 	"dyncg/internal/machine"
 	"dyncg/internal/par"
@@ -63,25 +64,25 @@ func NearestNeighbor[T ratfun.Real[T]](m *machine.M, pts []geom.Point[T], origin
 	n := m.Size()
 	seg := machine.WholeMachine(n)
 	// Broadcast the query point.
-	q := make([]machine.Reg[geom.Point[T]], n)
-	q[origin] = machine.Some(pts[origin])
-	machine.Spread(m, q, seg)
+	q := colstore.New[geom.Point[T]](n)
+	q.Set(origin, pts[origin])
+	machine.SpreadCols(m, q, seg)
 	// Local distance + semigroup argmin/argmax.
 	type cand struct {
 		d  T
 		id int
 	}
-	regs := make([]machine.Reg[cand], n)
+	regs := colstore.New[cand](n)
 	m.ChargeLocal(1)
 	par.ForEach(m.Workers(), len(pts), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if i == origin {
 				continue
 			}
-			regs[i] = machine.Some(cand{d: geom.DistSq(pts[i], q[i].V), id: i})
+			regs.Set(i, cand{d: geom.DistSq(pts[i], q.Val[i]), id: i})
 		}
 	})
-	machine.Semigroup(m, regs, seg, func(a, b cand) cand {
+	machine.SemigroupCols(m, regs, seg, func(a, b cand) cand {
 		c := a.d.Cmp(b.d)
 		if farthest {
 			c = -c
@@ -91,10 +92,8 @@ func NearestNeighbor[T ratfun.Real[T]](m *machine.M, pts []geom.Point[T], origin
 		}
 		return b
 	})
-	for i := range regs {
-		if regs[i].Ok {
-			return regs[i].V.id
-		}
+	if c, ok := regs.First(); ok {
+		return c.id
 	}
 	return -1
 }

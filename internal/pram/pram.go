@@ -17,6 +17,7 @@ import (
 	"math/bits"
 	"strconv"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/curve"
 	"dyncg/internal/machine"
 	"dyncg/internal/pieces"
@@ -61,9 +62,9 @@ func chargeConcurrentAccess(m *machine.M) {
 		defer m.SpanEnd()
 	}
 	n := m.Size()
-	regs := make([]machine.Reg[int], n)
-	for i := range regs {
-		regs[i] = machine.Some(n - i)
+	regs := colstore.New[int](n)
+	for i := range regs.Val {
+		regs.Set(i, n-i)
 	}
-	machine.Sort(m, regs, func(a, b int) bool { return a < b })
+	machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/curve"
 	"dyncg/internal/hypercube"
 	"dyncg/internal/machine"
@@ -46,8 +47,8 @@ func TestSimulationCostDominates(t *testing.T) {
 	pramCost := m.Stats().Time()
 
 	m2 := machine.New(mesh.MustNew(n, mesh.Proximity))
-	regs := machine.Scatter(n, make([]int, n))
-	machine.Sort(m2, regs, func(a, b int) bool { return a < b })
+	regs := colstore.Scatter(n, make([]int, n))
+	machine.SortCols(m2, regs, func(a, b int) bool { return a < b })
 	oneSort := m2.Stats().Time()
 
 	levels := bits.Len(uint(n))

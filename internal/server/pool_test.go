@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/machine"
 	"dyncg/internal/topo"
 	"dyncg/internal/trace"
@@ -83,11 +84,11 @@ func TestPoolCheckoutKeepsArenaWarm(t *testing.T) {
 	p := NewPool(4)
 	key := Key{Topo: "hypercube", PEs: 64, Workers: 1}
 	m := newMachine(t, 64)
-	regs := make([]machine.Reg[int], m.Size())
-	for i := range regs {
-		regs[i] = machine.Some(i)
+	regs := colstore.New[int](m.Size())
+	for i := range regs.Val {
+		regs.Set(i, i)
 	}
-	machine.Semigroup(m, regs, machine.WholeMachine(m.Size()), intMin) // park scratch
+	machine.SemigroupCols(m, regs, machine.WholeMachine(m.Size()), intMin) // park scratch
 	gen := m.ScratchGeneration()
 	p.Put(key, m)
 	got := p.Get(key)
@@ -213,18 +214,18 @@ func TestWarmCheckoutRunAllocFree(t *testing.T) {
 	const pes = 1024
 	key := Key{Topo: "hypercube", PEs: pes, Workers: 1}
 	m := newMachine(t, pes)
-	regs := make([]machine.Reg[int], pes)
-	for i := range regs {
-		regs[i] = machine.Some((i * 7919) % 1024)
+	regs := colstore.New[int](pes)
+	for i := range regs.Val {
+		regs.Set(i, (i*7919)%1024)
 	}
 	seg := machine.WholeMachine(pes)
-	machine.Semigroup(m, regs, seg, intMin) // warm the arena
-	machine.Sort(m, regs, intLess)
+	machine.SemigroupCols(m, regs, seg, intMin) // warm the arena
+	machine.SortCols(m, regs, intLess)
 	p.Put(key, m)
 	allocs := testing.AllocsPerRun(10, func() {
 		mm := p.Get(key)
-		machine.Semigroup(mm, regs, seg, intMin)
-		machine.Sort(mm, regs, intLess)
+		machine.SemigroupCols(mm, regs, seg, intMin)
+		machine.SortCols(mm, regs, intLess)
 		p.Put(key, mm)
 	})
 	if allocs != 0 {

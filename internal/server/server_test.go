@@ -439,6 +439,55 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// oversizedPEs is past the largest power of two an int holds (2^62 + 1).
+const oversizedPEs = 1<<62 + 1
+
+// answerWithin POSTs req as JSON to path and fails the test if no
+// response arrives within two seconds. A handler stuck in size rounding
+// never returns, so its goroutine is left behind for the failed test
+// binary to exit with.
+func answerWithin(t *testing.T, h http.Handler, path string, req any) (int, []byte) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	w := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		h.ServeHTTP(w, r)
+		close(done)
+	}()
+	select {
+	case <-done:
+		return w.Code, w.Body.Bytes()
+	case <-time.After(2 * time.Second):
+		t.Fatal("no response within 2s")
+		return 0, nil
+	}
+}
+
+// TestOversizedPEsRejected: a client-chosen PE count past 2^62 is a
+// typed too_few_pes answer, not a handler spinning in size rounding.
+func TestOversizedPEsRejected(t *testing.T) {
+	s := New(Config{})
+	for _, tp := range []string{"mesh", "hypercube", "shuffle"} {
+		t.Run(tp, func(t *testing.T) {
+			req := endpointCases(t)["steady-hull"]
+			req.Options.Topology = tp
+			req.Options.PEs = oversizedPEs
+			st, body := answerWithin(t, s.Handler(), "/v1/steady-hull", req)
+			if st != http.StatusUnprocessableEntity {
+				t.Fatalf("status = %d (%s), want 422", st, body)
+			}
+			if e := decodeErr(t, body); e.Code != "too_few_pes" {
+				t.Errorf("code = %q, want too_few_pes (%s)", e.Code, e.Message)
+			}
+		})
+	}
+}
+
 func TestMalformedBody(t *testing.T) {
 	s := New(Config{MaxBody: 256})
 	for _, tc := range []struct {

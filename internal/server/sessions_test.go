@@ -332,6 +332,28 @@ func TestSessionErrors(t *testing.T) {
 	}
 }
 
+// TestSessionOversizedPEsRejected is TestOversizedPEsRejected for
+// session creates.
+func TestSessionOversizedPEsRejected(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	sys := motion.Random(rand.New(rand.NewSource(43)), 4, 1, 2, 10)
+	for _, tp := range []string{"mesh", "hypercube"} {
+		t.Run(tp, func(t *testing.T) {
+			req := api.SessionCreateRequest{
+				V:         api.Version,
+				Algorithm: "closest-point-sequence",
+				System:    wireSystem(sys),
+				Options:   api.SessionOptions{Topology: tp, PEs: oversizedPEs},
+			}
+			st, body := answerWithin(t, h, "/v1/sessions", req)
+			if st != http.StatusUnprocessableEntity || decodeErr(t, body).Code != "too_few_pes" {
+				t.Fatalf("status = %d, body %s; want 422 too_few_pes", st, body)
+			}
+		})
+	}
+}
+
 // TestSessionTTLEviction: an idle session is swept lazily from a serving
 // path, its machine returns to the pool, and the eviction is counted.
 func TestSessionTTLEviction(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/curve"
 	"dyncg/internal/machine"
 	"dyncg/internal/penvelope"
@@ -74,9 +75,9 @@ func TestAlgorithmsRunUnchanged(t *testing.T) {
 	for i := range vals {
 		vals[i] = r.Intn(5000)
 	}
-	regs := machine.Scatter(256, vals)
-	machine.Sort(m, regs, func(a, b int) bool { return a < b })
-	got := machine.Gather(regs)
+	regs := colstore.Scatter(256, vals)
+	machine.SortCols(m, regs, func(a, b int) bool { return a < b })
+	got := regs.Gather()
 	want := append([]int{}, vals...)
 	sort.Ints(want)
 	for i := range want {

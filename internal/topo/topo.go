@@ -11,6 +11,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 
 	"dyncg/internal/ccc"
 	"dyncg/internal/dsseq"
@@ -45,6 +46,10 @@ func Parse(s string) (Topology, error) {
 	return "", fmt.Errorf("dyncg: unknown topology %q (want mesh|hypercube|ccc|shuffle)", s)
 }
 
+// maxPow2 is the largest power of two (and of four) an int holds: 2^62
+// on 64-bit hosts. Rounding a larger n up would overflow.
+const maxPow2 = math.MaxInt>>1 + 1
+
 // Size returns the exact PE count NewNetwork(topo, n) will construct:
 // the smallest bundled network of the family with at least n PEs (meshes
 // round up to a power of four, hypercubes and shuffle-exchange networks
@@ -52,6 +57,13 @@ func Parse(s string) (Topology, error) {
 // class (internal/server) use it to compute the class key without
 // constructing a network.
 func Size(t Topology, n int) (int, error) {
+	switch t {
+	case Mesh, Hypercube, Shuffle:
+		if n > maxPow2 {
+			return 0, fmt.Errorf("dyncg: no %s network has %d PEs (largest is %d): %w",
+				t, n, maxPow2, machine.ErrTooFewPEs)
+		}
+	}
 	switch t {
 	case Mesh:
 		return dsseq.NextPow4(n), nil

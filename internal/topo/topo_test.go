@@ -46,6 +46,16 @@ func TestSize(t *testing.T) {
 	if _, err := Size(CCC, 3000); !errors.Is(err, machine.ErrTooFewPEs) {
 		t.Fatalf("Size(ccc, 3000) err = %v, want ErrTooFewPEs", err)
 	}
+	// Past the largest power of two an int holds, rounding up would
+	// overflow to 0 and never return.
+	for _, tp := range []Topology{Mesh, Hypercube, Shuffle} {
+		if got, err := Size(tp, maxPow2); err != nil || got != maxPow2 {
+			t.Fatalf("Size(%s, %d) = %d, %v; want %d", tp, maxPow2, got, err, maxPow2)
+		}
+		if _, err := Size(tp, maxPow2+1); !errors.Is(err, machine.ErrTooFewPEs) {
+			t.Fatalf("Size(%s, 2^62+1) err = %v, want ErrTooFewPEs", tp, err)
+		}
+	}
 	if _, err := Size(Topology("torus"), 4); err == nil {
 		t.Fatal("Size accepted an unknown topology")
 	}

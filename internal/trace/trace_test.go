@@ -8,18 +8,19 @@ import (
 	"strings"
 	"testing"
 
+	"dyncg/internal/colstore"
 	"dyncg/internal/hypercube"
 	"dyncg/internal/machine"
 	"dyncg/internal/mesh"
 	"dyncg/internal/trace"
 )
 
-func sortedInts(n int, r *rand.Rand) []machine.Reg[int] {
+func sortedInts(n int, r *rand.Rand) colstore.File[int] {
 	vals := make([]int, n)
 	for i := range vals {
 		vals[i] = r.Intn(1 << 20)
 	}
-	return machine.Scatter(n, vals)
+	return colstore.Scatter(n, vals)
 }
 
 func TestSpanTreeMatchesMachineStats(t *testing.T) {
@@ -32,10 +33,10 @@ func TestSpanTreeMatchesMachineStats(t *testing.T) {
 
 		tr.Begin("phase-a")
 		regs := sortedInts(64, r)
-		machine.Sort(m, regs, func(a, b int) bool { return a < b })
+		machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 		tr.End()
 		tr.Begin("phase-b")
-		machine.Scan(m, regs, machine.WholeMachine(64), machine.Forward,
+		machine.ScanCols(m, regs, machine.WholeMachine(64), machine.Forward,
 			func(a, b int) int { return a + b })
 		tr.End()
 
@@ -82,7 +83,7 @@ func TestAttrsAndRoundRecording(t *testing.T) {
 	m := machine.New(hypercube.MustNew(16))
 	tr := trace.Attach(m, "root", trace.WithRounds())
 	regs := sortedInts(16, rand.New(rand.NewSource(2)))
-	machine.Scan(m, regs, machine.WholeMachine(16), machine.Forward,
+	machine.ScanCols(m, regs, machine.WholeMachine(16), machine.Forward,
 		func(a, b int) int { return a + b })
 	root := tr.Finish()
 	if root.Attr("machine") != m.Topology().Name() || root.Attr("pes") != "16" {
@@ -132,7 +133,7 @@ func TestChromeExportRoundTrips(t *testing.T) {
 	m := machine.New(mesh.MustNew(64, mesh.Proximity))
 	tr := trace.Attach(m, "sort-run")
 	regs := sortedInts(64, rand.New(rand.NewSource(3)))
-	machine.Sort(m, regs, func(a, b int) bool { return a < b })
+	machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 	root := tr.Finish()
 
 	var buf bytes.Buffer
@@ -176,8 +177,8 @@ func TestCostTreeRootEqualsMachineTime(t *testing.T) {
 	m := machine.New(hypercube.MustNew(64))
 	tr := trace.Attach(m, "run")
 	regs := sortedInts(64, rand.New(rand.NewSource(4)))
-	machine.Sort(m, regs, func(a, b int) bool { return a < b })
-	machine.Spread(m, regs, machine.WholeMachine(64))
+	machine.SortCols(m, regs, func(a, b int) bool { return a < b })
+	machine.SpreadCols(m, regs, machine.WholeMachine(64))
 	root := tr.Finish()
 
 	var buf bytes.Buffer
@@ -204,8 +205,8 @@ func TestCollectMetrics(t *testing.T) {
 	m := machine.New(hypercube.MustNew(64))
 	tr := trace.Attach(m, "run")
 	regs := sortedInts(64, rand.New(rand.NewSource(5)))
-	machine.Sort(m, regs, func(a, b int) bool { return a < b })
-	machine.Semigroup(m, regs, machine.WholeMachine(64), func(a, b int) int { return a + b })
+	machine.SortCols(m, regs, func(a, b int) bool { return a < b })
+	machine.SemigroupCols(m, regs, machine.WholeMachine(64), func(a, b int) int { return a + b })
 	root := tr.Finish()
 
 	ms := trace.Collect(root)
@@ -267,8 +268,8 @@ func BenchmarkObserverOverhead(b *testing.B) {
 			if attach {
 				tr = trace.Attach(m, "bench")
 			}
-			regs := machine.Scatter(n, vals)
-			machine.Sort(m, regs, func(a, b int) bool { return a < b })
+			regs := colstore.Scatter(n, vals)
+			machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 			if attach {
 				tr.Finish()
 			}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"dyncg/internal/ccc"
+	"dyncg/internal/colstore"
 	"dyncg/internal/curve"
 	"dyncg/internal/geom"
 	"dyncg/internal/hypercube"
@@ -46,62 +47,62 @@ var diffWorkers = []int{1, 2, 8}
 // table1Workload exercises every Table-1 primitive on one machine and
 // returns everything observable: the final register files of each phase
 // plus the machine's Stats.
-func table1Workload(m *machine.M, vals []int) (outs [][]machine.Reg[int], st machine.Stats) {
+func table1Workload(m *machine.M, vals []int) (outs []colstore.File[int], st machine.Stats) {
 	n := m.Size()
-	grab := func(regs []machine.Reg[int]) {
-		cp := make([]machine.Reg[int], len(regs))
-		copy(cp, regs)
+	grab := func(regs colstore.File[int]) {
+		cp := colstore.New[int](regs.Len())
+		cp.CopyFrom(regs)
 		outs = append(outs, cp)
 	}
 
 	// Sort (bitonic, XOR rounds).
-	regs := machine.Scatter(n, vals)
-	machine.Sort(m, regs, func(a, b int) bool { return a < b })
+	regs := colstore.Scatter(n, vals)
+	machine.SortCols(m, regs, func(a, b int) bool { return a < b })
 	grab(regs)
 
 	// Merge of two sorted halves.
-	regs = machine.Scatter(n, vals)
-	machine.SortBlocks(m, regs, n/2, func(a, b int) bool { return a < b })
-	machine.MergeBlocks(m, regs, n, func(a, b int) bool { return a < b })
+	regs = colstore.Scatter(n, vals)
+	machine.SortBlocksCols(m, regs, n/2, func(a, b int) bool { return a < b })
+	machine.MergeBlocksCols(m, regs, n, func(a, b int) bool { return a < b })
 	grab(regs)
 
 	// Segmented parallel prefix (shift rounds), forward and backward.
-	regs = machine.Scatter(n, vals)
+	regs = colstore.Scatter(n, vals)
 	seg := machine.BlockSegments(n, 16)
-	machine.Scan(m, regs, seg, machine.Forward, func(a, b int) int { return a + b })
+	machine.ScanCols(m, regs, seg, machine.Forward, func(a, b int) int { return a + b })
 	grab(regs)
-	machine.Scan(m, regs, seg, machine.Backward, func(a, b int) int { return a + b })
+	machine.ScanCols(m, regs, seg, machine.Backward, func(a, b int) int { return a + b })
 	grab(regs)
 
 	// Semigroup (min) and broadcast.
-	regs = machine.Scatter(n, vals)
-	machine.Semigroup(m, regs, seg, func(a, b int) int {
+	regs = colstore.Scatter(n, vals)
+	machine.SemigroupCols(m, regs, seg, func(a, b int) int {
 		if a < b {
 			return a
 		}
 		return b
 	})
 	grab(regs)
-	bregs := make([]machine.Reg[int], n)
-	bregs[n/3] = machine.Some(vals[0])
-	machine.Spread(m, bregs, machine.WholeMachine(n))
+	bregs := colstore.New[int](n)
+	bregs.Set(n/3, vals[0])
+	machine.SpreadCols(m, bregs, machine.WholeMachine(n))
 	grab(bregs)
 
 	// Compaction of a sparse file, then a block-local shift.
-	sparse := make([]machine.Reg[int], n)
+	sparse := colstore.New[int](n)
 	for i := 0; i < n; i += 3 {
-		sparse[i] = machine.Some(vals[i])
+		sparse.Set(i, vals[i])
 	}
-	machine.Compact(m, sparse, seg)
+	machine.CompactCols(m, sparse, seg)
 	grab(sparse)
-	shifted := machine.ShiftWithin(m, sparse, 16, +2)
+	shifted := machine.ShiftWithinCols(m, sparse, 16, +2)
 	grab(shifted)
 
 	// Grouping / sort-based concurrent read.
 	idx := machine.Group(m, vals[:n/2], vals[n/4:3*n/4], func(a, b int) bool { return a < b })
-	ig := make([]machine.Reg[int], len(idx))
+	ig := colstore.New[int](len(idx))
 	for i, v := range idx {
-		ig[i] = machine.Some(v)
+		ig.Set(i, v)
 	}
 	grab(ig)
 
