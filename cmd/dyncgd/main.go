@@ -292,7 +292,6 @@ func runReplay(args []string) int {
 		workers    = fs.Int("workers", 0, "default worker-pool size of the replay server (match the recording daemon)")
 		ignorePool = fs.Bool("ignore-pool", false, "mask pool checkout info before diffing (for traces recorded under concurrent traffic)")
 		cacheBytes = fs.Int64("rcache-bytes", server.DefaultCacheBytes, "response cache budget of the replay server (match the recording daemon: a cached repeat only re-derives identical bytes if replay caches too)")
-		coalesce   = fs.Bool("coalesce", true, "enable coalescing on the replay server (match the recording daemon)")
 		verifyOnly = fs.Bool("verify-only", false, "verify the hash chain and exit without re-executing")
 	)
 	fs.Parse(args)
@@ -311,11 +310,12 @@ func runReplay(args []string) int {
 		return 0
 	}
 
+	// No coalescing: replay serves one record at a time, so no two
+	// requests are ever in flight together.
 	srv := server.New(server.Config{
 		PoolCap:        *poolCap,
 		DefaultWorkers: *workers,
 		CacheBytes:     *cacheBytes,
-		Coalesce:       *coalesce,
 	})
 	end := *to
 	if end == 0 {

@@ -37,13 +37,15 @@ type ReplayTamperError = replaylog.TamperError
 
 // Replay verifies the hash-chained computation log under dir (refusing
 // a tampered log with a *ReplayTamperError) and re-executes every
-// recorded request, in log order, against a fresh server configured
-// like a default daemon — response cache and coalescing enabled — and
-// diffs each response byte-for-byte against the recorded one. The cache
-// must match the recording daemon's: a repeat request recorded as a
-// cache hit carries the first computation's pool info, which only a
-// caching replay server re-derives (the `dyncgd replay` subcommand
-// exposes the knobs). Session IDs — the one intentionally random byte
+// recorded request, in log order, against a fresh server with a default
+// daemon's response cache, and diffs each response byte-for-byte
+// against the recorded one. The cache must match the recording
+// daemon's: a repeat request recorded as a cache hit carries the first
+// computation's pool info, which only a caching replay server
+// re-derives (the `dyncgd replay` subcommand exposes the knobs). The
+// replay server does not coalesce: it serves one record at a time, so
+// no two requests are ever in flight together and a coalescer could
+// never merge. Session IDs — the one intentionally random byte
 // sequence in a response — are mapped between recording and replay;
 // everything else must match exactly, or the report carries the first
 // divergence.
@@ -52,7 +54,7 @@ func Replay(dir string, opts ...ReplayOption) (*ReplayReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := server.New(server.Config{CacheBytes: server.DefaultCacheBytes, Coalesce: true})
+	srv := server.New(server.Config{CacheBytes: server.DefaultCacheBytes})
 	return replaylog.Replay(srv.Handler(), recs, opts...)
 }
 

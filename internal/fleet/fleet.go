@@ -44,12 +44,10 @@ import (
 	"time"
 
 	"dyncg/internal/api"
-	"dyncg/internal/canon"
-	"dyncg/internal/coalesce"
+	"dyncg/internal/front"
 	"dyncg/internal/rcache"
 	"dyncg/internal/replaylog"
 	"dyncg/internal/shard"
-	"dyncg/internal/topo"
 )
 
 // Member names one worker process of the fleet.
@@ -115,16 +113,14 @@ type FrontDoor struct {
 	mux     *http.ServeMux
 	next    atomic.Uint64 // round-robin cursor for session creation
 	rc      *rcache.Cache
-	cg      *coalesce.Group[*proxied]
+	stage   *front.Stage[*proxied]
 	log     *slog.Logger
-	rlog    *replaylog.Log
+	rec     front.Recorder
 	client  *http.Client
 
 	retries   atomic.Int64 // stateless failovers after a transport error
 	orphaned  atomic.Int64 // member_down rejections
 	exhausted atomic.Int64 // no_members rejections
-
-	rmu sync.Mutex // serializes replay-log appends with their arrival order
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -173,13 +169,11 @@ func New(cfg Config) (*FrontDoor, error) {
 		mux:     http.NewServeMux(),
 		rc:      rcache.New(cfg.CacheBytes),
 		log:     log,
-		rlog:    cfg.ReplayLog,
+		rec:     front.Recorder{Log: cfg.ReplayLog, Logger: log},
 		client:  client,
 		stop:    make(chan struct{}),
 	}
-	if cfg.Coalesce {
-		f.cg = coalesce.New[*proxied]()
-	}
+	f.stage = front.NewStage[*proxied](f.rc, cfg.Coalesce)
 	f.mux.HandleFunc("POST /v1/{algorithm}", f.handleAlgorithm)
 	f.mux.HandleFunc("POST /v1/sessions", f.handleSessionCreate)
 	f.mux.HandleFunc("POST /v1/sessions/{id}/update", f.handleSessionByID)
@@ -257,15 +251,18 @@ func (f *FrontDoor) Probe() {
 	}
 }
 
-// proxied is one forwarded response: the exact wire bytes (trailing
-// newline included) plus the headers the front door propagates.
+// proxied is one forwarded response: the worker's wire bytes without
+// the trailing newline every worker response ends with (the front door
+// writes it back), plus the headers the front door propagates.
 type proxied struct {
 	status int
 	body   []byte
-	ctype  string
 	member string // X-Dyncg-Member of the worker (its ID when absent)
 	source string // X-Dyncg-Source of the worker
 }
+
+// Wire makes proxied responses cacheable by the front-door stage.
+func (p *proxied) Wire() (int, []byte) { return p.status, p.body }
 
 // forward sends one request to a member and reads the full response.
 // A transport error marks the member down and is returned; HTTP-level
@@ -303,8 +300,7 @@ func (f *FrontDoor) forward(ctx context.Context, m *member, method, uri string, 
 	}
 	p := &proxied{
 		status: resp.StatusCode,
-		body:   rb,
-		ctype:  resp.Header.Get("Content-Type"),
+		body:   bytes.TrimSuffix(rb, []byte("\n")),
 		member: resp.Header.Get("X-Dyncg-Member"),
 		source: resp.Header.Get("X-Dyncg-Source"),
 	}
@@ -343,17 +339,12 @@ func (f *FrontDoor) forwardWalk(ctx context.Context, key, method, uri string, bo
 
 // write sends a proxied response to the client and records it.
 func (f *FrontDoor) write(w http.ResponseWriter, r *http.Request, p *proxied, raw []byte, meta api.ReplayMeta) {
-	if p.ctype != "" {
-		w.Header().Set("Content-Type", p.ctype)
-	}
 	w.Header().Set("X-Dyncg-Member", p.member)
 	if p.source != "" {
 		w.Header().Set("X-Dyncg-Source", p.source)
 	}
-	w.WriteHeader(p.status)
-	w.Write(p.body)
 	meta.Member = p.member
-	f.record(r, p.status, bytes.TrimSuffix(p.body, []byte("\n")), raw, meta)
+	f.rec.Send(w, r, p.status, p.body, raw, meta)
 }
 
 // fail sends a front-door-originated error envelope. member attributes
@@ -361,43 +352,9 @@ func (f *FrontDoor) write(w http.ResponseWriter, r *http.Request, p *proxied, ra
 // conditions.
 func (f *FrontDoor) fail(w http.ResponseWriter, r *http.Request, status int, e *api.Error, raw []byte, meta api.ReplayMeta) {
 	body, _ := json.Marshal(e)
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Dyncg-Member", "frontdoor")
-	w.WriteHeader(status)
-	w.Write(body)
-	w.Write([]byte("\n"))
 	meta.Member = e.Member
-	f.record(r, status, body, raw, meta)
-}
-
-// record appends one replay record to the fleet-wide computation log.
-// Appends are serialized so the chain order is the order responses
-// were written.
-func (f *FrontDoor) record(r *http.Request, status int, body, raw []byte, meta api.ReplayMeta) {
-	if f.rlog == nil {
-		return
-	}
-	rec := api.ReplayRecord{
-		Method:   r.Method,
-		Path:     r.URL.RequestURI(),
-		Status:   status,
-		Meta:     meta,
-		Response: body,
-	}
-	switch {
-	case len(raw) == 0:
-	case json.Valid(raw):
-		rec.Request = raw
-	default:
-		rec.RequestBin = raw
-	}
-	f.rmu.Lock()
-	err := f.rlog.Append(rec)
-	f.rmu.Unlock()
-	if err != nil {
-		f.log.LogAttrs(r.Context(), slog.LevelError, "replaylog",
-			slog.String("error", err.Error()))
-	}
+	f.rec.Send(w, r, status, body, raw, meta)
 }
 
 // machineMeta extracts the served machine from a successful response
@@ -442,107 +399,65 @@ func classKey(req *api.Request) string {
 }
 
 // handleAlgorithm proxies POST /v1/{algorithm}: decode enough to
-// compute the routing key, then cache-check, coalesce, and forward
-// along the ring.
+// compute the routing key, then run the front-door stage (cache read,
+// coalesce) around a forward along the ring.
 func (f *FrontDoor) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 	raw, rerr := f.readBody(w, r)
 	if rerr != nil {
 		return
 	}
 
-	key := ""
-	cacheKey := ""
-	cacheable := false
+	// Resolve the request as the worker will, so the canonical hash (the
+	// cache/coalesce key) is computed over the same values. The front
+	// door computes nothing, so it passes procs 0: a worker count only
+	// the worker can resolve leaves the request uncacheable, routed by
+	// its size class. Requests the worker will reject still route
+	// deterministically.
+	key, cacheKey := "", ""
 	var req api.Request
 	if json.Unmarshal(raw, &req) == nil {
-		// Resolve topology and workers exactly as the worker will, so
-		// the canonical hash (the cache/coalesce key) is computed over
-		// the same values; requests the worker will reject still route
-		// deterministically by whatever key falls out.
-		topoName := req.Options.Topology
-		if topoName == "" {
-			topoName = string(topo.Hypercube)
-		}
-		if tp, terr := topo.Parse(topoName); terr == nil {
-			topoName = string(tp)
-		}
-		workers := req.Options.Workers
-		if workers == 0 {
-			workers = f.cfg.DefaultWorkers
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		name := r.PathValue("algorithm")
-		if k, ok := canon.Key(name, topoName, workers, &req); ok {
-			cacheKey, cacheable = k, true
-			key = k
-		} else {
+		res, _ := front.Resolve(r.PathValue("algorithm"), &req, f.cfg.DefaultWorkers, 0)
+		cacheKey, key = res.Key, res.Key
+		if key == "" {
 			key = classKey(&req)
 		}
 	}
 
-	metaOf := func(p *proxied) api.ReplayMeta {
-		m := machineMeta(p.status, p.body)
-		m.FaultSeed = req.Options.FaultSeed
-		return m
-	}
-
-	if cacheable && f.rc != nil {
-		if body, ok := f.rc.Get(cacheKey); ok {
-			p := &proxied{status: http.StatusOK, body: append(body, '\n'),
-				ctype: "application/json", member: "frontdoor", source: "cache"}
-			f.write(w, r, p, raw, machineMeta(http.StatusOK, body))
-			return
-		}
-	}
-	if cacheable && f.cg != nil {
-		led := false
-		p, _, derr := f.cg.Do(r.Context(), cacheKey, func() (*proxied, error) {
-			led = true
-			p := f.forwardWalk(r.Context(), key, r.Method, r.URL.RequestURI(), raw)
-			if p == nil {
-				return nil, errNoMembers
+	p, source, err := f.stage.Do(r.Context(), cacheKey, true,
+		func(body []byte) *proxied {
+			return &proxied{status: http.StatusOK, body: body, member: "frontdoor", source: front.SourceCache}
+		},
+		func() (*proxied, error) {
+			if p := f.forwardWalk(r.Context(), key, r.Method, r.URL.RequestURI(), raw); p != nil {
+				return p, nil
 			}
-			if p.status == http.StatusOK {
-				f.rc.Put(cacheKey, bytes.TrimSuffix(p.body, []byte("\n")))
-			}
-			return p, nil
+			return nil, errNoMembers
 		})
-		if derr != nil {
-			if errors.Is(derr, errNoMembers) {
-				f.fail(w, r, http.StatusServiceUnavailable,
-					api.NewError(api.CodeNoMembers, "fleet: no live member to serve the request"),
-					raw, api.ReplayMeta{})
-			} else {
-				// This follower's context expired while the leader was
-				// still forwarding.
-				f.fail(w, r, http.StatusServiceUnavailable,
-					api.NewError(api.CodeCoalesceTimeout,
-						fmt.Sprintf("fleet: deadline expired waiting for coalesced computation: %v", derr)),
-					raw, api.ReplayMeta{})
-			}
-			return
-		}
-		if !led {
-			p = &proxied{status: p.status, body: p.body, ctype: p.ctype,
-				member: p.member, source: "coalesced"}
-		}
-		f.write(w, r, p, raw, metaOf(p))
-		return
-	}
-
-	p := f.forwardWalk(r.Context(), key, r.Method, r.URL.RequestURI(), raw)
-	if p == nil {
+	switch {
+	case errors.Is(err, errNoMembers):
 		f.fail(w, r, http.StatusServiceUnavailable,
 			api.NewError(api.CodeNoMembers, "fleet: no live member to serve the request"),
 			raw, api.ReplayMeta{})
 		return
+	case err != nil:
+		// This follower's context expired while the leader was still
+		// forwarding.
+		f.fail(w, r, http.StatusServiceUnavailable,
+			api.NewError(api.CodeCoalesceTimeout,
+				fmt.Sprintf("fleet: deadline expired waiting for coalesced computation: %v", err)),
+			raw, api.ReplayMeta{})
+		return
 	}
-	if cacheable && f.rc != nil && p.status == http.StatusOK {
-		f.rc.Put(cacheKey, bytes.TrimSuffix(p.body, []byte("\n")))
+	meta := machineMeta(p.status, p.body)
+	if source != front.SourceCache {
+		meta.FaultSeed = req.Options.FaultSeed
 	}
-	f.write(w, r, p, raw, metaOf(p))
+	if source == front.SourceCoalesced {
+		// p is the leader's response, shared by the whole flight:
+		// relabel a copy.
+		p = &proxied{status: p.status, body: p.body, member: p.member, source: source}
+	}
+	f.write(w, r, p, raw, meta)
 }
 
 // errNoMembers marks a coalesced leader's walk that found no live
@@ -553,15 +468,9 @@ var errNoMembers = errors.New("fleet: no live member")
 // answering the worker's exact decode-failure envelope on error (the
 // body never reaches a worker in that case).
 func (f *FrontDoor) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, f.cfg.MaxBody)
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		st := http.StatusBadRequest
-		if _, ok := err.(*http.MaxBytesError); ok {
-			st = http.StatusRequestEntityTooLarge
-		}
-		e := api.NewError(api.CodeBadRequest, fmt.Sprintf("server: decoding request: %v", err))
-		f.fail(w, r, st, e, raw, api.ReplayMeta{})
+	raw, st, err := front.ReadBody(w, r, f.cfg.MaxBody)
+	if st != 0 {
+		f.fail(w, r, st, api.NewError(api.CodeBadRequest, err.Error()), raw, api.ReplayMeta{})
 		return nil, err
 	}
 	return raw, nil
@@ -673,7 +582,7 @@ func (f *FrontDoor) handleCluster(w http.ResponseWriter, r *http.Request) {
 		if m.up.Load() {
 			if p, err := f.forward(r.Context(), m, http.MethodGet, "/v1/cluster", nil); err == nil && p.status == http.StatusOK {
 				var sub api.ClusterResponse
-				if json.Unmarshal(bytes.TrimSuffix(p.body, []byte("\n")), &sub) == nil && len(sub.Members) > 0 {
+				if json.Unmarshal(p.body, &sub) == nil && len(sub.Members) > 0 {
 					row.Healthy = sub.Members[0].Healthy
 					row.Inflight = sub.Members[0].Inflight
 					row.QueueDepth = sub.Members[0].QueueDepth
@@ -758,12 +667,8 @@ func (f *FrontDoor) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "dyncg_fleet_rcache_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "# TYPE dyncg_fleet_rcache_bytes gauge\n")
 	fmt.Fprintf(w, "dyncg_fleet_rcache_bytes %d\n", cs.Bytes)
-	merged := int64(0)
-	if f.cg != nil {
-		merged = f.cg.Merged()
-	}
 	fmt.Fprintf(w, "# TYPE dyncg_fleet_coalesce_merged_total counter\n")
-	fmt.Fprintf(w, "dyncg_fleet_coalesce_merged_total %d\n", merged)
+	fmt.Fprintf(w, "dyncg_fleet_coalesce_merged_total %d\n", f.stage.Merged())
 }
 
 // labelMember injects member="<id>" as the first label of one

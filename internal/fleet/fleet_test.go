@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -288,12 +289,16 @@ func TestFleetSessionLifecycle(t *testing.T) {
 }
 
 // TestFleetErrorsMatchSingleServer: error envelopes the front door
-// produces itself (an oversized body) or forwards from a worker (an
-// unknown session ID) are byte-identical to a single server's.
+// produces itself (oversized bodies, read by the one shared body
+// reader) or forwards from a worker (undecodable and wrong-version
+// bodies, an unknown session ID) are byte-identical to a single
+// server's.
 func TestFleetErrorsMatchSingleServer(t *testing.T) {
 	tf := newTestFleet(t, 3, func(c *Config) { c.MaxBody = 256 })
 	single := server.New(server.Config{MaxBody: 256, PoolCap: -1})
 	oversized := []byte(fmt.Sprintf(`{"v":1,"system":[%s]}`, strings.Repeat("1,", 400)))
+	oversizedSession := []byte(fmt.Sprintf(`{"v":1,"algorithm":"closest-point-sequence","system":[%s]}`,
+		strings.Repeat("1,", 400)))
 	for _, tc := range []struct {
 		method, path string
 		body         []byte
@@ -301,6 +306,9 @@ func TestFleetErrorsMatchSingleServer(t *testing.T) {
 		code         api.ErrorCode
 	}{
 		{http.MethodPost, "/v1/steady-hull", oversized, http.StatusRequestEntityTooLarge, api.CodeBadRequest},
+		{http.MethodPost, "/v1/sessions", oversizedSession, http.StatusRequestEntityTooLarge, api.CodeBadRequest},
+		{http.MethodPost, "/v1/steady-hull", []byte("not json"), http.StatusBadRequest, api.CodeBadRequest},
+		{http.MethodPost, "/v1/steady-hull", []byte(`{"v":2,"system":[[[0],[0]],[[1],[1]]]}`), http.StatusBadRequest, api.CodeBadVersion},
 		{http.MethodGet, "/v1/sessions/s-99-deadbeef/query", nil, http.StatusNotFound, api.CodeNoSession},
 	} {
 		fleetW := tf.do(t, tc.method, tc.path, tc.body)
@@ -475,6 +483,37 @@ func TestFleetCacheAndCoalesce(t *testing.T) {
 	f2 := tf.do(t, http.MethodPost, "/v1/collision-times", fb)
 	if f1.Header().Get("X-Dyncg-Source") != "computed" || f2.Header().Get("X-Dyncg-Source") != "computed" {
 		t.Error("faulted requests must never be cache hits")
+	}
+}
+
+// TestFleetWorkersResolvedByWorker: a front door cannot know the
+// GOMAXPROCS of the worker that will compute, so a request with
+// workers < 0 is uncacheable there. Keyed as workers 1, its answer
+// (machine.workers = the worker's GOMAXPROCS) would be served to a
+// later workers:1 request from the cache.
+func TestFleetWorkersResolvedByWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tf := newTestFleet(t, 3, func(c *Config) { c.CacheBytes = 1 << 20 })
+	single := server.New(server.Config{PoolCap: -1})
+	withWorkers := func(n int) []byte {
+		req := endpointCases()["collision-times"]
+		req.Options.Workers = n
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if w := tf.do(t, http.MethodPost, "/v1/collision-times", withWorkers(-1)); w.Code != http.StatusOK {
+		t.Fatalf("workers:-1: %d: %s", w.Code, w.Body)
+	}
+	fleetW := tf.do(t, http.MethodPost, "/v1/collision-times", withWorkers(1))
+	singleW := singleDo(t, single.Handler(), http.MethodPost, "/v1/collision-times", withWorkers(1))
+	if src := fleetW.Header().Get("X-Dyncg-Source"); src == "cache" {
+		t.Errorf("workers:1 after workers:-1 served from cache")
+	}
+	if !bytes.Equal(fleetW.Body.Bytes(), singleW.Body.Bytes()) {
+		t.Errorf("workers:1 bytes differ from single server:\n  fleet:  %s\n  single: %s", fleetW.Body, singleW.Body)
 	}
 }
 

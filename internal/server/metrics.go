@@ -129,8 +129,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE dyncg_rcache_bytes gauge\n")
 	fmt.Fprintf(w, "dyncg_rcache_bytes %d\n", cs.Bytes)
 
-	if s.rlog != nil {
-		rs := s.rlog.Stats()
+	if s.rec.Log != nil {
+		rs := s.rec.Log.Stats()
 		fmt.Fprintf(w, "# TYPE dyncg_replaylog_records_total counter\n")
 		fmt.Fprintf(w, "dyncg_replaylog_records_total %d\n", rs.Records)
 		fmt.Fprintf(w, "# TYPE dyncg_replaylog_bytes_total counter\n")

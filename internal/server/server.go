@@ -14,9 +14,8 @@ import (
 	"time"
 
 	"dyncg/internal/api"
-	"dyncg/internal/canon"
-	"dyncg/internal/coalesce"
 	"dyncg/internal/fault"
+	"dyncg/internal/front"
 	"dyncg/internal/machine"
 	"dyncg/internal/motion"
 	"dyncg/internal/rcache"
@@ -111,13 +110,13 @@ type Server struct {
 	queue    chan struct{} // executing + waiting requests
 	draining atomic.Bool
 	log      *slog.Logger
-	rlog     *replaylog.Log
+	rec      front.Recorder
 	mux      *http.ServeMux
 	member   string
 	sessions *session.Registry
 	sessMet  *sessionMetrics
-	rc       *rcache.Cache             // nil when caching is disabled
-	cg       *coalesce.Group[*outcome] // nil when coalescing is disabled
+	rc       *rcache.Cache // nil when caching is disabled
+	stage    *front.Stage[*outcome]
 
 	hookAdmitted func() // test seam: runs after admission, before machine checkout
 	hookRunning  func() // test seam: runs after machine checkout, before the algorithm
@@ -160,13 +159,11 @@ func New(cfg Config) *Server {
 		sem:   make(chan struct{}, cfg.MaxInFlight),
 		queue: make(chan struct{}, cfg.MaxInFlight+cfg.MaxQueue),
 		log:   log,
-		rlog:  cfg.ReplayLog,
+		rec:   front.Recorder{Log: cfg.ReplayLog, Logger: log},
 		mux:   http.NewServeMux(),
 		rc:    rcache.New(cfg.CacheBytes),
 	}
-	if cfg.Coalesce {
-		s.cg = coalesce.New[*outcome]()
-	}
+	s.stage = front.NewStage[*outcome](s.rc, cfg.Coalesce)
 	s.member = cfg.MemberID
 	if s.member == "" {
 		s.member = "local"
@@ -206,12 +203,7 @@ func (s *Server) RCacheStats() rcache.Stats { return s.rc.Stats() }
 
 // CoalesceMerged returns how many requests were merged into another
 // caller's in-flight computation (0 when coalescing is disabled).
-func (s *Server) CoalesceMerged() int64 {
-	if s.cg == nil {
-		return 0
-	}
-	return s.cg.Merged()
-}
+func (s *Server) CoalesceMerged() int64 { return s.stage.Merged() }
 
 // SetDraining flips drain mode: /healthz turns 503 and new algorithm
 // requests are rejected, while admitted requests run to completion.
@@ -279,76 +271,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// newline is written separately after shared response bytes: appending
-// to a cached/coalesced body would race on its backing array.
-var newline = []byte("\n")
-
-// The values of the X-Dyncg-Source response header: how the algorithm
-// response was produced.
-const (
-	sourceComputed  = "computed"  // this request ran the computation
-	sourceCoalesced = "coalesced" // merged into another caller's in-flight computation
-	sourceCache     = "cache"     // served from the response cache
-)
-
-// finish writes the response and, when the computation log is enabled,
-// appends one replay record for the request. The disabled path is the
-// plain writeJSON hot path behind a single nil-check; the enabled path
-// writes the exact bytes writeJSON would (Marshal plus the Encoder's
-// trailing newline) so recorded responses are byte-identical to live
-// ones.
-func (s *Server) finish(w http.ResponseWriter, r *http.Request, status int, out any, raw []byte, meta api.ReplayMeta) {
-	if s.rlog == nil {
-		writeJSON(w, status, out)
-		return
-	}
-	body, err := json.Marshal(out)
-	if err != nil {
-		writeJSON(w, status, out)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
-	s.record(r, status, body, raw, meta)
-}
-
-// finishBytes is finish for responses that already exist as wire bytes
-// (cache hits and coalesced fan-outs): write body + newline and record
-// body. The bytes are shared across callers and must not be mutated.
-func (s *Server) finishBytes(w http.ResponseWriter, r *http.Request, status int, body, raw []byte, meta api.ReplayMeta) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-	w.Write(newline)
-	if s.rlog == nil {
-		return
-	}
-	s.record(r, status, body, raw, meta)
-}
-
-// record appends one replay record (caller has checked s.rlog != nil).
-func (s *Server) record(r *http.Request, status int, body, raw []byte, meta api.ReplayMeta) {
-	rec := api.ReplayRecord{
-		Method:   r.Method,
-		Path:     r.URL.RequestURI(),
-		Status:   status,
-		Meta:     meta,
-		Response: body,
-	}
-	switch {
-	case len(raw) == 0:
-	case json.Valid(raw):
-		rec.Request = raw
-	default:
-		// A rejected non-JSON body cannot ride in a RawMessage; keep the
-		// recorded failure byte-exact as base64.
-		rec.RequestBin = raw
-	}
-	if err := s.rlog.Append(rec); err != nil {
-		s.log.LogAttrs(r.Context(), slog.LevelError, "replaylog",
-			slog.String("error", err.Error()))
-	}
+// send encodes o (once: a shared outcome is already encoded) and
+// writes and records it.
+func (s *Server) send(w http.ResponseWriter, r *http.Request, o *outcome, raw []byte, meta api.ReplayMeta) {
+	status, body := o.Wire()
+	s.rec.Send(w, r, status, body, raw, meta)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -385,21 +312,21 @@ func errOutcome(st int, code api.ErrorCode, err error) *outcome {
 	return &outcome{status: st, out: apiError(code, err), errMsg: err.Error()}
 }
 
-// marshal fills o.body from o.out. Marshal cannot fail for the
-// envelope types this package produces; the fallback degrades to an
-// internal-error envelope rather than panicking on a future payload
-// that breaks the invariant.
-func (o *outcome) marshal() {
-	if o.body != nil {
-		return
+// Wire returns the status and wire bytes, encoding o.out on first use.
+// Marshal cannot fail for the envelope types this package produces; the
+// fallback degrades to an internal-error envelope rather than panicking
+// on a future payload that breaks the invariant.
+func (o *outcome) Wire() (int, []byte) {
+	if o.body == nil {
+		b, err := json.Marshal(o.out)
+		if err != nil {
+			e := apiError(api.CodeInternal, fmt.Errorf("server: encoding response: %w", err))
+			o.status, o.out, o.errMsg = http.StatusInternalServerError, e, err.Error()
+			b, _ = json.Marshal(e)
+		}
+		o.body = b
 	}
-	b, err := json.Marshal(o.out)
-	if err != nil {
-		e := apiError(api.CodeInternal, fmt.Errorf("server: encoding response: %w", err))
-		o.status, o.out, o.errMsg = http.StatusInternalServerError, e, err.Error()
-		b, _ = json.Marshal(e)
-	}
-	o.body = b
+	return o.status, o.body
 }
 
 // algRequest is one decoded, validated, fully resolved one-shot
@@ -429,7 +356,7 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		o      *outcome
 		raw    []byte
 		sysN   int
-		source = sourceComputed
+		source = front.SourceComputed
 	)
 	defer func() {
 		if o == nil {
@@ -437,17 +364,12 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 				errors.New("server: request produced no outcome"))
 		}
 		w.Header().Set("X-Dyncg-Source", source)
-		meta := api.ReplayMeta{
+		s.send(w, r, o, raw, api.ReplayMeta{
 			Topology:  o.mi.Topology,
 			PEs:       o.mi.PEs,
 			Workers:   o.mi.Workers,
 			FaultSeed: o.faultSeed,
-		}
-		if o.body != nil {
-			s.finishBytes(w, r, o.status, o.body, raw, meta)
-		} else {
-			s.finish(w, r, o.status, o.out, raw, meta)
-		}
+		})
 		lat := time.Since(started)
 		s.met.Observe(name, o.status, lat)
 		lvl := slog.LevelInfo
@@ -478,37 +400,19 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		st := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			st = http.StatusRequestEntityTooLarge
-		}
-		fail(st, api.CodeBadRequest, fmt.Errorf("server: decoding request: %w", err))
-		return
-	}
 	var req api.Request
-	if err := json.Unmarshal(raw, &req); err != nil {
-		fail(http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("server: decoding request: %w", err))
+	body, st, code, err := decode(w, r, s.cfg.MaxBody, &req, func() int { return req.V })
+	raw = body
+	if st != 0 {
+		fail(st, code, err)
 		return
 	}
-	if req.V != api.Version {
-		fail(http.StatusBadRequest, api.CodeBadVersion,
-			fmt.Errorf("server: unsupported schema version %d (want %d)", req.V, api.Version))
-		return
-	}
-
-	topoName := req.Options.Topology
-	if topoName == "" {
-		topoName = string(topo.Hypercube)
-	}
-	tp, err := topo.Parse(topoName)
+	res, err := front.Resolve(name, &req, s.cfg.DefaultWorkers, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fail(http.StatusBadRequest, api.CodeBadTopology, err)
 		return
 	}
+	tp := res.Topology
 	spec, err := fault.ParseSpec(req.Options.Faults)
 	if err != nil {
 		fail(http.StatusBadRequest, api.CodeBadFaults, err)
@@ -522,19 +426,7 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 	}
 	sysN = sys.N()
 
-	// Normalise the worker count so it can key the machine pool: the
-	// constructed machine's Workers() is GOMAXPROCS for negative values
-	// and 1 (serial) for 0 or 1.
-	workers := req.Options.Workers
-	if workers == 0 {
-		workers = s.cfg.DefaultWorkers
-	}
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := res.Workers
 	infoWorkers := 0
 	if workers > 1 {
 		infoWorkers = workers
@@ -571,62 +463,27 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 
-	// Front door: fault-free requests with an enabled cache or coalescer
-	// are keyed by their canonical hash. A cache hit serves the original
-	// computation's exact bytes with no admission and no simulated work
-	// (drain mode still rejects — a draining server takes no new
-	// requests, cheap or not). A miss either joins an identical
-	// in-flight computation or becomes its leader.
-	if (s.rc != nil || s.cg != nil) && ar.spec.Zero() {
-		if key, cacheable := canon.Key(name, string(tp), workers, &req); cacheable {
-			if !s.draining.Load() {
-				if body, ok := s.rc.Get(key); ok {
-					source = sourceCache
-					o = &outcome{
-						status: http.StatusOK,
-						body:   body,
-						mi:     api.MachineInfo{Topology: string(tp), PEs: classSize, Workers: infoWorkers},
-					}
-					return
-				}
+	// Front door: a cacheable request (res.Key set) with the cache or
+	// the coalescer on is served from the cache with no admission and no
+	// simulated work, joins an identical in-flight computation, or leads
+	// one. A draining server skips the cache read, so admission rejects
+	// even a request whose answer is cached.
+	o, source, err = s.stage.Do(ctx, res.Key, !s.draining.Load(),
+		func(body []byte) *outcome {
+			return &outcome{
+				status: http.StatusOK,
+				body:   body,
+				mi:     api.MachineInfo{Topology: string(tp), PEs: classSize, Workers: infoWorkers},
 			}
-			if s.cg != nil {
-				var led bool
-				fl, _, derr := s.cg.Do(ctx, key, func() (*outcome, error) {
-					led = true
-					oc := s.compute(ctx, ar)
-					oc.marshal()
-					if oc.status == http.StatusOK {
-						s.rc.Put(key, oc.body)
-					}
-					return oc, nil
-				})
-				if derr != nil {
-					// This follower's deadline expired while the leader was
-					// still computing. 503 is an admission artifact: replay
-					// skips it like any other load-dependent rejection.
-					source = sourceCoalesced
-					fail(http.StatusServiceUnavailable, api.CodeCoalesceTimeout,
-						fmt.Errorf("server: deadline expired waiting for coalesced computation: %w", derr))
-					return
-				}
-				if !led {
-					source = sourceCoalesced
-				}
-				o = fl
-				return
-			}
-			oc := s.compute(ctx, ar)
-			oc.marshal()
-			if oc.status == http.StatusOK {
-				s.rc.Put(key, oc.body)
-			}
-			o = oc
-			return
-		}
+		},
+		func() (*outcome, error) { return s.compute(ctx, ar), nil })
+	if err != nil {
+		// This follower's deadline expired while the leader was still
+		// computing. 503 is an admission artifact: replay skips it like
+		// any other load-dependent rejection.
+		fail(http.StatusServiceUnavailable, api.CodeCoalesceTimeout,
+			fmt.Errorf("server: deadline expired waiting for coalesced computation: %w", err))
 	}
-
-	o = s.compute(ctx, ar)
 }
 
 // compute runs one resolved request through admission, machine

@@ -17,7 +17,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -28,6 +27,7 @@ import (
 	"time"
 
 	"dyncg/internal/api"
+	"dyncg/internal/front"
 	"dyncg/internal/motion"
 	"dyncg/internal/poly"
 	"dyncg/internal/session"
@@ -177,19 +177,14 @@ func (s *Server) sessionLog(ctx context.Context, endpoint, id string, status int
 	s.log.LogAttrs(ctx, lvl, "session", append(base, attrs...)...)
 }
 
-// decodeSession decodes a session request body with the server's body
-// cap and version gate, returning the raw body bytes for the
-// computation log.
-func decodeSession(w http.ResponseWriter, r *http.Request, maxBody int64, v any, version func() int) ([]byte, int, api.ErrorCode, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		st := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			st = http.StatusRequestEntityTooLarge
-		}
-		return raw, st, api.CodeBadRequest, fmt.Errorf("server: decoding request: %w", err)
+// decode reads a request body under the server's body cap, decodes it
+// into v and applies the version gate, returning the raw body bytes for
+// the computation log. A non-zero status is a failure to answer with
+// code and err.
+func decode(w http.ResponseWriter, r *http.Request, maxBody int64, v any, version func() int) ([]byte, int, api.ErrorCode, error) {
+	raw, st, err := front.ReadBody(w, r, maxBody)
+	if st != 0 {
+		return raw, st, api.CodeBadRequest, err
 	}
 	if err := json.Unmarshal(raw, v); err != nil {
 		return raw, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("server: decoding request: %w", err)
@@ -215,7 +210,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		mi     api.MachineInfo
 	)
 	defer func() {
-		s.finish(w, r, status, out, raw, api.ReplayMeta{
+		s.send(w, r, &outcome{status: status, out: out}, raw, api.ReplayMeta{
 			Topology: mi.Topology, PEs: mi.PEs, Workers: mi.Workers, Session: sid,
 		})
 		lat := time.Since(started)
@@ -227,7 +222,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req api.SessionCreateRequest
-	body, st, code, derr := decodeSession(w, r, s.cfg.MaxBody, &req, func() int { return req.V })
+	body, st, code, derr := decode(w, r, s.cfg.MaxBody, &req, func() int { return req.V })
 	raw = body
 	if st != 0 {
 		fail(st, code, derr)
@@ -238,11 +233,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, api.CodeUnknownAlgorithm, err)
 		return
 	}
-	topoName := req.Options.Topology
-	if topoName == "" {
-		topoName = string(topo.Hypercube)
-	}
-	tp, err := topo.Parse(topoName)
+	tp, err := front.Topology(req.Options.Topology)
 	if err != nil {
 		fail(http.StatusBadRequest, api.CodeBadTopology, err)
 		return
@@ -285,16 +276,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		fail(st, code, err)
 		return
 	}
-	workers := req.Options.Workers
-	if workers == 0 {
-		workers = s.cfg.DefaultWorkers
-	}
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := front.Workers(req.Options.Workers, s.cfg.DefaultWorkers, runtime.GOMAXPROCS(0))
 
 	deadline := s.cfg.Deadline
 	if req.Options.DeadlineMs > 0 {
@@ -377,7 +359,7 @@ func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 		mi     api.MachineInfo
 	)
 	defer func() {
-		s.finish(w, r, status, out, raw, api.ReplayMeta{
+		s.send(w, r, &outcome{status: status, out: out}, raw, api.ReplayMeta{
 			Topology: mi.Topology, PEs: mi.PEs, Workers: mi.Workers, Session: id,
 		})
 		lat := time.Since(started)
@@ -392,7 +374,7 @@ func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req api.SessionUpdateRequest
-	body, st, code, derr := decodeSession(w, r, s.cfg.MaxBody, &req, func() int { return req.V })
+	body, st, code, derr := decode(w, r, s.cfg.MaxBody, &req, func() int { return req.V })
 	raw = body
 	if st != 0 {
 		fail(st, code, derr)
@@ -458,7 +440,7 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 		mi     api.MachineInfo
 	)
 	defer func() {
-		s.finish(w, r, status, out, nil, api.ReplayMeta{
+		s.send(w, r, &outcome{status: status, out: out}, nil, api.ReplayMeta{
 			Topology: mi.Topology, PEs: mi.PEs, Workers: mi.Workers, Session: id,
 		})
 		lat := time.Since(started)
@@ -518,7 +500,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		out    any
 	)
 	defer func() {
-		s.finish(w, r, status, out, nil, api.ReplayMeta{Session: id})
+		s.send(w, r, &outcome{status: status, out: out}, nil, api.ReplayMeta{Session: id})
 		lat := time.Since(started)
 		s.met.Observe("sessions.delete", status, lat)
 		s.sessionLog(r.Context(), "delete", id, status, lat)

@@ -107,6 +107,17 @@ hdr=$(curl -fsS -D - -o /dev/null -X POST "$base/v1/closest-point-sequence" \
 expect "fleet cache" 'X-Dyncg-Source: cache' "$hdr"
 expect "cache member" 'X-Dyncg-Member: frontdoor' "$hdr"
 
+# "workers":-1 means the computing worker's GOMAXPROCS, which the front
+# door cannot know: such a request is uncacheable at the front door, so
+# a repeat is forwarded and computed again, never served from a cache
+# entry keyed under some other worker count.
+for i in 1 2; do
+    hdr=$(curl -fsS -D - -o /dev/null -X POST "$base/v1/closest-point-sequence" \
+        -H 'Content-Type: application/json' \
+        -d "{\"v\":1,\"system\":$sys,\"origin\":0,\"options\":{\"workers\":-1}}")
+    expect "workers:-1 request $i forwarded" 'X-Dyncg-Source: computed' "$hdr"
+done
+
 # The typed error envelope on a malformed body.
 r=$(curl -sS -X POST "$base/v1/steady-hull" -d '{"v":1,' || true)
 expect "error envelope code" '"code":"bad_request"' "$r"
