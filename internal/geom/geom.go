@@ -46,9 +46,10 @@ func Dot[T ratfun.Real[T]](a, b Point[T]) T {
 
 // Orient returns the orientation of the triple (a, b, c): +1 for a left
 // turn (counterclockwise), −1 for a right turn, 0 for collinear. This is
-// the Θ(1) relative-position test of Proposition 5.4's proof.
+// the Θ(1) relative-position test of Proposition 5.4's proof. It equals
+// Cross(b.Sub(a), c.Sub(a)).Sign() without building the cross product.
 func Orient[T ratfun.Real[T]](a, b, c Point[T]) int {
-	return Cross(b.Sub(a), c.Sub(a)).Sign()
+	return a.X.OrientSign(a.Y, b.X, b.Y, c.X, c.Y)
 }
 
 // DistSq returns the squared distance between a and b; comparisons of

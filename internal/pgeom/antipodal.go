@@ -29,6 +29,7 @@ func sectorOwners[T ratfun.Real[T]](m *machine.M, hull []geom.Point[T], queries 
 	n := m.Size()
 	type entry struct {
 		dir      geom.Point[T]
+		half     int // dirHalf(dir)
 		boundary bool
 		owner    int // boundary: vertex whose sector starts here
 		qIdx     int // query index
@@ -40,14 +41,14 @@ func sectorOwners[T ratfun.Real[T]](m *machine.M, hull []geom.Point[T], queries 
 	defer machine.PutCols(m, entries)
 	for j := 0; j < h; j++ {
 		e := hull[(j+1)%h].Sub(hull[j]) // direction of edge j
-		entries.Set(j, entry{dir: e, boundary: true, owner: (j + 1) % h, qIdx: -1})
+		entries.Set(j, entry{dir: e, half: dirHalf(e), boundary: true, owner: (j + 1) % h, qIdx: -1})
 	}
 	for q, d := range queries {
-		entries.Set(h+q, entry{dir: d, boundary: false, owner: -1, qIdx: q})
+		entries.Set(h+q, entry{dir: d, half: dirHalf(d), boundary: false, owner: -1, qIdx: q})
 	}
 	machine.SortCols(m, entries, func(a, b entry) bool {
-		if !DirEq(a.dir, b.dir) {
-			return DirLess(a.dir, b.dir)
+		if c := dirCmp(a.dir, b.dir, a.half, b.half); c != 0 {
+			return c < 0
 		}
 		if a.boundary != b.boundary {
 			return a.boundary // boundary first so equal queries see it

@@ -376,6 +376,7 @@ func verifySteadyHull(m *machine.M, pts []geom.Point[ratfun.RatFun], cand []int)
 	o := centroid3(pts[cand[0]], pts[cand[h/3]], pts[cand[2*h/3]])
 	type entry struct {
 		dir      geom.Point[ratfun.RatFun]
+		half     int // dirHalf(dir)
 		boundary bool
 		hullPos  int // for boundaries: position in cand
 		ptIdx    int // for queries: index into pts
@@ -385,21 +386,21 @@ func verifySteadyHull(m *machine.M, pts []geom.Point[ratfun.RatFun], cand []int)
 		// Not enough PEs to co-locate boundaries and queries; the callers
 		// size machines at Θ(n) with constant slack, so treat as failure
 		// of the probe (forces the serial fallback path eventually).
-		return verifySteadySerial(pts, cand, o), 0
+		return verifySteadySerial(pts, cand), 0
 	}
 	entries := machine.GetCols[entry](m, n)
 	defer machine.PutCols(m, entries)
 	for i := 0; i < h; i++ {
-		entries.Set(i, entry{
-			dir: pts[cand[i]].Sub(o), boundary: true, hullPos: i, ptIdx: -1,
-		})
+		d := pts[cand[i]].Sub(o)
+		entries.Set(i, entry{dir: d, half: dirHalf(d), boundary: true, hullPos: i, ptIdx: -1})
 	}
 	for i, p := range pts {
-		entries.Set(h+i, entry{dir: p.Sub(o), boundary: false, hullPos: -1, ptIdx: i})
+		d := p.Sub(o)
+		entries.Set(h+i, entry{dir: d, half: dirHalf(d), boundary: false, hullPos: -1, ptIdx: i})
 	}
 	machine.SortCols(m, entries, func(a, b entry) bool {
-		if !DirEq(a.dir, b.dir) {
-			return DirLess(a.dir, b.dir)
+		if c := dirCmp(a.dir, b.dir, a.half, b.half); c != 0 {
+			return c < 0
 		}
 		// Boundaries before queries at equal directions, so the scan
 		// assigns a vertex-aligned query to its own sector start.
@@ -472,23 +473,11 @@ func centroid3(a, b, c geom.Point[ratfun.RatFun]) geom.Point[ratfun.RatFun] {
 	}
 }
 
-// verifySteadySerial is the zero-machine fallback verifier.
-func verifySteadySerial(pts []geom.Point[ratfun.RatFun], cand []int, o geom.Point[ratfun.RatFun]) bool {
-	h := len(cand)
-	for _, p := range pts {
-		inside := false
-		for i := 0; i < h && !inside; i++ {
-			a, b := pts[cand[i]], pts[cand[(i+1)%h]]
-			if geom.Orient(a, b, p) >= 0 &&
-				geom.Orient(o, a, p) >= 0 && geom.Orient(o, p, b) >= 0 {
-				inside = true
-			}
-		}
-		_ = inside
-	}
-	// Serial path: simply compare with the exact hull.
+// verifySteadySerial is the zero-machine fallback verifier: it compares
+// the candidate with the exact hull.
+func verifySteadySerial(pts []geom.Point[ratfun.RatFun], cand []int) bool {
 	exact := geom.Hull(pts)
-	if len(exact) != h {
+	if len(exact) != len(cand) {
 		return false
 	}
 	ids := map[int]bool{}

@@ -26,7 +26,7 @@ import (
 // generic-field replacement for comparing the angles computed in Step 2
 // of Lemma 5.5's algorithm (angles themselves are not field elements, but
 // their order is decidable with sign tests: quadrant class plus one cross
-// product).
+// product). The direction sorts use dirCmp; DirLess is its test oracle.
 func DirLess[T ratfun.Real[T]](a, b geom.Point[T]) bool {
 	ha, hb := dirHalf(a), dirHalf(b)
 	if ha != hb {
@@ -47,6 +47,22 @@ func dirHalf[T ratfun.Real[T]](d geom.Point[T]) int {
 // DirEq reports whether two directions are positively proportional.
 func DirEq[T ratfun.Real[T]](a, b geom.Point[T]) bool {
 	return geom.Cross(a, b).Sign() == 0 && geom.Dot(a, b).Sign() > 0
+}
+
+// dirCmp is the direction sorts' comparator: it returns 0 when
+// DirEq(a, b), otherwise −1 when DirLess(a, b) and +1 when not. ha and hb
+// are dirHalf(a) and dirHalf(b), computed once when an entry is placed.
+// The cross sign is evaluated once and the dot sign only when the cross
+// sign is 0.
+func dirCmp[T ratfun.Real[T]](a, b geom.Point[T], ha, hb int) int {
+	c := a.X.CrossSign(a.Y, b.X, b.Y)
+	if c == 0 && a.X.DotSign(a.Y, b.X, b.Y) > 0 {
+		return 0
+	}
+	if ha < hb || (ha == hb && c > 0) {
+		return -1
+	}
+	return 1
 }
 
 // NearestNeighbor returns the index (into pts) of a nearest neighbour of

@@ -71,8 +71,18 @@ func (p Poly) normalize() Poly {
 	return p[:n]
 }
 
-// IsZero reports whether p is (numerically) the zero polynomial.
-func (p Poly) IsZero() bool { return len(p.normalize()) == 0 }
+// IsZero reports whether p is (numerically) the zero polynomial, i.e.
+// whether normalize trims it to nothing. That is exactly when every
+// coefficient is zero: normalize never trims a coefficient of largest
+// magnitude, nor a NaN.
+func (p Poly) IsZero() bool {
+	for _, c := range p {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // Degree returns the degree of p. The zero polynomial has degree -1.
 func (p Poly) Degree() int { return len(p.normalize()) - 1 }
@@ -137,12 +147,16 @@ const cancelEps = 1e-11
 
 // Add returns p + q. Coefficients that cancel to within rounding noise
 // of the operands are snapped to zero.
-func (p Poly) Add(q Poly) Poly {
+func (p Poly) Add(q Poly) Poly { return AddTo(nil, p, q) }
+
+// AddTo returns p + q, computed into dst's storage when its capacity
+// suffices and into a fresh slice otherwise. dst must not overlap p or q.
+func AddTo(dst, p, q Poly) Poly {
 	n := len(p)
 	if len(q) > n {
 		n = len(q)
 	}
-	r := make(Poly, n)
+	r := grow(dst, n)
 	for i := range r {
 		a, b := p.Coef(i), q.Coef(i)
 		v := a + b
@@ -152,6 +166,18 @@ func (p Poly) Add(q Poly) Poly {
 		r[i] = v
 	}
 	return r.normalize()
+}
+
+// grow returns a zeroed polynomial of length n backed by dst when dst is
+// non-nil with capacity n, and by a fresh slice otherwise (so a nil dst
+// behaves exactly like make).
+func grow(dst Poly, n int) Poly {
+	if dst == nil || cap(dst) < n {
+		return make(Poly, n)
+	}
+	r := dst[:n]
+	clear(r)
+	return r
 }
 
 // Sub returns p − q, with the same cancellation snapping as Add.
@@ -173,8 +199,12 @@ func (p Poly) Sub(q Poly) Poly {
 }
 
 // Neg returns −p.
-func (p Poly) Neg() Poly {
-	r := make(Poly, len(p))
+func (p Poly) Neg() Poly { return NegTo(nil, p) }
+
+// NegTo returns −p, computed into dst's storage when its capacity
+// suffices and into a fresh slice otherwise.
+func NegTo(dst, p Poly) Poly {
+	r := grow(dst, len(p))
 	for i, c := range p {
 		r[i] = -c
 	}
@@ -191,11 +221,15 @@ func (p Poly) Scale(c float64) Poly {
 }
 
 // Mul returns p·q.
-func (p Poly) Mul(q Poly) Poly {
+func (p Poly) Mul(q Poly) Poly { return MulTo(nil, p, q) }
+
+// MulTo returns p·q, computed into dst's storage when its capacity
+// suffices and into a fresh slice otherwise. dst must not overlap p or q.
+func MulTo(dst, p, q Poly) Poly {
 	if len(p) == 0 || len(q) == 0 {
 		return nil
 	}
-	r := make(Poly, len(p)+len(q)-1)
+	r := grow(dst, len(p)+len(q)-1)
 	for i, a := range p {
 		if a == 0 {
 			continue

@@ -24,6 +24,65 @@ func TestZeroPolynomial(t *testing.T) {
 	}
 }
 
+// TestIsZeroMatchesNormalize: the early-exit IsZero scan agrees with
+// "normalize trims p to nothing" on signed zeros, NaN, infinities,
+// subnormals and negligible trailing coefficients.
+func TestIsZeroMatchesNormalize(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), 1, -1e-300, 5e-324, 1e-13, math.NaN(), math.Inf(1), math.Inf(-1), 1e300}
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		p := make(Poly, r.Intn(5))
+		for i := range p {
+			p[i] = special[r.Intn(len(special))]
+		}
+		if got, want := p.IsZero(), len(p.normalize()) == 0; got != want {
+			t.Fatalf("IsZero(%v) = %v, normalize says %v", []float64(p), got, want)
+		}
+	}
+}
+
+// TestToVariantsMatchAllocating: AddTo, MulTo and NegTo give the same
+// bits into a reused, dirty dst as into a fresh slice, write into dst's
+// storage when it has room, and with a nil dst keep Neg's non-nil empty
+// result.
+func TestToVariantsMatchAllocating(t *testing.T) {
+	same := func(a, b Poly) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	r := rand.New(rand.NewSource(8))
+	buf := make(Poly, 16)
+	for trial := 0; trial < 500; trial++ {
+		p, q := randPoly(r, 4), randPoly(r, 4)
+		for i := range buf {
+			buf[i] = r.NormFloat64() // dirty storage
+		}
+		for name, op := range map[string]func(dst Poly) Poly{
+			"Add": func(dst Poly) Poly { return AddTo(dst, p, q) },
+			"Mul": func(dst Poly) Poly { return MulTo(dst, p, q) },
+			"Neg": func(dst Poly) Poly { return NegTo(dst, p) },
+		} {
+			got, want := op(buf[:0]), op(nil)
+			if !same(got, want) {
+				t.Fatalf("%sTo(dst, %v, %v) = %v, allocating %v", name, p, q, got, want)
+			}
+			if len(got) > 0 && &got[0] != &buf[0] {
+				t.Fatalf("%sTo did not write into dst", name)
+			}
+		}
+	}
+	if n := Poly(nil).Neg(); n == nil || len(n) != 0 {
+		t.Fatalf("nil.Neg() = %#v, want a non-nil empty slice", n)
+	}
+}
+
 func TestEvalHorner(t *testing.T) {
 	p := New(1, -2, 3) // 3t² − 2t + 1
 	cases := []struct{ t, want float64 }{

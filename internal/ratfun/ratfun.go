@@ -9,6 +9,17 @@
 // field Real and instantiated either with plain float64 (static systems,
 // k = 0) or with RatFun (k-motion systems evaluated "at infinity"), which
 // makes every geometric predicate exact in the steady state.
+//
+// The steady-state algorithms only ever need the sign of a cross product,
+// dot product, orientation or difference, so Real carries those signs as
+// predicates (CrossSign, DotSign, OrientSign, Cmp). The RatFun versions
+// build their intermediate polynomials in a fixed-size arena on the
+// caller's stack and fall back to the heap when it is full. They run the
+// same code as the exported Add, Sub, Mul and Neg, which pass no arena, so
+// every sign comes from the same float operations in the same order.
+// Sharing works because no operation ever writes into an operand: results
+// are new storage, or alias an operand unchanged (the shared {1} that
+// stands for a nil denominator is one such alias).
 package ratfun
 
 import (
@@ -33,6 +44,13 @@ type Real[T any] interface {
 	Sign() int // -1, 0, +1
 	Cmp(T) int
 	Float() float64 // representative numeric value (for display/output)
+
+	// The sign predicates take the receiver as the first x coordinate.
+	// Each equals Sign of the matching geom expression, evaluated once
+	// without building its intermediate values.
+	CrossSign(ay, bx, by T) int          // (a, ay) × (bx, by)
+	DotSign(ay, bx, by T) int            // (a, ay) · (bx, by)
+	OrientSign(ay, bx, by, cx, cy T) int // (b − a) × (c − a)
 }
 
 // F64 is the float64 instance of Real, used for static (k = 0) systems.
@@ -78,6 +96,17 @@ func (a F64) Cmp(b F64) int { return (a - b).Sign() }
 // Float returns a as a float64.
 func (a F64) Float() float64 { return float64(a) }
 
+// CrossSign returns the sign of a·by − ay·bx.
+func (a F64) CrossSign(ay, bx, by F64) int { return a.Mul(by).Sub(ay.Mul(bx)).Sign() }
+
+// DotSign returns the sign of a·bx + ay·by.
+func (a F64) DotSign(ay, bx, by F64) int { return a.Mul(bx).Add(ay.Mul(by)).Sign() }
+
+// OrientSign returns the sign of (bx − a)·(cy − ay) − (by − ay)·(cx − a).
+func (a F64) OrientSign(ay, bx, by, cx, cy F64) int {
+	return bx.Sub(a).CrossSign(by.Sub(ay), cx.Sub(a), cy.Sub(ay))
+}
+
 var _ Real[F64] = F64(0)
 
 // RatFun is a rational function Num/Den of the time variable, ordered by
@@ -94,67 +123,144 @@ func FromPoly(p poly.Poly) RatFun { return RatFun{Num: p, Den: poly.Constant(1)}
 // FromFloat returns the constant rational function c.
 func FromFloat(c float64) RatFun { return FromPoly(poly.Constant(c)) }
 
+// one is the shared denominator of every RatFun whose Den is zero. It is
+// safe to share because no operation writes into an operand.
+var one = poly.Poly{1}
+
 // den returns the denominator, treating the zero value as 1.
 func (a RatFun) den() poly.Poly {
 	if a.Den.IsZero() {
-		return poly.Constant(1)
+		return one
 	}
 	return a.Den
 }
 
+// arenaLen is the coefficient capacity of one predicate's arena: enough
+// for the cross, dot and orientation signs of degree-4 coordinates over
+// the constant denominators every motion system starts from.
+const arenaLen = 256
+
+// arena is a bump allocator of coefficient storage for the
+// intermediate values of one sign predicate. It lives on the caller's
+// stack; when it is full, or when it is nil (the exported operations),
+// the polynomial operations allocate on the heap instead, which gives
+// the same coefficients.
+type arena struct {
+	buf [arenaLen]float64
+	off int
+}
+
+// take returns an empty slice with capacity n from the arena, or nil
+// when s is nil or has fewer than n coefficients left.
+func (s *arena) take(n int) poly.Poly {
+	n = max(n, 0)
+	if s == nil || n > len(s.buf)-s.off {
+		return nil
+	}
+	p := s.buf[s.off : s.off : s.off+n]
+	s.off += n
+	return p
+}
+
+func (s *arena) add(p, q poly.Poly) poly.Poly {
+	return poly.AddTo(s.take(max(len(p), len(q))), p, q)
+}
+
+func (s *arena) mul(p, q poly.Poly) poly.Poly {
+	return poly.MulTo(s.take(len(p)+len(q)-1), p, q)
+}
+
+func (s *arena) neg(p poly.Poly) poly.Poly { return poly.NegTo(s.take(len(p)), p) }
+
 // normalize flips signs so the denominator is eventually positive, which
 // makes Sign a plain numerator test.
-func (a RatFun) normalize() RatFun {
+func normalize(s *arena, a RatFun) RatFun {
 	d := a.den()
 	if d.SignAtInfinity() < 0 {
-		return RatFun{Num: a.Num.Neg(), Den: d.Neg()}
+		return RatFun{Num: s.neg(a.Num), Den: s.neg(d)}
 	}
 	return RatFun{Num: a.Num, Den: d}
 }
 
-// Add returns a + b.
-func (a RatFun) Add(b RatFun) RatFun {
-	return RatFun{
-		Num: a.Num.Mul(b.den()).Add(b.Num.Mul(a.den())),
-		Den: a.den().Mul(b.den()),
-	}.normalize()
+func add(s *arena, a, b RatFun) RatFun {
+	ad, bd := a.den(), b.den()
+	return normalize(s, RatFun{
+		Num: s.add(s.mul(a.Num, bd), s.mul(b.Num, ad)),
+		Den: s.mul(ad, bd),
+	})
 }
+
+func sub(s *arena, a, b RatFun) RatFun { return add(s, a, neg(s, b)) }
+
+func mul(s *arena, a, b RatFun) RatFun {
+	return normalize(s, RatFun{Num: s.mul(a.Num, b.Num), Den: s.mul(a.den(), b.den())})
+}
+
+func neg(s *arena, a RatFun) RatFun { return RatFun{Num: s.neg(a.Num), Den: a.den()} }
+
+func sign(s *arena, a RatFun) int { return normalize(s, a).Num.SignAtInfinity() }
+
+// Add returns a + b.
+func (a RatFun) Add(b RatFun) RatFun { return add(nil, a, b) }
 
 // Sub returns a − b.
-func (a RatFun) Sub(b RatFun) RatFun { return a.Add(b.Neg()) }
+func (a RatFun) Sub(b RatFun) RatFun { return sub(nil, a, b) }
 
 // Mul returns a · b.
-func (a RatFun) Mul(b RatFun) RatFun {
-	return RatFun{Num: a.Num.Mul(b.Num), Den: a.den().Mul(b.den())}.normalize()
-}
+func (a RatFun) Mul(b RatFun) RatFun { return mul(nil, a, b) }
 
 // Div returns a / b. It panics if b is identically zero.
 func (a RatFun) Div(b RatFun) RatFun {
 	if b.Num.IsZero() {
 		panic("ratfun: division by zero rational function")
 	}
-	return RatFun{Num: a.Num.Mul(b.den()), Den: a.den().Mul(b.Num)}.normalize()
+	return normalize(nil, RatFun{Num: a.Num.Mul(b.den()), Den: a.den().Mul(b.Num)})
 }
 
 // Neg returns −a.
-func (a RatFun) Neg() RatFun { return RatFun{Num: a.Num.Neg(), Den: a.den()} }
+func (a RatFun) Neg() RatFun { return neg(nil, a) }
 
 // Half returns a / 2.
 func (a RatFun) Half() RatFun { return RatFun{Num: a.Num, Den: a.den().Scale(2)} }
 
 // Sign returns the sign of a(t) as t → +∞ (Lemma 5.1).
-func (a RatFun) Sign() int {
-	n := a.normalize()
-	return n.Num.SignAtInfinity()
-}
+func (a RatFun) Sign() int { return sign(nil, a) }
 
 // Cmp compares a and b as t → +∞.
-func (a RatFun) Cmp(b RatFun) int { return a.Sub(b).Sign() }
+func (a RatFun) Cmp(b RatFun) int {
+	var s arena
+	return sign(&s, sub(&s, a, b))
+}
+
+// CrossSign returns the sign of a·by − ay·bx, the cross product of the
+// vectors (a, ay) and (bx, by), as t → +∞.
+func (a RatFun) CrossSign(ay, bx, by RatFun) int {
+	var s arena
+	return sign(&s, cross(&s, a, ay, bx, by))
+}
+
+// DotSign returns the sign of a·bx + ay·by, the dot product of the
+// vectors (a, ay) and (bx, by), as t → +∞.
+func (a RatFun) DotSign(ay, bx, by RatFun) int {
+	var s arena
+	return sign(&s, add(&s, mul(&s, a, bx), mul(&s, ay, by)))
+}
+
+// OrientSign returns the orientation of the points (a, ay), (bx, by),
+// (cx, cy) as t → +∞: the sign of (b − a) × (c − a).
+func (a RatFun) OrientSign(ay, bx, by, cx, cy RatFun) int {
+	var s arena
+	return sign(&s, cross(&s, sub(&s, bx, a), sub(&s, by, ay), sub(&s, cx, a), sub(&s, cy, ay)))
+}
+
+func cross(s *arena, ax, ay, bx, by RatFun) RatFun {
+	return sub(s, mul(s, ax, by), mul(s, ay, bx))
+}
 
 // Float returns a representative value: the limit of a(t) as t → +∞ when
 // finite, otherwise an evaluation at a large time past all critical roots.
 func (a RatFun) Float() float64 {
-	n := a.normalize()
+	n := normalize(nil, a)
 	dn, dd := n.Num.Degree(), n.Den.Degree()
 	switch {
 	case dn < 0:
@@ -174,7 +280,7 @@ func (a RatFun) Eval(t float64) float64 { return a.Num.Eval(t) / a.den().Eval(t)
 
 // String renders the rational function.
 func (a RatFun) String() string {
-	n := a.normalize()
+	n := normalize(nil, a)
 	if n.Den.Degree() == 0 && n.Den.Lead() == 1 {
 		return n.Num.String()
 	}

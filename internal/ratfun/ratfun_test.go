@@ -108,7 +108,7 @@ func TestOrderMatchesLargeTimeProperty(t *testing.T) {
 		if c == 0 {
 			return b.Cmp(a) == 0
 		}
-		d := a.Sub(b).normalize()
+		d := normalize(nil, a.Sub(b))
 		T := d.Num.CauchyRootBound() + d.Den.CauchyRootBound() + 10
 		diff := a.Eval(T) - b.Eval(T)
 		return (diff < 0) == (c < 0)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"testing"
 
 	"dyncg/internal/api"
@@ -36,11 +37,12 @@ func serveOnce(b testing.TB, s *Server, algo string, body []byte) {
 // (scripts/bench.sh → BENCH_perf.json): one full request through decode,
 // admission, pool, algorithm, and encode. The warm variant reuses the
 // pooled machine every iteration, so it makes no machine or scratch
-// allocations; its allocs/op are nonetheless not serving overhead: a
-// memory profile of the warm run attributes about 98% of them to
-// core.SteadyHull's rational-function predicates (fresh polynomials in
-// every geom.Cross/Dot comparison), and decode plus encode to under 1%.
-// The cold variant constructs a machine per request, and the gap
+// allocations, and the rational-function sign predicates run in a stack
+// arena and make none either. A memory profile of the warm run (about
+// 1 975 allocs/op) puts about 67% of them in pgeom.HullStatic's
+// dual-envelope path (pieces.Merge, penvelope.clip) and 25% in
+// verifySteadyHull's direction vectors and centroid; decode and
+// system build are about 4%. The cold variant constructs a machine per request, and the gap
 // between the two is what the pool buys.
 func BenchmarkServer(b *testing.B) {
 	algo, body := benchRequest(b)
@@ -61,6 +63,33 @@ func BenchmarkServer(b *testing.B) {
 			serveOnce(b, s, algo, body)
 		}
 	})
+}
+
+// BenchmarkServerEndpoint is BenchmarkServer/warm for every serving
+// endpoint: one warm request per endpointCases entry, so a change is
+// judged on all 14 algorithms and not on the steady hull alone.
+func BenchmarkServerEndpoint(b *testing.B) {
+	cases := endpointCases(b)
+	algos := make([]string, 0, len(cases))
+	for algo := range cases {
+		algos = append(algos, algo)
+	}
+	sort.Strings(algos)
+	for _, algo := range algos {
+		body, err := json.Marshal(cases[algo])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(algo, func(b *testing.B) {
+			s := New(Config{})
+			serveOnce(b, s, algo, body)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveOnce(b, s, algo, body)
+			}
+		})
+	}
 }
 
 // TestWarmRequestAllocBudget asserts the acceptance criterion end to

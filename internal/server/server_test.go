@@ -83,7 +83,7 @@ func decodeErr(t *testing.T, body []byte) api.Error {
 
 // endpointCases is one request per serving endpoint, covering every
 // algorithm the facade exposes.
-func endpointCases(t *testing.T) map[string]api.Request {
+func endpointCases(testing.TB) map[string]api.Request {
 	planar := motion.Random(rand.New(rand.NewSource(11)), 8, 1, 2, 10)
 	colliding := motion.Converging(rand.New(rand.NewSource(12)), 8)
 	diverging := motion.Diverging(rand.New(rand.NewSource(13)), 8)

@@ -10,6 +10,8 @@
 # with -benchmem in steady state on a warm machine — plus BenchmarkServer
 # in internal/server: one full daemon request (decode, admission, pool,
 # algorithm, encode) on a warm and a cold pool — plus
+# BenchmarkServerEndpoint: the same warm request once per serving
+# endpoint (all 14 algorithms) — plus
 # BenchmarkSessionUpdate in the root package: one session delta batch
 # (1/16/64 retargets) against the retained merge tree vs a full rebuild
 # on the same machine — plus BenchmarkReplayLogAppend in
@@ -48,8 +50,8 @@ mode=${1:-refresh}
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
-echo "==> go test -bench 'BenchmarkPerf|BenchmarkServer$|BenchmarkSession|BenchmarkReplay' -benchtime $benchtime -benchmem"
-go test -run '^$' -bench 'BenchmarkPerf($|EndToEnd)|BenchmarkServer$|BenchmarkSession|BenchmarkReplay' -benchtime "$benchtime" -benchmem . ./internal/server ./internal/replaylog | tee "$out"
+echo "==> go test -bench 'BenchmarkPerf|BenchmarkServer(Endpoint)?$|BenchmarkSession|BenchmarkReplay' -benchtime $benchtime -benchmem"
+go test -run '^$' -bench 'BenchmarkPerf($|EndToEnd)|BenchmarkServer(Endpoint)?$|BenchmarkSession|BenchmarkReplay' -benchtime "$benchtime" -benchmem . ./internal/server ./internal/replaylog | tee "$out"
 
 echo "==> go test -bench BenchmarkPerfLargeN -benchtime $benchtime_large -benchmem"
 go test -run '^$' -bench 'BenchmarkPerfLargeN' -benchtime "$benchtime_large" -benchmem . | tee -a "$out"
