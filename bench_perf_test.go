@@ -21,10 +21,14 @@ import (
 	"testing"
 
 	"dyncg/internal/colstore"
+	"dyncg/internal/curve"
 	"dyncg/internal/dsseq"
 	"dyncg/internal/hypercube"
 	"dyncg/internal/machine"
 	"dyncg/internal/mesh"
+	"dyncg/internal/penvelope"
+	"dyncg/internal/pieces"
+	"dyncg/internal/poly"
 )
 
 // perfTopologies mirrors topologies() but is kept separate (and pinned)
@@ -231,10 +235,44 @@ func BenchmarkPerfLargeN(b *testing.B) {
 	})
 }
 
-// BenchmarkPerfEndToEnd pins two composite workloads — the whole-machine
-// grouping pattern of Table 1 (sort + segmented scan + sort) — whose
-// allocation behaviour exercises the arena across primitive boundaries.
+// BenchmarkPerfEndToEnd pins composite workloads whose allocation
+// behaviour exercises the arena across primitive boundaries: the
+// whole-machine grouping pattern of Table 1 (sort + segmented scan +
+// sort), and Theorem 3.2's envelope of 64 random degree-2 curves on the
+// MeshPEs/CubePEs machine — every Lemma 3.1 merge level, warm.
 func BenchmarkPerfEndToEnd(b *testing.B) {
+	for _, n := range []int{64} {
+		r := rand.New(rand.NewSource(1988))
+		cs := make([]curve.Curve, n)
+		for i := range cs {
+			cs[i] = curve.NewPoly(poly.New(r.NormFloat64()*3, r.NormFloat64()*3, r.NormFloat64()*3))
+		}
+		for _, tc := range []struct {
+			name string
+			mk   func() *machine.M
+		}{
+			{"mesh", func() *machine.M {
+				return machine.New(mesh.MustNew(penvelope.MeshPEs(n, 2), mesh.Proximity))
+			}},
+			{"hypercube", func() *machine.M {
+				return machine.New(hypercube.MustNew(penvelope.CubePEs(n, 2)))
+			}},
+		} {
+			b.Run(fmt.Sprintf("envelope/%s/n=%d", tc.name, n), func(b *testing.B) {
+				m := tc.mk()
+				if _, err := penvelope.EnvelopeOfCurves(m, cs, pieces.Min); err != nil {
+					b.Fatal(err) // also warms the arena (untimed)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := penvelope.EnvelopeOfCurves(m, cs, pieces.Min); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 	for _, n := range []int{1024} {
 		for _, tc := range perfTopologies(n) {
 			b.Run(fmt.Sprintf("grouping/%s/n=%d", tc.name, n), func(b *testing.B) {

@@ -32,6 +32,13 @@
 //     catastrophic one in the opposite direction: FAIL when
 //     new < old/6.
 //
+// Repeated runs. scripts/bench.sh runs its first invocation with
+// -count 3, so one benchmark may appear on several lines. parse folds
+// them into one row holding the median of each measurement, and records
+// the spread of ns/op as its minimum and maximum (ns_min, ns_max) and
+// the number of runs next to it, so a wall-clock difference can be read
+// against the run-to-run noise. Single-run rows carry no spread fields.
+//
 // A benchmark present in the baseline but missing from stdin fails the
 // gate (a silently dropped benchmark would hide any regression); new
 // benchmarks not yet in the baseline are reported and pass.
@@ -59,10 +66,14 @@ import (
 
 // Result is one benchmark's measurements. AllocsOp and BytesOp are −1
 // when the benchmark did not report memory statistics; ReqS is 0 when
-// the benchmark did not report a throughput metric.
+// the benchmark did not report a throughput metric. A row folded from
+// several runs holds the medians, with Runs and the ns/op spread set.
 type Result struct {
 	Name     string  `json:"name"`
 	NsOp     float64 `json:"ns_op"`
+	NsMin    float64 `json:"ns_min,omitempty"`
+	NsMax    float64 `json:"ns_max,omitempty"`
+	Runs     int     `json:"runs,omitempty"`
 	BytesOp  float64 `json:"b_op"`
 	AllocsOp float64 `json:"allocs_op"`
 	ReqS     float64 `json:"req_s,omitempty"`
@@ -172,7 +183,8 @@ func main() {
 // parse extracts Benchmark lines from `go test -bench` output, plus the
 // CPU model of the first `cpu:` header. The trailing -N GOMAXPROCS
 // suffix is stripped so baselines compare across machines with
-// different core counts.
+// different core counts, and repeated lines of one benchmark are folded
+// into one row (see fold).
 func parse(f io.Reader) (out []Result, cpu string, err error) {
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
@@ -217,8 +229,45 @@ func parse(f io.Reader) (out []Result, cpu string, err error) {
 	if err := sc.Err(); err != nil {
 		return nil, "", err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, cpu, nil
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	folded := out[:0]
+	for i := 0; i < len(out); {
+		j := i + 1
+		for j < len(out) && out[j].Name == out[i].Name {
+			j++
+		}
+		folded = append(folded, fold(out[i:j]))
+		i = j
+	}
+	return folded, cpu, nil
+}
+
+// fold merges the runs of one benchmark into a row of per-measurement
+// medians; with more than one run it records the run count and the
+// ns/op minimum and maximum.
+func fold(runs []Result) Result {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	pick := func(get func(Result) float64) (med, lo, hi float64) {
+		vs := make([]float64, len(runs))
+		for i, r := range runs {
+			vs[i] = get(r)
+		}
+		sort.Float64s(vs)
+		k := len(vs) / 2
+		med = vs[k]
+		if len(vs)%2 == 0 {
+			med = (vs[k-1] + vs[k]) / 2
+		}
+		return med, vs[0], vs[len(vs)-1]
+	}
+	r := Result{Name: runs[0].Name, Runs: len(runs)}
+	r.NsOp, r.NsMin, r.NsMax = pick(func(r Result) float64 { return r.NsOp })
+	r.BytesOp, _, _ = pick(func(r Result) float64 { return r.BytesOp })
+	r.AllocsOp, _, _ = pick(func(r Result) float64 { return r.AllocsOp })
+	r.ReqS, _, _ = pick(func(r Result) float64 { return r.ReqS })
+	return r
 }
 
 // gate compares current results against the baseline, printing one line

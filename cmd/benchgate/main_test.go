@@ -54,6 +54,45 @@ PASS
 	}
 }
 
+// TestParseFoldsRepeatedRuns: the lines of a benchmark run with -count 3
+// fold into one row of medians with the ns/op spread, instead of the
+// last line silently replacing the others; a single-run row carries no
+// spread fields.
+func TestParseFoldsRepeatedRuns(t *testing.T) {
+	in := strings.NewReader(`BenchmarkServer/warm-2 	100	900 ns/op	5000 B/op	20 allocs/op
+BenchmarkServer/warm-2 	100	700 ns/op	5100 B/op	21 allocs/op
+BenchmarkPerf/scan/mesh/n=256-2 	100	10 ns/op	0 B/op	0 allocs/op
+BenchmarkServer/warm-2 	100	1300 ns/op	4900 B/op	20 allocs/op
+BenchmarkServerThroughput/dup=0-2 	500	1 ns/op	300 req/s
+BenchmarkServerThroughput/dup=0-2 	500	1 ns/op	100 req/s
+`)
+	got, _, err := parse(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("parsed %d rows, want 3 (repeats folded): %+v", len(got), got)
+	}
+	scan, warm, tp := got[0], got[1], got[2]
+	if scan.Runs != 0 || scan.NsMin != 0 || scan.NsMax != 0 || scan.NsOp != 10 {
+		t.Errorf("single-run row = %+v, want no spread fields", scan)
+	}
+	want := Result{Name: "BenchmarkServer/warm", NsOp: 900, NsMin: 700, NsMax: 1300, Runs: 3, BytesOp: 5000, AllocsOp: 20}
+	if warm != want {
+		t.Errorf("folded row = %+v, want %+v", warm, want)
+	}
+	if tp.Runs != 2 || tp.ReqS != 200 || tp.AllocsOp != -1 {
+		t.Errorf("two-run throughput row = %+v, want req/s median 200 over 2 runs", tp)
+	}
+	data, err := json.Marshal(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "ns_min") || strings.Contains(string(data), "runs") {
+		t.Errorf("single-run row marshals spread fields: %s", data)
+	}
+}
+
 // TestHostFacts: -out records the host, and a baseline written before
 // the host field existed still loads and reports it as not recorded.
 func TestHostFacts(t *testing.T) {

@@ -42,8 +42,8 @@ package machine
 import "reflect"
 
 // arenaMaxFree bounds each per-type free list. Primitives hold at most
-// a handful of scratch buffers at once (Compact's five is the current
-// peak); a few extra slots absorb nested callers (penvelope keeps piece
+// a handful of scratch buffers at once (Compact's and Route's four are
+// the current peak); a few extra slots absorb nested callers (penvelope keeps piece
 // buffers checked out across whole merge levels) without letting an
 // unbalanced caller grow the pool without bound.
 const arenaMaxFree = 16

@@ -17,15 +17,16 @@ package machine
 // machine's arena and releases it before returning (a File is two arena
 // buffers — see GetCols/PutCols).
 //
-// The parallel prefix is the one primitive whose host work does not
-// follow its round structure: the doubling scan would cost the host
-// O(n log n), so ScanCols computes the same registers with one O(n)
-// sequential fold and charges the doubling's rounds in closed form. The
-// doubling kernel survives as the test oracle in scanref_test.go.
+// Host work need not follow the round structure. Every primitive's
+// charges come from the charge-only entry points in charges.go, so a
+// primitive may compute its registers with whatever host code is
+// cheapest and still charge the rounds the paper's algorithm runs:
+// ScanCols computes the doubling scan's registers with one O(n) fold
+// (the doubling kernel survives as the test oracle in scanref_test.go),
+// CompactCols ranks with one sequential pass, and penvelope's Lemma 3.1
+// levels do host work per piece rather than per PE.
 
 import (
-	"math/bits"
-
 	"dyncg/internal/colstore"
 	"dyncg/internal/par"
 )
@@ -44,60 +45,19 @@ func PutCols[T any](m *M, f colstore.File[T]) {
 
 // --- Parallel prefix (segmented scan) -------------------------------------
 
-// scanHist is the segment-length histogram a scan's charges are computed
-// from: bucket b holds the segments of length L with ⌈log₂ L⌉ = b, i.e.
-// exactly those that take part in the doubling rounds at offsets
-// 1, 2, …, 2^(b−1). cnt counts the segments, sum adds up their lengths.
-type scanHist struct {
-	cnt, sum [bits.UintSize + 1]int
-}
-
-// add records one segment of length l ≥ 1.
-func (h *scanHist) add(l int) {
-	b := bits.Len(uint(l - 1))
-	h.cnt[b]++
-	h.sum[b] += l
-}
-
-// chargeScanRounds charges the rounds of a Hillis–Steele doubling scan
-// over the segments in h, in the order the doubling runs them: one shift
-// round per offset off = 1, 2, 4, … below the longest segment, carrying
-// Σ_segments max(0, L − off) messages — PE i receives from i ∓ off iff
-// both lie in the same segment (the boundary flag that stops a PE has
-// spread over exactly off PEs after the rounds below off). The whole
-// machine as one string is the case of a single segment of length n.
-func chargeScanRounds(m *M, h *scanHist) {
-	c, s := 0, 0
-	for b := range h.cnt {
-		c += h.cnt[b]
-		s += h.sum[b]
-	}
-	for b := 0; ; b++ {
-		// Segments with ⌈log₂ L⌉ ≤ b are shorter than or equal to
-		// off = 2^b and send nothing from this round on.
-		c -= h.cnt[b]
-		s -= h.sum[b]
-		if c == 0 {
-			return
-		}
-		off := 1 << b
-		m.chargeShift(off, s-off*c)
-	}
-}
-
 // scanForward is the host pass of a forward segmented scan: a left fold
 // acc = op(acc, x) per segment. An empty register is an identity and
 // keeps its stale bytes until the segment's first occupied PE reaches
 // it; a nil op keeps the first occupied value (flood). It records the
 // segment lengths into h.
-func scanForward[T any](val []T, occ, segStart []bool, op func(a, b T) T, h *scanHist) {
+func scanForward[T any](val []T, occ, segStart []bool, op func(a, b T) T, h *ScanShape) {
 	n := len(val)
 	var acc T
 	have := false
 	start := 0
 	for i := 0; i < n; i++ {
 		if segStart[i] && i > start {
-			h.add(i - start)
+			h.Add(i - start)
 			start, have = i, false
 		}
 		switch {
@@ -114,20 +74,20 @@ func scanForward[T any](val []T, occ, segStart []bool, op func(a, b T) T, h *sca
 		val[i] = acc
 	}
 	if n > 0 {
-		h.add(n - start)
+		h.Add(n - start)
 	}
 }
 
 // scanBackward is scanForward mirrored: a right fold acc = op(x, acc)
 // per segment, run from each segment's last PE down to its first.
-func scanBackward[T any](val []T, occ, segStart []bool, op func(a, b T) T, h *scanHist) {
+func scanBackward[T any](val []T, occ, segStart []bool, op func(a, b T) T, h *ScanShape) {
 	n := len(val)
 	var acc T
 	have := false
 	end := n
 	for i := n - 1; i >= 0; i-- {
 		if i+1 < end && segStart[i+1] {
-			h.add(end - i - 1)
+			h.Add(end - i - 1)
 			end, have = i+1, false
 		}
 		switch {
@@ -144,7 +104,7 @@ func scanBackward[T any](val []T, occ, segStart []bool, op func(a, b T) T, h *sc
 		val[i] = acc
 	}
 	if n > 0 {
-		h.add(end)
+		h.Add(end)
 	}
 }
 
@@ -158,7 +118,7 @@ func scanBackward[T any](val []T, occ, segStart []bool, op func(a, b T) T, h *sc
 // shift round per offset 1, 2, 4, … below the longest segment. The host
 // does not run the doubling, though: it computes the result with one
 // O(n) fold per call and charges the doubling's rounds in closed form
-// (chargeScanRounds). A fold equals the doubling tree only when op is
+// (ChargeScan). A fold equals the doubling tree only when op is
 // associative — op(op(a, b), c) == op(a, op(b, c)) bit for bit on every
 // value a caller can pass — so that is a hard requirement of ScanCols
 // and SemigroupCols, not a hint. Floating-point sums, or comparisons
@@ -171,14 +131,13 @@ func scanBackward[T any](val []T, occ, segStart []bool, op func(a, b T) T, h *sc
 // materialised inside generic functions carry the instantiation
 // dictionary and hence heap-allocate per call.
 func ScanCols[T any](m *M, f colstore.File[T], segStart []bool, dir ScanDir, op func(a, b T) T) {
-	defer closeSpan(pspan(m, "prefix", f.Len()))
-	var h scanHist
+	var h ScanShape
 	if dir == Forward {
 		scanForward(f.Val, f.Occ, segStart, op, &h)
 	} else {
 		scanBackward(f.Val, f.Occ, segStart, op, &h)
 	}
-	chargeScanRounds(m, &h)
+	ChargeScan(m, f.Len(), &h)
 }
 
 // --- Broadcast -------------------------------------------------------------
@@ -256,56 +215,49 @@ func SemigroupCols[T any](m *M, f colstore.File[T], segStart []bool, op func(a, 
 // disjoint across shards. Occupied registers sort before empty ones, and
 // swaps exchange the full register — stale values of empty registers
 // included.
-func ceRoundCols[T any](val []T, occ []bool, mask, block int, less func(a, b T) bool, lo, hi int) int {
+func ceRoundCols[T any](val []T, occ []bool, mask, block int, less func(a, b T) bool, lo, hi int) {
 	n := len(val)
-	msgs := 0
 	for i := lo; i < hi; i++ {
 		j := i ^ mask
 		if j <= i || j >= n || i/block != j/block {
 			continue
 		}
-		msgs += 2
 		if (occ[j] && !occ[i]) || (occ[j] && occ[i] && less(val[j], val[i])) {
 			val[i], val[j] = val[j], val[i]
 			occ[i], occ[j] = occ[j], occ[i]
 		}
 	}
-	return msgs
 }
 
-// compareExchangeCols performs one lock-step compare-exchange round
-// between PEs i and i ⊕ mask within aligned blocks, charged as one XOR
-// round along the mask's highest bit.
+// compareExchangeCols performs the host work of one lock-step
+// compare-exchange round between PEs i and i ⊕ mask within aligned
+// blocks.
 func compareExchangeCols[T any](m *M, f colstore.File[T], mask, block int, less func(a, b T) bool) {
 	n := f.Len()
-	var msgs int
 	if m.workers > 1 {
-		msgs = par.Reduce(m.workers, n, 0, func(lo, hi int) int {
-			return ceRoundCols(f.Val, f.Occ, mask, block, less, lo, hi)
-		}, addInt)
+		par.ForEach(m.workers, n, func(lo, hi int) {
+			ceRoundCols(f.Val, f.Occ, mask, block, less, lo, hi)
+		})
 	} else {
-		msgs = ceRoundCols(f.Val, f.Occ, mask, block, less, 0, n)
+		ceRoundCols(f.Val, f.Occ, mask, block, less, 0, n)
 	}
-	b := 0
-	for 1<<(b+1) <= mask {
-		b++
-	}
-	m.chargeXOR(b, msgs)
 }
 
 // MergeBlocksCols merges, within every aligned block of the given size,
 // the two sorted halves of the block into one sorted block — the merge
 // operation of §2.6 (Θ(√n) mesh, Θ(log n) hypercube for full-machine
-// blocks). All blocks are processed in the same rounds.
+// blocks). All blocks are processed in the same rounds, which
+// ChargeMergeBlocks charges; block must be a power of two or cover the
+// whole machine.
 func MergeBlocksCols[T any](m *M, f colstore.File[T], block int, less func(a, b T) bool) {
 	if block < 2 {
 		return
 	}
-	defer closeSpan(pspan(m, "merge", block))
 	compareExchangeCols(m, f, block-1, block, less)
 	for mask := block / 4; mask >= 1; mask /= 2 {
 		compareExchangeCols(m, f, mask, block, less)
 	}
+	ChargeMergeBlocks(m, f.Len(), block)
 }
 
 // SortBlocksCols sorts every aligned block of the given size by bitonic
@@ -326,75 +278,40 @@ func SortCols[T any](m *M, f colstore.File[T], less func(a, b T) bool) {
 
 // --- Routing-based operations ----------------------------------------------
 
-// rankOccupiedCols writes each PE's occupancy count (0/1) for the rank
-// prefix of CompactCols. PE i writes only index i of counts.
-func rankOccupiedCols(counts colstore.File[int], occ []bool, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		c := 0
-		if occ[i] {
-			c = 1
-		}
-		counts.Val[i], counts.Occ[i] = c, true
-	}
-}
-
-// markSegBaseCols records each segment start's own index. PE i writes
-// only index i of segBase.
-func markSegBaseCols(segBase colstore.File[int], segStart []bool, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if segStart[i] {
-			segBase.Val[i], segBase.Occ[i] = i, true
-		}
-	}
-}
-
 // CompactCols moves the occupied registers of each segment to the front
 // of the segment, preserving order: a parallel-prefix rank computation
 // plus one structured route (the "pack into a string" step used
 // throughout §4–§5). Vacated registers are left empty with zeroed
-// values.
+// values. The host ranks with one sequential pass; ChargeCompact charges
+// the machine's prefix-and-route rounds.
 func CompactCols[T any](m *M, f colstore.File[T], segStart []bool) {
-	defer closeSpan(pspan(m, "compact", f.Len()))
 	n := f.Len()
-	counts := GetCols[int](m, n)
-	m.ChargeLocal(1)
-	if m.workers > 1 {
-		par.ForEach(m.workers, n, func(lo, hi int) {
-			rankOccupiedCols(counts, f.Occ, lo, hi)
-		})
-	} else {
-		rankOccupiedCols(counts, f.Occ, 0, n)
-	}
-	ScanCols(m, counts, segStart, Forward, addInt)
-	segBase := GetCols[int](m, n)
-	m.ChargeLocal(1)
-	if m.workers > 1 {
-		par.ForEach(m.workers, n, func(lo, hi int) {
-			markSegBaseCols(segBase, segStart, lo, hi)
-		})
-	} else {
-		markSegBaseCols(segBase, segStart, 0, n)
-	}
-	ScanCols(m, segBase, segStart, Forward, nil)
+	var shape ScanShape
 	out := GetCols[T](m, n)
 	src := GetScratch[int](m, n)[:0]
 	dst := GetScratch[int](m, n)[:0]
+	base, next := 0, 0
 	for i := 0; i < n; i++ {
+		if segStart[i] && i > 0 {
+			shape.Add(i - base)
+			base, next = i, i
+		}
 		if !f.Occ[i] {
 			continue
 		}
-		d := segBase.Val[i] + counts.Val[i] - 1
 		src = append(src, i)
-		dst = append(dst, d)
-		out.Val[d], out.Occ[d] = f.Val[i], true
+		dst = append(dst, next)
+		out.Val[next], out.Occ[next] = f.Val[i], true
+		next++
 	}
-	m.ChargeRoute(src, dst)
+	if n > 0 {
+		shape.Add(n - base)
+	}
+	ChargeCompact(m, n, &shape, src, dst)
 	f.CopyFrom(out)
 	PutScratch(m, dst)
 	PutScratch(m, src)
 	PutCols(m, out)
-	PutCols(m, segBase)
-	PutCols(m, counts)
 }
 
 // RouteCols moves item i to dest[i] (−1 to drop). dest must be
@@ -459,6 +376,6 @@ func ShiftWithinCols[T any](m *M, f colstore.File[T], block, delta int) colstore
 	} else {
 		msgs = shiftRoundCols(out, f.Val, f.Occ, block, delta, 0, n)
 	}
-	m.chargeShift(delta, msgs)
+	ChargeShift(m, delta, msgs)
 	return out
 }

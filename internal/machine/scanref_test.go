@@ -307,7 +307,8 @@ func TestScanChargesMatchSparse(t *testing.T) {
 		f := colstore.New[int](n)
 		ScanCols(dense, f, WholeMachine(n), Forward, addInt)
 		sparse := New(hypercube.MustNew(n))
-		sparseScanCharges(sparse, n)
+		whole := wholeShape(n)
+		ChargeScan(sparse, n, &whole)
 		if dense.Stats() != sparse.Stats() {
 			t.Fatalf("n=%d: dense %+v, sparse %+v", n, dense.Stats(), sparse.Stats())
 		}

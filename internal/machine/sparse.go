@@ -13,10 +13,11 @@ package machine
 // steps, and message counts — are occupancy-independent for the
 // scan/sort round structures used here and are reproduced closed-form
 // (a compare-exchange round on pair mask `mask` moves
-// 2·pairCount(n, mask) messages). Dense and sparse scans share one
-// charge formula, chargeScanRounds in colops.go: a scan round at offset
-// `off` carries Σ_segments max(0, L − off) messages, which for the whole
-// machine as one string is n − off. Answer-and-Stats identity with the
+// 2·pairCount(n, mask) messages). Dense and sparse primitives take
+// their charges from the same charge-only entry points (charges.go):
+// ChargeScan, ChargeMergeBlocks, ChargeCompact, ChargeShift. A scan
+// round at offset `off` carries Σ_segments max(0, L − off) messages,
+// which for the whole machine as one string is n − off. Answer-and-Stats identity with the
 // dense primitives is pinned by the property tests and
 // FuzzActiveSetRounds in sparse_test.go.
 //
@@ -40,7 +41,6 @@ package machine
 // an attached tracer sees a bit-identical span/round stream.
 
 import (
-	"math/bits"
 	"slices"
 
 	"dyncg/internal/colstore"
@@ -124,17 +124,11 @@ func (s *Sparse[T]) rebuildRange(lo, hi int) {
 	}
 }
 
-// sparseScanCharges emits the exact charge stream of a dense
-// whole-machine scan over n PEs: one span, and the doubling rounds of a
-// single segment of length n (chargeScanRounds), whose message count at
-// offset off is n − off.
-func sparseScanCharges(m *M, n int) {
-	defer closeSpan(pspan(m, "prefix", n))
-	var h scanHist
-	if n > 0 {
-		h.add(n)
-	}
-	chargeScanRounds(m, &h)
+// wholeShape is the scan shape of the whole machine as one string.
+func wholeShape(n int) ScanShape {
+	var h ScanShape
+	h.AddBlocks(n, n)
+	return h
 }
 
 // SparseScan is the whole-machine inclusive scan over a sparse file —
@@ -184,7 +178,8 @@ func SparseScan[T any](m *M, s *Sparse[T], dir ScanDir, op func(a, b T) T) {
 			s.rebuildRange(0, last+1)
 		}
 	}
-	sparseScanCharges(m, n)
+	whole := wholeShape(n)
+	ChargeScan(m, n, &whole)
 }
 
 // SparseSpread is the whole-machine broadcast over a sparse file — dense
@@ -194,8 +189,9 @@ func SparseScan[T any](m *M, s *Sparse[T], dir ScanDir, op func(a, b T) T) {
 func SparseSpread[T any](m *M, s *Sparse[T]) {
 	n := s.Len()
 	defer closeSpan(pspan(m, "broadcast", n))
-	sparseScanCharges(m, n) // forward flood of the copy
-	sparseScanCharges(m, n) // backward flood in place
+	whole := wholeShape(n)
+	ChargeScan(m, n, &whole) // forward flood of the copy
+	ChargeScan(m, n, &whole) // backward flood in place
 	m.ChargeLocal(1)
 	if k := len(s.act); k > 0 {
 		first, last := int(s.act[0]), int(s.act[k-1])
@@ -218,9 +214,10 @@ func SparseSpread[T any](m *M, s *Sparse[T]) {
 func SparseSemigroup[T any](m *M, s *Sparse[T], op func(a, b T) T) {
 	n := s.Len()
 	defer closeSpan(pspan(m, "semigroup", n))
-	sparseScanCharges(m, n) // forward op scan
-	m.ChargeLocal(1)        // mark each string's last PE
-	sparseScanCharges(m, n) // backward flood of the totals
+	whole := wholeShape(n)
+	ChargeScan(m, n, &whole) // forward op scan
+	m.ChargeLocal(1)         // mark each string's last PE
+	ChargeScan(m, n, &whole) // backward flood of the totals
 	if k := len(s.act); k > 0 {
 		total := s.f.Val[s.act[0]]
 		for _, p := range s.act[1:] {
@@ -234,58 +231,13 @@ func SparseSemigroup[T any](m *M, s *Sparse[T], op func(a, b T) T) {
 	}
 }
 
-// countBothBelow counts the x in [0, n) with x ⊕ mask also in [0, n), by
-// a two-tightness digit walk over the bits of n — O(log² n), no scan of
-// the index space.
-func countBothBelow(n, mask int) int {
-	if n <= 0 {
-		return 0
-	}
-	nb := bits.Len(uint(n | mask)) // cover mask bits above n's width too
-	var rec func(k int, ta, tb bool) int
-	rec = func(k int, ta, tb bool) int {
-		if !ta && !tb {
-			// Both x and x⊕mask are already strictly below n on a higher
-			// bit; every completion of the remaining k+1 bits is valid.
-			return 1 << (k + 1)
-		}
-		if k < 0 {
-			return 0 // a still-tight prefix means the value equals n
-		}
-		nk := (n >> k) & 1
-		mk := (mask >> k) & 1
-		total := 0
-		for xk := 0; xk <= 1; xk++ {
-			yk := xk ^ mk
-			if ta && xk > nk || tb && yk > nk {
-				continue
-			}
-			total += rec(k-1, ta && xk == nk, tb && yk == nk)
-		}
-		return total
-	}
-	return rec(nb-1, true, true)
-}
-
-// pairCount returns the number of PE pairs (i, i ⊕ mask) with both ends
-// on an n-PE machine — the pair population of one dense compare-exchange
-// round (each pair exchanges 2 messages regardless of occupancy). The
-// same-block constraint of SortBlocks is vacuous here because every
-// mask used is smaller than its (power-of-two) block.
-func pairCount(n, mask int) int {
-	if mask <= 0 {
-		return 0
-	}
-	return countBothBelow(n, mask) / 2
-}
-
 // sparseCE runs one compare-exchange round on the active items only:
 // each pair with at least one occupied member is resolved exactly as the
 // dense round resolves it (occupied registers sort before empty ones),
 // and pairs of two empty registers are no-ops the host skips. snap must
 // hold the pre-round active list; the post-round list is rebuilt into
-// s.act.
-func (s *Sparse[T]) sparseCE(m *M, mask, block int, less func(a, b T) bool, snap []int32) {
+// s.act. The caller charges the round.
+func (s *Sparse[T]) sparseCE(mask, block int, less func(a, b T) bool, snap []int32) {
 	n := s.Len()
 	val, occ := s.f.Val, s.f.Occ
 	newAct := s.act[:0]
@@ -325,25 +277,21 @@ func (s *Sparse[T]) sparseCE(m *M, mask, block int, less func(a, b T) bool, snap
 		slices.Sort(newAct)
 	}
 	s.act = newAct
-	b := 0
-	for 1<<(b+1) <= mask {
-		b++
-	}
-	m.chargeXOR(b, 2*pairCount(n, mask))
 }
 
-// sparseMergeBlocks mirrors MergeBlocksCols round for round.
+// sparseMergeBlocks mirrors MergeBlocksCols round for round and charges
+// through the same ChargeMergeBlocks.
 func sparseMergeBlocks[T any](m *M, s *Sparse[T], block int, less func(a, b T) bool, snap []int32) {
 	if block < 2 {
 		return
 	}
-	defer closeSpan(pspan(m, "merge", block))
 	snap = append(snap[:0], s.act...)
-	s.sparseCE(m, block-1, block, less, snap)
+	s.sparseCE(block-1, block, less, snap)
 	for mask := block / 4; mask >= 1; mask /= 2 {
 		snap = append(snap[:0], s.act...)
-		s.sparseCE(m, mask, block, less, snap)
+		s.sparseCE(mask, block, less, snap)
 	}
+	ChargeMergeBlocks(m, s.Len(), block)
 }
 
 // SparseSort sorts the whole machine — dense counterpart Sort. The k
@@ -366,19 +314,15 @@ func SparseSort[T any](m *M, s *Sparse[T], less func(a, b T) bool) {
 // Host work O(k).
 func SparseCompact[T any](m *M, s *Sparse[T]) {
 	n := s.Len()
-	defer closeSpan(pspan(m, "compact", n))
 	k := len(s.act)
-	m.ChargeLocal(1)        // write the 0/1 occupancy ranks
-	sparseScanCharges(m, n) // rank prefix sums
-	m.ChargeLocal(1)        // mark the segment base
-	sparseScanCharges(m, n) // flood the base index
 	src := GetScratch[int](m, k)
 	dst := GetScratch[int](m, k)
 	for idx, p := range s.act {
 		src[idx] = int(p)
 		dst[idx] = idx
 	}
-	m.ChargeRoute(src, dst)
+	whole := wholeShape(n)
+	ChargeCompact(m, n, &whole, src, dst)
 	val, occ := s.f.Val, s.f.Occ
 	for idx, p := range s.act {
 		val[idx] = val[p] // idx ≤ p: ascending in-place move is safe

@@ -3,7 +3,6 @@ package penvelope
 import (
 	"fmt"
 
-	"dyncg/internal/colstore"
 	"dyncg/internal/machine"
 	"dyncg/internal/pieces"
 )
@@ -24,7 +23,8 @@ func Combine2(m *machine.M, f, g pieces.Piecewise, window func(fw, gw pieces.Pie
 		return nil, fmt.Errorf("penvelope: Combine2 inputs (%d, %d pieces) exceed machine halves (%d PEs): %w",
 			len(f), len(g), N, machine.ErrTooFewPEs)
 	}
-	regs := colstore.New[envReg](N)
+	regs := machine.GetCols[envReg](m, N)
+	defer machine.PutCols(m, regs)
 	for j, p := range f {
 		regs.Set(j, envReg{p: p})
 	}
@@ -59,7 +59,11 @@ func MapPieces(m *machine.M, f pieces.Piecewise, fn func(pieces.Piece) []pieces.
 	if len(f) > N {
 		return nil, fmt.Errorf("penvelope: MapPieces input (%d pieces) exceeds machine (%d PEs): %w", len(f), N, machine.ErrTooFewPEs)
 	}
-	emitted := make([][]pieces.Piece, N)
+	emitted := machine.GetScratch[[]pieces.Piece](m, len(f))
+	defer func() {
+		clear(emitted) // drop the subpieces so the parked buffer does not pin them
+		machine.PutScratch(m, emitted)
+	}()
 	m.ChargeLocal(1)
 	total := 0
 	for i, p := range f {
@@ -69,35 +73,38 @@ func MapPieces(m *machine.M, f pieces.Piecewise, fn func(pieces.Piece) []pieces.
 	if total > N {
 		return nil, fmt.Errorf("penvelope: MapPieces expansion (%d pieces) exceeds machine (%d PEs): %w", total, N, machine.ErrTooFewPEs)
 	}
-	counts := machine.GetCols[int](m, N)
+	// Rank by a whole-machine parallel prefix over the per-PE counts, then
+	// pack with one structured route per subpiece index.
 	m.ChargeLocal(1)
-	for i := 0; i < N; i++ {
-		counts.Set(i, len(emitted[i]))
-	}
-	machine.ScanCols(m, counts, machine.WholeMachine(N), machine.Forward,
-		func(a, b int) int { return a + b })
-	regs := colstore.New[envReg](N)
-	maxEmit := 0
-	for i := range emitted {
-		if len(emitted[i]) > maxEmit {
-			maxEmit = len(emitted[i])
+	var whole machine.ScanShape
+	whole.AddBlocks(N, N)
+	machine.ChargeScan(m, N, &whole)
+	regs := machine.GetCols[envReg](m, N)
+	defer machine.PutCols(m, regs)
+	maxEmit, at := 0, 0
+	for _, sub := range emitted {
+		maxEmit = max(maxEmit, len(sub))
+		for j, p := range sub {
+			regs.Set(at+j, envReg{p: p})
 		}
-		base := counts.Val[i] - len(emitted[i])
-		for j, p := range emitted[i] {
-			regs.Set(base+j, envReg{p: p})
-		}
+		at += len(sub)
 	}
+	src := machine.GetScratch[int](m, len(f))
+	dst := machine.GetScratch[int](m, len(f))
 	for j := 0; j < maxEmit; j++ {
-		var src, dst []int
-		for i := range emitted {
-			if j < len(emitted[i]) {
+		src, dst = src[:0], dst[:0]
+		at := 0
+		for i, sub := range emitted {
+			if j < len(sub) {
 				src = append(src, i)
-				dst = append(dst, counts.Val[i]-len(emitted[i])+j)
+				dst = append(dst, at+j)
 			}
+			at += len(sub)
 		}
 		m.ChargeRoute(src, dst)
 	}
-	machine.PutCols(m, counts)
+	machine.PutScratch(m, dst)
+	machine.PutScratch(m, src)
 	if err := combineRuns(m, regs, N); err != nil {
 		return nil, err
 	}

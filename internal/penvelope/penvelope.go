@@ -19,6 +19,22 @@
 // 2^ℓ PEs, every block holding the envelope of its functions as a sorted,
 // front-packed run of pieces; merging two sibling blocks is Lemma 3.1
 // executed simultaneously in every block pair.
+//
+// The packed-run invariant. Every register file a merge level receives —
+// from envelope, Combine2, MapPieces and MergeTree.mergeOnce alike —
+// holds, in each half of each block, a front-packed run of pieces sorted
+// by Lo (a valid Piecewise), and every other register is empty and
+// zero; every level leaves its blocks in that state. The machine is
+// over-allocated (N ≥ 4·λ(n, s), see MeshPEs/CubePEs), so most registers
+// are empty, and a dense level would spend almost all of its host work
+// skipping them. mergeLevel and combineRuns therefore read each block's
+// runs directly and do host work per piece — O(pieces + N/block) per
+// level — while charging the machine every round of the dense
+// algorithm through machine's charge-only entry points (ChargeMergeBlocks,
+// ChargeScan, ChargeShift, ChargeCompact, ChargeRoute), so Stats, the
+// observer stream and the fault-injector consultations are those of the
+// round-by-round algorithm, which survives as the test oracle in
+// mergeref_test.go.
 package penvelope
 
 import (
@@ -150,6 +166,47 @@ func envelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind, snap func(b
 	return out, nil
 }
 
+// regLess is the Step 2 merge order: interval left endpoint, ties broken
+// by side then ID for determinism (the paper breaks ties in favour of
+// Right records; any fixed rule works here because empty windows are
+// skipped). Within one side the left endpoints of a valid run strictly
+// increase, so on valid runs this is a strict total order and any
+// correct merge of the two runs yields the same sequence.
+func regLess(a, b envReg) bool {
+	if a.p.Lo != b.p.Lo {
+		return a.p.Lo < b.p.Lo
+	}
+	if a.side != b.side {
+		return a.side < b.side
+	}
+	return a.p.ID < b.p.ID
+}
+
+// mergeItem is one piece of a block's merged sequence at a Lemma 3.1
+// level — one PE's state between Steps 2 and 5.
+type mergeItem struct {
+	p    pieces.Piece
+	from int // the PE that held the piece before the level
+	pe   int // the PE the Step 2 merge moves it to
+	// f and g index (in the level's item list) the latest piece of each
+	// side at or before this one within the block — the other-piece
+	// field of Step 3 — or are −1 before the side's first piece.
+	f, g int
+	w1   float64          // the window end: the next piece's Lo, or +Inf
+	out  pieces.Piecewise // the window's emitted subpieces (Steps 4–5)
+	at   int              // the PE its first subpiece is packed to
+}
+
+// runLen returns the length of the front-packed run in occ[lo:hi]: the
+// occupied registers up to the first empty one.
+func runLen(occ []bool, lo, hi int) int {
+	k := 0
+	for lo+k < hi && occ[lo+k] {
+		k++
+	}
+	return k
+}
+
 // mergeLevel performs Lemma 3.1 simultaneously in every aligned block of
 // the given size: each block's two halves hold sorted, front-packed piece
 // runs of h₁ and h₂; afterwards the block holds the sorted, front-packed
@@ -157,6 +214,15 @@ func envelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind, snap func(b
 // or any other Θ(1)-per-window combination (the generalisation the paper
 // notes after Lemma 3.1: "the algorithm ... can also be used to construct
 // ... any of a variety of operations (e.g., max, sum, product)").
+//
+// The machine is charged every round of the six steps — a bitonic
+// merge, the other-piece prefix, the next-piece shift, the rank prefix
+// and the packing routes — through machine's charge-only entry points,
+// while the host touches only the occupied registers: it merges the two
+// runs of each block directly, so its work is O(pieces + N/block) per
+// level instead of O(N log block). The packed-run invariant (package
+// doc) is what makes the two agree; the round-by-round form is the test
+// oracle in mergeref_test.go.
 func mergeLevel(m *machine.M, regs colstore.File[envReg], block int, window func(fw, gw pieces.Piecewise) pieces.Piecewise) error {
 	if m.Observed() {
 		m.SpanBegin("lemma3.1-merge", "block", strconv.Itoa(block))
@@ -164,215 +230,204 @@ func mergeLevel(m *machine.M, regs colstore.File[envReg], block int, window func
 	}
 	N := regs.Len()
 	half := block / 2
-	// Step 1: tag sides.
+	// Step 1: tag sides. On the host a piece's side is the half its run
+	// is read from.
 	m.ChargeLocal(1)
-	par.ForEach(m.Workers(), N, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if regs.Occ[i] {
-				regs.Val[i].side = uint8((i / half) % 2)
-			}
-		}
-	})
-	// Step 2: merge the two runs by interval left endpoint. Ties broken
-	// by side then ID for determinism (the paper breaks ties in favour of
-	// Right records; any fixed rule works here because empty windows are
-	// skipped).
-	machine.MergeBlocksCols(m, regs, block, func(a, b envReg) bool {
-		if a.p.Lo != b.p.Lo {
-			return a.p.Lo < b.p.Lo
-		}
-		if a.side != b.side {
-			return a.side < b.side
-		}
-		return a.p.ID < b.p.ID
-	})
-	// Step 3: parallel prefix gives every PE the latest piece of each
-	// side starting at or before its own (the other-piece field).
-	seg := machine.GetScratch[bool](m, N)
-	for i := 0; i < N; i += block {
-		seg[i] = true
+	// Step 2: merge the two runs of every block by regLess. Step 3's
+	// last-seen prefix and next-piece shift ride along: the merge walks
+	// each block's pieces in their final order.
+	total := 0
+	for s := 0; s < N; s += block {
+		mid, e := min(s+half, N), min(s+block, N)
+		total += runLen(regs.Occ, s, mid) + runLen(regs.Occ, mid, e)
 	}
-	seen := machine.GetCols[lastSeen](m, N)
-	m.ChargeLocal(1)
-	par.ForEach(m.Workers(), N, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !regs.Occ[i] {
-				continue
-			}
-			r := regs.Val[i]
-			ls := lastSeen{}
-			if r.side == 0 {
-				ls.f, ls.fOk = r.p, true
+	items := machine.GetScratch[mergeItem](m, total)
+	defer func() {
+		clear(items) // drop the window outputs so the parked buffer does not pin them
+		machine.PutScratch(m, items)
+	}()
+	nextMsgs, q := 0, 0
+	for s := 0; s < N; s += block {
+		mid, e := min(s+half, N), min(s+block, N)
+		kf, kg := runLen(regs.Occ, s, mid), runLen(regs.Occ, mid, e)
+		i, j := s, mid
+		f, g := -1, -1
+		for k := 0; k < kf+kg; k++ {
+			it := &items[q+k]
+			if j == mid+kg || i < s+kf && !regLess(envReg{p: regs.Val[j].p, side: 1}, envReg{p: regs.Val[i].p}) {
+				it.p, it.from = regs.Val[i].p, i
+				f = q + k
+				i++
 			} else {
-				ls.g, ls.gOk = r.p, true
+				it.p, it.from = regs.Val[j].p, j
+				g = q + k
+				j++
 			}
-			seen.Val[i], seen.Occ[i] = ls, true
+			it.pe, it.f, it.g = s+k, f, g
+			it.w1 = math.Inf(1)
+			if k > 0 {
+				items[q+k-1].w1 = it.p.Lo
+			}
 		}
-	})
-	machine.ScanCols(m, seen, seg, machine.Forward, mergeSeen)
-	// Each PE also needs the start of the next piece to bound its window.
-	next := machine.ShiftWithinCols(m, regs, block, -1)
+		q += kf + kg
+		nextMsgs += max(kf+kg-1, 0)
+	}
+	machine.ChargeMergeBlocks(m, N, block)
+	var blocks machine.ScanShape
+	blocks.AddBlocks(N, block)
+	m.ChargeLocal(1)
+	machine.ChargeScan(m, N, &blocks)
+	machine.ChargeShift(m, -1, nextMsgs)
 	// Step 4–5: Θ(1) local work per PE — build the envelope restricted to
 	// the window [myLo, nextLo) from the two active pieces, via the same
 	// bounded computation a single PE performs in Lemma 3.1 (root
 	// isolation on one pair of bounded-degree curves plus sample
 	// comparisons on ≤ s+1 subintervals).
 	m.ChargeLocal(1)
-	emitted := machine.GetScratch[[]pieces.Piece](m, N)
-	// The window computation (root isolation on a pair of curves) is pure
-	// and writes only emitted[i], so PEs shard freely; maxEmit is an
-	// order-independent max reduction.
-	maxEmit := par.Reduce(m.Workers(), N, 0, func(lo, hi int) int {
+	// The window computation is pure and writes only its own item's out,
+	// so pieces shard freely; maxEmit is an order-independent max
+	// reduction.
+	maxEmit := par.Reduce(m.Workers(), total, 0, func(lo, hi int) int {
 		maxEmit := 0
-		for i := lo; i < hi; i++ {
-			if !regs.Occ[i] || !seen.Occ[i] {
-				continue
-			}
-			w0 := regs.Val[i].p.Lo
-			w1 := math.Inf(1)
-			if next.Occ[i] {
-				w1 = next.Val[i].p.Lo
-			}
+		for q := lo; q < hi; q++ {
+			it := &items[q]
+			w0, w1 := it.p.Lo, it.w1
 			if !(w0 < w1) {
 				continue // empty window (tied left endpoints)
 			}
-			ls := seen.Val[i]
 			var fw, gw pieces.Piecewise
-			if ls.fOk {
-				fw = clip(ls.f, w0, w1)
+			if it.f >= 0 {
+				fw = clip(items[it.f].p, w0, w1)
 			}
-			if ls.gOk {
-				gw = clip(ls.g, w0, w1)
+			if it.g >= 0 {
+				gw = clip(items[it.g].p, w0, w1)
 			}
-			emitted[i] = window(fw, gw)
-			if len(emitted[i]) > maxEmit {
-				maxEmit = len(emitted[i])
-			}
+			it.out = window(fw, gw)
+			maxEmit = max(maxEmit, len(it.out))
 		}
 		return maxEmit
-	}, func(a, b int) int {
-		if b > a {
-			return b
-		}
-		return a
-	})
+	}, func(a, b int) int { return max(a, b) })
 	// Pack the emitted subpieces: rank by parallel prefix, then maxEmit
 	// structured routes (each PE holds Θ(1) subpieces).
-	counts := machine.GetCols[int](m, N)
 	m.ChargeLocal(1)
-	for i := 0; i < N; i++ {
-		counts.Val[i], counts.Occ[i] = len(emitted[i]), true
-	}
-	machine.ScanCols(m, counts, seg, machine.Forward, func(a, b int) int { return a + b })
-	out := machine.GetCols[envReg](m, N)
-	for i := 0; i < N; i++ {
-		if len(emitted[i]) == 0 {
-			continue
+	machine.ChargeScan(m, N, &blocks)
+	for q := 0; q < total; {
+		s := items[q].pe - items[q].pe%block
+		at := s
+		for ; q < total && items[q].pe < s+block; q++ {
+			items[q].at = at
+			at += len(items[q].out)
 		}
-		base := (i/block)*block + counts.Val[i] - len(emitted[i])
-		for j, p := range emitted[i] {
-			if base+j >= (i/block+1)*block {
-				return fmt.Errorf("%w at level %d", ErrBlockCapacity, block)
-			}
-			out.Set(base+j, envReg{p: p})
+		if at > s+block {
+			return fmt.Errorf("%w at level %d", ErrBlockCapacity, block)
 		}
 	}
-	srcBuf := machine.GetScratch[int](m, N)
-	dstBuf := machine.GetScratch[int](m, N)
+	src := machine.GetScratch[int](m, total)
+	dst := machine.GetScratch[int](m, total)
 	for j := 0; j < maxEmit; j++ {
 		// Each of the ≤ maxEmit rounds is one structured route.
-		src, dst := srcBuf[:0], dstBuf[:0]
-		for i := 0; i < N; i++ {
-			if j < len(emitted[i]) {
-				src = append(src, i)
-				dst = append(dst, (i/block)*block+counts.Val[i]-len(emitted[i])+j)
+		src, dst = src[:0], dst[:0]
+		for q := range items {
+			if j < len(items[q].out) {
+				src = append(src, items[q].pe)
+				dst = append(dst, items[q].at+j)
 			}
 		}
 		m.ChargeRoute(src, dst)
 	}
-	regs.CopyFrom(out)
-	// Release this level's scratch before recursing into Step 6. The
-	// emitted buffer still holds per-PE subpiece slices (heap values from
-	// window); clear it so the parked buffer does not pin them.
-	clear(emitted)
-	machine.PutScratch(m, dstBuf)
-	machine.PutScratch(m, srcBuf)
-	machine.PutCols(m, out)
-	machine.PutCols(m, counts)
-	machine.PutScratch(m, emitted)
-	machine.PutCols(m, next)
-	machine.PutCols(m, seen)
-	machine.PutScratch(m, seg)
+	machine.PutScratch(m, dst)
+	machine.PutScratch(m, src)
+	for q := range items {
+		regs.Clear(items[q].from)
+	}
+	for q := range items {
+		for j, p := range items[q].out {
+			regs.Set(items[q].at+j, envReg{p: p})
+		}
+	}
 	// Step 6: combine adjacent subpieces with the same generating
 	// function (runs), using a prefix within runs.
 	return combineRuns(m, regs, block)
 }
 
 // combineRuns merges maximal runs of adjacent pieces with equal ID whose
-// intervals abut, the parallel form of Piecewise.Compact.
+// intervals abut, the parallel form of Piecewise.Compact: each run head
+// learns its run's last Hi by a backward flood within runs, the other
+// pieces drop out, and a compaction re-packs every block. The host walks
+// each block's front-packed run once and charges those rounds in closed
+// form: the flood's segments run from each run head to the next, the
+// last run reaching the block end (an empty block is one segment).
 func combineRuns(m *machine.M, regs colstore.File[envReg], block int) error {
 	if m.Observed() {
 		m.SpanBegin("combine-runs", "block", strconv.Itoa(block))
 		defer m.SpanEnd()
 	}
 	N := regs.Len()
-	prev := machine.ShiftWithinCols(m, regs, block, +1) // prev[i] = regs[i-1]
-	runStart := machine.GetScratch[bool](m, N)
-	m.ChargeLocal(1)
-	par.ForEach(m.Workers(), N, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !regs.Occ[i] {
-				runStart[i] = i%block == 0
-				continue
-			}
-			if !prev.Occ[i] {
-				runStart[i] = true
-				continue
-			}
-			a, b := prev.Val[i].p, regs.Val[i].p
-			runStart[i] = !(a.ID == b.ID && a.Hi == b.Lo)
-		}
-	})
-	machine.PutCols(m, prev)
-	// Bring each run's final Hi to its head: a backward flood (nil op)
-	// within runs.
-	his := machine.GetCols[float64](m, N)
-	for i := 0; i < N; i++ {
-		if regs.Occ[i] {
-			his.Set(i, regs.Val[i].p.Hi)
+	// prev[i] = regs[i−1] within the block: one shift round, carrying a
+	// message from every piece but a full block's last.
+	prevMsgs, total := 0, 0
+	for s := 0; s < N; s += block {
+		e := min(s+block, N)
+		k := runLen(regs.Occ, s, e)
+		total += k
+		prevMsgs += k
+		if k == e-s {
+			prevMsgs--
 		}
 	}
-	machine.ScanCols(m, his, runStart, machine.Backward, nil)
-	m.ChargeLocal(1)
-	for i := 0; i < N; i++ {
-		if !regs.Occ[i] {
+	var runs machine.ScanShape
+	src := machine.GetScratch[int](m, total)[:0]
+	dst := machine.GetScratch[int](m, total)[:0]
+	for s := 0; s < N; s += block {
+		e := min(s+block, N)
+		k := runLen(regs.Occ, s, e)
+		if k == 0 {
+			runs.Add(e - s)
 			continue
 		}
-		if runStart[i] {
-			regs.Val[i].p.Hi = his.Val[i]
-		} else {
+		head, r := s, s
+		for i := s + 1; i <= s+k; i++ {
+			if i < s+k {
+				a, b := regs.Val[i-1].p, regs.Val[i].p
+				if a.ID == b.ID && a.Hi == b.Lo {
+					continue
+				}
+				runs.Add(i - head)
+			} else {
+				runs.Add(e - head)
+			}
+			// The run [head, i) collapses onto its head, packed to r.
+			v := regs.Val[head]
+			v.p.Hi = regs.Val[i-1].p.Hi
+			src = append(src, head)
+			dst = append(dst, r)
+			regs.Val[r] = v
+			r++
+			head = i
+		}
+		for i := r; i < s+k; i++ {
 			regs.Clear(i)
 		}
 	}
-	machine.PutCols(m, his)
-	seg := machine.GetScratch[bool](m, N)
-	for i := 0; i < N; i += block {
-		seg[i] = true
-	}
-	machine.CompactCols(m, regs, seg)
-	machine.PutScratch(m, seg)
-	machine.PutScratch(m, runStart)
+	machine.ChargeShift(m, +1, prevMsgs)
+	m.ChargeLocal(1) // mark run heads
+	machine.ChargeScan(m, N, &runs)
+	m.ChargeLocal(1) // heads take the run's Hi, the rest drop out
+	var blocks machine.ScanShape
+	blocks.AddBlocks(N, block)
+	machine.ChargeCompact(m, N, &blocks, src, dst)
+	machine.PutScratch(m, dst)
+	machine.PutScratch(m, src)
 	return nil
 }
 
-// occupiedPieces returns the occupied registers' pieces in PE order,
-// as a non-nil slice.
+// occupiedPieces returns the pieces of a file that is one front-packed
+// run from PE 0 — every file after its last merge level — as a non-nil
+// slice.
 func occupiedPieces(regs colstore.File[envReg]) pieces.Piecewise {
 	out := pieces.Piecewise{}
-	for i, ok := range regs.Occ {
-		if ok {
-			out = append(out, regs.Val[i].p)
-		}
+	for i := 0; i < regs.Len() && regs.Occ[i]; i++ {
+		out = append(out, regs.Val[i].p)
 	}
 	return out
 }

@@ -13,11 +13,11 @@ package penvelope
 // the batch-dynamic literature (Wang et al.), with the from-scratch
 // construction retained as the exact oracle (Rebuild).
 //
-// Bit-identity argument. mergeLevel is block-relative: side tags,
-// bitonic merge order (a strict total order on (Lo, side, ID) with
-// occupied registers sorting before empty ones), window computation,
-// packing and run combination all depend only on the sequence of
-// occupied registers in each block, never on the register-file length.
+// Bit-identity argument. mergeLevel is block-relative: side tags, the
+// merge order (regLess, a strict total order on (Lo, side, ID) over a
+// block's two packed runs), window computation, packing and run
+// combination all depend only on the sequence of occupied registers in
+// each block, never on the register-file length.
 // Re-merging two front-packed sibling strings in a smaller power-of-two
 // block therefore yields byte-for-byte the pieces the from-scratch pass
 // produces in the full-width block — unless the emitted pieces overflow

@@ -22,6 +22,12 @@
 # (allocs/op tight, B/op medium, ns/op catastrophic-only — shared runners
 # are too noisy for a wall-clock trend gate).
 #
+# The first invocation runs every benchmark three times (-count 3);
+# cmd/benchgate folds the repeats into the median ns/op (and median B/op,
+# allocs/op) and records the ns/op spread as ns_min/ns_max next to it,
+# so a wall-clock difference can be read against the run-to-run noise
+# of the host.
+#
 # BenchmarkPerfLargeN (the 64k/256k/1M columnar-core scale rows) runs in
 # a second invocation at its own pinned count (BENCH_TIME_LARGE, default
 # 20x) so the 1M rows stay inside the bench-smoke wall-clock budget;
@@ -50,8 +56,8 @@ mode=${1:-refresh}
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
-echo "==> go test -bench 'BenchmarkPerf|BenchmarkServer(Endpoint)?$|BenchmarkSession|BenchmarkReplay' -benchtime $benchtime -benchmem"
-go test -run '^$' -bench 'BenchmarkPerf($|EndToEnd)|BenchmarkServer(Endpoint)?$|BenchmarkSession|BenchmarkReplay' -benchtime "$benchtime" -benchmem . ./internal/server ./internal/replaylog | tee "$out"
+echo "==> go test -bench 'BenchmarkPerf|BenchmarkServer(Endpoint)?$|BenchmarkSession|BenchmarkReplay' -benchtime $benchtime -count 3 -benchmem"
+go test -run '^$' -bench 'BenchmarkPerf($|EndToEnd)|BenchmarkServer(Endpoint)?$|BenchmarkSession|BenchmarkReplay' -benchtime "$benchtime" -count 3 -benchmem . ./internal/server ./internal/replaylog | tee "$out"
 
 echo "==> go test -bench BenchmarkPerfLargeN -benchtime $benchtime_large -benchmem"
 go test -run '^$' -bench 'BenchmarkPerfLargeN' -benchtime "$benchtime_large" -benchmem . | tee -a "$out"
