@@ -87,12 +87,7 @@ func pairSequence(m *machine.M, sys *motion.System, kind pieces.Kind) ([]PairEve
 // the n trajectories to the n(n−1)/2 pair-PEs is a grouping (sort-based
 // concurrent read) on the pair machine.
 func chargeReplication(m *machine.M) {
-	nn := m.Size()
-	regs := colstore.New[int](nn)
-	for i := range regs.Val {
-		regs.Set(i, nn-i)
-	}
-	machine.SortCols(m, regs, func(a, b int) bool { return a < b })
+	machine.ChargeSort(m, m.Size())
 }
 
 // SerialClosestPairSequence is the serial baseline for the §6 pair

@@ -7,7 +7,8 @@ package machine
 // primitives of sparse.go take their charges from these functions, so
 // each charge formula exists once; callers that compute a primitive's
 // registers with host-efficient code of their own (penvelope's packed
-// Lemma 3.1 levels) charge the machine through them too. Agreement with
+// Lemma 3.1 levels) charge the machine through them too, and so do
+// callers that sort only to charge the machine (ChargeSort). Agreement with
 // the round-by-round reference kernels is pinned by
 // TestChargeHelpersMatchDense.
 
@@ -103,6 +104,22 @@ func ChargeMergeBlocks(m *M, n, block int) {
 	chargeCE(m, n, block-1)
 	for mask := block / 4; mask >= 1; mask /= 2 {
 		chargeCE(m, n, mask)
+	}
+}
+
+// ChargeSort charges what SortCols charges on an n-PE file: the "sort"
+// span and the bitonic merges of sub-blocks 2, 4, …, n. A caller that
+// sorts only to charge the machine calls this instead.
+func ChargeSort(m *M, n int) {
+	defer closeSpan(pspan(m, "sort", n))
+	chargeSortRounds(m, n, n)
+}
+
+// chargeSortRounds charges the merges of SortBlocksCols(m, f, block, ·)
+// on an n-PE file.
+func chargeSortRounds(m *M, n, block int) {
+	for sub := 2; sub <= block; sub *= 2 {
+		ChargeMergeBlocks(m, n, sub)
 	}
 }
 

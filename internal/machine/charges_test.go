@@ -1,41 +1,13 @@
 package machine
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"dyncg/internal/colstore"
 )
-
-// refMergeBlocksCounted is the merge as it charged before the closed
-// form: the same compare-exchange rounds, each charged with the messages
-// the round actually exchanged (two per in-block pair on the machine).
-func refMergeBlocksCounted(m *M, f colstore.File[int], block int, less func(a, b int) bool) {
-	if block < 2 {
-		return
-	}
-	defer closeSpan(pspan(m, "merge", block))
-	round := func(mask int) {
-		n := f.Len()
-		msgs := 0
-		for i := 0; i < n; i++ {
-			if j := i ^ mask; j > i && j < n && i/block == j/block {
-				msgs += 2
-			}
-		}
-		ceRoundCols(f.Val, f.Occ, mask, block, less, 0, n)
-		b := 0
-		for 1<<(b+1) <= mask {
-			b++
-		}
-		m.chargeXOR(b, msgs)
-	}
-	round(block - 1)
-	for mask := block / 4; mask >= 1; mask /= 2 {
-		round(mask)
-	}
-}
 
 // refCompactCols is the compaction as it ran before the sequential rank
 // pass: a rank prefix over 0/1 occupancy counts and a flood of each
@@ -157,20 +129,43 @@ func TestChargeHelpersMatchDense(t *testing.T) {
 			sameStream(t, "scan/blocks", st, rec, hst, hrec)
 		}
 
-		// Merge: the closed form against the counted rounds.
+		// Merge: the closed form against the counted rounds. The helper
+		// matches the network on every block; the host merge needs a
+		// power-of-two block, so the whole machine is rounded up to one
+		// when n is not. Registers compare masked: the network carried
+		// stale values through its swaps, the host merge zeroes the
+		// registers it vacates.
 		for _, block := range blocks {
-			got, want := file(), file()
+			want := file()
+			wst, wrec := recorded(n, func(m *M) { refMergeBlocksCounted(m, want, block, intLess) })
+			hst, hrec := recorded(n, func(m *M) { ChargeMergeBlocks(m, n, block) })
+			sameStream(t, "merge/helper", hst, hrec, wst, wrec)
+			block = 1 << bits.Len(uint(block-1))
+			got := file()
 			SortBlocksCols(New(lineTopo(n)), got, max(block/2, 1), intLess)
 			want.CopyFrom(got)
 			st, rec := recorded(n, func(m *M) { MergeBlocksCols(m, got, block, intLess) })
-			wst, wrec := recorded(n, func(m *M) { refMergeBlocksCounted(m, want, block, intLess) })
+			wst, wrec = recorded(n, func(m *M) { refMergeBlocksCounted(m, want, block, intLess) })
 			sameStream(t, "merge", st, rec, wst, wrec)
-			if !reflect.DeepEqual(got, want) {
+			if !colstore.Equal(got, want) {
 				t.Fatalf("n=%d block=%d: merge registers differ from the counted rounds", n, block)
 			}
-			hst, hrec := recorded(n, func(m *M) { ChargeMergeBlocks(m, n, block) })
-			sameStream(t, "merge/helper", st, rec, hst, hrec)
 		}
+
+		// Sort: SortBlocksCols against the network on every block, and
+		// SortCols against ChargeSort.
+		for _, block := range blocks {
+			got, want := file(), file()
+			st, rec := recorded(n, func(m *M) { SortBlocksCols(m, got, block, intLess) })
+			wst, wrec := recorded(n, func(m *M) { refSortBlocksCols(m, want, block, intLess) })
+			sameStream(t, "sort", st, rec, wst, wrec)
+			if !colstore.Equal(got, want) {
+				t.Fatalf("n=%d block=%d: sort registers differ from the network", n, block)
+			}
+		}
+		st, rec = recorded(n, func(m *M) { SortCols(m, file(), intLess) })
+		hst, hrec = recorded(n, func(m *M) { ChargeSort(m, n) })
+		sameStream(t, "sort/helper", st, rec, hst, hrec)
 
 		// Compact: the sequential rank pass against the scan-based one.
 		got, want := file(), file()

@@ -15,7 +15,7 @@ package machine
 // (a compare-exchange round on pair mask `mask` moves
 // 2·pairCount(n, mask) messages). Dense and sparse primitives take
 // their charges from the same charge-only entry points (charges.go):
-// ChargeScan, ChargeMergeBlocks, ChargeCompact, ChargeShift. A scan
+// ChargeScan, ChargeSort, ChargeCompact, ChargeShift. A scan
 // round at offset `off` carries Σ_segments max(0, L − off) messages,
 // which for the whole machine as one string is n − off. Answer-and-Stats identity with the
 // dense primitives is pinned by the property tests and
@@ -28,8 +28,10 @@ package machine
 //     per-segment active tracking that no current caller wants.
 //   - Results are identical to the dense primitive under masked
 //     comparison: equal occupancy and equal values wherever occupied.
-//     (Dense primitives propagate stale bytes of empty registers through
-//     swaps; a sparse file does not track stale bytes at all.)
+//     (Dense scans propagate stale bytes of empty registers; a sparse
+//     file does not track stale bytes at all.) Sort runs the dense
+//     sort's host kernel over the active list, so both are stable on
+//     ties and agree on every comparator.
 //   - Work bounds are per-primitive: Sort, Compact, ShiftWithin and
 //     Route do O(k·polylog) host work for k active items. Scan, Spread
 //     and Semigroup are O(final occupied): their results genuinely
@@ -41,6 +43,7 @@ package machine
 // an attached tracer sees a bit-identical span/round stream.
 
 import (
+	"math/bits"
 	"slices"
 
 	"dyncg/internal/colstore"
@@ -231,82 +234,29 @@ func SparseSemigroup[T any](m *M, s *Sparse[T], op func(a, b T) T) {
 	}
 }
 
-// sparseCE runs one compare-exchange round on the active items only:
-// each pair with at least one occupied member is resolved exactly as the
-// dense round resolves it (occupied registers sort before empty ones),
-// and pairs of two empty registers are no-ops the host skips. snap must
-// hold the pre-round active list; the post-round list is rebuilt into
-// s.act. The caller charges the round.
-func (s *Sparse[T]) sparseCE(mask, block int, less func(a, b T) bool, snap []int32) {
-	n := s.Len()
-	val, occ := s.f.Val, s.f.Occ
-	newAct := s.act[:0]
-	moved := false
-	for _, p32 := range snap {
-		p := int(p32)
-		q := p ^ mask
-		if q >= n || p/block != q/block {
-			newAct = append(newAct, p32) // no partner on the machine
-			continue
-		}
-		if q > p {
-			// First visit of the pair. Both occupied: order them (smaller
-			// value to the smaller index). Partner empty: regLess(empty,
-			// occupied) is false, so the item stays put.
-			if occ[q] && less(val[q], val[p]) {
-				val[p], val[q] = val[q], val[p]
-			}
-			newAct = append(newAct, p32)
-			continue
-		}
-		// q < p: if q is occupied the pair was resolved at q's visit
-		// (both-occupied swaps exchange values, not occupancy). If q is
-		// empty, the dense round swaps the occupied register down:
-		// regLess(occupied@p, empty@q) holds.
-		if occ[q] {
-			newAct = append(newAct, p32)
-			continue
-		}
-		val[q] = val[p]
-		occ[q] = true
-		occ[p] = false
-		newAct = append(newAct, int32(q))
-		moved = true
-	}
-	if moved {
-		slices.Sort(newAct)
-	}
-	s.act = newAct
-}
-
-// sparseMergeBlocks mirrors MergeBlocksCols round for round and charges
-// through the same ChargeMergeBlocks.
-func sparseMergeBlocks[T any](m *M, s *Sparse[T], block int, less func(a, b T) bool, snap []int32) {
-	if block < 2 {
-		return
-	}
-	snap = append(snap[:0], s.act...)
-	s.sparseCE(block-1, block, less, snap)
-	for mask := block / 4; mask >= 1; mask /= 2 {
-		snap = append(snap[:0], s.act...)
-		s.sparseCE(mask, block, less, snap)
-	}
-	ChargeMergeBlocks(m, s.Len(), block)
-}
-
-// SparseSort sorts the whole machine — dense counterpart Sort. The k
-// active items ride the exact bitonic round schedule of the dense sort
-// (so ties land in the same slots the unstable dense network puts them
-// in), but each round costs the host O(k) plus an O(k log k) re-sort of
-// the active list, not O(n).
+// SparseSort sorts the whole machine — dense counterpart SortCols —
+// with the dense sort's host kernel run over the active list: O(k log k)
+// comparisons for k active items, stable on ties, charged through
+// ChargeSort.
 func SparseSort[T any](m *M, s *Sparse[T], less func(a, b T) bool) {
 	n := s.Len()
-	defer closeSpan(pspan(m, "sort", n))
-	snap := GetScratch[int32](m, len(s.act))
-	for sub := 2; sub <= n; sub *= 2 {
-		sparseMergeBlocks(m, s, sub, less, snap)
+	if k := len(s.act); k > 0 && n >= 2 {
+		top := 1 << (bits.Len(uint(n)) - 1) // the blocks SortCols orders
+		buf := GetScratch[int32](m, 2*k)
+		copy(buf, s.act)
+		orderPositions(m, s.f, buf, top, false, less)
+		PutScratch(m, buf)
+		// Each block's items now fill the front of the block.
+		lo, r := -1, 0
+		for j, p := range s.act {
+			if b := int(p) &^ (top - 1); b != lo {
+				lo, r = b, 0
+			}
+			s.act[j] = int32(lo + r)
+			r++
+		}
 	}
-	PutScratch(m, snap)
+	ChargeSort(m, n)
 }
 
 // SparseCompact packs the active items to the front of the machine,

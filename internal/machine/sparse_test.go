@@ -117,7 +117,7 @@ var sparseOps = []struct {
 		func(m *M, s *Sparse[int]) { SparseSemigroup(m, s, minOp) }},
 	{"sort",
 		func(m *M, regs colstore.File[int], seg []bool) {
-			SortCols(m, regs, func(a, b int) bool { return a%7 < b%7 }) // ties exercise the unstable network
+			SortCols(m, regs, func(a, b int) bool { return a%7 < b%7 }) // ties: both sides sort stably, so they must agree
 		},
 		func(m *M, s *Sparse[int]) {
 			SparseSort(m, s, func(a, b int) bool { return a%7 < b%7 })

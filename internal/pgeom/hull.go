@@ -5,7 +5,6 @@ import (
 	"math"
 	"strconv"
 
-	"dyncg/internal/colstore"
 	"dyncg/internal/curve"
 	"dyncg/internal/geom"
 	"dyncg/internal/machine"
@@ -91,7 +90,7 @@ func HullStatic(m *machine.M, pts []geom.Point[ratfun.F64]) ([]int, error) {
 	// h + O(1) points; one more sort-bounded machine pass (charged here)
 	// plus the exact chain scan over the candidates restores the clean
 	// CCW cycle.
-	machine.SortCols(m, colstore.Scatter(m.Size(), cand), func(a, b int) bool { return a < b })
+	machine.ChargeSort(m, m.Size())
 	candPts := make([]geom.Point[ratfun.F64], len(cand))
 	for i, j := range cand {
 		candPts[i] = uniq[j]
@@ -221,7 +220,10 @@ func slopeBound(m *machine.M, pts []geom.Point[ratfun.F64]) float64 {
 		if a.X != b.X {
 			return a.X < b.X
 		}
-		return a.Y < b.Y
+		if a.Y != b.Y {
+			return a.Y < b.Y
+		}
+		return a.ID < b.ID
 	})
 	prev := machine.ShiftWithinCols(m, regs, n, +1)
 	slopes := machine.GetCols[float64](m, n)
@@ -376,7 +378,8 @@ func verifySteadyHull(m *machine.M, pts []geom.Point[ratfun.RatFun], cand []int)
 	o := centroid3(pts[cand[0]], pts[cand[h/3]], pts[cand[2*h/3]])
 	type entry struct {
 		dir      geom.Point[ratfun.RatFun]
-		half     int // dirHalf(dir)
+		half     int  // dirHalf(dir)
+		zero     bool // dir is zero: the point is o itself
 		boundary bool
 		hullPos  int // for boundaries: position in cand
 		ptIdx    int // for queries: index into pts
@@ -392,22 +395,33 @@ func verifySteadyHull(m *machine.M, pts []geom.Point[ratfun.RatFun], cand []int)
 	defer machine.PutCols(m, entries)
 	for i := 0; i < h; i++ {
 		d := pts[cand[i]].Sub(o)
-		entries.Set(i, entry{dir: d, half: dirHalf(d), boundary: true, hullPos: i, ptIdx: -1})
+		entries.Set(i, entry{dir: d, half: dirHalf(d), zero: isZeroDir(d), boundary: true, hullPos: i, ptIdx: -1})
 	}
 	for i, p := range pts {
 		d := p.Sub(o)
-		entries.Set(h+i, entry{dir: d, half: dirHalf(d), boundary: false, hullPos: -1, ptIdx: i})
+		entries.Set(h+i, entry{dir: d, half: dirHalf(d), zero: isZeroDir(d), boundary: false, hullPos: -1, ptIdx: i})
 	}
 	machine.SortCols(m, entries, func(a, b entry) bool {
-		if c := dirCmp(a.dir, b.dir, a.half, b.half); c != 0 {
-			return c < 0
+		// dirCmp orders nonzero directions only; a point at o (inside
+		// every sector) sorts first.
+		if a.zero != b.zero {
+			return a.zero
+		}
+		if !a.zero {
+			if c := dirCmp(a.dir, b.dir, a.half, b.half); c != 0 {
+				return c < 0
+			}
 		}
 		// Boundaries before queries at equal directions, so the scan
-		// assigns a vertex-aligned query to its own sector start.
+		// assigns a vertex-aligned query to its own sector start; then
+		// input order, which makes the order total.
 		if a.boundary != b.boundary {
 			return a.boundary
 		}
-		return false
+		if a.hullPos != b.hullPos {
+			return a.hullPos < b.hullPos
+		}
+		return a.ptIdx < b.ptIdx
 	})
 	// Forward scan: latest boundary position; wrap via global last.
 	lastB := machine.GetCols[int](m, n)
@@ -452,6 +466,11 @@ func verifySteadyHull(m *machine.M, pts []geom.Point[ratfun.RatFun], cand []int)
 		}
 	}
 	return true, 0
+}
+
+// isZeroDir reports whether d is the zero direction at t → ∞.
+func isZeroDir(d geom.Point[ratfun.RatFun]) bool {
+	return d.X.Sign() == 0 && d.Y.Sign() == 0
 }
 
 // predBound returns a time beyond which the sign of the rational

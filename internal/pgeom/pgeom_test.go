@@ -2,6 +2,7 @@ package pgeom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dyncg/internal/dsseq"
@@ -352,5 +353,35 @@ func TestTable4CostShape(t *testing.T) {
 		if ratio := cpT[i] / cpT[i-1]; ratio > 3.2 {
 			t.Errorf("mesh closest pair not Θ(√n): %v", cpT)
 		}
+	}
+}
+
+// TestHullSteadyPointAtReference: verifySteadyHull measures directions
+// from o, the centroid of three candidate vertices. A point at o has the
+// zero direction, which dirCmp leaves unordered against every direction
+// of the lower half; with it and other points around it, the steady hull
+// must still verify and equal the exact serial hull.
+func TestHullSteadyPointAtReference(t *testing.T) {
+	c := func(x, y float64, id int) geom.Point[ratfun.RatFun] {
+		return geom.Point[ratfun.RatFun]{X: ratfun.FromFloat(x), Y: ratfun.FromFloat(y), ID: id}
+	}
+	pts := []geom.Point[ratfun.RatFun]{
+		c(0, 0, 0), c(6, 0, 1), c(0, 6, 2), // the hull; its centroid is (2, 2)
+		c(2, 2, 3), // at o
+		c(1, 1, 4), c(2, 1, 5), c(3, 1, 6), c(1.5, 0.5, 7), c(2.5, 0.5, 8),
+		c(1, 2, 9), c(3, 2, 10), c(2, 3, 11), c(2, 2, 12),
+	}
+	got, err := HullSteady(cubeFor(len(pts)), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for _, p := range geom.Hull(pts) {
+		want = append(want, p.ID)
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("steady hull vertices %v, want %v", got, want)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"math/bits"
 	"strconv"
 
-	"dyncg/internal/colstore"
 	"dyncg/internal/curve"
 	"dyncg/internal/machine"
 	"dyncg/internal/pieces"
@@ -61,10 +60,5 @@ func chargeConcurrentAccess(m *machine.M) {
 		m.SpanBegin("pram-step")
 		defer m.SpanEnd()
 	}
-	n := m.Size()
-	regs := colstore.New[int](n)
-	for i := range regs.Val {
-		regs.Set(i, n-i)
-	}
-	machine.SortCols(m, regs, func(a, b int) bool { return a < b })
+	machine.ChargeSort(m, m.Size())
 }
