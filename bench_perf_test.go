@@ -146,12 +146,10 @@ func perfDest(n int) []int {
 // data-movement primitives at n = 64k, 256k and 1M PEs, the regime the
 // struct-of-arrays refactor targets. Dense rows run scan and semigroup
 // — one host fold per call, the doubling's rounds charged in closed
-// form — on a colstore.File in place; the par8 row exercises internal/par sharding of the
-// same rounds; sparse rows run the active-set primitives at 1%
-// occupancy, whose host work is O(occupied), not O(n). All rows run
-// steady-state on a warm machine; the single-worker rows must hold
-// 0 allocs/op (the par8 row pays a fixed, deterministic goroutine
-// fan-out per round). scripts/bench.sh runs this function at its own
+// form — on a colstore.File in place; sparse rows run the active-set
+// primitives at 1% occupancy, whose host work is O(occupied), not O(n).
+// All rows run steady-state on a warm machine and must hold 0
+// allocs/op. scripts/bench.sh runs this function at its own
 // pinned iteration count (BENCH_TIME_LARGE) so the 1M rows stay inside
 // the bench-smoke wall-clock budget.
 func BenchmarkPerfLargeN(b *testing.B) {
@@ -171,17 +169,6 @@ func BenchmarkPerfLargeN(b *testing.B) {
 	const big = 1 << 20
 	b.Run(fmt.Sprintf("scan/mesh/n=%d", big), func(b *testing.B) {
 		m := machine.New(mesh.MustNew(big, mesh.Proximity))
-		regs := colstore.Scatter(big, perfVals(big))
-		seg := machine.WholeMachine(big)
-		machine.ScanCols(m, regs, seg, machine.Forward, minInt)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			machine.ScanCols(m, regs, seg, machine.Forward, minInt)
-		}
-	})
-	b.Run(fmt.Sprintf("scan/hypercube-par8/n=%d", big), func(b *testing.B) {
-		m := machine.New(hypercube.MustNew(big), machine.WithParallel(8))
 		regs := colstore.Scatter(big, perfVals(big))
 		seg := machine.WholeMachine(big)
 		machine.ScanCols(m, regs, seg, machine.Forward, minInt)

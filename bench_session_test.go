@@ -1,9 +1,11 @@
 // Pinned host-performance benchmarks for batch-dynamic sessions: the
 // wall-clock cost of applying a delta batch against the retained merge
 // tree, versus rebuilding the answer from scratch on the same machine.
-// The incremental contract this suite gates: a small batch (16 of 64
-// points) must beat the full rebuild in ns/op, because it redoes only
-// the dirty root-paths of the tree instead of every merge.
+// The incremental contract this suite measures, but does not gate: a
+// small batch (16 of 64 points) should beat the full rebuild in ns/op,
+// because it redoes only the dirty root-paths of the tree instead of
+// every merge. cmd/benchgate checks each row against its own pin only,
+// never one row against another.
 //
 // Like bench_perf_test.go, the suite runs under scripts/bench.sh with a
 // pinned iteration count and is baselined in BENCH_perf.json.
@@ -60,9 +62,24 @@ func benchTrajectory(id, round int) dyncg.Point {
 	)
 }
 
+// applyChurn applies churn round i: retargets of the len(deltas) IDs
+// that follow the previous round's.
+func applyChurn(b *testing.B, s *dyncg.Session, deltas []dyncg.SessionDelta, i int) {
+	for j := range deltas {
+		id := (i*len(deltas) + j) % sessionBenchSize
+		deltas[j] = dyncg.RetargetPoint(id, benchTrajectory(id, i+1))
+	}
+	if _, _, err := s.Apply(deltas...); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSessionUpdate measures one applied batch of k retargets
-// (k = 1, 16, 64 of the 64 live points) and, as the baseline it must
+// (k = 1, 16, 64 of the 64 live points) and, as the baselines it should
 // beat, the from-scratch rebuild of the same answer on the same machine.
+// The rebuild row rebuilds the unchurned first population, whose
+// envelope is simpler than the batch rows'; rebuild-churned first
+// applies 200 batch=16 rounds, the population the batch rows retarget.
 func BenchmarkSessionUpdate(b *testing.B) {
 	for _, batch := range []int{1, 16, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
@@ -71,24 +88,28 @@ func BenchmarkSessionUpdate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for j := range deltas {
-					id := (i*batch + j) % sessionBenchSize
-					deltas[j] = dyncg.RetargetPoint(id, benchTrajectory(id, i+1))
-				}
-				if _, _, err := s.Apply(deltas...); err != nil {
+				applyChurn(b, s, deltas, i)
+			}
+		})
+	}
+	for _, churn := range []int{0, 200} {
+		name := "rebuild"
+		if churn > 0 {
+			name = "rebuild-churned"
+		}
+		b.Run(name, func(b *testing.B) {
+			s := newBenchSession(b)
+			deltas := make([]dyncg.SessionDelta, 16)
+			for i := 0; i < churn; i++ {
+				applyChurn(b, s, deltas, i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Rebuild(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	b.Run("rebuild", func(b *testing.B) {
-		s := newBenchSession(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Rebuild(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

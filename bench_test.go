@@ -116,45 +116,6 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// --- Worker-pool backend: serial vs parallel wall-clock ---------------------
-
-// BenchmarkParallelSort runs the largest Table-1 sort on the serial
-// backend and on worker pools of 2, 4, and 8 goroutines. The simulated
-// time is identical by construction (see the differential tests); the
-// benchmark measures the host wall-clock effect of the sharded per-PE
-// loops. Speedup is bounded by GOMAXPROCS — on a single-core host the
-// parallel rows measure pure pool overhead.
-func BenchmarkParallelSort(b *testing.B) {
-	r := rand.New(rand.NewSource(12))
-	n := 65536
-	vals := make([]int, n)
-	for i := range vals {
-		vals[i] = r.Intn(1 << 20)
-	}
-	topo := hypercube.MustNew(n)
-	for _, workers := range []int{1, 2, 4, 8} {
-		name := "serial"
-		if workers > 1 {
-			name = fmt.Sprintf("workers=%d", workers)
-		}
-		b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
-			var last *machine.M
-			for i := 0; i < b.N; i++ {
-				var m *machine.M
-				if workers > 1 {
-					m = machine.New(topo, machine.WithParallel(workers))
-				} else {
-					m = machine.New(topo)
-				}
-				regs := colstore.Scatter(n, vals)
-				machine.SortCols(m, regs, func(a, b int) bool { return a < b })
-				last = m
-			}
-			reportSim(b, last)
-		})
-	}
-}
-
 // --- §3: envelope construction (Theorem 3.2) and C2 (PRAM comparison) ------
 
 func BenchmarkEnvelope(b *testing.B) {

@@ -54,20 +54,11 @@ var (
 	traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON file for the run")
 	costTree  = flag.Bool("costtree", false, "print the per-span cost-attribution tree after the run")
 	costDepth = flag.Int("costdepth", 0, "cost tree depth limit (0 = unlimited)")
-	parallel  = flag.Int("parallel", 0, "worker-pool size for per-PE loops (0 = serial, -1 = GOMAXPROCS); results are identical either way")
 	faults    = flag.String("faults", "", "fault spec, e.g. transient=0.05,retries=3,fail=1,gap=50 (empty = no faults)")
 	faultSeed = flag.Int64("fault-seed", 1, "fault schedule RNG seed (same seed = same schedule)")
 	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProf   = flag.String("memprofile", "", "write a heap allocation profile to this file at exit (go tool pprof)")
 )
-
-// machineOpts translates -parallel into machine options.
-func machineOpts() []machine.Option {
-	if *parallel == 0 {
-		return nil
-	}
-	return []machine.Option{machine.WithParallel(*parallel)}
-}
 
 // topoOf returns a network of the requested family with at least pes
 // PEs (the Θ(n)-PE algorithms: Theorem 4.2 and all of §5), through the
@@ -307,7 +298,7 @@ func main() {
 	// -trace report the final attempt (the one that produced the answer
 	// and carries the recovery charge), as aborted attempts die mid-span.
 	var tr *trace.Tracer
-	opts := []fault.RunOption{fault.WithMachineOptions(machineOpts()...)}
+	var opts []fault.RunOption
 	if *traceOut != "" || *costTree {
 		opts = append(opts, fault.WithAttach(func(m *machine.M, attempt int) {
 			tr = trace.Attach(m, *algo)

@@ -70,7 +70,7 @@ var (
 	maxInflight  = flag.Int("max-inflight", 0, "max concurrently executing requests (0 = GOMAXPROCS)")
 	maxQueue     = flag.Int("queue", 0, "max requests waiting for an execution slot (0 = 4x max-inflight)")
 	deadline     = flag.Duration("deadline", 30*time.Second, "default per-request deadline, queueing included")
-	workers      = flag.Int("workers", 0, "default worker-pool size for requests that do not set options.workers (0 = serial)")
+	workers      = flag.Int("workers", 0, "default worker count echoed for requests that do not set options.workers (0 = serial); the simulator runs serially either way")
 	drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
 	maxSessions  = flag.Int("max-sessions", 0, "max concurrently live scenario sessions (0 = 64, negative = unbounded)")
 	sessionTTL   = flag.Duration("session-ttl", 0, "evict sessions idle longer than this (0 = 15m, negative disables eviction)")
@@ -289,7 +289,7 @@ func runReplay(args []string) int {
 		from       = fs.Uint64("from", 0, "first record Seq to replay")
 		to         = fs.Uint64("to", 0, "last record Seq to replay (0 = end of log)")
 		poolCap    = fs.Int("pool-cap", 32, "pool capacity of the replay server (match the recording daemon)")
-		workers    = fs.Int("workers", 0, "default worker-pool size of the replay server (match the recording daemon)")
+		workers    = fs.Int("workers", 0, "default worker count of the replay server (match the recording daemon)")
 		ignorePool = fs.Bool("ignore-pool", false, "mask pool checkout info before diffing (for traces recorded under concurrent traffic)")
 		cacheBytes = fs.Int64("rcache-bytes", server.DefaultCacheBytes, "response cache budget of the replay server (match the recording daemon: a cached repeat only re-derives identical bytes if replay caches too)")
 		verifyOnly = fs.Bool("verify-only", false, "verify the hash chain and exit without re-executing")

@@ -22,7 +22,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"dyncg/internal/api"
 	"dyncg/internal/colstore"
@@ -51,7 +50,6 @@ var (
 	seed       = flag.Int64("seed", 1988, "workload RNG seed")
 	jsonOut    = flag.Bool("json", false, "write BENCH_tables.json (one record per table cell, with claimed-bound ratios)")
 	traceDir   = flag.String("trace-dir", "", "write a Chrome trace per table row (at the largest n) into this directory")
-	parallel   = flag.Int("parallel", 0, "re-run every table cell with a worker pool of this size and record the serial-vs-parallel wall-clock speedup; simulated times must match exactly (0 = off)")
 	faultsFlag = flag.String("faults", "", "transient fault spec applied to every table cell, e.g. transient=0.02,retries=3; answers are unchanged, measured times grow (fail= is rejected here — permanent failures need the recovery harness, use cmd/dyncg)")
 	faultSeed  = flag.Int64("fault-seed", 1, "fault schedule RNG seed")
 	cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -74,10 +72,6 @@ func maybeInject(m *machine.M) *machine.M {
 	return m
 }
 
-// parOpts is applied by the machine constructors below; printTable sets it
-// for the parallel timing pass and clears it for the canonical serial pass.
-var parOpts []machine.Option
-
 func main() {
 	flag.Parse()
 	spec, err := fault.ParseSpec(*faultsFlag)
@@ -87,10 +81,6 @@ func main() {
 	}
 	if spec.Fail > 0 {
 		fmt.Fprintln(os.Stderr, "tables: -faults fail= needs the remap-and-rerun recovery harness; use cmd/dyncg for permanent PE failures")
-		os.Exit(1)
-	}
-	if !spec.Zero() && *parallel > 0 {
-		fmt.Fprintln(os.Stderr, "tables: -faults and -parallel cannot be combined (the parallel pass must reproduce the serial simulated time exactly)")
 		os.Exit(1)
 	}
 	faultSpec = spec
@@ -273,9 +263,7 @@ func printTable(table string, sizes []int, rows []row) {
 				if wantTrace {
 					armLabel = fmt.Sprintf("%s/%s/%s", table, rw.id, topo)
 				}
-				start := time.Now()
 				t, err := rw.run(n, topo)
-				wallSerial := time.Since(start)
 				if wantTrace {
 					finishTrace(table, rw.id, topo)
 				}
@@ -283,43 +271,14 @@ func printTable(table string, sizes []int, rows []row) {
 					fmt.Printf(" %12s", "err")
 					continue
 				}
-				rec := benchRecord{
-					Table: table, ID: rw.id, Problem: rw.name,
-					Topology: topo, N: n, SimTime: t,
-					Claim: rw.claim,
-				}
-				if *parallel > 0 {
-					// Timed re-run on the worker pool. Workloads are
-					// pre-generated per cell, so the re-run sees identical
-					// inputs; the simulated time must reproduce exactly.
-					parOpts = []machine.Option{machine.WithParallel(*parallel)}
-					ps := time.Now()
-					t2, err2 := rw.run(n, topo)
-					wallPar := time.Since(ps)
-					parOpts = nil
-					if err2 != nil {
-						fmt.Fprintf(os.Stderr, "tables: %s/%s/%s n=%d parallel re-run failed: %v\n",
-							table, rw.id, topo, n, err2)
-						os.Exit(1)
-					}
-					if t2 != t {
-						fmt.Fprintf(os.Stderr, "tables: %s/%s/%s n=%d parallel sim time %d != serial %d\n",
-							table, rw.id, topo, n, t2, t)
-						os.Exit(1)
-					}
-					rec.Workers = *parallel
-					rec.WallSerialNs = wallSerial.Nanoseconds()
-					rec.WallParNs = wallPar.Nanoseconds()
-					if wallPar > 0 {
-						rec.Speedup = wallSerial.Seconds() / wallPar.Seconds()
-					}
-				}
 				fmt.Printf(" %12d", t)
 				if *jsonOut {
 					b := rw.bound(n, topo)
-					rec.Bound = b
-					rec.Ratio = float64(t) / b
-					benchRecords = append(benchRecords, rec)
+					benchRecords = append(benchRecords, benchRecord{
+						Table: table, ID: rw.id, Problem: rw.name,
+						Topology: topo, N: n, SimTime: t,
+						Claim: rw.claim, Bound: b, Ratio: float64(t) / b,
+					})
 				}
 			}
 			fmt.Printf("  %s\n", rw.claim)
@@ -328,10 +287,10 @@ func printTable(table string, sizes []int, rows []row) {
 }
 
 func meshM(n int) *machine.M {
-	return machine.New(mesh.MustNew(dsseq.NextPow4(n), mesh.Proximity), parOpts...)
+	return machine.New(mesh.MustNew(dsseq.NextPow4(n), mesh.Proximity))
 }
 func cubeM(n int) *machine.M {
-	return machine.New(hypercube.MustNew(dsseq.NextPow2(n)), parOpts...)
+	return machine.New(hypercube.MustNew(dsseq.NextPow2(n)))
 }
 func machineOf(n int, topo string) *machine.M {
 	if topo == "mesh" {
@@ -341,9 +300,9 @@ func machineOf(n int, topo string) *machine.M {
 }
 func machineFor(n, s int, topo string) *machine.M {
 	if topo == "mesh" {
-		return maybeInject(maybeTrace(core.MeshFor(n, s, parOpts...)))
+		return maybeInject(maybeTrace(core.MeshFor(n, s)))
 	}
-	return maybeInject(maybeTrace(core.CubeFor(n, s, parOpts...)))
+	return maybeInject(maybeTrace(core.CubeFor(n, s)))
 }
 
 // ---------------------------------------------------------------- figures
@@ -399,9 +358,9 @@ func table1() {
 	r := rand.New(rand.NewSource(*seed))
 	sizes := []int{64, 256, 1024, 4096}
 	// Pre-generate one workload per machine size (machineOf yields exactly
-	// n PEs for these power-of-4 sizes on both topologies), so a cell can
-	// be re-run — serial then parallel — without perturbing the shared RNG
-	// stream. Scatter copies the values, so reuse across rows is safe.
+	// n PEs for these power-of-4 sizes on both topologies); every row reads
+	// the same values. Scatter copies the values, so reuse across rows is
+	// safe.
 	valsOf := map[int][]int{}
 	for _, n := range sizes {
 		vals := make([]int, n)

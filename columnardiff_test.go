@@ -1,6 +1,6 @@
 // Scale-up differential battery for the columnar simulator core: every
 // serving-surface algorithm runs on mesh and hypercube machines at
-// n ∈ {16, 1024, 65536} PEs and workers ∈ {1, 8}, and the answer (in its
+// n ∈ {16, 1024, 65536} PEs, and the answer (in its
 // wire form), the Stats counters, and the trace round stream must be
 // bit-identical to golden captures recorded before the struct-of-arrays
 // refactor of internal/machine. The goldens live under
@@ -47,8 +47,6 @@ var updateColumnar = flag.Bool("update-columnar", false,
 // simultaneously powers of four (mesh) and two (hypercube), so both
 // families construct exactly n PEs.
 var columnarSizes = []int{16, 1024, 65536}
-
-var columnarWorkers = []int{1, 8}
 
 // columnarSystem is the fixed 6-point, 1-motion planar system every case
 // runs on. The battery varies the *machine*, not the input: the point of
@@ -235,11 +233,11 @@ func hashSpan(h hash.Hash, s *trace.Span) {
 	}
 }
 
-// runColumnarCase executes one (algo, topo, n, workers) cell and returns
-// its observable behaviour.
-func runColumnarCase(t *testing.T, algoIdx int, topo machine.Topology, workers int) (g columnarGolden, root *trace.Span) {
+// runColumnarCase executes one (algo, topo, n) cell and returns its
+// observable behaviour.
+func runColumnarCase(t *testing.T, algoIdx int, topo machine.Topology) (g columnarGolden, root *trace.Span) {
 	t.Helper()
-	m := machine.New(topo, machine.WithParallel(workers))
+	m := machine.New(topo)
 	tr := trace.Attach(m, "columnar", trace.WithRounds())
 	ans, err := columnarAlgos[algoIdx].run(m, columnarSystem())
 	st := m.Stats()
@@ -296,7 +294,7 @@ func TestColumnarDifferential(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/n=%d", algo, topoName, n), func(t *testing.T) {
 					path := columnarGoldenPath(algo, topoName, n)
 					if *updateColumnar {
-						g, root := runColumnarCase(t, ai, topo, 1)
+						g, root := runColumnarCase(t, ai, topo)
 						if n == columnarSizes[0] {
 							spans, err := json.Marshal(root)
 							if err != nil {
@@ -324,29 +322,27 @@ func TestColumnarDifferential(t *testing.T) {
 					if err := json.Unmarshal(data, &want); err != nil {
 						t.Fatalf("%s: %v", path, err)
 					}
-					for _, workers := range columnarWorkers {
-						got, root := runColumnarCase(t, ai, topo, workers)
-						if got.Err != want.Err {
-							t.Fatalf("workers=%d: err %q != golden %q", workers, got.Err, want.Err)
-						}
-						if compactJSON(t, got.Answer) != compactJSON(t, want.Answer) {
-							t.Fatalf("workers=%d: answer diverges from pre-refactor capture:\n got %s\nwant %s",
-								workers, got.Answer, want.Answer)
-						}
-						if got.Stats != want.Stats {
-							t.Fatalf("workers=%d: stats %+v != golden %+v", workers, got.Stats, want.Stats)
-						}
-						if got.SpanDigest != want.SpanDigest {
-							if len(want.Spans) > 0 {
-								var wantRoot trace.Span
-								if err := json.Unmarshal(want.Spans, &wantRoot); err != nil {
-									t.Fatalf("unmarshal golden spans: %v", err)
-								}
-								requireSpansEqual(t, &wantRoot, root, "golden")
+					got, root := runColumnarCase(t, ai, topo)
+					if got.Err != want.Err {
+						t.Fatalf("err %q != golden %q", got.Err, want.Err)
+					}
+					if compactJSON(t, got.Answer) != compactJSON(t, want.Answer) {
+						t.Fatalf("answer diverges from pre-refactor capture:\n got %s\nwant %s",
+							got.Answer, want.Answer)
+					}
+					if got.Stats != want.Stats {
+						t.Fatalf("stats %+v != golden %+v", got.Stats, want.Stats)
+					}
+					if got.SpanDigest != want.SpanDigest {
+						if len(want.Spans) > 0 {
+							var wantRoot trace.Span
+							if err := json.Unmarshal(want.Spans, &wantRoot); err != nil {
+								t.Fatalf("unmarshal golden spans: %v", err)
 							}
-							t.Fatalf("workers=%d: span/round stream digest %s != golden %s",
-								workers, got.SpanDigest, want.SpanDigest)
+							requireSpansEqual(t, &wantRoot, root, "golden")
 						}
+						t.Fatalf("span/round stream digest %s != golden %s",
+							got.SpanDigest, want.SpanDigest)
 					}
 				})
 			}

@@ -159,10 +159,11 @@ func NewNetwork(t Topology, n int) (Network, error) { return topo.NewNetwork(t, 
 // MachineOption configures a machine built by NewMachine.
 type MachineOption = topo.Option
 
-// WithParallel runs the machine's per-PE compute loops on a worker pool
-// of the given size (≤ 0 means GOMAXPROCS). Simulated costs, outputs,
-// and trace streams are identical to the serial backend; only host
-// wall-clock time changes.
+// WithParallel does nothing: the simulator runs every per-PE loop once,
+// on the calling goroutine. It remains so that callers written against
+// the earlier worker-pool backend still compile.
+//
+// Deprecated: omit the option; no worker count changes a machine.
 func WithParallel(workers int) MachineOption { return topo.WithParallel(workers) }
 
 // WithTracer attaches a Tracer (rooted at the given span name) to the
@@ -183,8 +184,8 @@ func WithFaultPlan(spec string, seed int64) MachineOption {
 
 // NewMachine constructs a simulated machine of the given topology family
 // with at least n PEs — the single constructor behind every CLI,
-// example, and the serving daemon. Options configure the parallel
-// execution backend, tracing, and fault injection.
+// example, and the serving daemon. Options configure tracing and fault
+// injection.
 func NewMachine(t Topology, n int, opts ...MachineOption) (*Machine, error) {
 	return topo.NewMachine(t, n, opts...)
 }

@@ -94,8 +94,9 @@ type Options struct {
 	// prescription (the machine is never sized below what the theorem
 	// needs). 0 means the algorithm default.
 	PEs int `json:"pes,omitempty"`
-	// Workers enables the parallel execution backend with this worker
-	// pool size (-1 = GOMAXPROCS). Results are bit-identical either way.
+	// Workers is echoed, resolved (-1 = GOMAXPROCS), in machine.workers.
+	// The simulator runs serially whatever it says, so result and stats
+	// do not depend on it.
 	Workers int `json:"workers,omitempty"`
 	// Faults is a fault-injection spec (e.g. "transient=0.05,fail=1");
 	// empty means a fault-free run. Requests with faults run under the
@@ -261,11 +262,4 @@ type BenchRecord struct {
 	Claim    string  `json:"claim"`
 	Bound    float64 `json:"bound"`
 	Ratio    float64 `json:"ratio"`
-
-	// Populated when -parallel is set: host wall-clock of the serial and
-	// worker-pool passes of the same cell (identical simulated work).
-	Workers      int     `json:"workers,omitempty"`
-	WallSerialNs int64   `json:"wall_serial_ns,omitempty"`
-	WallParNs    int64   `json:"wall_parallel_ns,omitempty"`
-	Speedup      float64 `json:"speedup,omitempty"`
 }

@@ -131,7 +131,6 @@ func TestGoldenBenchRecord(t *testing.T) {
 		Table: "table2", ID: "closest-seq", Problem: "closest-point sequence",
 		Topology: "mesh", N: 256, SimTime: 1234,
 		Claim: "Θ(λ^½(n−1,2k)) / Θ(log² n)", Bound: 64.0, Ratio: 19.28,
-		Workers: 2, WallSerialNs: 1000, WallParNs: 600, Speedup: 1.67,
 	}})
 }
 

@@ -28,7 +28,7 @@ type ReplayMeta struct {
 	// (empty/0 when the request failed before machine selection).
 	Topology string `json:"topology,omitempty"`
 	PEs      int    `json:"pes,omitempty"`
-	// Workers is the worker-pool size (0 = serial).
+	// Workers is the worker count the response echoed (0 = serial).
 	Workers int `json:"workers,omitempty"`
 	// FaultSeed is the seed of a fault-injected request's schedule.
 	FaultSeed int64 `json:"fault_seed,omitempty"`

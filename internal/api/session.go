@@ -24,8 +24,8 @@ type SessionOptions struct {
 	// prescription. 0 means the prescription for (algorithm, capacity,
 	// max_degree).
 	PEs int `json:"pes,omitempty"`
-	// Workers enables the parallel execution backend for the session's
-	// machine (-1 = GOMAXPROCS).
+	// Workers is echoed, resolved (-1 = GOMAXPROCS), in machine.workers;
+	// the session's machine runs serially whatever it says.
 	Workers int `json:"workers,omitempty"`
 	// Capacity is the maximum live population over the session lifetime;
 	// the pinned machine is sized for it once. 0 = max(2·n, 8).

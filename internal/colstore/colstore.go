@@ -2,8 +2,7 @@
 // simulator, the only one it has. A File[T] keeps the values and the
 // occupancy mask in two parallel flat slices, so round bodies in
 // internal/machine are tight loops over contiguous memory — bounds-check
-// friendly, no per-element struct shuffling, and directly shardable by
-// internal/par.
+// friendly, with no per-element struct shuffling.
 //
 // The package is deliberately machine-free: it owns the layout and its
 // pure-data helpers (scatter and gather, masked equality, active-set

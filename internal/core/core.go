@@ -21,26 +21,25 @@ import (
 )
 
 // MeshFor returns a proximity-ordered mesh machine with Θ(λ(n, s)) PEs —
-// the Theorem 3.2/4.x allocation. Options (e.g. machine.WithParallel)
-// pass through to machine.New.
-func MeshFor(n, s int, opts ...machine.Option) *machine.M {
-	return machine.New(mesh.MustNew(penvelope.MeshPEs(n, s), mesh.Proximity), opts...)
+// the Theorem 3.2/4.x allocation.
+func MeshFor(n, s int) *machine.M {
+	return machine.New(mesh.MustNew(penvelope.MeshPEs(n, s), mesh.Proximity))
 }
 
 // CubeFor is MeshFor for the hypercube.
-func CubeFor(n, s int, opts ...machine.Option) *machine.M {
-	return machine.New(hypercube.MustNew(penvelope.CubePEs(n, s)), opts...)
+func CubeFor(n, s int) *machine.M {
+	return machine.New(hypercube.MustNew(penvelope.CubePEs(n, s)))
 }
 
 // MeshOf returns a mesh machine with at least n PEs (for the Θ(n)-PE
 // algorithms: Theorem 4.2 and all of §5).
-func MeshOf(n int, opts ...machine.Option) *machine.M {
-	return machine.New(mesh.MustNew(dsseq.NextPow4(n), mesh.Proximity), opts...)
+func MeshOf(n int) *machine.M {
+	return machine.New(mesh.MustNew(dsseq.NextPow4(n), mesh.Proximity))
 }
 
 // CubeOf is MeshOf for the hypercube.
-func CubeOf(n int, opts ...machine.Option) *machine.M {
-	return machine.New(hypercube.MustNew(dsseq.NextPow2(n)), opts...)
+func CubeOf(n int) *machine.M {
+	return machine.New(hypercube.MustNew(dsseq.NextPow2(n)))
 }
 
 // Interval is a time interval [Lo, Hi]; Hi may be +Inf.

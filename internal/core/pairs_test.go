@@ -42,7 +42,7 @@ func TestSection6ClosestPairSequence(t *testing.T) {
 		k := 1 + r.Intn(2)
 		d := 1 + r.Intn(3)
 		sys := motion.Random(r, n, k, d, 5)
-		for _, mk := range []func(int, int, ...machine.Option) *machine.M{MeshFor, CubeFor} {
+		for _, mk := range []func(int, int) *machine.M{MeshFor, CubeFor} {
 			m := mk(PairSequencePEs(n, k), 2*k)
 			seq, err := ClosestPairSequence(m, sys)
 			if err != nil {

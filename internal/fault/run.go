@@ -44,18 +44,11 @@ func (r *Result) String() string {
 }
 
 type runner struct {
-	mopts  []machine.Option
 	attach func(m *machine.M, attempt int)
 }
 
 // RunOption configures Run.
 type RunOption func(*runner)
-
-// WithMachineOptions passes machine construction options (e.g.
-// machine.WithParallel) through to every attempt's machine.
-func WithMachineOptions(opts ...machine.Option) RunOption {
-	return func(r *runner) { r.mopts = opts }
-}
 
 // WithAttach registers a hook called with every attempt's machine right
 // after construction, before the plan is installed — the place to attach
@@ -100,7 +93,7 @@ func Run(topo machine.Topology, plan *Plan, body func(*machine.M) error, opts ..
 		if off != 0 || size != topo.Size() {
 			t = NewSub(topo, off, size)
 		}
-		m := machine.New(t, r.mopts...)
+		m := machine.New(t)
 		if r.attach != nil {
 			r.attach(m, res.Attempts)
 		}

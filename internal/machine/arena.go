@@ -32,12 +32,9 @@ package machine
 //
 // Ownership contract: the arena belongs to the machine's owning
 // goroutine, like the Stats counters (see the concurrency contract on
-// M). Get/Put only ever run on that goroutine — the sharded worker
-// loops of internal/par never touch the arena; every primitive acquires
-// and releases its scratch outside par.ForEach/par.Reduce bodies. Put
-// hands ownership of the buffer to the arena: callers must not retain
-// (or double-Put) a released slice, and must only Put buffers they own
-// outright — never a caller-supplied register file.
+// M). Put hands ownership of the buffer to the arena: callers must not
+// retain (or double-Put) a released slice, and must only Put buffers
+// they own outright — never a caller-supplied register file.
 
 import "reflect"
 

@@ -3,20 +3,19 @@ package machine
 // This file implements every Table-1 data movement primitive over the
 // simulator's one register layout, colstore.File: a value column and an
 // occupancy column, one entry per PE. Round bodies are flat loops over
-// the two contiguous slices, which keeps them bounds-check-light and
-// lets internal/par shard them. Every primitive works in place on the
-// caller's file. An empty register keeps whatever stale value it held,
-// and the scans and copies carry those bytes along; callers may observe
-// them, so the outputs pinned by the columnardiff battery in the
-// repository root include them. Sort and merge carry no stale bytes: a
-// register they vacate is left empty with a zeroed value.
+// the two contiguous slices, which keeps them bounds-check-light. Every
+// primitive works in place on the caller's file. An empty register
+// keeps whatever stale value it held, and the scans and copies carry
+// those bytes along; callers may observe them, so the outputs pinned by
+// the columnardiff battery in the repository root include them. Sort
+// and merge carry no stale bytes: a register they vacate is left empty
+// with a zeroed value.
 //
 // Charging discipline: round bodies never touch the machine; all
-// chargeXOR/chargeShift/ChargeLocal/ChargeRoute calls happen on the
-// owning goroutine between rounds, so serial and sharded execution stay
-// bit-identical. Every primitive draws its O(n) scratch from the
-// machine's arena and releases it before returning (a File is two arena
-// buffers — see GetCols/PutCols).
+// chargeXOR/chargeShift/ChargeLocal/ChargeRoute calls happen between
+// rounds. Every primitive draws its O(n) scratch from the machine's
+// arena and releases it before returning (a File is two arena buffers —
+// see GetCols/PutCols).
 //
 // Host work need not follow the round structure. Every primitive's
 // charges come from the charge-only entry points in charges.go, so a
@@ -34,7 +33,6 @@ import (
 	"math/bits"
 
 	"dyncg/internal/colstore"
-	"dyncg/internal/par"
 )
 
 // GetCols returns an empty columnar register file of length n drawn from
@@ -148,17 +146,6 @@ func ScanCols[T any](m *M, f colstore.File[T], segStart []bool, dir ScanDir, op 
 
 // --- Broadcast -------------------------------------------------------------
 
-// spreadFixCols resolves the two flood directions of SpreadCols: prefer
-// the forward (leftward) source where it exists. PE i writes only its
-// own registers.
-func spreadFixCols[T any](val, fwdVal []T, occ, fwdOcc []bool, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if fwdOcc[i] {
-			val[i], occ[i] = fwdVal[i], true
-		}
-	}
-}
-
 // SpreadCols gives every PE the value of the nearest occupied register
 // within its segment: marked items flood in both directions. With
 // exactly one marked item per string this is the broadcast operation of
@@ -170,26 +157,15 @@ func SpreadCols[T any](m *M, f colstore.File[T], segStart []bool) {
 	fwd.CopyFrom(f)
 	ScanCols(m, fwd, segStart, Forward, nil)
 	ScanCols(m, f, segStart, Backward, nil)
+	// Resolve the two flood directions: prefer the forward (leftward)
+	// source where it exists.
 	m.ChargeLocal(1)
-	if m.workers > 1 {
-		par.ForEach(m.workers, n, func(lo, hi int) {
-			spreadFixCols(f.Val, fwd.Val, f.Occ, fwd.Occ, lo, hi)
-		})
-	} else {
-		spreadFixCols(f.Val, fwd.Val, f.Occ, fwd.Occ, 0, n)
-	}
-	PutCols(m, fwd)
-}
-
-// markLastCols marks each segment's last PE with its register. PE i
-// writes only index i of the marked file.
-func markLastCols[T any](markedVal, val []T, markedOcc, occ, segStart []bool, lo, hi int) {
-	n := len(val)
-	for i := lo; i < hi; i++ {
-		if i+1 >= n || segStart[i+1] {
-			markedVal[i], markedOcc[i] = val[i], occ[i]
+	for i, ok := range fwd.Occ {
+		if ok {
+			f.Val[i], f.Occ[i] = fwd.Val[i], true
 		}
 	}
+	PutCols(m, fwd)
 }
 
 // SemigroupCols applies the associative operation to all items of each
@@ -202,12 +178,11 @@ func SemigroupCols[T any](m *M, f colstore.File[T], segStart []bool, op func(a, 
 	n := f.Len()
 	m.ChargeLocal(1)
 	marked := GetCols[T](m, n)
-	if m.workers > 1 {
-		par.ForEach(m.workers, n, func(lo, hi int) {
-			markLastCols(marked.Val, f.Val, marked.Occ, f.Occ, segStart, lo, hi)
-		})
-	} else {
-		markLastCols(marked.Val, f.Val, marked.Occ, f.Occ, segStart, 0, n)
+	// Mark each segment's last PE with its register.
+	for i := 0; i < n; i++ {
+		if i+1 >= n || segStart[i+1] {
+			marked.Val[i], marked.Occ[i] = f.Val[i], f.Occ[i]
+		}
 	}
 	ScanCols(m, marked, segStart, Backward, nil)
 	f.CopyFrom(marked)
@@ -338,7 +313,9 @@ func orderRuns[T any](val []T, occ []bool, pos, tmp []int32, block int, merge bo
 	}
 }
 
-// orderBlocks runs orderRuns over every aligned block of f.
+// orderBlocks runs orderRuns over every aligned block of f. Its scratch
+// holds positions, never register values, so a pooled machine pins no
+// value a caller sorted.
 func orderBlocks[T any](m *M, f colstore.File[T], block int, merge bool, less func(a, b T) bool) {
 	k := f.Count()
 	if k == 0 {
@@ -346,41 +323,8 @@ func orderBlocks[T any](m *M, f colstore.File[T], block int, merge bool, less fu
 	}
 	buf := GetScratch[int32](m, 2*k)
 	colstore.Active(f.Occ, buf[:0])
-	orderPositions(m, f, buf, block, merge, less)
+	orderRuns(f.Val, f.Occ, buf[:k], buf[k:], block, merge, less)
 	PutScratch(m, buf)
-}
-
-// orderPositions runs orderRuns over the k occupied positions listed,
-// ascending, in buf[:k] with buf[k:2k] as scratch, sharding blocks over
-// the worker pool. Its scratch holds positions, never register values,
-// so a pooled machine pins no value a caller sorted.
-func orderPositions[T any](m *M, f colstore.File[T], buf []int32, block int, merge bool, less func(a, b T) bool) {
-	k := len(buf) / 2
-	pos, tmp := buf[:k], buf[k:]
-	if m.workers <= 1 || int(pos[0])&^(block-1) == int(pos[k-1])&^(block-1) {
-		orderRuns(f.Val, f.Occ, pos, tmp, block, merge, less)
-		return
-	}
-	// A shard owns the blocks whose first occupied position falls in its
-	// index range; starts is read-only while the shards run.
-	starts := GetScratch[bool](m, k)
-	starts[0] = true
-	for s := 1; s < k; s++ {
-		starts[s] = int(pos[s])&^(block-1) != int(pos[s-1])&^(block-1)
-	}
-	par.ForEach(m.workers, k, func(lo, hi int) {
-		for lo < hi && !starts[lo] {
-			lo++
-		}
-		if lo == hi {
-			return // no block starts in this shard
-		}
-		for hi < k && !starts[hi] {
-			hi++
-		}
-		orderRuns(f.Val, f.Occ, pos[lo:hi], tmp[lo:hi], block, merge, less)
-	})
-	PutScratch(m, starts)
 }
 
 // MergeBlocksCols merges, within every aligned block of the given size,
@@ -491,23 +435,6 @@ func RouteCols[T any](m *M, f colstore.File[T], dest []int) {
 	PutCols(m, out)
 }
 
-// shiftRoundCols is the per-PE body of ShiftWithinCols: PE i
-// writes only index i of the out file; the source file is read-only for
-// the round.
-func shiftRoundCols[T any](out colstore.File[T], val []T, occ []bool, block, delta, lo, hi int) int {
-	n := len(val)
-	msgs := 0
-	for i := lo; i < hi; i++ {
-		j := i - delta // the PE whose value lands here
-		if j < 0 || j >= n || j/block != i/block || !occ[j] {
-			continue
-		}
-		out.Val[i], out.Occ[i] = val[j], true
-		msgs++
-	}
-	return msgs
-}
-
 // ShiftWithinCols returns what each PE receives when every PE sends its
 // register to PE i+delta, with transfers confined to aligned blocks of
 // the given size (one shift communication round). The result file is
@@ -517,13 +444,14 @@ func shiftRoundCols[T any](out colstore.File[T], val []T, occ []bool, block, del
 func ShiftWithinCols[T any](m *M, f colstore.File[T], block, delta int) colstore.File[T] {
 	n := f.Len()
 	out := GetCols[T](m, n)
-	var msgs int
-	if m.workers > 1 {
-		msgs = par.Reduce(m.workers, n, 0, func(lo, hi int) int {
-			return shiftRoundCols(out, f.Val, f.Occ, block, delta, lo, hi)
-		}, addInt)
-	} else {
-		msgs = shiftRoundCols(out, f.Val, f.Occ, block, delta, 0, n)
+	msgs := 0
+	for i := 0; i < n; i++ {
+		j := i - delta // the PE whose value lands here
+		if j < 0 || j >= n || j/block != i/block || !f.Occ[j] {
+			continue
+		}
+		out.Val[i], out.Occ[i] = f.Val[j], true
+		msgs++
 	}
 	ChargeShift(m, delta, msgs)
 	return out

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
-	"runtime"
 )
 
 // Topology is the communication structure of a machine: the mesh
@@ -103,30 +102,18 @@ func (s Stats) String() string {
 // counters, the per-M cost caches (xorCost, shiftCost) and the observer
 // stream are mutated without synchronization on every charged round, so
 // sharing one M across goroutines — even for "read-only" primitives — is
-// a data race. Two forms of concurrency are nevertheless supported:
-//
-//   - Across machines: the Topology is immutable after construction
-//     (mesh.Mesh, hypercube.Cube, ccc.CCC, shuffle.SE), including its
-//     memoised costmemo round-cost tables, so concurrent simulations wrap
-//     one shared Topology in one M per goroutine (exercised under -race
-//     by TestTopologySharedAcrossMachines).
-//
-//   - Within a machine: with WithParallel(w), the per-PE compute loop of
-//     a primitive's round fans out over an internal/par worker pool. The
-//     workers touch ONLY disjoint shards of the register files — they
-//     never call chargeXOR/chargeShift/ChargeLocal/ChargeRoute, never
-//     mutate Stats or the cost caches, and never invoke the Observer. All
-//     charging happens on the owning goroutine after the shards join, so
-//     Stats, round order, and the observer span/round stream are
-//     bit-identical to the serial backend (proved by the differential
-//     tests in the repository root).
+// a data race. Every per-PE loop runs once, on the owning goroutine.
+// Concurrency across machines is supported: the Topology is immutable
+// after construction (mesh.Mesh, hypercube.Cube, ccc.CCC, shuffle.SE),
+// including its memoised costmemo round-cost tables, so concurrent
+// simulations wrap one shared Topology in one M per goroutine (exercised
+// under -race by TestTopologySharedAcrossMachines).
 type M struct {
-	topo    Topology
-	n       int
-	st      Stats
-	workers int      // worker pool size for per-PE loops; ≤ 1 means serial
-	obs     Observer // nil unless tracing is attached (see observe.go)
-	inj     Injector // nil unless fault injection is attached (see fault.go)
+	topo Topology
+	n    int
+	st   Stats
+	obs  Observer // nil unless tracing is attached (see observe.go)
+	inj  Injector // nil unless fault injection is attached (see fault.go)
 
 	xorCost   map[int]int // bit → worst partner distance for i ⊕ 2^b
 	shiftCost map[int]int // offset → worst partner distance for i → i+off
@@ -134,35 +121,12 @@ type M struct {
 	scr arena // per-machine scratch-buffer pool (see arena.go)
 }
 
-// Option configures a machine at construction time.
-type Option func(*M)
-
-// WithParallel enables the sharded worker-pool execution backend: per-PE
-// compute loops run on up to `workers` goroutines (GOMAXPROCS when
-// workers ≤ 0). Simulated costs, outputs, and trace streams are identical
-// to the serial backend; only host wall-clock time changes.
-func WithParallel(workers int) Option {
-	return func(m *M) {
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		m.workers = workers
-	}
-}
-
 // New wraps a topology in a machine with fresh counters.
-func New(t Topology, opts ...Option) *M {
-	m := &M{topo: t, n: t.Size(), workers: 1,
+func New(t Topology) *M {
+	return &M{topo: t, n: t.Size(),
 		xorCost: map[int]int{}, shiftCost: map[int]int{},
 		scr: arena{pools: map[reflect.Type]any{}}}
-	for _, o := range opts {
-		o(m)
-	}
-	return m
 }
-
-// Workers returns the worker-pool size per-PE loops may use (1 = serial).
-func (m *M) Workers() int { return m.workers }
 
 // Size returns the number of PEs.
 func (m *M) Size() int { return m.n }

@@ -11,12 +11,9 @@ package machine
 // requires.
 //
 // Allocation discipline: every primitive draws its O(n) scratch from the
-// machine's arena (arena.go) and releases it before returning, and each
-// per-PE round body is a named function — not a closure — invoked
-// directly on the serial path and wrapped in a closure only when the
-// worker-pool backend (WithParallel) shards it. A warm machine runs
-// every dense primitive without touching the heap at all (asserted by
-// alloc_test.go, measured by bench_perf_test.go).
+// machine's arena (arena.go) and releases it before returning. A warm
+// machine runs every dense primitive without touching the heap at all
+// (asserted by alloc_test.go, measured by bench_perf_test.go).
 
 import "strconv"
 
@@ -36,9 +33,6 @@ func closeSpan(end func()) {
 		end()
 	}
 }
-
-// addInt is the shard-count combiner of every par.Reduce in colops.go.
-func addInt(a, b int) int { return a + b }
 
 // WholeMachine returns the segment mask describing a single string
 // spanning the entire machine.

@@ -3,7 +3,7 @@ package machine
 // Reference oracle for the parallel prefix. ScanCols computes its result
 // with one sequential fold and charges the Hillis–Steele doubling rounds
 // in closed form; refScanCols below is the doubling kernel itself — the
-// round-by-round implementation ScanCols replaced, kept verbatim as a
+// round-by-round implementation ScanCols replaced, kept as a
 // test-only oracle. The property test and FuzzScanCols require the two
 // to agree on every register byte (stale values of empty registers
 // included), on occupancy, on Stats, on the observer span/round stream,
@@ -16,17 +16,16 @@ import (
 
 	"dyncg/internal/colstore"
 	"dyncg/internal/hypercube"
-	"dyncg/internal/par"
 )
 
 // refScanRound is the per-PE body of one doubling round: PE i reads only
 // the round-stable val/occ/fl arrays and writes only index i of the
 // next-state arrays. Empty registers are identities; a nil op floods
 // (the occupied neighbour wins).
-func refScanRound[T any](val, nextVal []T, occ, nextOcc, fl, nextFl []bool, off int, dir ScanDir, op func(a, b T) T, lo, hi int) int {
+func refScanRound[T any](val, nextVal []T, occ, nextOcc, fl, nextFl []bool, off int, dir ScanDir, op func(a, b T) T) int {
 	n := len(val)
 	msgs := 0
-	for i := lo; i < hi; i++ {
+	for i := 0; i < n; i++ {
 		var j int
 		if dir == Forward {
 			j = i - off
@@ -83,14 +82,7 @@ func refScanCols[T any](m *M, f colstore.File[T], segStart []bool, dir ScanDir, 
 		copy(next.Val, f.Val)
 		copy(next.Occ, f.Occ)
 		copy(nextFl, fl)
-		var msgs int
-		if m.workers > 1 {
-			msgs = par.Reduce(m.workers, n, 0, func(lo, hi int) int {
-				return refScanRound(f.Val, next.Val, f.Occ, next.Occ, fl, nextFl, off, dir, op, lo, hi)
-			}, addInt)
-		} else {
-			msgs = refScanRound(f.Val, next.Val, f.Occ, next.Occ, fl, nextFl, off, dir, op, 0, n)
-		}
+		msgs := refScanRound(f.Val, next.Val, f.Occ, next.Occ, fl, nextFl, off, dir, op)
 		copy(f.Val, next.Val)
 		copy(f.Occ, next.Occ)
 		copy(fl, nextFl)
@@ -143,13 +135,13 @@ func genScanCase[T any](r *rand.Rand, n int, gen func(r *rand.Rand) T) scanCase[
 	return c
 }
 
-// runScan runs scan on a fresh machine of the case's size with the given
-// worker count, an attached stream recorder and an optional injector,
+// runScan runs scan on a fresh machine of the case's size with an
+// attached stream recorder and an optional injector,
 // and returns the result file, the Stats (at the panic, if the injector
 // fired) and the recorded stream.
-func runScan[T any](c scanCase[T], workers int, inj Injector, op func(a, b T) T,
+func runScan[T any](c scanCase[T], inj Injector, op func(a, b T) T,
 	scan func(*M, colstore.File[T], []bool, ScanDir, func(a, b T) T)) (f colstore.File[T], st Stats, rec *streamRec, failed bool) {
-	m := New(lineTopo(c.f.Len()), WithParallel(workers))
+	m := New(lineTopo(c.f.Len()))
 	rec = &streamRec{}
 	m.SetObserver(rec)
 	if inj != nil {
@@ -171,43 +163,44 @@ func runScan[T any](c scanCase[T], workers int, inj Injector, op func(a, b T) T,
 }
 
 // checkScanCase asserts that ScanCols and the doubling oracle agree on
-// the case: every Val byte, Occ, Stats and the observer stream, for each
-// worker count; and, with a PE failure injected at a round inside the
-// scan, the same Stats at the panic.
+// the case: every Val byte, Occ, Stats and the observer stream; and,
+// with a PE failure injected at a round inside the scan, the same Stats
+// at the panic.
 func checkScanCase[T comparable](t *testing.T, name string, r *rand.Rand, c scanCase[T], op func(a, b T) T) {
 	t.Helper()
-	for _, w := range []int{1, 4} {
-		want, wantSt, wantRec, _ := runScan(c, w, nil, op, refScanCols[T])
-		got, gotSt, gotRec, _ := runScan(c, w, nil, op, ScanCols[T])
-		if !reflect.DeepEqual(got.Occ, want.Occ) || !reflect.DeepEqual(got.Val, want.Val) {
-			for i := range want.Val {
-				if got.Val[i] != want.Val[i] || got.Occ[i] != want.Occ[i] {
-					t.Fatalf("%s n=%d dir=%d workers=%d: PE %d = (%v, %v), doubling oracle (%v, %v)",
-						name, c.f.Len(), c.dir, w, i, got.Val[i], got.Occ[i], want.Val[i], want.Occ[i])
-				}
-			}
-		}
-		if gotSt != wantSt {
-			t.Fatalf("%s n=%d dir=%d workers=%d: Stats %+v, doubling oracle %+v", name, c.f.Len(), c.dir, w, gotSt, wantSt)
-		}
-		if !reflect.DeepEqual(gotRec, wantRec) {
-			t.Fatalf("%s n=%d dir=%d workers=%d: observer stream diverges\n got %v %v\nwant %v %v",
-				name, c.f.Len(), c.dir, w, gotRec.events, gotRec.rounds, wantRec.events, wantRec.rounds)
-		}
-		if rounds := int(wantSt.Rounds); rounds > 0 {
-			at := 1 + r.Intn(rounds)
-			_, wantSt, wantRec, wantFail := runScan(c, w, &failAt{r: at}, op, refScanCols[T])
-			_, gotSt, gotRec, gotFail := runScan(c, w, &failAt{r: at}, op, ScanCols[T])
-			if !wantFail || !gotFail {
-				t.Fatalf("%s n=%d: PE failure at round %d not raised (oracle %v, scan %v)", name, c.f.Len(), at, wantFail, gotFail)
-			}
-			if gotSt != wantSt || !reflect.DeepEqual(gotRec, wantRec) {
-				t.Fatalf("%s n=%d dir=%d workers=%d: at a PE failure in round %d, Stats %+v, doubling oracle %+v",
-					name, c.f.Len(), c.dir, w, at, gotSt, wantSt)
+	want, wantSt, wantRec, _ := runScan(c, nil, op, refScanCols[T])
+	got, gotSt, gotRec, _ := runScan(c, nil, op, ScanCols[T])
+	if !reflect.DeepEqual(got.Occ, want.Occ) || !reflect.DeepEqual(got.Val, want.Val) {
+		for i := range want.Val {
+			if got.Val[i] != want.Val[i] || got.Occ[i] != want.Occ[i] {
+				t.Fatalf("%s n=%d dir=%d: PE %d = (%v, %v), doubling oracle (%v, %v)",
+					name, c.f.Len(), c.dir, i, got.Val[i], got.Occ[i], want.Val[i], want.Occ[i])
 			}
 		}
 	}
+	if gotSt != wantSt {
+		t.Fatalf("%s n=%d dir=%d: Stats %+v, doubling oracle %+v", name, c.f.Len(), c.dir, gotSt, wantSt)
+	}
+	if !reflect.DeepEqual(gotRec, wantRec) {
+		t.Fatalf("%s n=%d dir=%d: observer stream diverges\n got %v %v\nwant %v %v",
+			name, c.f.Len(), c.dir, gotRec.events, gotRec.rounds, wantRec.events, wantRec.rounds)
+	}
+	if rounds := int(wantSt.Rounds); rounds > 0 {
+		at := 1 + r.Intn(rounds)
+		_, wantSt, wantRec, wantFail := runScan(c, &failAt{r: at}, op, refScanCols[T])
+		_, gotSt, gotRec, gotFail := runScan(c, &failAt{r: at}, op, ScanCols[T])
+		if !wantFail || !gotFail {
+			t.Fatalf("%s n=%d: PE failure at round %d not raised (oracle %v, scan %v)", name, c.f.Len(), at, wantFail, gotFail)
+		}
+		if gotSt != wantSt || !reflect.DeepEqual(gotRec, wantRec) {
+			t.Fatalf("%s n=%d dir=%d: at a PE failure in round %d, Stats %+v, doubling oracle %+v",
+				name, c.f.Len(), c.dir, at, gotSt, wantSt)
+		}
+	}
 }
+
+// addInt is integer addition.
+func addInt(a, b int) int { return a + b }
 
 // minID is a value with an identifier: minIDOp keeps the smaller value,
 // the smaller ID on ties — a total order, hence associative.
@@ -284,7 +277,7 @@ var scanOps = []struct {
 // TestScanColsMatchesDoublingOracle is the property form of the oracle
 // check: random sizes up to 2048 PEs (every size class, not only powers
 // of two), random segment masks and occupancy, stale values in empty
-// registers, both directions, every op, workers 1 and 4.
+// registers, both directions, every op.
 func TestScanColsMatchesDoublingOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	sizes := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 64, 100, 255, 256, 1000, 1024, 2048}

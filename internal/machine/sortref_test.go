@@ -29,17 +29,16 @@ import (
 	"dyncg/internal/colstore"
 	"dyncg/internal/hypercube"
 	"dyncg/internal/mesh"
-	"dyncg/internal/par"
 )
 
 // ceRoundCols is the per-PE body of one compare-exchange round; each
 // pair (i, i ⊕ mask) is handled from its smaller index, so writes stay
-// disjoint across shards. Occupied registers sort before empty ones, and
+// disjoint. Occupied registers sort before empty ones, and
 // swaps exchange the full register — stale values of empty registers
 // included.
-func ceRoundCols[T any](val []T, occ []bool, mask, block int, less func(a, b T) bool, lo, hi int) {
+func ceRoundCols[T any](val []T, occ []bool, mask, block int, less func(a, b T) bool) {
 	n := len(val)
-	for i := lo; i < hi; i++ {
+	for i := 0; i < n; i++ {
 		j := i ^ mask
 		if j <= i || j >= n || i/block != j/block {
 			continue
@@ -54,14 +53,7 @@ func ceRoundCols[T any](val []T, occ []bool, mask, block int, less func(a, b T) 
 // compareExchangeCols performs one lock-step compare-exchange round
 // between PEs i and i ⊕ mask within aligned blocks.
 func compareExchangeCols[T any](m *M, f colstore.File[T], mask, block int, less func(a, b T) bool) {
-	n := f.Len()
-	if m.workers > 1 {
-		par.ForEach(m.workers, n, func(lo, hi int) {
-			ceRoundCols(f.Val, f.Occ, mask, block, less, lo, hi)
-		})
-	} else {
-		ceRoundCols(f.Val, f.Occ, mask, block, less, 0, n)
-	}
+	ceRoundCols(f.Val, f.Occ, mask, block, less)
 }
 
 // refMergeBlocksCounted is the bitonic merge network: the
@@ -265,12 +257,12 @@ func genSortCase[T any](r *rand.Rand, n int, merge bool, gen func(r *rand.Rand, 
 }
 
 // runSort runs the case's sort or merge — host (ref false) or network
-// (ref true) — on a fresh machine from newM with the given worker count,
-// an attached stream recorder and an optional injector, and returns the
+// (ref true) — on a fresh machine from newM with an attached stream
+// recorder and an optional injector, and returns the
 // result file, the Stats (at the panic, if the injector fired) and the
 // recorded stream.
-func runSort[T any](c sortCase[T], newM func(workers int) *M, workers int, inj Injector, ref bool, less func(a, b T) bool) (f colstore.File[T], st Stats, rec *streamRec, failed bool) {
-	m := newM(workers)
+func runSort[T any](c sortCase[T], newM func() *M, inj Injector, ref bool, less func(a, b T) bool) (f colstore.File[T], st Stats, rec *streamRec, failed bool) {
+	m := newM()
 	rec = &streamRec{}
 	m.SetObserver(rec)
 	if inj != nil {
@@ -302,39 +294,37 @@ func runSort[T any](c sortCase[T], newM func(workers int) *M, workers int, inj I
 
 // checkSortCase asserts that the host sort or merge and the network agree
 // on the case — Occ, every occupied value, Stats and the observer stream
-// — for workers 1 and 8, and that with a PE failure injected at a round
-// inside the network both stop with the same Stats and stream.
-func checkSortCase[T comparable](t *testing.T, name string, r *rand.Rand, c sortCase[T], newM func(workers int) *M, less func(a, b T) bool) {
+// — and that with a PE failure injected at a round inside the network
+// both stop with the same Stats and stream.
+func checkSortCase[T comparable](t *testing.T, name string, r *rand.Rand, c sortCase[T], newM func() *M, less func(a, b T) bool) {
 	t.Helper()
 	n := c.f.Len()
 	label := fmt.Sprintf("%s n=%d block=%d merge=%v", name, n, c.block, c.merge)
-	for _, w := range []int{1, 8} {
-		want, wantSt, wantRec, _ := runSort(c, newM, w, nil, true, less)
-		got, gotSt, gotRec, _ := runSort(c, newM, w, nil, false, less)
-		for i := 0; i < n; i++ {
-			if got.Occ[i] != want.Occ[i] || (want.Occ[i] && got.Val[i] != want.Val[i]) {
-				t.Fatalf("%s workers=%d: PE %d = (%v, %v), network (%v, %v)",
-					label, w, i, got.Val[i], got.Occ[i], want.Val[i], want.Occ[i])
-			}
+	want, wantSt, wantRec, _ := runSort(c, newM, nil, true, less)
+	got, gotSt, gotRec, _ := runSort(c, newM, nil, false, less)
+	for i := 0; i < n; i++ {
+		if got.Occ[i] != want.Occ[i] || (want.Occ[i] && got.Val[i] != want.Val[i]) {
+			t.Fatalf("%s: PE %d = (%v, %v), network (%v, %v)",
+				label, i, got.Val[i], got.Occ[i], want.Val[i], want.Occ[i])
 		}
-		if gotSt != wantSt {
-			t.Fatalf("%s workers=%d: Stats %+v, network %+v", label, w, gotSt, wantSt)
+	}
+	if gotSt != wantSt {
+		t.Fatalf("%s: Stats %+v, network %+v", label, gotSt, wantSt)
+	}
+	if !reflect.DeepEqual(gotRec, wantRec) {
+		t.Fatalf("%s: observer stream diverges\n got %v %v\nwant %v %v",
+			label, gotRec.events, gotRec.rounds, wantRec.events, wantRec.rounds)
+	}
+	if rounds := int(wantSt.Rounds); rounds > 0 {
+		at := 1 + r.Intn(rounds)
+		_, wantSt, wantRec, wantFail := runSort(c, newM, &failAt{r: at}, true, less)
+		_, gotSt, gotRec, gotFail := runSort(c, newM, &failAt{r: at}, false, less)
+		if !wantFail || !gotFail {
+			t.Fatalf("%s: PE failure at round %d not raised (network %v, host %v)", label, at, wantFail, gotFail)
 		}
-		if !reflect.DeepEqual(gotRec, wantRec) {
-			t.Fatalf("%s workers=%d: observer stream diverges\n got %v %v\nwant %v %v",
-				label, w, gotRec.events, gotRec.rounds, wantRec.events, wantRec.rounds)
-		}
-		if rounds := int(wantSt.Rounds); rounds > 0 {
-			at := 1 + r.Intn(rounds)
-			_, wantSt, wantRec, wantFail := runSort(c, newM, w, &failAt{r: at}, true, less)
-			_, gotSt, gotRec, gotFail := runSort(c, newM, w, &failAt{r: at}, false, less)
-			if !wantFail || !gotFail {
-				t.Fatalf("%s: PE failure at round %d not raised (network %v, host %v)", label, at, wantFail, gotFail)
-			}
-			if gotSt != wantSt || !reflect.DeepEqual(gotRec, wantRec) {
-				t.Fatalf("%s workers=%d: at a PE failure in round %d, Stats %+v, network %+v",
-					label, w, at, gotSt, wantSt)
-			}
+		if gotSt != wantSt || !reflect.DeepEqual(gotRec, wantRec) {
+			t.Fatalf("%s: at a PE failure in round %d, Stats %+v, network %+v",
+				label, at, gotSt, wantSt)
 		}
 	}
 }
@@ -343,15 +333,15 @@ func checkSortCase[T comparable](t *testing.T, name string, r *rand.Rand, c sort
 // one random merge over n PEs of the machine newM builds.
 var sortRecs = []struct {
 	name string
-	run  func(t *testing.T, r *rand.Rand, n int, newM func(workers int) *M)
+	run  func(t *testing.T, r *rand.Rand, n int, newM func() *M)
 }{
-	{"int", func(t *testing.T, r *rand.Rand, n int, newM func(int) *M) {
+	{"int", func(t *testing.T, r *rand.Rand, n int, newM func() *M) {
 		gen := func(r *rand.Rand, _ int) int { return r.Intn(16) }
 		for _, merge := range []bool{false, true} {
 			checkSortCase(t, "int", r, genSortCase(r, n, merge, gen, intLess), newM, intLess)
 		}
 	}},
-	{"coincident-points", func(t *testing.T, r *rand.Rand, n int, newM func(int) *M) {
+	{"coincident-points", func(t *testing.T, r *rand.Rand, n int, newM func() *M) {
 		gen := func(r *rand.Rand, i int) ptRec {
 			return ptRec{X: float64(r.Intn(3)), Y: float64(r.Intn(3)) / 2, ID: i}
 		}
@@ -359,7 +349,7 @@ var sortRecs = []struct {
 			checkSortCase(t, "points", r, genSortCase(r, n, merge, gen, lessPt), newM, lessPt)
 		}
 	}},
-	{"collinear-directions", func(t *testing.T, r *rand.Rand, n int, newM func(int) *M) {
+	{"collinear-directions", func(t *testing.T, r *rand.Rand, n int, newM func() *M) {
 		base := [][2]int{{1, 0}, {1, 1}, {0, 1}, {-2, 1}, {-1, 0}, {-1, -3}, {0, -1}, {2, -1}, {0, 0}}
 		gen := func(r *rand.Rand, i int) dirRec {
 			b := base[r.Intn(len(base))]
@@ -377,7 +367,7 @@ var sortRecs = []struct {
 			checkSortCase(t, "directions", r, genSortCase(r, n, merge, gen, lessDir), newM, lessDir)
 		}
 	}},
-	{"equal-collision-times", func(t *testing.T, r *rand.Rand, n int, newM func(int) *M) {
+	{"equal-collision-times", func(t *testing.T, r *rand.Rand, n int, newM func() *M) {
 		gen := func(r *rand.Rand, i int) collRec {
 			return collRec{T: float64(r.Intn(4)) / 4, A: r.Intn(3), B: i}
 		}
@@ -385,7 +375,7 @@ var sortRecs = []struct {
 			checkSortCase(t, "collisions", r, genSortCase(r, n, merge, gen, lessColl), newM, lessColl)
 		}
 	}},
-	{"group-keys", func(t *testing.T, r *rand.Rand, n int, newM func(int) *M) {
+	{"group-keys", func(t *testing.T, r *rand.Rand, n int, newM func() *M) {
 		gen := func(r *rand.Rand, i int) groupRec {
 			return groupRec{v: r.Intn(5), query: r.Intn(2) == 0, idx: i}
 		}
@@ -396,16 +386,15 @@ var sortRecs = []struct {
 }
 
 // TestSortMatchesBitonic is the property form of the oracle check: every
-// record type on hypercubes of 1…4096 PEs and meshes of 1…4096 PEs, with
-// workers 1 and 8.
+// record type on hypercubes of 1…4096 PEs and meshes of 1…4096 PEs.
 func TestSortMatchesBitonic(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	for n := 1; n <= 4096; n *= 2 {
-		topos := map[string]func(workers int) *M{
-			"hypercube": func(w int) *M { return New(hypercube.MustNew(n), WithParallel(w)) },
+		topos := map[string]func() *M{
+			"hypercube": func() *M { return New(hypercube.MustNew(n)) },
 		}
 		if bits.TrailingZeros(uint(n))%2 == 0 {
-			topos["mesh"] = func(w int) *M { return New(mesh.MustNew(n, mesh.Proximity), WithParallel(w)) }
+			topos["mesh"] = func() *M { return New(mesh.MustNew(n, mesh.Proximity)) }
 		}
 		for _, topoName := range []string{"hypercube", "mesh"} {
 			newM, ok := topos[topoName]
@@ -428,27 +417,25 @@ func TestSortStableOnTies(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	mod7 := func(a, b int) bool { return a%7 < b%7 }
 	for _, n := range []int{1, 2, 5, 64, 100, 1024} {
-		for _, w := range []int{1, 8} {
-			c := genSortCase(r, n, false, func(r *rand.Rand, _ int) int { return r.Intn(1000) }, mod7)
-			f := colstore.New[int](n)
-			f.CopyFrom(c.f)
-			SortBlocksCols(New(lineTopo(n), WithParallel(w)), f, c.block, mod7)
-			top := 1
-			if c.block >= 2 {
-				top = 1 << (bits.Len(uint(c.block)) - 1)
+		c := genSortCase(r, n, false, func(r *rand.Rand, _ int) int { return r.Intn(1000) }, mod7)
+		f := colstore.New[int](n)
+		f.CopyFrom(c.f)
+		SortBlocksCols(New(lineTopo(n)), f, c.block, mod7)
+		top := 1
+		if c.block >= 2 {
+			top = 1 << (bits.Len(uint(c.block)) - 1)
+		}
+		for lo := 0; lo < n; lo += top {
+			hi := min(lo+top, n)
+			want := colstore.File[int]{Val: c.f.Val[lo:hi], Occ: c.f.Occ[lo:hi]}.Gather()
+			if top > 1 {
+				slices.SortStableFunc(want, func(a, b int) int { return a%7 - b%7 })
 			}
-			for lo := 0; lo < n; lo += top {
-				hi := min(lo+top, n)
-				want := colstore.File[int]{Val: c.f.Val[lo:hi], Occ: c.f.Occ[lo:hi]}.Gather()
-				if top > 1 {
-					slices.SortStableFunc(want, func(a, b int) int { return a%7 - b%7 })
-				}
-				got := colstore.File[int]{Val: f.Val[lo:hi], Occ: f.Occ[lo:hi]}
-				for i := range got.Occ {
-					if got.Occ[i] != (i < len(want)) || (i < len(want) && got.Val[i] != want[i]) {
-						t.Fatalf("n=%d block=%d workers=%d: block at %d = %v, want %v front-packed",
-							n, c.block, w, lo, got.Gather(), want)
-					}
+			got := colstore.File[int]{Val: f.Val[lo:hi], Occ: f.Occ[lo:hi]}
+			for i := range got.Occ {
+				if got.Occ[i] != (i < len(want)) || (i < len(want) && got.Val[i] != want[i]) {
+					t.Fatalf("n=%d block=%d: block at %d = %v, want %v front-packed",
+						n, c.block, lo, got.Gather(), want)
 				}
 			}
 		}
@@ -461,7 +448,7 @@ func TestSortStableOnTies(t *testing.T) {
 // that type exists.
 func TestSortRetainsNoValues(t *testing.T) {
 	const n = 64
-	m := New(hypercube.MustNew(n), WithParallel(4))
+	m := New(hypercube.MustNew(n))
 	f := colstore.New[*int](n)
 	for i := 0; i < n; i += 3 {
 		v := n - i
@@ -498,7 +485,7 @@ func FuzzSortCols(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nSel, recSel uint8, seed int64) {
 		n := 1 << (int(nSel) % 13)
 		r := rand.New(rand.NewSource(seed))
-		newM := func(w int) *M { return New(hypercube.MustNew(n), WithParallel(w)) }
+		newM := func() *M { return New(hypercube.MustNew(n)) }
 		sortRecs[int(recSel)%len(sortRecs)].run(t, r, n, newM)
 	})
 }

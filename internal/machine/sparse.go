@@ -244,7 +244,7 @@ func SparseSort[T any](m *M, s *Sparse[T], less func(a, b T) bool) {
 		top := 1 << (bits.Len(uint(n)) - 1) // the blocks SortCols orders
 		buf := GetScratch[int32](m, 2*k)
 		copy(buf, s.act)
-		orderPositions(m, s.f, buf, top, false, less)
+		orderRuns(s.f.Val, s.f.Occ, buf[:k], buf[k:], top, false, less)
 		PutScratch(m, buf)
 		// Each block's items now fill the front of the block.
 		lo, r := -1, 0

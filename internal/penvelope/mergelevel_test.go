@@ -62,15 +62,15 @@ type oracleRun struct {
 // the register file after a level.
 type mergeBody func(m *machine.M, snap func(block int, regs colstore.File[envReg])) (pieces.Piecewise, error)
 
-func newTopoMachine(topo string, N, workers int) *machine.M {
+func newTopoMachine(topo string, N int) *machine.M {
 	if topo == "mesh" {
-		return machine.New(mesh.MustNew(N, mesh.Proximity), machine.WithParallel(workers))
+		return machine.New(mesh.MustNew(N, mesh.Proximity))
 	}
-	return machine.New(hypercube.MustNew(N), machine.WithParallel(workers))
+	return machine.New(hypercube.MustNew(N))
 }
 
-func runBody(topo string, N, workers int, inj machine.Injector, body mergeBody) (r oracleRun) {
-	m := newTopoMachine(topo, N, workers)
+func runBody(topo string, N int, inj machine.Injector, body mergeBody) (r oracleRun) {
+	m := newTopoMachine(topo, N)
 	r.rec = &eventRec{}
 	m.SetObserver(r.rec)
 	if inj != nil {
@@ -151,15 +151,15 @@ func compareRuns(t *testing.T, label string, got, want oracleRun) {
 // compares them, then fails a PE at a random communication round of the
 // run and compares the Stats and streams at the panic. It returns the
 // packed run.
-func checkBodies(t *testing.T, r *rand.Rand, label, topo string, N, workers int, packed, dense mergeBody) oracleRun {
+func checkBodies(t *testing.T, r *rand.Rand, label, topo string, N int, packed, dense mergeBody) oracleRun {
 	t.Helper()
-	got := runBody(topo, N, workers, nil, packed)
-	want := runBody(topo, N, workers, nil, dense)
+	got := runBody(topo, N, nil, packed)
+	want := runBody(topo, N, nil, dense)
 	compareRuns(t, label, got, want)
 	if rounds := int(want.st.Rounds); rounds > 0 {
 		at := 1 + r.Intn(rounds)
-		gotF := runBody(topo, N, workers, &failAt{r: at}, packed)
-		wantF := runBody(topo, N, workers, &failAt{r: at}, dense)
+		gotF := runBody(topo, N, &failAt{r: at}, packed)
+		wantF := runBody(topo, N, &failAt{r: at}, dense)
 		if !gotF.failed || !wantF.failed {
 			t.Fatalf("%s: PE failure at round %d not raised (packed %v, dense %v)", label, at, gotF.failed, wantF.failed)
 		}
@@ -330,18 +330,15 @@ func machineSizes(topo string, min int) []int {
 	return []int{min, 2 * min, 4 * min}
 }
 
-var (
-	oracleTopos   = []string{"mesh", "hypercube"}
-	oracleWorkers = []int{1, 8}
-)
+var oracleTopos = []string{"mesh", "hypercube"}
 
 // TestMergeLevelMatchesDense pins the packed Lemma 3.1 level to the dense
 // round-by-round oracle of mergeref_test.go through every caller:
 // Envelope (min and max, total and partial inputs, every level's
 // registers), Combine2 with core-shaped windows, MapPieces, and
 // MergeTree dirty-node re-merges including the ErrBlockCapacity retry —
-// on the mesh and the hypercube, machines 1–4× the minimum size, workers
-// 1 and 8, and with a PE failure injected at a random round.
+// on the mesh and the hypercube, machines 1–4× the minimum size, and
+// with a PE failure injected at a random round.
 func TestMergeLevelMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	capacityErrors := 0
@@ -358,7 +355,6 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 				fs[i] = pieces.Total(randPoly(r, deg, 3), i)
 			}
 		}
-		w := oracleWorkers[trial%2]
 		for _, topo := range oracleTopos {
 			minN := CubePEs(n, deg)
 			if partial {
@@ -366,7 +362,7 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 			}
 			for _, N := range machineSizes(topo, minN) {
 				label := topo + "/envelope"
-				checkBodies(t, r, label, topo, N, w,
+				checkBodies(t, r, label, topo, N,
 					func(m *machine.M, snap func(int, colstore.File[envReg])) (pieces.Piecewise, error) {
 						return envelope(m, fs, kind, snap)
 					},
@@ -389,12 +385,11 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 		if r.Intn(4) == 0 {
 			f = nil // one side undefined everywhere
 		}
-		w := oracleWorkers[trial%2]
 		for name, window := range windows {
 			for _, topo := range oracleTopos {
 				for _, N := range machineSizes(topo, 16) {
 					label := topo + "/Combine2/" + name
-					checkBodies(t, r, label, topo, N, w,
+					checkBodies(t, r, label, topo, N,
 						func(m *machine.M, _ func(int, colstore.File[envReg])) (pieces.Piecewise, error) {
 							return Combine2(m, f, g, window)
 						},
@@ -402,7 +397,7 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 							return refCombine2(m, f, g, window)
 						})
 					packed, dense := levelBodies(pairLayout(N, f, g), N, window)
-					checkBodies(t, r, label+"/level", topo, N, w, packed, dense)
+					checkBodies(t, r, label+"/level", topo, N, packed, dense)
 				}
 			}
 		}
@@ -414,7 +409,7 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 		for _, topo := range oracleTopos {
 			for _, N := range machineSizes(topo, 64) {
 				label := topo + "/MapPieces"
-				checkBodies(t, r, label, topo, N, w,
+				checkBodies(t, r, label, topo, N,
 					func(m *machine.M, _ func(int, colstore.File[envReg])) (pieces.Piecewise, error) {
 						return MapPieces(m, h, fn)
 					},
@@ -426,7 +421,7 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 					packedRun = append(packedRun, fn(p)...)
 				}
 				packed, dense := levelBodies(pairLayout(N, packedRun, nil), N, nil)
-				checkBodies(t, r, label+"/combine-runs", topo, N, w, packed, dense)
+				checkBodies(t, r, label+"/combine-runs", topo, N, packed, dense)
 			}
 		}
 	}
@@ -438,13 +433,12 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 	// level.
 	for trial := 0; trial < 6; trial++ {
 		topo := oracleTopos[trial%2]
-		w := oracleWorkers[(trial/2)%2]
 		n := 4 + r.Intn(12)
 		deg := 2 + r.Intn(2)
 		N := machineSizes(topo, CubePEs(dsseq.NextPow2(n), deg+1))[0]
 		kind := pieces.Kind(r.Intn(2))
 		fs := leavesOf(r, n, deg)
-		tr, err := NewMergeTree(newTopoMachine(topo, N, w), fs, kind)
+		tr, err := NewMergeTree(newTopoMachine(topo, N), fs, kind)
 		if err != nil {
 			t.Fatalf("NewMergeTree: %v", err)
 		}
@@ -460,7 +454,7 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 				ups = append(ups, TreeUpdate{Slot: slot, F: f})
 				dirty[slot] = true
 			}
-			if _, err := tr.Update(newTopoMachine(topo, N, w), ups); err != nil {
+			if _, err := tr.Update(newTopoMachine(topo, N), ups); err != nil {
 				t.Fatalf("Update: %v", err)
 			}
 			for l := 1; l < len(tr.levels); l++ {
@@ -471,7 +465,7 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 				for b := range parents {
 					f, g := tr.levels[l-1][2*b], tr.levels[l-1][2*b+1]
 					label := topo + "/MergeTree"
-					got := checkBodies(t, r, label, topo, N, w,
+					got := checkBodies(t, r, label, topo, N,
 						func(m *machine.M, _ func(int, colstore.File[envReg])) (pieces.Piecewise, error) {
 							return tr.mergeNode(m, l, f, g)
 						},
@@ -485,7 +479,7 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 					block := min(dsseq.NextPow2(max(len(f), len(g), 1))*4, full)
 					for ; block <= full; block *= 2 {
 						packed, dense := levelBodies(pairLayout(block, f, g), block, windows[kindName(kind)])
-						run := checkBodies(t, r, label+"/level", topo, N, w, packed, dense)
+						run := checkBodies(t, r, label+"/level", topo, N, packed, dense)
 						if !errors.Is(run.err, ErrBlockCapacity) {
 							break
 						}
@@ -495,7 +489,7 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 					// commonly overflows it.
 					if block := dsseq.NextPow2(max(len(f), len(g), 1)) * 2; block < full {
 						packed, dense := levelBodies(pairLayout(block, f, g), block, windows[kindName(kind)])
-						if run := checkBodies(t, r, label+"/small", topo, N, w, packed, dense); errors.Is(run.err, ErrBlockCapacity) {
+						if run := checkBodies(t, r, label+"/small", topo, N, packed, dense); errors.Is(run.err, ErrBlockCapacity) {
 							capacityErrors++
 						}
 					}
@@ -515,7 +509,7 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 // window spans overflow, which is where a merge order that is not a
 // strict total order would make the packed merge and the bitonic network
 // part ways. seed draws the rest: the partial functions' intervals, the
-// machine, the worker count and the failure round. Each input runs a
+// machine and the failure round. Each input runs a
 // Combine2-layout level under the min, diff and indicator windows and a
 // Theorem 3.2 envelope of four curves built from the coefficients.
 func FuzzMergeLevel(f *testing.F) {
@@ -540,7 +534,6 @@ func FuzzMergeLevel(f *testing.F) {
 			return pw
 		}
 		topo := oracleTopos[r.Intn(2)]
-		w := oracleWorkers[r.Intn(2)]
 		fa, gb := onIntervals(a, 0), onIntervals(b, 1)
 		for name, window := range map[string]func(fw, gw pieces.Piecewise) pieces.Piecewise{
 			"min":   func(fw, gw pieces.Piecewise) pieces.Piecewise { return pieces.Merge(fw, gw, pieces.Min) },
@@ -549,7 +542,7 @@ func FuzzMergeLevel(f *testing.F) {
 		} {
 			N := machineSizes(topo, 16)[r.Intn(2)]
 			packed, dense := levelBodies(pairLayout(N, fa, gb), N, window)
-			checkBodies(t, r, topo+"/level/"+name, topo, N, w, packed, dense)
+			checkBodies(t, r, topo+"/level/"+name, topo, N, packed, dense)
 		}
 		fs := []pieces.Piecewise{
 			pieces.Total(a, 0),
@@ -559,7 +552,7 @@ func FuzzMergeLevel(f *testing.F) {
 		}
 		kind := pieces.Kind(r.Intn(2))
 		N := machineSizes(topo, CubePEs(12, 4))[r.Intn(2)]
-		checkBodies(t, r, topo+"/envelope", topo, N, w,
+		checkBodies(t, r, topo+"/envelope", topo, N,
 			func(m *machine.M, snap func(int, colstore.File[envReg])) (pieces.Piecewise, error) {
 				return envelope(m, fs, kind, snap)
 			},

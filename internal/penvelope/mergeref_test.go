@@ -21,7 +21,6 @@ import (
 	"dyncg/internal/colstore"
 	"dyncg/internal/dsseq"
 	"dyncg/internal/machine"
-	"dyncg/internal/par"
 	"dyncg/internal/pieces"
 )
 
@@ -34,13 +33,11 @@ func refMergeLevel(m *machine.M, regs colstore.File[envReg], block int, window f
 	half := block / 2
 	// Step 1: tag sides.
 	m.ChargeLocal(1)
-	par.ForEach(m.Workers(), N, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if regs.Occ[i] {
-				regs.Val[i].side = uint8((i / half) % 2)
-			}
+	for i := 0; i < N; i++ {
+		if regs.Occ[i] {
+			regs.Val[i].side = uint8((i / half) % 2)
 		}
-	})
+	}
 	// Step 2: merge the two runs by interval left endpoint. Ties broken
 	// by side then ID for determinism (the paper breaks ties in favour of
 	// Right records; any fixed rule works here because empty windows are
@@ -54,21 +51,19 @@ func refMergeLevel(m *machine.M, regs colstore.File[envReg], block int, window f
 	}
 	seen := machine.GetCols[lastSeen](m, N)
 	m.ChargeLocal(1)
-	par.ForEach(m.Workers(), N, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !regs.Occ[i] {
-				continue
-			}
-			r := regs.Val[i]
-			ls := lastSeen{}
-			if r.side == 0 {
-				ls.f, ls.fOk = r.p, true
-			} else {
-				ls.g, ls.gOk = r.p, true
-			}
-			seen.Val[i], seen.Occ[i] = ls, true
+	for i := 0; i < N; i++ {
+		if !regs.Occ[i] {
+			continue
 		}
-	})
+		r := regs.Val[i]
+		ls := lastSeen{}
+		if r.side == 0 {
+			ls.f, ls.fOk = r.p, true
+		} else {
+			ls.g, ls.gOk = r.p, true
+		}
+		seen.Val[i], seen.Occ[i] = ls, true
+	}
 	machine.ScanCols(m, seen, seg, machine.Forward, mergeSeen)
 	// Each PE also needs the start of the next piece to bound its window.
 	next := machine.ShiftWithinCols(m, regs, block, -1)
@@ -79,43 +74,30 @@ func refMergeLevel(m *machine.M, regs colstore.File[envReg], block int, window f
 	// comparisons on ≤ s+1 subintervals).
 	m.ChargeLocal(1)
 	emitted := machine.GetScratch[[]pieces.Piece](m, N)
-	// The window computation (root isolation on a pair of curves) is pure
-	// and writes only emitted[i], so PEs shard freely; maxEmit is an
-	// order-independent max reduction.
-	maxEmit := par.Reduce(m.Workers(), N, 0, func(lo, hi int) int {
-		maxEmit := 0
-		for i := lo; i < hi; i++ {
-			if !regs.Occ[i] || !seen.Occ[i] {
-				continue
-			}
-			w0 := regs.Val[i].p.Lo
-			w1 := math.Inf(1)
-			if next.Occ[i] {
-				w1 = next.Val[i].p.Lo
-			}
-			if !(w0 < w1) {
-				continue // empty window (tied left endpoints)
-			}
-			ls := seen.Val[i]
-			var fw, gw pieces.Piecewise
-			if ls.fOk {
-				fw = clip(ls.f, w0, w1)
-			}
-			if ls.gOk {
-				gw = clip(ls.g, w0, w1)
-			}
-			emitted[i] = window(fw, gw)
-			if len(emitted[i]) > maxEmit {
-				maxEmit = len(emitted[i])
-			}
+	maxEmit := 0
+	for i := 0; i < N; i++ {
+		if !regs.Occ[i] || !seen.Occ[i] {
+			continue
 		}
-		return maxEmit
-	}, func(a, b int) int {
-		if b > a {
-			return b
+		w0 := regs.Val[i].p.Lo
+		w1 := math.Inf(1)
+		if next.Occ[i] {
+			w1 = next.Val[i].p.Lo
 		}
-		return a
-	})
+		if !(w0 < w1) {
+			continue // empty window (tied left endpoints)
+		}
+		ls := seen.Val[i]
+		var fw, gw pieces.Piecewise
+		if ls.fOk {
+			fw = clip(ls.f, w0, w1)
+		}
+		if ls.gOk {
+			gw = clip(ls.g, w0, w1)
+		}
+		emitted[i] = window(fw, gw)
+		maxEmit = max(maxEmit, len(emitted[i]))
+	}
 	// Pack the emitted subpieces: rank by parallel prefix, then maxEmit
 	// structured routes (each PE holds Θ(1) subpieces).
 	counts := machine.GetCols[int](m, N)
@@ -179,20 +161,18 @@ func refCombineRuns(m *machine.M, regs colstore.File[envReg], block int) error {
 	prev := machine.ShiftWithinCols(m, regs, block, +1) // prev[i] = regs[i-1]
 	runStart := machine.GetScratch[bool](m, N)
 	m.ChargeLocal(1)
-	par.ForEach(m.Workers(), N, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !regs.Occ[i] {
-				runStart[i] = i%block == 0
-				continue
-			}
-			if !prev.Occ[i] {
-				runStart[i] = true
-				continue
-			}
-			a, b := prev.Val[i].p, regs.Val[i].p
-			runStart[i] = !(a.ID == b.ID && a.Hi == b.Lo)
+	for i := 0; i < N; i++ {
+		if !regs.Occ[i] {
+			runStart[i] = i%block == 0
+			continue
 		}
-	})
+		if !prev.Occ[i] {
+			runStart[i] = true
+			continue
+		}
+		a, b := prev.Val[i].p, regs.Val[i].p
+		runStart[i] = !(a.ID == b.ID && a.Hi == b.Lo)
+	}
 	machine.PutCols(m, prev)
 	// Bring each run's final Hi to its head: a backward flood (nil op)
 	// within runs.

@@ -47,7 +47,6 @@ import (
 	"dyncg/internal/curve"
 	"dyncg/internal/dsseq"
 	"dyncg/internal/machine"
-	"dyncg/internal/par"
 	"dyncg/internal/pieces"
 )
 
@@ -284,29 +283,23 @@ func mergeLevel(m *machine.M, regs colstore.File[envReg], block int, window func
 	// isolation on one pair of bounded-degree curves plus sample
 	// comparisons on ≤ s+1 subintervals).
 	m.ChargeLocal(1)
-	// The window computation is pure and writes only its own item's out,
-	// so pieces shard freely; maxEmit is an order-independent max
-	// reduction.
-	maxEmit := par.Reduce(m.Workers(), total, 0, func(lo, hi int) int {
-		maxEmit := 0
-		for q := lo; q < hi; q++ {
-			it := &items[q]
-			w0, w1 := it.p.Lo, it.w1
-			if !(w0 < w1) {
-				continue // empty window (tied left endpoints)
-			}
-			var fw, gw pieces.Piecewise
-			if it.f >= 0 {
-				fw = clip(items[it.f].p, w0, w1)
-			}
-			if it.g >= 0 {
-				gw = clip(items[it.g].p, w0, w1)
-			}
-			it.out = window(fw, gw)
-			maxEmit = max(maxEmit, len(it.out))
+	maxEmit := 0
+	for q := range items {
+		it := &items[q]
+		w0, w1 := it.p.Lo, it.w1
+		if !(w0 < w1) {
+			continue // empty window (tied left endpoints)
 		}
-		return maxEmit
-	}, func(a, b int) int { return max(a, b) })
+		var fw, gw pieces.Piecewise
+		if it.f >= 0 {
+			fw = clip(items[it.f].p, w0, w1)
+		}
+		if it.g >= 0 {
+			gw = clip(items[it.g].p, w0, w1)
+		}
+		it.out = window(fw, gw)
+		maxEmit = max(maxEmit, len(it.out))
+	}
 	// Pack the emitted subpieces: rank by parallel prefix, then maxEmit
 	// structured routes (each PE holds Θ(1) subpieces).
 	m.ChargeLocal(1)

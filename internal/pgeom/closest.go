@@ -6,7 +6,6 @@ import (
 	"dyncg/internal/colstore"
 	"dyncg/internal/geom"
 	"dyncg/internal/machine"
-	"dyncg/internal/par"
 	"dyncg/internal/ratfun"
 )
 
@@ -108,13 +107,11 @@ func ClosestPair[T ratfun.Real[T]](m *machine.M, pts []geom.Point[T]) (a, b int,
 		// Split abscissa: max X over each left half-block, spread right.
 		xs.Reset()
 		m.ChargeLocal(1)
-		par.ForEach(m.Workers(), n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if byX.Occ[i] {
-					xs.Set(i, byX.Val[i].X)
-				}
+		for i := 0; i < n; i++ {
+			if byX.Occ[i] {
+				xs.Set(i, byX.Val[i].X)
 			}
-		})
+		}
 		machine.SemigroupCols(m, xs, half, func(p, q T) T {
 			if p.Cmp(q) >= 0 {
 				return p
@@ -123,13 +120,11 @@ func ClosestPair[T ratfun.Real[T]](m *machine.M, pts []geom.Point[T]) (a, b int,
 		})
 		split.Reset()
 		m.ChargeLocal(1)
-		par.ForEach(m.Workers(), n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if xs.Occ[i] && (i/(block/2))%2 == 0 {
-					split.Set(i, xs.Val[i])
-				}
+		for i := 0; i < n; i++ {
+			if xs.Occ[i] && (i/(block/2))%2 == 0 {
+				split.Set(i, xs.Val[i])
 			}
-		})
+		}
 		machine.SpreadCols(m, split, seg)
 
 		// Block δ so far (exact within each half, by induction).
@@ -139,18 +134,16 @@ func ClosestPair[T ratfun.Real[T]](m *machine.M, pts []geom.Point[T]) (a, b int,
 		// Strip membership and compaction.
 		strip.Reset()
 		m.ChargeLocal(1)
-		par.ForEach(m.Workers(), n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if !byY.Occ[i] || !split.Occ[i] {
-					continue
-				}
-				p := byY.Val[i]
-				dx := p.X.Sub(split.Val[i])
-				if !delta.Occ[i] || dx.Mul(dx).Cmp(delta.Val[i].d) < 0 {
-					strip.Set(i, p)
-				}
+		for i := 0; i < n; i++ {
+			if !byY.Occ[i] || !split.Occ[i] {
+				continue
 			}
-		})
+			p := byY.Val[i]
+			dx := p.X.Sub(split.Val[i])
+			if !delta.Occ[i] || dx.Mul(dx).Cmp(delta.Val[i].d) < 0 {
+				strip.Set(i, p)
+			}
+		}
 		machine.CompactCols(m, strip, seg)
 
 		// Compare each strip point with its ≤ 7 successors. Each shift
@@ -165,19 +158,16 @@ func ClosestPair[T ratfun.Real[T]](m *machine.M, pts []geom.Point[T]) (a, b int,
 			}
 			cur = next
 			m.ChargeLocal(1)
-			cur := cur
-			par.ForEach(m.Workers(), n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if !strip.Occ[i] || !cur.Occ[i] {
-						continue
-					}
-					d := geom.DistSq(strip.Val[i], cur.Val[i])
-					cand := pairCand[T]{a: strip.Val[i].ID, b: cur.Val[i].ID, d: d}
-					if !best.Occ[i] || d.Cmp(best.Val[i].d) < 0 {
-						best.Set(i, cand)
-					}
+			for i := 0; i < n; i++ {
+				if !strip.Occ[i] || !cur.Occ[i] {
+					continue
 				}
-			})
+				d := geom.DistSq(strip.Val[i], cur.Val[i])
+				cand := pairCand[T]{a: strip.Val[i].ID, b: cur.Val[i].ID, d: d}
+				if !best.Occ[i] || d.Cmp(best.Val[i].d) < 0 {
+					best.Set(i, cand)
+				}
+			}
 		}
 		machine.PutCols(m, cur)
 	}

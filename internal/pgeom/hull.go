@@ -8,7 +8,6 @@ import (
 	"dyncg/internal/curve"
 	"dyncg/internal/geom"
 	"dyncg/internal/machine"
-	"dyncg/internal/par"
 	"dyncg/internal/penvelope"
 	"dyncg/internal/pieces"
 	"dyncg/internal/poly"
@@ -124,14 +123,12 @@ func dedupe(m *machine.M, pts []geom.Point[ratfun.F64]) []geom.Point[ratfun.F64]
 	})
 	prev := machine.ShiftWithinCols(m, regs, n, +1)
 	m.ChargeLocal(1)
-	par.ForEach(m.Workers(), n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if regs.Occ[i] && prev.Occ[i] &&
-				prev.Val[i].X == regs.Val[i].X && prev.Val[i].Y == regs.Val[i].Y {
-				regs.Clear(i)
-			}
+	for i := 0; i < n; i++ {
+		if regs.Occ[i] && prev.Occ[i] &&
+			prev.Val[i].X == regs.Val[i].X && prev.Val[i].Y == regs.Val[i].Y {
+			regs.Clear(i)
 		}
-	})
+	}
 	machine.PutCols(m, prev)
 	seg := machine.GetScratch[bool](m, n)
 	if n > 0 {
@@ -154,16 +151,14 @@ func normalize(m *machine.M, pts []geom.Point[ratfun.F64]) []geom.Point[ratfun.F
 	cosR, sinR := math.Cos(rot), math.Sin(rot)
 	rotated := make([]geom.Point[ratfun.F64], len(pts))
 	m.ChargeLocal(1)
-	par.ForEach(m.Workers(), len(pts), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x, y := float64(pts[i].X), float64(pts[i].Y)
-			rotated[i] = geom.Point[ratfun.F64]{
-				X:  ratfun.F64(x*cosR - y*sinR),
-				Y:  ratfun.F64(x*sinR + y*cosR),
-				ID: pts[i].ID,
-			}
+	for i := range pts {
+		x, y := float64(pts[i].X), float64(pts[i].Y)
+		rotated[i] = geom.Point[ratfun.F64]{
+			X:  ratfun.F64(x*cosR - y*sinR),
+			Y:  ratfun.F64(x*sinR + y*cosR),
+			ID: pts[i].ID,
 		}
-	})
+	}
 	pts = rotated
 	n := m.Size()
 	regs := machine.GetCols[bbox](m, n)
@@ -192,15 +187,13 @@ func normalize(m *machine.M, pts []geom.Point[ratfun.F64]) []geom.Point[ratfun.F
 	}
 	m.ChargeLocal(1)
 	out := make([]geom.Point[ratfun.F64], len(pts))
-	par.ForEach(m.Workers(), len(pts), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = geom.Point[ratfun.F64]{
-				X:  ratfun.F64((float64(pts[i].X) - cx) / scale),
-				Y:  ratfun.F64((float64(pts[i].Y) - cy) / scale),
-				ID: pts[i].ID,
-			}
+	for i := range pts {
+		out[i] = geom.Point[ratfun.F64]{
+			X:  ratfun.F64((float64(pts[i].X) - cx) / scale),
+			Y:  ratfun.F64((float64(pts[i].Y) - cy) / scale),
+			ID: pts[i].ID,
 		}
-	})
+	}
 	return out
 }
 
@@ -229,23 +222,21 @@ func slopeBound(m *machine.M, pts []geom.Point[ratfun.F64]) float64 {
 	slopes := machine.GetCols[float64](m, n)
 	defer machine.PutCols(m, slopes)
 	m.ChargeLocal(1)
-	par.ForEach(m.Workers(), n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !regs.Occ[i] || !prev.Occ[i] {
-				continue
-			}
-			dx := float64(regs.Val[i].X - prev.Val[i].X)
-			dy := float64(regs.Val[i].Y - prev.Val[i].Y)
-			if math.Abs(dx) <= 1e-9 {
-				// (Near-)vertical in normalised coordinates: exact duplicates
-				// of x give parallel dual lines (handled by the envelope);
-				// sub-1e-9 gaps are below the method's float resolution and
-				// would only blow up the slope bound.
-				continue
-			}
-			slopes.Set(i, math.Abs(dy/dx))
+	for i := 0; i < n; i++ {
+		if !regs.Occ[i] || !prev.Occ[i] {
+			continue
 		}
-	})
+		dx := float64(regs.Val[i].X - prev.Val[i].X)
+		dy := float64(regs.Val[i].Y - prev.Val[i].Y)
+		if math.Abs(dx) <= 1e-9 {
+			// (Near-)vertical in normalised coordinates: exact duplicates
+			// of x give parallel dual lines (handled by the envelope);
+			// sub-1e-9 gaps are below the method's float resolution and
+			// would only blow up the slope bound.
+			continue
+		}
+		slopes.Set(i, math.Abs(dy/dx))
+	}
 	machine.PutCols(m, prev)
 	seg := machine.GetScratch[bool](m, n)
 	defer machine.PutScratch(m, seg)

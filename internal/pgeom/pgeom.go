@@ -17,7 +17,6 @@ import (
 	"dyncg/internal/colstore"
 	"dyncg/internal/geom"
 	"dyncg/internal/machine"
-	"dyncg/internal/par"
 	"dyncg/internal/ratfun"
 )
 
@@ -90,14 +89,12 @@ func NearestNeighbor[T ratfun.Real[T]](m *machine.M, pts []geom.Point[T], origin
 	}
 	regs := colstore.New[cand](n)
 	m.ChargeLocal(1)
-	par.ForEach(m.Workers(), len(pts), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i == origin {
-				continue
-			}
-			regs.Set(i, cand{d: geom.DistSq(pts[i], q.Val[i]), id: i})
+	for i := range pts {
+		if i == origin {
+			continue
 		}
-	})
+		regs.Set(i, cand{d: geom.DistSq(pts[i], q.Val[i]), id: i})
+	}
 	machine.SemigroupCols(m, regs, seg, func(a, b cand) cand {
 		c := a.d.Cmp(b.d)
 		if farthest {

@@ -27,9 +27,11 @@
 package replaylog
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -192,18 +194,29 @@ func (l *Log) Head() (seq uint64, hash string) {
 	return l.seq, l.prev
 }
 
-// seal computes the record's chain fields: Prev and the SHA-256 over its
-// canonical encoding with Hash empty.
-func seal(rec *api.ReplayRecord, prev string) error {
+// hashTail is how a record's canonical encoding with Hash empty ends:
+// Hash is the last field of api.ReplayRecord and has no omitempty.
+const hashTail = `"hash":""}`
+
+// seal computes the record's chain fields — Prev, and Hash, the SHA-256
+// over its canonical encoding with Hash empty — and returns its JSONL
+// line. The line is the pre-image with the hex digest, which JSON never
+// escapes, spliced in before the closing `"}`, so it is byte-identical
+// to encoding the sealed record again.
+func seal(rec *api.ReplayRecord, prev string) ([]byte, error) {
 	rec.Prev = prev
 	rec.Hash = ""
 	pre, err := json.Marshal(rec)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if !bytes.HasSuffix(pre, []byte(hashTail)) {
+		return nil, errors.New("replaylog: record encoding does not end with the hash field")
 	}
 	sum := sha256.Sum256(pre)
 	rec.Hash = hex.EncodeToString(sum[:])
-	return nil
+	line := append(pre[:len(pre)-len(`"}`)], rec.Hash...)
+	return append(line, "\"}\n"...), nil
 }
 
 // Append seals rec onto the chain (assigning Seq, Time, Prev, Hash) and
@@ -239,14 +252,10 @@ func (l *Log) Append(rec api.ReplayRecord) error {
 // write seals and writes one record line to the open segment. Caller
 // holds mu; rec.Seq must equal l.seq.
 func (l *Log) write(rec *api.ReplayRecord) error {
-	if err := seal(rec, l.prev); err != nil {
+	line, err := seal(rec, l.prev)
+	if err != nil {
 		return fmt.Errorf("replaylog: sealing record %d: %w", rec.Seq, err)
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("replaylog: encoding record %d: %w", rec.Seq, err)
-	}
-	line = append(line, '\n')
 	if _, err := l.f.Write(line); err != nil {
 		return fmt.Errorf("replaylog: appending record %d: %w", rec.Seq, err)
 	}

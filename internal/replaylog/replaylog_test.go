@@ -278,7 +278,7 @@ func TestOpenPathIsFile(t *testing.T) {
 func TestMerkleRoot(t *testing.T) {
 	h := func(s string) string {
 		rec := api.ReplayRecord{Path: s}
-		if err := seal(&rec, ""); err != nil {
+		if _, err := seal(&rec, ""); err != nil {
 			t.Fatalf("seal: %v", err)
 		}
 		return rec.Hash
@@ -321,5 +321,38 @@ func TestWriteToClosedLogErrors(t *testing.T) {
 	}
 	if st := l.Stats(); st.Errors == 0 {
 		t.Fatal("failed append not counted in Stats().Errors")
+	}
+}
+
+// TestSealLineMatchesMarshal: the line seal splices together is the
+// sealed record encoded again, byte for byte — for plain and anchor
+// records, and for bodies JSON escapes (HTML characters, line
+// separators, invalid UTF-8, binary request bodies).
+func TestSealLineMatchesMarshal(t *testing.T) {
+	prev := ""
+	for i, rec := range []api.ReplayRecord{
+		{},
+		{Method: "POST", Path: "/v1/steady-hull?x=<&>", Status: 200,
+			Meta:     api.ReplayMeta{Topology: "mesh", PEs: 16, Workers: 2, FaultSeed: -3, Session: "s-1"},
+			Request:  json.RawMessage(`{"v":1,"note":"<a&b> "}`),
+			Response: json.RawMessage(`{"result":[1,2.5e-7,null]}`)},
+		{Method: "POST", Path: "/v1/collision-times", Status: 400,
+			RequestBin: []byte{0, 0xff, '"', '\\', '\n'}},
+		{Path: "bad utf-8 \xff\xfe", Response: json.RawMessage(`"\ud800"`)},
+		{Anchor: true, Count: 3, Root: "ab12"},
+	} {
+		rec.V, rec.Seq, rec.Time = api.Version, uint64(i), "2026-01-02T03:04:05Z"
+		line, err := seal(&rec, prev)
+		if err != nil {
+			t.Fatalf("record %d: seal: %v", i, err)
+		}
+		want, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatalf("record %d: marshal: %v", i, err)
+		}
+		if string(line) != string(want)+"\n" {
+			t.Fatalf("record %d: seal line\n %s\nwant\n %s", i, line, want)
+		}
+		prev = rec.Hash
 	}
 }

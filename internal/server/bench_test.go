@@ -38,12 +38,14 @@ func serveOnce(b testing.TB, s *Server, algo string, body []byte) {
 // admission, pool, algorithm, and encode. The warm variant reuses the
 // pooled machine every iteration, so it makes no machine or scratch
 // allocations, and the rational-function sign predicates run in a stack
-// arena and make none either. A memory profile of the warm run (about
-// 1 975 allocs/op) puts about 67% of them in pgeom.HullStatic's
-// dual-envelope path (pieces.Merge, penvelope.clip) and 25% in
-// verifySteadyHull's direction vectors and centroid; decode and
-// system build are about 4%. The cold variant constructs a machine per request, and the gap
-// between the two is what the pool buys.
+// arena and make none either. A memory profile of the warm run
+// (-benchtime 2000x -memprofilerate 1: 1 876 allocs/op on a 2-vCPU
+// Xeon, go1.24.0) puts 65% of them in pgeom.HullStatic, 57% in its
+// dual envelope (pieces.Merge 42%, penvelope.clip 11%), and 27% in
+// verifySteadyHull, 23% in its direction vectors (geom.Point.Sub);
+// decode and system build are about 4%. The cold variant constructs a
+// machine per request, and the gap between the two is what the pool
+// buys.
 func BenchmarkServer(b *testing.B) {
 	algo, body := benchRequest(b)
 	b.Run("warm", func(b *testing.B) {

@@ -24,10 +24,13 @@ import (
 )
 
 // Key identifies a machine size class: requests whose (topology family,
-// post-rounding PE count, worker-pool size) coincide are served by
+// post-rounding PE count, resolved worker count) coincide are served by
 // interchangeable machines. PEs is the exact constructed size (use
 // dyncg.TopologySize), not the requested minimum, so e.g. a 100-PE and a
-// 120-PE hypercube request share the 128-PE class.
+// 120-PE hypercube request share the 128-PE class. The worker count
+// changes no machine; it splits the pool because the in-process
+// pipeline of the dyncgbench module keys its own pool the same way and
+// compares whole response bodies, pool.hit included, with the server's.
 type Key struct {
 	Topo    string
 	PEs     int

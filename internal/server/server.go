@@ -54,8 +54,9 @@ type Config struct {
 	Deadline time.Duration
 	// MaxBody caps the request body size (0 = 8 MiB).
 	MaxBody int64
-	// DefaultWorkers is the worker-pool size for requests that do not set
-	// options.workers (0 = serial).
+	// DefaultWorkers is the worker count echoed in machine.workers for
+	// requests that do not set options.workers (0 = serial). It does not
+	// change how a request runs.
 	DefaultWorkers int
 	// MaxSessions caps concurrently live scenario sessions, each of which
 	// pins one machine for its lifetime (0 = 64; negative = unbounded).
@@ -533,9 +534,6 @@ func (s *Server) compute(ctx context.Context, ar *algRequest) *outcome {
 		}
 		plan := fault.NewPlan(ar.spec, req.Options.FaultSeed)
 		var ropts []fault.RunOption
-		if ar.workers > 1 {
-			ropts = append(ropts, fault.WithMachineOptions(machine.WithParallel(ar.workers)))
-		}
 		if req.Options.Trace {
 			// A fresh tracer per attempt; the final attempt's tree is the
 			// one reported (aborted attempts die mid-span).
@@ -568,12 +566,8 @@ func (s *Server) compute(ctx context.Context, ar *algRequest) *outcome {
 		m := s.pool.Get(key)
 		o.pi.Hit = m != nil
 		if m == nil {
-			var mopts []topo.Option
-			if ar.workers > 1 {
-				mopts = append(mopts, topo.WithParallel(ar.workers))
-			}
 			var err error
-			m, err = topo.NewMachine(tp, ar.need, mopts...)
+			m, err = topo.NewMachine(tp, ar.need)
 			if err != nil {
 				st, code := errStatus(err)
 				fail(st, code, err)

@@ -296,11 +296,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var pi api.PoolInfo
 	pi.Hit = m != nil
 	if m == nil {
-		var mopts []topo.Option
-		if workers > 1 {
-			mopts = append(mopts, topo.WithParallel(workers))
-		}
-		m, err = topo.NewMachine(tp, need, mopts...)
+		m, err = topo.NewMachine(tp, need)
 		if err != nil {
 			st, code := errStatus(err)
 			fail(st, code, err)

@@ -111,7 +111,6 @@ func NewNetwork(t Topology, n int) (machine.Topology, error) {
 
 // config collects the Option settings applied by NewMachine.
 type config struct {
-	mopts      []machine.Option
 	tracerName string
 	hasTracer  bool
 	faultSpec  string
@@ -122,15 +121,12 @@ type config struct {
 // Option configures a machine built by NewMachine.
 type Option func(*config)
 
-// WithParallel runs the machine's per-PE compute loops on a worker pool
-// of the given size (≤ 0 means GOMAXPROCS). Simulated costs, outputs,
-// and trace streams are identical to the serial backend; only host
-// wall-clock time changes.
-func WithParallel(workers int) Option {
-	return func(c *config) {
-		c.mopts = append(c.mopts, machine.WithParallel(workers))
-	}
-}
+// WithParallel does nothing: the simulator runs every per-PE loop once,
+// on the calling goroutine. It remains because the dyncgbench module
+// calls it.
+//
+// Deprecated: omit the option; no worker count changes a machine.
+func WithParallel(workers int) Option { return func(*config) {} }
 
 // WithTracer attaches a Tracer (rooted at the given span name) to the
 // machine at construction.
@@ -158,8 +154,8 @@ func WithFaultPlan(spec string, seed int64) Option {
 
 // NewMachine constructs a simulated machine of the given topology family
 // with at least n PEs — the single constructor behind every CLI,
-// example, and the serving daemon. Options configure the parallel
-// execution backend, tracing, and fault injection.
+// example, and the serving daemon. Options configure tracing and fault
+// injection.
 func NewMachine(t Topology, n int, opts ...Option) (*machine.M, error) {
 	var cfg config
 	for _, o := range opts {
@@ -169,7 +165,7 @@ func NewMachine(t Topology, n int, opts ...Option) (*machine.M, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := machine.New(net, cfg.mopts...)
+	m := machine.New(net)
 	if cfg.hasFault {
 		spec, err := fault.ParseSpec(cfg.faultSpec)
 		if err != nil {

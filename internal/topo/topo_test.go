@@ -78,15 +78,12 @@ func TestNewNetwork(t *testing.T) {
 }
 
 func TestNewMachineOptions(t *testing.T) {
-	m, err := NewMachine(Hypercube, 8, WithParallel(2), WithTracer("test"))
+	m, err := NewMachine(Hypercube, 8, WithTracer("test"))
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
 	if m.Size() != 8 {
 		t.Fatalf("Size() = %d, want 8", m.Size())
-	}
-	if m.Workers() < 2 {
-		t.Fatalf("Workers() = %d, want >= 2", m.Workers())
 	}
 
 	if _, err := NewMachine(Hypercube, 8, WithFaultPlan("transient=2.0", 1)); err == nil {
