@@ -159,13 +159,6 @@ func NewNetwork(t Topology, n int) (Network, error) { return topo.NewNetwork(t, 
 // MachineOption configures a machine built by NewMachine.
 type MachineOption = topo.Option
 
-// WithParallel does nothing: the simulator runs every per-PE loop once,
-// on the calling goroutine. It remains so that callers written against
-// the earlier worker-pool backend still compile.
-//
-// Deprecated: omit the option; no worker count changes a machine.
-func WithParallel(workers int) MachineOption { return topo.WithParallel(workers) }
-
 // WithTracer attaches a Tracer (rooted at the given span name) to the
 // machine at construction. Retrieve it with MachineTracer and call
 // Finish to obtain the span tree.

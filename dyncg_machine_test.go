@@ -79,31 +79,6 @@ func TestWithTracer(t *testing.T) {
 	}
 }
 
-// TestWithParallel checks that the deprecated WithParallel option changes
-// nothing: answers and simulated costs equal those of a machine built
-// without it.
-func TestWithParallel(t *testing.T) {
-	sys := dyncg.RandomSystem(rand.New(rand.NewSource(7)), 12, 1, 2, 8)
-	pes := dyncg.EnvelopePEs(sys.N(), 2*sys.K)
-
-	serial, err := dyncg.NewMachine(dyncg.Hypercube, pes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := dyncg.NewMachine(dyncg.Hypercube, pes, dyncg.WithParallel(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err1 := dyncg.ClosestPointSequence(serial, sys, 0)
-	got, err2 := dyncg.ClosestPointSequence(opt, sys, 0)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !reflect.DeepEqual(want, got) || serial.Stats() != opt.Stats() {
-		t.Fatal("WithParallel changed the answer or the simulated cost")
-	}
-}
-
 // TestWithFaultPlan checks the construction-time fault option: transient
 // faults charge retry rounds while leaving the answer bit-identical;
 // permanent-failure specs and malformed specs are rejected up front.

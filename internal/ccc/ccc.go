@@ -18,19 +18,13 @@
 // 2, 8, 64, 2048 PEs.
 package ccc
 
-import (
-	"fmt"
-
-	"dyncg/internal/costmemo"
-)
+import "fmt"
 
 // CCC is a cube-connected cycles network of size q·2^q.
 type CCC struct {
 	q    int
 	n    int
 	dist [][]uint8 // BFS shortest-path table (diameter < 256 always)
-
-	costs *costmemo.Table // memoised round costs (shared across machines)
 }
 
 // New returns a CCC(q) for q in {1, 2, 4, 8} (so the size q·2^q is a
@@ -44,7 +38,6 @@ func New(q int) (*CCC, error) {
 	n := q << q
 	c := &CCC{q: q, n: n}
 	c.precompute()
-	c.costs = costmemo.New(c)
 	return c, nil
 }
 
@@ -111,15 +104,6 @@ func (c *CCC) Name() string { return fmt.Sprintf("ccc[q=%d,n=%d]", c.q, c.n) }
 
 // Distance implements machine.Topology: BFS shortest-path hops.
 func (c *CCC) Distance(i, j int) int { return int(c.dist[i][j]) }
-
-// XorRoundCost returns the memoised worst partner distance (in BFS hops)
-// of a bit-b XOR round, computed once per CCC and shared by every machine
-// wrapping it.
-func (c *CCC) XorRoundCost(b int) int { return c.costs.XorRoundCost(b) }
-
-// ShiftRoundCost returns the memoised worst partner distance of a ±off
-// shift round.
-func (c *CCC) ShiftRoundCost(off int) int { return c.costs.ShiftRoundCost(off) }
 
 // Diameter implements machine.Topology: the CCC diameter is
 // Θ(q) = Θ(log n) — max over the precomputed table.

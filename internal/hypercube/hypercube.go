@@ -12,16 +12,12 @@ package hypercube
 import (
 	"fmt"
 	"math/bits"
-
-	"dyncg/internal/costmemo"
 )
 
 // Cube is a hypercube of size n = 2^q with Gray-code PE labelling.
 type Cube struct {
 	n   int
 	dim int
-
-	costs *costmemo.Table // memoised round costs (shared across machines)
 }
 
 // New returns a hypercube of size n (a positive power of two).
@@ -29,9 +25,7 @@ func New(n int) (*Cube, error) {
 	if n <= 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("hypercube: size %d is not a positive power of 2", n)
 	}
-	c := &Cube{n: n, dim: bits.Len(uint(n)) - 1}
-	c.costs = costmemo.New(c)
-	return c, nil
+	return &Cube{n: n, dim: bits.Len(uint(n)) - 1}, nil
 }
 
 // MustNew is New but panics on error.
@@ -101,15 +95,6 @@ func (c *Cube) MaxDistanceForXorBit(b int) int {
 	}
 	return max
 }
-
-// XorRoundCost returns the memoised worst partner distance of a bit-b
-// XOR round (≤ 2 under Gray labelling; see MaxDistanceForXorBit).
-// Computed once per Cube and shared by every machine wrapping it.
-func (c *Cube) XorRoundCost(b int) int { return c.costs.XorRoundCost(b) }
-
-// ShiftRoundCost returns the memoised worst partner distance of a ±off
-// shift round.
-func (c *Cube) ShiftRoundCost(off int) int { return c.costs.ShiftRoundCost(off) }
 
 // Neighbors returns the labels of the PEs adjacent to label i.
 func (c *Cube) Neighbors(i int) []int {

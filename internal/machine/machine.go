@@ -42,20 +42,6 @@ type Topology interface {
 	Diameter() int
 }
 
-// RoundCoster is an optional Topology extension: a topology that memoises
-// its own round-cost tables (internal/costmemo) shares one set of tables
-// across every machine wrapping it, instead of each M rebuilding them
-// with O(n)-per-pattern scans. All four bundled topologies (mesh,
-// hypercube, ccc, shuffle) implement it; plain Topology values fall back
-// to the per-machine scan.
-type RoundCoster interface {
-	// XorRoundCost is max over i of Distance(i, i ⊕ 2^b), off-machine
-	// pairs excluded.
-	XorRoundCost(b int) int
-	// ShiftRoundCost is max over valid i of Distance(i, i+off).
-	ShiftRoundCost(off int) int
-}
-
 // Stats accumulates simulated parallel running time.
 type Stats struct {
 	CommSteps  int64 // Σ over rounds of the round's worst link distance
@@ -99,15 +85,14 @@ func (s Stats) String() string {
 // M is a simulated SIMD machine: a topology plus cost accounting.
 //
 // Concurrency contract: an M is *owned* by a single goroutine. The cost
-// counters, the per-M cost caches (xorCost, shiftCost) and the observer
-// stream are mutated without synchronization on every charged round, so
-// sharing one M across goroutines — even for "read-only" primitives — is
-// a data race. Every per-PE loop runs once, on the owning goroutine.
-// Concurrency across machines is supported: the Topology is immutable
-// after construction (mesh.Mesh, hypercube.Cube, ccc.CCC, shuffle.SE),
-// including its memoised costmemo round-cost tables, so concurrent
-// simulations wrap one shared Topology in one M per goroutine (exercised
-// under -race by TestTopologySharedAcrossMachines).
+// counters, the round-cost table and the observer stream are per-M state
+// mutated without synchronization on every charged round, so sharing one
+// M across goroutines — even for "read-only" primitives — is a data race.
+// Every per-PE loop runs once, on the owning goroutine. Concurrency
+// across machines is supported: the Topology is immutable after
+// construction (mesh.Mesh, hypercube.Cube, ccc.CCC, shuffle.SE), so
+// concurrent simulations wrap one shared Topology in one M per goroutine
+// (exercised under -race by TestTopologySharedAcrossMachines).
 type M struct {
 	topo Topology
 	n    int
@@ -115,17 +100,24 @@ type M struct {
 	obs  Observer // nil unless tracing is attached (see observe.go)
 	inj  Injector // nil unless fault injection is attached (see fault.go)
 
-	xorCost   map[int]int // bit → worst partner distance for i ⊕ 2^b
-	shiftCost map[int]int // offset → worst partner distance for i → i+off
+	// Round-cost table, one entry per bit b < Bits(), −1 until the first
+	// round of that pattern is charged: xor[b] is the worst partner
+	// distance of a bit-b XOR round, shift[b] that of a ±2^b shift round.
+	xor, shift []int
 
 	scr arena // per-machine scratch-buffer pool (see arena.go)
 }
 
 // New wraps a topology in a machine with fresh counters.
 func New(t Topology) *M {
-	return &M{topo: t, n: t.Size(),
-		xorCost: map[int]int{}, shiftCost: map[int]int{},
-		scr: arena{pools: map[reflect.Type]any{}}}
+	m := &M{topo: t, n: t.Size(), scr: arena{pools: map[reflect.Type]any{}}}
+	b := m.Bits()
+	tab := make([]int, 2*b)
+	for i := range tab {
+		tab[i] = -1
+	}
+	m.xor, m.shift = tab[:b:b], tab[b:]
+	return m
 }
 
 // Size returns the number of PEs.
@@ -138,13 +130,13 @@ func (m *M) Topology() Topology { return m.topo }
 func (m *M) Stats() Stats { return m.st }
 
 // Reset zeroes every Stats counter, restarting the simulated clock at 0.
-// The xor/shift round-cost caches are deliberately preserved — they
-// depend only on the (immutable) topology, so identical operation
-// sequences charge identical costs before and after a Reset. An attached
-// Observer is also preserved; note that resetting mid-span rewinds the
-// simulated timeline a tracer sees (spans opened before the Reset will
-// record an End snapshot smaller than their Begin), so attach tracers to
-// freshly reset machines.
+// The round-cost table survives a Reset — it depends only on the
+// (immutable) topology, so identical operation sequences charge
+// identical costs before and after a Reset. An attached Observer is also
+// preserved; note that resetting mid-span rewinds the simulated timeline
+// a tracer sees (spans opened before the Reset will record an End
+// snapshot smaller than their Begin), so attach tracers to freshly reset
+// machines.
 //
 // Reset also starts a new scratch-arena generation: scratch buffers
 // parked before the Reset are released to the garbage collector rather
@@ -165,50 +157,53 @@ func (m *M) Reset() {
 // buffers should be released to the garbage collector instead.
 func (m *M) WarmReset() { m.st = Stats{} }
 
-// xorRoundCost returns (and caches) the worst partner distance of a
-// bit-b XOR round. Topologies that memoise their own tables (RoundCoster)
-// are consulted directly; others fall back to a per-machine scan.
+// xorRoundCost returns the worst partner distance of a bit-b XOR round:
+// max over i of Distance(i, i ⊕ 2^b), pairs off the machine excluded. A
+// bit outside [0, Bits()) costs 0.
 func (m *M) xorRoundCost(b int) int {
-	if rc, ok := m.topo.(RoundCoster); ok {
-		return rc.XorRoundCost(b)
+	if b < 0 || b >= len(m.xor) {
+		return 0
 	}
-	if c, ok := m.xorCost[b]; ok {
-		return c
-	}
-	off := 1 << b
-	max := 0
-	for i := 0; i < m.n; i++ {
-		j := i ^ off
-		if j < i || j >= m.n {
-			continue
+	if m.xor[b] < 0 {
+		off, max := 1<<b, 0
+		for i := 0; i < m.n; i++ {
+			if j := i ^ off; j > i && j < m.n {
+				if d := m.topo.Distance(i, j); d > max {
+					max = d
+				}
+			}
 		}
-		if d := m.topo.Distance(i, j); d > max {
-			max = d
-		}
+		m.xor[b] = max
 	}
-	m.xorCost[b] = max
-	return max
+	return m.xor[b]
 }
 
-// shiftRoundCost returns (and caches) the worst partner distance of a
-// round in which PE i sends to PE i+off.
+// shiftRoundCost returns the worst partner distance of a round in which
+// PE i sends to PE i+off (off ≥ 0): max over valid i of Distance(i,
+// i+off). Power-of-two offsets are stored in the table; any other offset
+// is scanned each time (no production round uses one).
 func (m *M) shiftRoundCost(off int) int {
-	if off < 0 {
-		off = -off
+	if off >= m.n {
+		return 0
 	}
-	if rc, ok := m.topo.(RoundCoster); ok {
-		return rc.ShiftRoundCost(off)
+	if off > 0 && off&(off-1) == 0 {
+		b := bits.TrailingZeros(uint(off))
+		if m.shift[b] < 0 {
+			m.shift[b] = m.scanShift(off)
+		}
+		return m.shift[b]
 	}
-	if c, ok := m.shiftCost[off]; ok {
-		return c
-	}
+	return m.scanShift(off)
+}
+
+// scanShift is max over valid i of Distance(i, i+off), by an O(n) scan.
+func (m *M) scanShift(off int) int {
 	max := 0
 	for i := 0; i+off < m.n; i++ {
 		if d := m.topo.Distance(i, i+off); d > max {
 			max = d
 		}
 	}
-	m.shiftCost[off] = max
 	return max
 }
 
@@ -229,21 +224,18 @@ func (m *M) chargeXOR(b int, msgs int) {
 
 // chargeShift records one ±off shift round.
 func (m *M) chargeShift(off, msgs int) {
+	if off < 0 {
+		off = -off
+	}
 	d := m.shiftRoundCost(off)
 	m.st.Rounds++
 	m.st.CommSteps += int64(d)
 	m.st.LocalSteps++
 	m.st.Messages += int64(msgs)
 	if m.obs != nil {
-		if off < 0 {
-			off = -off
-		}
 		m.obs.Round(RoundInfo{Kind: RoundShift, Param: off, Dist: d, Msgs: msgs})
 	}
 	if m.inj != nil {
-		if off < 0 {
-			off = -off
-		}
 		m.faultRound(RoundInfo{Kind: RoundShift, Param: off, Dist: d, Msgs: msgs})
 	}
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -129,18 +130,12 @@ func TestNonPowerSizesRejected(t *testing.T) {
 	}
 }
 
-// plainTopo strips the RoundCoster methods off a bundled topology so the
-// machine's per-M fallback cost caches are exercised.
-type plainTopo struct{ Topology }
-
 // TestResetPreservesCostCaches is white-box: Reset clears the counters
-// but keeps the memoised per-round cost caches, so a re-run of the same
-// operation is charged identically (and the caches need not be rebuilt).
-// The topologies are wrapped in plainTopo because the bundled ones now
-// carry their own costmemo tables (RoundCoster), bypassing the per-M maps.
+// but keeps the round-cost table, so a re-run of the same operation is
+// charged identically (and the table need not be refilled).
 func TestResetPreservesCostCaches(t *testing.T) {
 	for _, topo := range []Topology{
-		plainTopo{mesh.MustNew(64, mesh.Proximity)}, plainTopo{hypercube.MustNew(64)},
+		mesh.MustNew(64, mesh.Proximity), hypercube.MustNew(64),
 	} {
 		m := New(topo)
 		run := func() Stats {
@@ -150,17 +145,20 @@ func TestResetPreservesCostCaches(t *testing.T) {
 			return m.Stats()
 		}
 		first := run()
-		if len(m.xorCost) == 0 && len(m.shiftCost) == 0 {
-			t.Fatalf("%s: no cost caches populated by sort+scan", topo.Name())
+		for b := range m.xor {
+			if m.xor[b] < 0 || m.shift[b] < 0 {
+				t.Fatalf("%s: sort+scan left the table at %v/%v, want every entry filled",
+					topo.Name(), m.xor, m.shift)
+			}
 		}
-		xorEntries, shiftEntries := len(m.xorCost), len(m.shiftCost)
+		xor, shift := slices.Clone(m.xor), slices.Clone(m.shift)
 		m.Reset()
 		if m.Stats() != (Stats{}) {
 			t.Fatalf("%s: Reset left stats %+v", topo.Name(), m.Stats())
 		}
-		if len(m.xorCost) != xorEntries || len(m.shiftCost) != shiftEntries {
-			t.Errorf("%s: Reset dropped cost caches (%d/%d → %d/%d)", topo.Name(),
-				xorEntries, shiftEntries, len(m.xorCost), len(m.shiftCost))
+		if !slices.Equal(m.xor, xor) || !slices.Equal(m.shift, shift) {
+			t.Errorf("%s: Reset changed the round-cost table (%v/%v → %v/%v)", topo.Name(),
+				xor, shift, m.xor, m.shift)
 		}
 		if second := run(); second != first {
 			t.Errorf("%s: re-run after Reset charged %+v, first run %+v",

@@ -17,8 +17,6 @@ package mesh
 import (
 	"fmt"
 	"math"
-
-	"dyncg/internal/costmemo"
 )
 
 // Indexing is one of the PE-numbering schemes of Figure 2.
@@ -55,8 +53,6 @@ type Mesh struct {
 
 	toGrid [][2]int // index → (row, col)
 	fromXY []int    // row*side+col → index
-
-	costs *costmemo.Table // memoised round costs (shared across machines)
 }
 
 // New returns a mesh of size n (n must be a positive power of 4) with the
@@ -87,7 +83,6 @@ func New(n int, ix Indexing) (*Mesh, error) {
 		m.toGrid[i] = [2]int{r, c}
 		m.fromXY[r*side+c] = i
 	}
-	m.costs = costmemo.New(m)
 	return m, nil
 }
 
@@ -163,17 +158,6 @@ func (m *Mesh) MaxDistanceForXorBit(b int) int {
 	}
 	return max
 }
-
-// XorRoundCost returns the memoised worst partner distance of a bit-b
-// XOR round — the Θ(2^{b/2}) Hilbert hop distances that give bitonic sort
-// its Θ(√n) mesh total. Computed once per Mesh (sync.Once) and shared by
-// every machine wrapping it, including one-M-per-goroutine concurrent
-// simulations.
-func (m *Mesh) XorRoundCost(b int) int { return m.costs.XorRoundCost(b) }
-
-// ShiftRoundCost returns the memoised worst partner distance of a ±off
-// shift round.
-func (m *Mesh) ShiftRoundCost(off int) int { return m.costs.ShiftRoundCost(off) }
 
 // Neighbors returns the lattice neighbours of PE i (2 to 4 PEs).
 func (m *Mesh) Neighbors(i int) []int {

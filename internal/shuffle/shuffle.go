@@ -10,19 +10,13 @@
 // from a precomputed BFS table.
 package shuffle
 
-import (
-	"fmt"
-
-	"dyncg/internal/costmemo"
-)
+import "fmt"
 
 // SE is a shuffle-exchange network of size 2^q.
 type SE struct {
 	q    int
 	n    int
 	dist [][]uint8
-
-	costs *costmemo.Table // memoised round costs (shared across machines)
 }
 
 // New returns a shuffle-exchange network with n = 2^q nodes (q ≥ 1,
@@ -33,7 +27,6 @@ func New(q int) (*SE, error) {
 	}
 	s := &SE{q: q, n: 1 << q}
 	s.precompute()
-	s.costs = costmemo.New(s)
 	return s, nil
 }
 
@@ -99,15 +92,6 @@ func (s *SE) Name() string { return fmt.Sprintf("shuffle-exchange[2^%d]", s.q) }
 
 // Distance implements machine.Topology.
 func (s *SE) Distance(i, j int) int { return int(s.dist[i][j]) }
-
-// XorRoundCost returns the memoised worst partner distance (in BFS hops)
-// of a bit-b XOR round, computed once per SE and shared by every machine
-// wrapping it.
-func (s *SE) XorRoundCost(b int) int { return s.costs.XorRoundCost(b) }
-
-// ShiftRoundCost returns the memoised worst partner distance of a ±off
-// shift round.
-func (s *SE) ShiftRoundCost(off int) int { return s.costs.ShiftRoundCost(off) }
 
 // Diameter implements machine.Topology: Θ(log n) (≈ 2q − 1).
 func (s *SE) Diameter() int {
