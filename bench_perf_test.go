@@ -146,12 +146,10 @@ func perfDest(n int) []int {
 // data-movement primitives at n = 64k, 256k and 1M PEs, the regime the
 // struct-of-arrays refactor targets. Dense rows run scan and semigroup
 // — one host fold per call, the doubling's rounds charged in closed
-// form — on a colstore.File in place; sparse rows run the active-set
-// primitives at 1% occupancy, whose host work is O(occupied), not O(n).
-// All rows run steady-state on a warm machine and must hold 0
-// allocs/op. scripts/bench.sh runs this function at its own
-// pinned iteration count (BENCH_TIME_LARGE) so the 1M rows stay inside
-// the bench-smoke wall-clock budget.
+// form — on a colstore.File in place. All rows run steady-state on a
+// warm machine and must hold 0 allocs/op. scripts/bench.sh runs this
+// function at its own pinned iteration count (BENCH_TIME_LARGE) so the
+// 1M rows stay inside the bench-smoke wall-clock budget.
 func BenchmarkPerfLargeN(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 18, 1 << 20} {
 		b.Run(fmt.Sprintf("scan/hypercube/n=%d", n), func(b *testing.B) {
@@ -187,37 +185,6 @@ func BenchmarkPerfLargeN(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			machine.SemigroupCols(m, regs, seg, minInt)
-		}
-	})
-	// Active-set rows: 1% occupancy. Both workloads are idempotent after
-	// the first call (compact leaves the occupied prefix in place; sort
-	// leaves the values ordered), so the loop measures steady state.
-	sparseSetup := func() *machine.Sparse[int] {
-		s := machine.NewSparse[int](big)
-		vals := perfVals(big / 100)
-		for i, v := range vals {
-			s.Set(i*100, v)
-		}
-		return s
-	}
-	b.Run(fmt.Sprintf("sparse-compact/hypercube/n=%d", big), func(b *testing.B) {
-		m := machine.New(hypercube.MustNew(big))
-		s := sparseSetup()
-		machine.SparseCompact(m, s)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			machine.SparseCompact(m, s)
-		}
-	})
-	b.Run(fmt.Sprintf("sparse-sort/hypercube/n=%d", big), func(b *testing.B) {
-		m := machine.New(hypercube.MustNew(big))
-		s := sparseSetup()
-		machine.SparseSort(m, s, func(a, b int) bool { return a < b })
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			machine.SparseSort(m, s, func(a, b int) bool { return a < b })
 		}
 	})
 }

@@ -63,24 +63,24 @@ func SpanFromEnvelopes(m *machine.M, hi, lo pieces.Piecewise, coord int) (pieces
 // windowDiffFor returns the window combiner emitting the difference
 // f − g of the two active polynomial pieces on their overlap (Θ(1) local
 // work per window), tagged with the coordinate for unique run IDs.
-func windowDiffFor(coord int) func(fw, gw pieces.Piecewise) pieces.Piecewise {
-	return func(fw, gw pieces.Piecewise) pieces.Piecewise {
+func windowDiffFor(coord int) pieces.Window {
+	return func(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
 		if len(fw) == 0 || len(gw) == 0 {
-			return nil
+			return dst
 		}
 		f, g := fw[0], gw[0]
 		lo, hi := math.Max(f.Lo, g.Lo), math.Min(f.Hi, g.Hi)
 		if !(lo < hi) {
-			return nil
+			return dst
 		}
 		fp := f.F.(curve.Poly).P
 		gp := g.F.(curve.Poly).P
-		return pieces.Piecewise{{
+		return append(dst, pieces.Piece{
 			F:  curve.NewPoly(fp.Sub(gp)),
 			ID: pairID(coord, f.ID, g.ID),
 			Lo: lo,
 			Hi: hi,
-		}}
+		})
 	}
 }
 

@@ -176,8 +176,8 @@ func angleGapIndicator(m *machine.M, f, g pieces.Piecewise, ge bool) (pieces.Pie
 
 // angleWindow builds the Θ(1) window combiner shared by the machine pass
 // (penvelope.Combine2) and the serial baseline (pieces.CombineWindows).
-func angleWindow(ge bool) func(fw, gw pieces.Piecewise) pieces.Piecewise {
-	return func(fw, gw pieces.Piecewise) pieces.Piecewise {
+func angleWindow(ge bool) pieces.Window {
+	return func(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
 		if len(fw) == 0 || len(gw) == 0 {
 			// Only one of the two functions is defined: the condition
 			// involves an undefined value, so the indicator is 0 on the
@@ -186,25 +186,26 @@ func angleWindow(ge bool) func(fw, gw pieces.Piecewise) pieces.Piecewise {
 			if len(src) == 0 {
 				src = gw
 			}
-			return pieces.Piecewise{{F: curve.Const(0), ID: 0, Lo: src[0].Lo, Hi: src[0].Hi}}
+			return append(dst, pieces.Piece{F: curve.Const(0), ID: 0, Lo: src[0].Lo, Hi: src[0].Hi})
 		}
 		fp, gp := fw[0], gw[0]
 		lo, hi := math.Max(fp.Lo, gp.Lo), math.Min(fp.Hi, gp.Hi)
-		var out pieces.Piecewise
+		start := len(dst)
 		emit0 := func(a, b float64) {
 			if a < b {
-				out = append(out, pieces.Piece{F: curve.Const(0), ID: 0, Lo: a, Hi: b})
+				dst = append(dst, pieces.Piece{F: curve.Const(0), ID: 0, Lo: a, Hi: b})
 			}
 		}
 		// Non-overlapping margins of the window are 0.
 		emit0(fp.Lo, math.Min(fp.Hi, lo))
 		emit0(gp.Lo, math.Min(gp.Hi, lo))
 		if !(lo < hi) {
-			return out
+			return dst
 		}
 		fa := fp.F.(curve.Angle)
 		ga := gp.F.(curve.Angle)
-		cuts := append([]float64{lo}, fa.AntiparallelTimes(ga, lo, hi)...)
+		var buf [8]float64
+		cuts := fa.AppendAntiparallelTimes(append(buf[:0], lo), ga, lo, hi)
 		cuts = append(cuts, hi)
 		for i := 0; i+1 < len(cuts); i++ {
 			a, b := cuts[i], cuts[i+1]
@@ -224,12 +225,12 @@ func angleWindow(ge bool) func(fw, gw pieces.Piecewise) pieces.Piecewise {
 			if hold {
 				v = 1
 			}
-			out = append(out, pieces.Piece{F: curve.Const(float64(v)), ID: v, Lo: a, Hi: b})
+			dst = append(dst, pieces.Piece{F: curve.Const(float64(v)), ID: v, Lo: a, Hi: b})
 		}
 		// Trailing margins after the overlap.
 		emit0(math.Max(fp.Lo, hi), fp.Hi)
 		emit0(math.Max(gp.Lo, hi), gp.Hi)
-		return normalizeWindow(out)
+		return append(dst[:start], normalizeWindow(dst[start:])...)
 	}
 }
 

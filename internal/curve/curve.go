@@ -53,11 +53,24 @@ func (c Poly) Intersections(other Curve, lo, hi float64) ([]float64, bool) {
 	if !ok {
 		panic(fmt.Sprintf("curve: Poly intersected with %T", other))
 	}
-	d := c.P.Sub(o.P)
+	return c.appendIntersections(nil, o, lo, hi)
+}
+
+// stackLen is the coefficient capacity of each stack buffer an
+// intersection test builds a difference, product, cross or dot
+// polynomial in: products of two degree-7 polynomials fit, and longer
+// polynomials fall back to the heap with the same coefficients.
+const stackLen = 16
+
+// appendIntersections is Intersections appending to dst, with the
+// difference polynomial built on the stack.
+func (c Poly) appendIntersections(dst []float64, o Poly, lo, hi float64) ([]float64, bool) {
+	var buf [stackLen]float64
+	d := poly.SubTo(buf[:0], c.P, o.P)
 	if d.IsZero() {
-		return nil, true
+		return dst, true
 	}
-	return d.Roots(lo, hi), false
+	return d.AppendRoots(dst, lo, hi), false
 }
 
 // String implements Curve.
@@ -92,15 +105,22 @@ func (c Angle) Defined(t float64) bool {
 	return c.DX.SignAt(t) != 0 || c.DY.SignAt(t) != 0
 }
 
-// cross returns DX·other.DY − DY·other.DX, the polynomial whose roots are
-// the times at which the two vectors are parallel (proof of Theorem 4.5).
-func (c Angle) cross(o Angle) poly.Poly {
-	return c.DX.Mul(o.DY).Sub(c.DY.Mul(o.DX))
+// angleBufs is stack storage for the products, cross and dot
+// polynomials of one Angle predicate.
+type angleBufs struct {
+	p, q, cross, dot, roots [stackLen]float64
 }
 
-// dot returns DX·other.DX + DY·other.DY.
-func (c Angle) dot(o Angle) poly.Poly {
-	return c.DX.Mul(o.DX).Add(c.DY.Mul(o.DY))
+// crossTo returns DX·other.DY − DY·other.DX, the polynomial whose roots
+// are the times at which the two vectors are parallel (proof of
+// Theorem 4.5), built in b.
+func (c Angle) crossTo(b *angleBufs, o Angle) poly.Poly {
+	return poly.SubTo(b.cross[:0], poly.MulTo(b.p[:0], c.DX, o.DY), poly.MulTo(b.q[:0], c.DY, o.DX))
+}
+
+// dotTo returns DX·other.DX + DY·other.DY, built in b.
+func (c Angle) dotTo(b *angleBufs, o Angle) poly.Poly {
+	return poly.AddTo(b.dot[:0], poly.MulTo(b.p[:0], c.DX, o.DX), poly.MulTo(b.q[:0], c.DY, o.DY))
 }
 
 // Intersections returns the times in [lo, hi] at which the two angle
@@ -112,44 +132,97 @@ func (c Angle) Intersections(other Curve, lo, hi float64) ([]float64, bool) {
 	if !ok {
 		panic(fmt.Sprintf("curve: Angle intersected with %T", other))
 	}
-	cr := c.cross(o)
-	dt := c.dot(o)
-	if cr.IsZero() {
-		// Always parallel. Identical iff also always similarly oriented.
-		if dt.SignAtInfinity() > 0 && len(dt.RootsNonNeg()) == 0 {
-			return nil, true
-		}
-		// Antiparallel throughout (or flips at isolated collisions):
-		// equal only where dot > 0; for bounded-degree motion this is a
-		// union of intervals, which the piecewise layer handles by
-		// domain splitting, so report no isolated intersections.
-		return nil, false
-	}
-	var times []float64
-	for _, r := range cr.Roots(lo, hi) {
-		if dt.SignAt(r) > 0 {
-			times = append(times, r)
-		}
-	}
-	return times, false
+	return c.appendIntersections(nil, o, lo, hi)
 }
 
-// AntiparallelTimes returns the times in [lo, hi] at which the two angle
-// curves differ by exactly π: vectors parallel (cross = 0) and oppositely
-// oriented (dot < 0). Used to locate a₀−d₀ = π events in Theorem 4.5.
-func (c Angle) AntiparallelTimes(o Angle, lo, hi float64) []float64 {
-	cr := c.cross(o)
+// appendIntersections is Intersections appending to dst, with the cross
+// and dot polynomials built on the stack.
+func (c Angle) appendIntersections(dst []float64, o Angle, lo, hi float64) ([]float64, bool) {
+	var b angleBufs
+	cr := c.crossTo(&b, o)
 	if cr.IsZero() {
-		return nil
+		// Always parallel. Identical iff also always similarly oriented.
+		// Otherwise the two are antiparallel throughout (or flip at
+		// isolated collisions): equal only where dot > 0; for
+		// bounded-degree motion this is a union of intervals, which the
+		// piecewise layer handles by domain splitting, so report no
+		// isolated intersections.
+		return dst, c.parallelSame(&b, o)
 	}
-	dt := c.dot(o)
-	var times []float64
-	for _, r := range cr.Roots(lo, hi) {
-		if dt.SignAt(r) < 0 {
-			times = append(times, r)
+	return appendParallelTimes(dst, &b, cr, c.dotTo(&b, o), lo, hi, +1), false
+}
+
+// parallelSame reports whether two everywhere-parallel vectors are also
+// similarly oriented at every t ≥ 0, which makes the angle curves equal.
+func (c Angle) parallelSame(b *angleBufs, o Angle) bool {
+	dt := c.dotTo(b, o)
+	return dt.SignAtInfinity() > 0 && len(dt.AppendRoots(b.roots[:0], 0, math.Inf(1))) == 0
+}
+
+// appendParallelTimes appends the roots of cr in [lo, hi] at which dt has
+// the given sign.
+func appendParallelTimes(dst []float64, b *angleBufs, cr, dt poly.Poly, lo, hi float64, sign int) []float64 {
+	for _, r := range cr.AppendRoots(b.roots[:0], lo, hi) {
+		if dt.SignAt(r) == sign {
+			dst = append(dst, r)
 		}
 	}
-	return times
+	return dst
+}
+
+// AppendAntiparallelTimes appends to dst the times in [lo, hi] at which
+// the two angle curves differ by exactly π: vectors parallel (cross = 0)
+// and oppositely oriented (dot < 0). Used to locate a₀−d₀ = π events in
+// Theorem 4.5.
+func (c Angle) AppendAntiparallelTimes(dst []float64, o Angle, lo, hi float64) []float64 {
+	var b angleBufs
+	cr := c.crossTo(&b, o)
+	if cr.IsZero() {
+		return dst
+	}
+	return appendParallelTimes(dst, &b, cr, c.dotTo(&b, o), lo, hi, -1)
+}
+
+// AppendIntersections appends the times a.Intersections(b, lo, hi)
+// reports to dst and returns the extended slice with the identical flag.
+// Poly and Angle pairs run on stack buffers, so a dst on the caller's
+// stack stays there; other families go through the Curve interface.
+func AppendIntersections(dst []float64, a, b Curve, lo, hi float64) ([]float64, bool) {
+	switch a := a.(type) {
+	case Poly:
+		if b, ok := b.(Poly); ok {
+			return a.appendIntersections(dst, b, lo, hi)
+		}
+	case Angle:
+		if b, ok := b.(Angle); ok {
+			return a.appendIntersections(dst, b, lo, hi)
+		}
+	}
+	times, ident := a.Intersections(b, lo, hi)
+	return append(dst, times...), ident
+}
+
+// Same reports whether a and b are the same function — the identical
+// flag of a.Intersections(b, 0, ∞) — without isolating any roots. Curves
+// of different families are never the same.
+func Same(a, b Curve) bool {
+	switch a := a.(type) {
+	case Poly:
+		b, ok := b.(Poly)
+		return ok && poly.SubIsZero(a.P, b.P)
+	case Angle:
+		b, ok := b.(Angle)
+		if !ok {
+			return false
+		}
+		var bufs angleBufs
+		return a.crossTo(&bufs, b).IsZero() && a.parallelSame(&bufs, b)
+	case Rational:
+		b, ok := b.(Rational)
+		return ok && poly.SubIsZero(a.Num.Mul(b.Den), b.Num.Mul(a.Den))
+	}
+	_, ident := a.Intersections(b, 0, math.Inf(1))
+	return ident
 }
 
 // String implements Curve.

@@ -71,7 +71,7 @@ func TestAngleAntiparallel(t *testing.T) {
 	a := NewAngle(poly.Constant(1), poly.X())         // rotates from 0 to π/2
 	b := NewAngle(poly.Constant(-1), poly.New(2, -1)) // (−1, 2−t)
 	// cross = 1·(2−t) − t·(−1) = 2 − t + t = 2 → never parallel.
-	times := a.AntiparallelTimes(b, 0, math.Inf(1))
+	times := a.AppendAntiparallelTimes(nil, b, 0, math.Inf(1))
 	if len(times) != 0 {
 		t.Fatalf("unexpected antiparallel times %v", times)
 	}
@@ -86,7 +86,7 @@ func TestAngleAntiparallel(t *testing.T) {
 	// u = (1, t), v = (−1, t): cross = t + t = 2t, root at t=0, dot = −1+t².
 	u := NewAngle(poly.Constant(1), poly.X())
 	v := NewAngle(poly.Constant(-1), poly.X())
-	anti := u.AntiparallelTimes(v, 0, math.Inf(1))
+	anti := u.AppendAntiparallelTimes(nil, v, 0, math.Inf(1))
 	if len(anti) != 1 || anti[0] != 0 {
 		t.Fatalf("antiparallel times = %v, want [0]", anti)
 	}

@@ -3,9 +3,8 @@ package machine
 // Charge-only entry points. Each function below emits exactly the span
 // and round stream of one dense primitive — the same Stats, the same
 // observer events, the same injector consultations — without touching
-// a register file. The dense primitives of colops.go and the active-set
-// primitives of sparse.go take their charges from these functions, so
-// each charge formula exists once; callers that compute a primitive's
+// a register file. The dense primitives of colops.go take their charges
+// from these functions, so each charge formula exists once; callers that compute a primitive's
 // registers with host-efficient code of their own (penvelope's packed
 // Lemma 3.1 levels) charge the machine through them too, and so do
 // callers that sort only to charge the machine (ChargeSort). Agreement with

@@ -1,8 +1,8 @@
 package machine
 
 // This file holds the shared vocabulary of the fundamental data movement
-// operations of §2.6 (Table 1), whose implementations live in colops.go
-// (dense register files) and sparse.go (active sets). A register file is
+// operations of §2.6 (Table 1), whose implementations live in
+// colops.go. A register file is
 // a colstore.File with one register per PE; its Occ column distinguishes
 // PEs that hold a data item from empty PEs (the paper allows strings
 // with fewer items than PEs). Segments ("strings of processors",

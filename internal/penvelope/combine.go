@@ -15,9 +15,10 @@ import (
 // indicator functions (A₀, B₀, W_i, …) exactly this way.
 //
 // window receives the pieces of f and of g clipped to an elementary
-// window (either may be empty) and returns the combined pieces on that
-// window. Cost: Θ(√N) mesh / Θ(log N) hypercube (one Lemma 3.1 pass).
-func Combine2(m *machine.M, f, g pieces.Piecewise, window func(fw, gw pieces.Piecewise) pieces.Piecewise) (pieces.Piecewise, error) {
+// window (either may be empty) and appends the combined pieces on that
+// window (see pieces.Window; fw and gw are valid only during the call).
+// Cost: Θ(√N) mesh / Θ(log N) hypercube (one Lemma 3.1 pass).
+func Combine2(m *machine.M, f, g pieces.Piecewise, window pieces.Window) (pieces.Piecewise, error) {
 	N := m.Size()
 	if len(f) > N/2 || len(g) > N/2 {
 		return nil, fmt.Errorf("penvelope: Combine2 inputs (%d, %d pieces) exceed machine halves (%d PEs): %w",
@@ -44,8 +45,8 @@ func Combine2(m *machine.M, f, g pieces.Piecewise, window func(fw, gw pieces.Pie
 // MergeMinMax is Combine2 specialised to the pointwise min/max of two
 // piecewise functions (Lemma 3.1 proper).
 func MergeMinMax(m *machine.M, f, g pieces.Piecewise, kind pieces.Kind) (pieces.Piecewise, error) {
-	return Combine2(m, f, g, func(fw, gw pieces.Piecewise) pieces.Piecewise {
-		return pieces.Merge(fw, gw, kind)
+	return Combine2(m, f, g, func(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
+		return pieces.AppendMerge(dst, fw, gw, kind)
 	})
 }
 

@@ -27,8 +27,8 @@ func randPiecewise(r *rand.Rand, id int) pieces.Piecewise {
 // combiner over random partial functions.
 func TestCombine2MatchesSerialWindows(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
-	window := func(fw, gw pieces.Piecewise) pieces.Piecewise {
-		return pieces.Merge(fw, gw, pieces.Min)
+	window := func(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
+		return pieces.AppendMerge(dst, fw, gw, pieces.Min)
 	}
 	for trial := 0; trial < 80; trial++ {
 		f := randPiecewise(r, 0)

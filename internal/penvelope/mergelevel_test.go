@@ -172,7 +172,7 @@ func checkBodies(t *testing.T, r *rand.Rand, label, topo string, N int, packed, 
 
 // levelBodies returns the packed and dense bodies of one merge level (or,
 // with window nil, one run combination) over a fresh copy of layout.
-func levelBodies(layout colstore.File[envReg], block int, window func(fw, gw pieces.Piecewise) pieces.Piecewise) (packed, dense mergeBody) {
+func levelBodies(layout colstore.File[envReg], block int, window pieces.Window) (packed, dense mergeBody) {
 	mk := func(level func(*machine.M, colstore.File[envReg]) error) mergeBody {
 		return func(m *machine.M, snap func(int, colstore.File[envReg])) (pieces.Piecewise, error) {
 			regs := colstore.New[envReg](layout.Len())
@@ -235,28 +235,27 @@ func randPartial(r *rand.Rand, id, deg int) pieces.Piecewise {
 
 // diffWindow is the shape of core's containment difference window: f − g
 // on the overlap of the two window pieces.
-func diffWindow(fw, gw pieces.Piecewise) pieces.Piecewise {
+func diffWindow(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
 	if len(fw) == 0 || len(gw) == 0 {
-		return nil
+		return dst
 	}
 	f, g := fw[0], gw[0]
 	lo, hi := math.Max(f.Lo, g.Lo), math.Min(f.Hi, g.Hi)
 	if !(lo < hi) {
-		return nil
+		return dst
 	}
 	d := f.F.(curve.Poly).P.Sub(g.F.(curve.Poly).P)
-	return pieces.Piecewise{{F: curve.NewPoly(d), ID: 1000*f.ID + g.ID, Lo: lo, Hi: hi}}
+	return append(dst, pieces.Piece{F: curve.NewPoly(d), ID: 1000*f.ID + g.ID, Lo: lo, Hi: hi})
 }
 
 // belowWindow is the shape of core's hull-membership indicator window:
 // 0 on the margins where only one side is defined, and [f ≤ g] (IDs equal
 // the indicator value, so runs combine across windows) between the roots
 // of f − g on the overlap.
-func belowWindow(fw, gw pieces.Piecewise) pieces.Piecewise {
-	var out pieces.Piecewise
+func belowWindow(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
 	emit := func(v int, a, b float64) {
 		if a < b {
-			out = append(out, pieces.Piece{F: curve.Const(float64(v)), ID: v, Lo: a, Hi: b})
+			dst = append(dst, pieces.Piece{F: curve.Const(float64(v)), ID: v, Lo: a, Hi: b})
 		}
 	}
 	if len(fw) == 0 || len(gw) == 0 {
@@ -265,14 +264,14 @@ func belowWindow(fw, gw pieces.Piecewise) pieces.Piecewise {
 			src = gw
 		}
 		emit(0, src[0].Lo, src[0].Hi)
-		return out
+		return dst
 	}
 	f, g := fw[0], gw[0]
 	lo, hi := math.Max(f.Lo, g.Lo), math.Min(f.Hi, g.Hi)
 	emit(0, f.Lo, math.Min(f.Hi, lo))
 	emit(0, g.Lo, math.Min(g.Hi, lo))
 	if !(lo < hi) {
-		return out
+		return dst
 	}
 	d := f.F.(curve.Poly).P.Sub(g.F.(curve.Poly).P)
 	cuts := append([]float64{lo}, d.Roots(lo, hi)...)
@@ -289,7 +288,7 @@ func belowWindow(fw, gw pieces.Piecewise) pieces.Piecewise {
 		}
 		emit(v, a, b)
 	}
-	return out
+	return dst
 }
 
 // thresholdPieces splits a piece at the roots of p − x into 0/1
@@ -373,9 +372,13 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 		}
 	}
 
-	windows := map[string]func(fw, gw pieces.Piecewise) pieces.Piecewise{
-		"min":   func(fw, gw pieces.Piecewise) pieces.Piecewise { return pieces.Merge(fw, gw, pieces.Min) },
-		"max":   func(fw, gw pieces.Piecewise) pieces.Piecewise { return pieces.Merge(fw, gw, pieces.Max) },
+	windows := map[string]pieces.Window{
+		"min": func(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
+			return pieces.AppendMerge(dst, fw, gw, pieces.Min)
+		},
+		"max": func(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
+			return pieces.AppendMerge(dst, fw, gw, pieces.Max)
+		},
 		"diff":  diffWindow,
 		"below": belowWindow,
 	}
@@ -535,8 +538,10 @@ func FuzzMergeLevel(f *testing.F) {
 		}
 		topo := oracleTopos[r.Intn(2)]
 		fa, gb := onIntervals(a, 0), onIntervals(b, 1)
-		for name, window := range map[string]func(fw, gw pieces.Piecewise) pieces.Piecewise{
-			"min":   func(fw, gw pieces.Piecewise) pieces.Piecewise { return pieces.Merge(fw, gw, pieces.Min) },
+		for name, window := range map[string]pieces.Window{
+			"min": func(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
+				return pieces.AppendMerge(dst, fw, gw, pieces.Min)
+			},
 			"diff":  diffWindow,
 			"below": belowWindow,
 		} {

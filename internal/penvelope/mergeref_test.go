@@ -24,7 +24,7 @@ import (
 	"dyncg/internal/pieces"
 )
 
-func refMergeLevel(m *machine.M, regs colstore.File[envReg], block int, window func(fw, gw pieces.Piecewise) pieces.Piecewise) error {
+func refMergeLevel(m *machine.M, regs colstore.File[envReg], block int, window pieces.Window) error {
 	if m.Observed() {
 		m.SpanBegin("lemma3.1-merge", "block", strconv.Itoa(block))
 		defer m.SpanEnd()
@@ -90,12 +90,12 @@ func refMergeLevel(m *machine.M, regs colstore.File[envReg], block int, window f
 		ls := seen.Val[i]
 		var fw, gw pieces.Piecewise
 		if ls.fOk {
-			fw = clip(ls.f, w0, w1)
+			fw = pieces.Clip(nil, ls.f, w0, w1)
 		}
 		if ls.gOk {
-			gw = clip(ls.g, w0, w1)
+			gw = pieces.Clip(nil, ls.g, w0, w1)
 		}
-		emitted[i] = window(fw, gw)
+		emitted[i] = window(nil, fw, gw)
 		maxEmit = max(maxEmit, len(emitted[i]))
 	}
 	// Pack the emitted subpieces: rank by parallel prefix, then maxEmit
@@ -236,8 +236,8 @@ func refEnvelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind, snap fun
 			regs.Set(i*stride+j, envReg{p: p})
 		}
 	}
-	window := func(fw, gw pieces.Piecewise) pieces.Piecewise {
-		return pieces.Merge(fw, gw, kind)
+	window := func(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
+		return pieces.AppendMerge(dst, fw, gw, kind)
 	}
 	for block := stride * 2; block <= N; block *= 2 {
 		if err := refMergeLevel(m, regs, block, window); err != nil {
@@ -267,7 +267,7 @@ func refOccupiedPieces(regs colstore.File[envReg]) pieces.Piecewise {
 }
 
 // refCombine2 is Combine2 over refMergeLevel.
-func refCombine2(m *machine.M, f, g pieces.Piecewise, window func(fw, gw pieces.Piecewise) pieces.Piecewise) (pieces.Piecewise, error) {
+func refCombine2(m *machine.M, f, g pieces.Piecewise, window pieces.Window) (pieces.Piecewise, error) {
 	N := m.Size()
 	if len(f) > N/2 || len(g) > N/2 {
 		return nil, fmt.Errorf("penvelope: Combine2 inputs (%d, %d pieces) exceed machine halves (%d PEs): %w",
@@ -358,8 +358,8 @@ func refMergeNode(t *MergeTree, m *machine.M, level int, f, g pieces.Piecewise) 
 		for j, p := range g {
 			regs.Set(block/2+j, envReg{p: p})
 		}
-		window := func(fw, gw pieces.Piecewise) pieces.Piecewise {
-			return pieces.Merge(fw, gw, t.kind)
+		window := func(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
+			return pieces.AppendMerge(dst, fw, gw, t.kind)
 		}
 		err := refMergeLevel(m, regs, block, window)
 		if err == nil {

@@ -147,8 +147,8 @@ func envelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind, snap func(b
 		}
 	}
 	// Bottom-up recursive halving (Step 2–3 of Theorem 3.2).
-	window := func(fw, gw pieces.Piecewise) pieces.Piecewise {
-		return pieces.Merge(fw, gw, kind)
+	window := func(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
+		return pieces.AppendMerge(dst, fw, gw, kind)
 	}
 	for block := stride * 2; block <= N; block *= 2 {
 		if err := mergeLevel(m, regs, block, window); err != nil {
@@ -191,9 +191,11 @@ type mergeItem struct {
 	// side at or before this one within the block — the other-piece
 	// field of Step 3 — or are −1 before the side's first piece.
 	f, g int
-	w1   float64          // the window end: the next piece's Lo, or +Inf
-	out  pieces.Piecewise // the window's emitted subpieces (Steps 4–5)
-	at   int              // the PE its first subpiece is packed to
+	w1   float64 // the window end: the next piece's Lo, or +Inf
+	// The window's emitted subpieces (Steps 4–5) are emitted[out :
+	// out+nOut] of the level's piece buffer.
+	out, nOut int
+	at        int // the PE its first subpiece is packed to
 }
 
 // runLen returns the length of the front-packed run in occ[lo:hi]: the
@@ -214,6 +216,12 @@ func runLen(occ []bool, lo, hi int) int {
 // notes after Lemma 3.1: "the algorithm ... can also be used to construct
 // ... any of a variety of operations (e.g., max, sum, product)").
 //
+// The windows append to one level-wide piece buffer from m's arena and
+// read their clipped pieces from two arena registers that the next
+// window overwrites (the pieces.Window contract), so a level allocates
+// nothing once the arena is warm and the window combiner allocates
+// nothing itself.
+//
 // The machine is charged every round of the six steps — a bitonic
 // merge, the other-piece prefix, the next-piece shift, the rank prefix
 // and the packing routes — through machine's charge-only entry points,
@@ -222,7 +230,7 @@ func runLen(occ []bool, lo, hi int) int {
 // level instead of O(N log block). The packed-run invariant (package
 // doc) is what makes the two agree; the round-by-round form is the test
 // oracle in mergeref_test.go.
-func mergeLevel(m *machine.M, regs colstore.File[envReg], block int, window func(fw, gw pieces.Piecewise) pieces.Piecewise) error {
+func mergeLevel(m *machine.M, regs colstore.File[envReg], block int, window pieces.Window) error {
 	if m.Observed() {
 		m.SpanBegin("lemma3.1-merge", "block", strconv.Itoa(block))
 		defer m.SpanEnd()
@@ -242,7 +250,7 @@ func mergeLevel(m *machine.M, regs colstore.File[envReg], block int, window func
 	}
 	items := machine.GetScratch[mergeItem](m, total)
 	defer func() {
-		clear(items) // drop the window outputs so the parked buffer does not pin them
+		clear(items) // drop the pieces so the parked buffer does not pin their curves
 		machine.PutScratch(m, items)
 	}()
 	nextMsgs, q := 0, 0
@@ -284,6 +292,16 @@ func mergeLevel(m *machine.M, regs colstore.File[envReg], block int, window func
 	// comparisons on ≤ s+1 subintervals).
 	m.ChargeLocal(1)
 	maxEmit := 0
+	clipped := machine.GetScratch[pieces.Piece](m, 2)
+	// Most windows emit one or two subpieces; append grows the buffer
+	// past this, and the grown buffer is what goes back to the arena.
+	emitted := machine.GetScratch[pieces.Piece](m, 2*total)[:0]
+	defer func() {
+		clear(emitted) // drop the subpieces so the parked buffers do not pin them
+		clear(clipped)
+		machine.PutScratch(m, emitted)
+		machine.PutScratch(m, clipped)
+	}()
 	for q := range items {
 		it := &items[q]
 		w0, w1 := it.p.Lo, it.w1
@@ -292,13 +310,15 @@ func mergeLevel(m *machine.M, regs colstore.File[envReg], block int, window func
 		}
 		var fw, gw pieces.Piecewise
 		if it.f >= 0 {
-			fw = clip(items[it.f].p, w0, w1)
+			fw = pieces.Clip(clipped[0:0:1], items[it.f].p, w0, w1)
 		}
 		if it.g >= 0 {
-			gw = clip(items[it.g].p, w0, w1)
+			gw = pieces.Clip(clipped[1:1:2], items[it.g].p, w0, w1)
 		}
-		it.out = window(fw, gw)
-		maxEmit = max(maxEmit, len(it.out))
+		it.out = len(emitted)
+		emitted = window(emitted, fw, gw)
+		it.nOut = len(emitted) - it.out
+		maxEmit = max(maxEmit, it.nOut)
 	}
 	// Pack the emitted subpieces: rank by parallel prefix, then maxEmit
 	// structured routes (each PE holds Θ(1) subpieces).
@@ -309,7 +329,7 @@ func mergeLevel(m *machine.M, regs colstore.File[envReg], block int, window func
 		at := s
 		for ; q < total && items[q].pe < s+block; q++ {
 			items[q].at = at
-			at += len(items[q].out)
+			at += items[q].nOut
 		}
 		if at > s+block {
 			return fmt.Errorf("%w at level %d", ErrBlockCapacity, block)
@@ -321,7 +341,7 @@ func mergeLevel(m *machine.M, regs colstore.File[envReg], block int, window func
 		// Each of the ≤ maxEmit rounds is one structured route.
 		src, dst = src[:0], dst[:0]
 		for q := range items {
-			if j < len(items[q].out) {
+			if j < items[q].nOut {
 				src = append(src, items[q].pe)
 				dst = append(dst, items[q].at+j)
 			}
@@ -334,8 +354,9 @@ func mergeLevel(m *machine.M, regs colstore.File[envReg], block int, window func
 		regs.Clear(items[q].from)
 	}
 	for q := range items {
-		for j, p := range items[q].out {
-			regs.Set(items[q].at+j, envReg{p: p})
+		it := &items[q]
+		for j, p := range emitted[it.out : it.out+it.nOut] {
+			regs.Set(it.at+j, envReg{p: p})
 		}
 	}
 	// Step 6: combine adjacent subpieces with the same generating
@@ -418,22 +439,11 @@ func combineRuns(m *machine.M, regs colstore.File[envReg], block int) error {
 // run from PE 0 — every file after its last merge level — as a non-nil
 // slice.
 func occupiedPieces(regs colstore.File[envReg]) pieces.Piecewise {
-	out := pieces.Piecewise{}
-	for i := 0; i < regs.Len() && regs.Occ[i]; i++ {
-		out = append(out, regs.Val[i].p)
+	out := make(pieces.Piecewise, runLen(regs.Occ, 0, regs.Len()))
+	for i := range out {
+		out[i] = regs.Val[i].p
 	}
 	return out
-}
-
-// clip restricts a piece to the window [w0, w1), returning at most one
-// piece.
-func clip(p pieces.Piece, w0, w1 float64) pieces.Piecewise {
-	lo := math.Max(p.Lo, w0)
-	hi := math.Min(p.Hi, w1)
-	if !(lo < hi) {
-		return nil
-	}
-	return pieces.Piecewise{{F: p.F, ID: p.ID, Lo: lo, Hi: hi}}
 }
 
 // MeshPEs returns the mesh size (a power of four) this implementation
@@ -449,9 +459,5 @@ func CubePEs(n, s int) int { return dsseq.NextPow2(4 * dsseq.LambdaBound(n, s)) 
 // EnvelopeOfCurves runs Envelope over total curves, tagging curve i with
 // ID i — the direct parallel construction of Equation (1).
 func EnvelopeOfCurves(m *machine.M, cs []curve.Curve, kind pieces.Kind) (pieces.Piecewise, error) {
-	fs := make([]pieces.Piecewise, len(cs))
-	for i, c := range cs {
-		fs[i] = pieces.Total(c, i)
-	}
-	return Envelope(m, fs, kind)
+	return Envelope(m, pieces.Totals(cs), kind)
 }

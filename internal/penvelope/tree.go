@@ -230,8 +230,8 @@ func (t *MergeTree) mergeOnce(m *machine.M, f, g pieces.Piecewise, block int) (p
 	for j, p := range g {
 		regs.Set(block/2+j, envReg{p: p})
 	}
-	window := func(fw, gw pieces.Piecewise) pieces.Piecewise {
-		return pieces.Merge(fw, gw, t.kind)
+	window := func(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
+		return pieces.AppendMerge(dst, fw, gw, t.kind)
 	}
 	if err := mergeLevel(m, regs, block, window); err != nil {
 		return nil, err

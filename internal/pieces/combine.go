@@ -5,6 +5,15 @@ import (
 	"sort"
 )
 
+// Window is a Θ(1)-per-window combiner of Lemma 3.1's generalised pass
+// (the paper's "any of a variety of operations", e.g. max, sum,
+// product). It receives the pieces of f and of g clipped to one
+// elementary window — at most one each, either may be empty — appends the
+// combined pieces on that window to dst, and returns the extended slice.
+// It must leave dst's existing pieces alone, and fw and gw are valid only
+// during the call: callers reuse their storage for the next window.
+type Window func(dst, fw, gw Piecewise) Piecewise
+
 // CombineWindows is the serial counterpart of the machine algorithm's
 // generalised Lemma 3.1 pass (penvelope.Combine2): it slices the time
 // axis into the elementary windows delimited by the left endpoints of
@@ -14,7 +23,7 @@ import (
 //
 // It exists as the Θ(m)-work serial baseline and as the reference
 // implementation the parallel version is property-tested against.
-func CombineWindows(f, g Piecewise, window func(fw, gw Piecewise) Piecewise) Piecewise {
+func CombineWindows(f, g Piecewise, window Window) Piecewise {
 	type tagged struct {
 		p    Piece
 		side int
@@ -40,6 +49,7 @@ func CombineWindows(f, g Piecewise, window func(fw, gw Piecewise) Piecewise) Pie
 	})
 	var out Piecewise
 	var lastF, lastG *Piece
+	clipped := make(Piecewise, 2) // the window's fw and gw storage
 	for i := range all {
 		if all[i].side == 0 {
 			lastF = &all[i].p
@@ -56,22 +66,24 @@ func CombineWindows(f, g Piecewise, window func(fw, gw Piecewise) Piecewise) Pie
 		}
 		var fw, gw Piecewise
 		if lastF != nil {
-			fw = clipPiece(*lastF, w0, w1)
+			fw = Clip(clipped[0:0:1], *lastF, w0, w1)
 		}
 		if lastG != nil {
-			gw = clipPiece(*lastG, w0, w1)
+			gw = Clip(clipped[1:1:2], *lastG, w0, w1)
 		}
-		out = append(out, window(fw, gw)...)
+		out = window(out, fw, gw)
 	}
 	return out.Compact()
 }
 
-// clipPiece restricts a piece to [w0, w1), returning at most one piece.
-func clipPiece(p Piece, w0, w1 float64) Piecewise {
+// Clip restricts a piece to the window [w0, w1) and returns the at most
+// one resulting piece, written into dst's storage when its capacity
+// suffices.
+func Clip(dst Piecewise, p Piece, w0, w1 float64) Piecewise {
 	lo := math.Max(p.Lo, w0)
 	hi := math.Min(p.Hi, w1)
 	if !(lo < hi) {
 		return nil
 	}
-	return Piecewise{{F: p.F, ID: p.ID, Lo: lo, Hi: hi}}
+	return append(dst[:0], Piece{F: p.F, ID: p.ID, Lo: lo, Hi: hi})
 }

@@ -133,23 +133,23 @@ func (pw Piecewise) Compact() Piecewise {
 		return pw
 	}
 	out := make(Piecewise, 0, len(pw))
-	cur := pw[0]
-	for _, p := range pw[1:] {
-		if p.Lo == cur.Hi && p.ID == cur.ID && sameCurve(p.F, cur.F) {
-			cur.Hi = p.Hi
-			continue
-		}
-		out = append(out, cur)
-		cur = p
+	for _, p := range pw {
+		out = appendCompact(out, 0, p)
 	}
-	return append(out, cur)
+	return out
 }
 
-// sameCurve reports whether two curves are the same function.
-func sameCurve(a, b curve.Curve) bool {
-	defer func() { recover() }() // mixed families are never the same
-	_, ident := a.Intersections(b, 0, math.Inf(1))
-	return ident
+// appendCompact appends p to dst, or, when dst[start:] is not empty and
+// its last piece abuts p with the same ID and the same function, extends
+// that piece to p.Hi instead — Compact's test, in Compact's order.
+func appendCompact(dst Piecewise, start int, p Piece) Piecewise {
+	if n := len(dst); n > start {
+		if cur := &dst[n-1]; p.Lo == cur.Hi && p.ID == cur.ID && curve.Same(p.F, cur.F) {
+			cur.Hi = p.Hi
+			return dst
+		}
+	}
+	return append(dst, p)
 }
 
 // Kind selects the envelope direction.
@@ -166,15 +166,27 @@ const (
 // counterpart of Lemma 3.1's six-step machine algorithm. Its cost is
 // O(m + I) where m is the total piece count and I the number of
 // intersections, each piece pair contributing at most s intersections.
-func Merge(f, g Piecewise, kind Kind) Piecewise {
+func Merge(f, g Piecewise, kind Kind) Piecewise { return AppendMerge(nil, f, g, kind) }
+
+// cutsLen is the capacity of the stack buffer AppendMerge collects its
+// breakpoints in: a window's two pieces give four endpoints plus at most
+// s intersections. Larger merges fall back to the heap.
+const cutsLen = 16
+
+// AppendMerge appends Merge(f, g, kind) to dst and returns the extended
+// slice; dst's existing pieces are left alone. A merge of two window
+// pieces over Poly or Angle curves of degree ≤ 2 allocates nothing
+// beyond dst's growth.
+func AppendMerge(dst, f, g Piecewise, kind Kind) Piecewise {
 	if len(f) == 0 {
-		return append(Piecewise(nil), g...)
+		return append(dst, g...)
 	}
 	if len(g) == 0 {
-		return append(Piecewise(nil), f...)
+		return append(dst, f...)
 	}
-	cuts := breakpoints(f, g)
-	out := make(Piecewise, 0, len(cuts))
+	var buf [cutsLen]float64
+	cuts := breakpoints(buf[:0], f, g)
+	start := len(dst)
 	for i := 0; i+1 < len(cuts); i++ {
 		lo, hi := cuts[i], cuts[i+1]
 		if !(lo < hi) {
@@ -193,16 +205,16 @@ func Merge(f, g Piecewise, kind Kind) Piecewise {
 		default:
 			chosen = choose(f[fi], g[gi], t, kind)
 		}
-		out = append(out, Piece{F: chosen.F, ID: chosen.ID, Lo: lo, Hi: hi})
+		dst = appendCompact(dst, start, Piece{F: chosen.F, ID: chosen.ID, Lo: lo, Hi: hi})
 	}
-	return out.Compact()
+	return dst
 }
 
 // choose picks the piece that realises the envelope at sample time t,
 // breaking exact ties (identical functions) toward the smaller ID so the
 // result is deterministic.
 func choose(a, b Piece, t float64, kind Kind) Piece {
-	if sameCurve(a.F, b.F) {
+	if curve.Same(a.F, b.F) {
 		if b.ID < a.ID {
 			return b
 		}
@@ -222,9 +234,10 @@ func choose(a, b Piece, t float64, kind Kind) Piece {
 // breakpoints returns the sorted, deduplicated set of elementary-interval
 // boundaries for merging f and g: all piece endpoints plus all
 // intersection times of overlapping piece pairs (the subpiece boundaries
-// of Lemma 3.1, Step 4).
-func breakpoints(f, g Piecewise) []float64 {
-	var cuts []float64
+// of Lemma 3.1, Step 4). It collects them in buf's storage while its
+// capacity suffices.
+func breakpoints(buf []float64, f, g Piecewise) []float64 {
+	cuts := buf[:0]
 	for _, p := range f {
 		cuts = append(cuts, p.Lo, p.Hi)
 	}
@@ -233,16 +246,13 @@ func breakpoints(f, g Piecewise) []float64 {
 	}
 	// Two-pointer sweep over overlapping pairs; by Lemma 2.5 the pieces of
 	// f and g have at most |f| + |g| nondegenerate intersections, so this
-	// walk is linear in the output.
+	// walk is linear in the output. Identical curves report no times.
 	i, j := 0, 0
 	for i < len(f) && j < len(g) {
 		lo := math.Max(f[i].Lo, g[j].Lo)
 		hi := math.Min(f[i].Hi, g[j].Hi)
 		if lo < hi {
-			times, ident := f[i].F.Intersections(g[j].F, lo, hi)
-			if !ident {
-				cuts = append(cuts, times...)
-			}
+			cuts, _ = curve.AppendIntersections(cuts, f[i].F, g[j].F, lo, hi)
 		}
 		if f[i].Hi < g[j].Hi {
 			i++
@@ -287,11 +297,21 @@ func Envelope(fs []Piecewise, kind Kind) Piecewise {
 // EnvelopeOfCurves computes the envelope of total (everywhere-defined)
 // curves; curve i is tagged with ID i. This is Equation (1) of the paper.
 func EnvelopeOfCurves(cs []curve.Curve, kind Kind) Piecewise {
+	return Envelope(Totals(cs), kind)
+}
+
+// Totals returns the one-piece total functions of cs, curve i tagged with
+// ID i — Total(cs[i], i) for every i — carved from one backing array.
+// Each input's capacity is capped at its one piece, so appending to one
+// never writes into the next.
+func Totals(cs []curve.Curve) []Piecewise {
+	backing := make(Piecewise, len(cs))
 	fs := make([]Piecewise, len(cs))
 	for i, c := range cs {
-		fs[i] = Total(c, i)
+		backing[i] = Piece{F: c, ID: i, Lo: 0, Hi: math.Inf(1)}
+		fs[i] = backing[i : i+1 : i+1]
 	}
-	return Envelope(fs, kind)
+	return fs
 }
 
 // IDs returns the generating-function IDs of the pieces in order — e.g.

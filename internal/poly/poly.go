@@ -181,21 +181,43 @@ func grow(dst Poly, n int) Poly {
 }
 
 // Sub returns p − q, with the same cancellation snapping as Add.
-func (p Poly) Sub(q Poly) Poly {
+func (p Poly) Sub(q Poly) Poly { return SubTo(nil, p, q) }
+
+// SubTo returns p − q, computed into dst's storage when its capacity
+// suffices and into a fresh slice otherwise. dst must not overlap p or q.
+func SubTo(dst, p, q Poly) Poly {
 	n := len(p)
 	if len(q) > n {
 		n = len(q)
 	}
-	r := make(Poly, n)
+	r := grow(dst, n)
 	for i := range r {
-		a, b := p.Coef(i), q.Coef(i)
-		v := a - b
-		if math.Abs(v) <= cancelEps*(math.Abs(a)+math.Abs(b)) {
-			v = 0
-		}
-		r[i] = v
+		r[i] = subCoef(p.Coef(i), q.Coef(i))
 	}
 	return r.normalize()
+}
+
+// subCoef is one coefficient of p − q, snapped to zero when it cancels to
+// within rounding noise of the operands.
+func subCoef(a, b float64) float64 {
+	v := a - b
+	if math.Abs(v) <= cancelEps*(math.Abs(a)+math.Abs(b)) {
+		return 0
+	}
+	return v
+}
+
+// SubIsZero reports whether p − q is the zero polynomial, exactly as
+// p.Sub(q).IsZero() does, without building the difference: a normalized
+// polynomial is zero exactly when every coefficient is (see IsZero).
+func SubIsZero(p, q Poly) bool {
+	n := max(len(p), len(q))
+	for i := 0; i < n; i++ {
+		if subCoef(p.Coef(i), q.Coef(i)) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Neg returns −p.
@@ -293,7 +315,7 @@ func (p Poly) CompareAtInfinity(q Poly) int {
 }
 
 // Equal reports whether p and q are numerically identical.
-func (p Poly) Equal(q Poly) bool { return p.Sub(q).IsZero() }
+func (p Poly) Equal(q Poly) bool { return SubIsZero(p, q) }
 
 // CauchyRootBound returns an upper bound B such that every real root of p
 // satisfies |r| ≤ B. Returns 0 for constants.

@@ -321,3 +321,80 @@ func TestCauchyBoundContainsRoots(t *testing.T) {
 		}
 	}
 }
+
+// TestSubIsZeroMatchesSub: SubIsZero(p, q) is p.Sub(q).IsZero(), and
+// SubTo into a buffer gives Sub's coefficients bit for bit, on random
+// pairs that include identical, near-cancelling (inside cancelEps),
+// barely distinct and differently long operands.
+func TestSubIsZeroMatchesSub(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	randPoly := func() Poly {
+		c := make([]float64, r.Intn(6))
+		for i := range c {
+			c[i] = float64(r.Intn(7)-3) * math.Pow(10, float64(r.Intn(7)-3))
+		}
+		return c
+	}
+	for trial := 0; trial < 4000; trial++ {
+		p, q := randPoly(), randPoly()
+		switch trial % 4 {
+		case 0:
+			q = append(Poly(nil), p...)
+		case 1, 2:
+			rel := []float64{1e-13, 1e-10}[trial%4-1]
+			q = make(Poly, len(p), len(p)+2)
+			for i, c := range p {
+				q[i] = c * (1 + rel*(2*r.Float64()-1))
+			}
+			if r.Intn(2) == 0 {
+				q = append(q, 0) // a trailing zero coefficient
+			}
+		}
+		diff := p.Sub(q)
+		if got, want := SubIsZero(p, q), diff.IsZero(); got != want {
+			t.Fatalf("SubIsZero(%v, %v) = %v, Sub gives %v", []float64(p), []float64(q), got, diff)
+		}
+		var buf [8]float64
+		to := SubTo(buf[:0], p, q)
+		if len(to) != len(diff) {
+			t.Fatalf("SubTo(%v, %v) = %v, Sub = %v", []float64(p), []float64(q), to, diff)
+		}
+		for i := range to {
+			if math.Float64bits(to[i]) != math.Float64bits(diff[i]) {
+				t.Fatalf("SubTo(%v, %v) = %v, Sub = %v", []float64(p), []float64(q), to, diff)
+			}
+		}
+		if p.Equal(q) != diff.IsZero() {
+			t.Fatalf("Equal(%v, %v) disagrees with Sub", []float64(p), []float64(q))
+		}
+	}
+}
+
+// TestAppendRootsMatchesRoots: AppendRoots appends exactly Roots's
+// roots after an existing prefix and leaves the prefix alone, at every
+// degree (closed forms below 3, isolation above).
+func TestAppendRootsMatchesRoots(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 2000; trial++ {
+		c := make([]float64, 1+r.Intn(6))
+		for i := range c {
+			c[i] = float64(r.Intn(11) - 5)
+		}
+		p := New(c...)
+		lo, hi := float64(r.Intn(5)-2), math.Inf(1)
+		if r.Intn(2) == 0 {
+			hi = lo + float64(1+r.Intn(6))
+		}
+		want := p.Roots(lo, hi)
+		prefix := []float64{-7, 3}
+		got := p.AppendRoots(append([]float64(nil), prefix...), lo, hi)
+		if len(got) != len(prefix)+len(want) || got[0] != prefix[0] || got[1] != prefix[1] {
+			t.Fatalf("%v.AppendRoots(%v, %v, %v) = %v, Roots = %v", p, prefix, lo, hi, got, want)
+		}
+		for i, w := range want {
+			if math.Float64bits(got[len(prefix)+i]) != math.Float64bits(w) {
+				t.Fatalf("%v.AppendRoots(%v, %v, %v) = %v, Roots = %v", p, prefix, lo, hi, got, want)
+			}
+		}
+	}
+}

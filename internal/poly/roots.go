@@ -47,10 +47,15 @@ func (p Poly) SignAt(t float64) int {
 // zero polynomial it returns nil; callers that care about identical
 // functions must test IsZero first, as the paper's algorithms do when they
 // distinguish "f ≡ g on an interval" from crossings (§3).
-func (p Poly) Roots(lo, hi float64) []float64 {
+func (p Poly) Roots(lo, hi float64) []float64 { return p.AppendRoots(nil, lo, hi) }
+
+// AppendRoots appends the roots Roots(lo, hi) returns to dst and returns
+// the extended slice. Below degree 3 the roots come from closed forms
+// and nothing is allocated beyond dst's growth.
+func (p Poly) AppendRoots(dst []float64, lo, hi float64) []float64 {
 	q := p.normalize()
 	if len(q) <= 1 {
-		return nil
+		return dst
 	}
 	bound := q.CauchyRootBound() + 1
 	effHi := hi
@@ -61,35 +66,42 @@ func (p Poly) Roots(lo, hi float64) []float64 {
 		lo = -bound
 	}
 	if lo > effHi {
-		return nil
+		return dst
 	}
-	roots := q.rootsBounded(lo, effHi)
-	sort.Float64s(roots)
-	return dedupe(roots, lo, effHi)
+	start := len(dst)
+	dst = q.appendRootsBounded(dst, lo, effHi)
+	sort.Float64s(dst[start:])
+	return dedupe(dst, start, lo, effHi)
 }
 
 // RootsNonNeg returns the real roots of p on [0, ∞).
 func (p Poly) RootsNonNeg() []float64 { return p.Roots(0, math.Inf(1)) }
 
+// appendRootsBounded appends the roots on the finite interval [lo, hi],
+// unsorted: degrees 1 and 2 by closed forms, higher degrees by
+// rootsBounded.
+func (p Poly) appendRootsBounded(dst []float64, lo, hi float64) []float64 {
+	switch d := p.Degree(); {
+	case d <= 0:
+		return dst
+	case d == 1:
+		if r := -p.Coef(0) / p.Coef(1); r >= lo && r <= hi {
+			dst = append(dst, r)
+		}
+		return dst
+	case d == 2:
+		return appendQuadraticRoots(dst, p.Coef(2), p.Coef(1), p.Coef(0), lo, hi)
+	}
+	return append(dst, p.rootsBounded(lo, hi)...)
+}
+
 // rootsBounded finds roots on the finite interval [lo, hi] by recursive
 // critical-point isolation: the roots of p′ split [lo, hi] into intervals
 // on which p is monotonic, and a sign change on a monotonic interval pins
 // down exactly one root, found by bisection.
+// It is called for degree 3 and up.
 func (p Poly) rootsBounded(lo, hi float64) []float64 {
-	d := p.Degree()
-	switch {
-	case d <= 0:
-		return nil
-	case d == 1:
-		r := -p.Coef(0) / p.Coef(1)
-		if r >= lo && r <= hi {
-			return []float64{r}
-		}
-		return nil
-	case d == 2:
-		return quadraticRoots(p.Coef(2), p.Coef(1), p.Coef(0), lo, hi)
-	}
-	crit := p.Derivative().rootsBounded(lo, hi)
+	crit := p.Derivative().appendRootsBounded(nil, lo, hi)
 	sort.Float64s(crit)
 	breaks := make([]float64, 0, len(crit)+2)
 	breaks = append(breaks, lo)
@@ -164,20 +176,20 @@ func (p Poly) bisect(a, b float64, sa int) float64 {
 	return 0.5 * (a + b)
 }
 
-// quadraticRoots solves a·t² + b·t + c = 0 on [lo, hi] with the
-// numerically stable citardauq formulation.
-func quadraticRoots(a, b, c, lo, hi float64) []float64 {
+// appendQuadraticRoots appends the roots of a·t² + b·t + c = 0 on
+// [lo, hi] to dst, by the numerically stable citardauq formulation.
+func appendQuadraticRoots(dst []float64, a, b, c, lo, hi float64) []float64 {
 	disc := b*b - 4*a*c
 	scale := b*b + math.Abs(4*a*c)
 	if scale == 0 {
 		// b = 0 and a·c = 0 with a ≠ 0 (degree 2), so the only root is 0.
 		if lo <= 0 && 0 <= hi {
-			return []float64{0}
+			dst = append(dst, 0)
 		}
-		return nil
+		return dst
 	}
 	if disc < -residualTol*scale {
-		return nil
+		return dst
 	}
 	var r1, r2 float64
 	if disc <= residualTol*scale {
@@ -192,34 +204,34 @@ func quadraticRoots(a, b, c, lo, hi float64) []float64 {
 			r1, r2 = r2, r1
 		}
 	}
-	var out []float64
 	if r1 >= lo && r1 <= hi {
-		out = append(out, r1)
+		dst = append(dst, r1)
 	}
 	if r2 != r1 && r2 >= lo && r2 <= hi {
-		out = append(out, r2)
+		dst = append(dst, r2)
 	}
-	return out
+	return dst
 }
 
-// dedupe merges root estimates that coincide to within tolerance and
-// clamps them to [lo, hi].
-func dedupe(roots []float64, lo, hi float64) []float64 {
-	if len(roots) == 0 {
-		return nil
+// dedupe merges the root estimates in roots[start:] that coincide to
+// within tolerance and clamps them to [lo, hi], in place; roots[:start]
+// is left alone.
+func dedupe(roots []float64, start int, lo, hi float64) []float64 {
+	if len(roots) == start {
+		return roots
 	}
-	out := roots[:1]
-	for _, r := range roots[1:] {
+	out := roots[:start+1]
+	for _, r := range roots[start+1:] {
 		last := out[len(out)-1]
 		if r-last > 1e-10*(1+math.Abs(r)) {
 			out = append(out, r)
 		}
 	}
-	for i, r := range out {
-		if r < lo {
+	for i := start; i < len(out); i++ {
+		if out[i] < lo {
 			out[i] = lo
 		}
-		if r > hi {
+		if out[i] > hi {
 			out[i] = hi
 		}
 	}

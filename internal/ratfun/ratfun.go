@@ -14,12 +14,17 @@
 // dot product, orientation or difference, so Real carries those signs as
 // predicates (CrossSign, DotSign, OrientSign, Cmp). The RatFun versions
 // build their intermediate polynomials in a fixed-size arena on the
-// caller's stack and fall back to the heap when it is full. They run the
-// same code as the exported Add, Sub, Mul and Neg, which pass no arena, so
-// every sign comes from the same float operations in the same order.
-// Sharing works because no operation ever writes into an operand: results
-// are new storage, or alias an operand unchanged (the shared {1} that
-// stands for a nil denominator is one such alias).
+// caller's stack and fall back to the heap when it is full. The exported
+// Add, Sub, Mul and Div run the same code in an arena of their own and
+// then copy the result's numerator and denominator out into one heap
+// block, so every value and every sign comes from the same float
+// operations in the same order, and a result never aliases an operand.
+// Passing no arena computes the same coefficients on the heap; that path
+// survives as the test oracle. Sharing works because no operation ever
+// writes into an operand: results are new storage, or alias an operand
+// unchanged (Neg keeps the operand's denominator and Half its numerator,
+// and the shared {1} that stands for a nil denominator is one such
+// alias).
 package ratfun
 
 import (
@@ -141,10 +146,10 @@ func (a RatFun) den() poly.Poly {
 const arenaLen = 256
 
 // arena is a bump allocator of coefficient storage for the
-// intermediate values of one sign predicate. It lives on the caller's
-// stack; when it is full, or when it is nil (the exported operations),
-// the polynomial operations allocate on the heap instead, which gives
-// the same coefficients.
+// intermediate values of one sign predicate or exported operation. It
+// lives on the caller's stack; when it is full, or when it is nil (the
+// test oracle), the polynomial operations allocate on the heap instead,
+// which gives the same coefficients.
 type arena struct {
 	buf [arenaLen]float64
 	off int
@@ -200,21 +205,53 @@ func neg(s *arena, a RatFun) RatFun { return RatFun{Num: s.neg(a.Num), Den: a.de
 
 func sign(s *arena, a RatFun) int { return normalize(s, a).Num.SignAtInfinity() }
 
+func div(s *arena, a, b RatFun) RatFun {
+	return normalize(s, RatFun{Num: s.mul(a.Num, b.den()), Den: s.mul(a.den(), b.Num)})
+}
+
+// settle copies a result built in an arena out into one heap block, Num
+// first, so that it outlives the arena. A nil Num or Den stays nil, and
+// Num's capacity ends at its length, so appending to it never reaches
+// Den.
+func settle(r RatFun) RatFun {
+	block := make([]float64, len(r.Num)+len(r.Den))
+	n := copy(block, r.Num)
+	copy(block[n:], r.Den)
+	var out RatFun
+	if r.Num != nil {
+		out.Num = block[:n:n]
+	}
+	if r.Den != nil {
+		out.Den = block[n:]
+	}
+	return out
+}
+
 // Add returns a + b.
-func (a RatFun) Add(b RatFun) RatFun { return add(nil, a, b) }
+func (a RatFun) Add(b RatFun) RatFun {
+	var s arena
+	return settle(add(&s, a, b))
+}
 
 // Sub returns a − b.
-func (a RatFun) Sub(b RatFun) RatFun { return sub(nil, a, b) }
+func (a RatFun) Sub(b RatFun) RatFun {
+	var s arena
+	return settle(sub(&s, a, b))
+}
 
 // Mul returns a · b.
-func (a RatFun) Mul(b RatFun) RatFun { return mul(nil, a, b) }
+func (a RatFun) Mul(b RatFun) RatFun {
+	var s arena
+	return settle(mul(&s, a, b))
+}
 
 // Div returns a / b. It panics if b is identically zero.
 func (a RatFun) Div(b RatFun) RatFun {
 	if b.Num.IsZero() {
 		panic("ratfun: division by zero rational function")
 	}
-	return normalize(nil, RatFun{Num: a.Num.Mul(b.den()), Den: a.den().Mul(b.Num)})
+	var s arena
+	return settle(div(&s, a, b))
 }
 
 // Neg returns −a.

@@ -37,15 +37,16 @@ func serveOnce(b testing.TB, s *Server, algo string, body []byte) {
 // (scripts/bench.sh → BENCH_perf.json): one full request through decode,
 // admission, pool, algorithm, and encode. The warm variant reuses the
 // pooled machine every iteration, so it makes no machine or scratch
-// allocations, and the rational-function sign predicates run in a stack
-// arena and make none either. A memory profile of the warm run
-// (-benchtime 2000x -memprofilerate 1: 1 876 allocs/op on a 2-vCPU
-// Xeon, go1.24.0) puts 65% of them in pgeom.HullStatic, 57% in its
-// dual envelope (pieces.Merge 42%, penvelope.clip 11%), and 27% in
-// verifySteadyHull, 23% in its direction vectors (geom.Point.Sub);
-// decode and system build are about 4%. The cold variant constructs a
-// machine per request, and the gap between the two is what the pool
-// buys.
+// allocations; the rational-function sign predicates run in a stack
+// arena and make none either, and the Lemma 3.1 window step allocates
+// nothing per window. A memory profile of the warm run (-benchtime
+// 2000x -memprofilerate 1: 419 allocs/op on a 2-vCPU Xeon, go1.24.0)
+// puts 34% of them in pgeom.HullStatic (11% its dual lines, 4% its
+// envelope, which now allocates only its inputs and result), 28% in
+// verifySteadyHull (22% the one-block results of RatFun.Sub behind
+// geom.Point.Sub), 12% in JSON decode, 6% in the system build and 4%
+// in the canonical key. The cold variant constructs a machine per
+// request, and the gap between the two is what the pool buys.
 func BenchmarkServer(b *testing.B) {
 	algo, body := benchRequest(b)
 	b.Run("warm", func(b *testing.B) {
