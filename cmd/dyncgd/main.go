@@ -46,7 +46,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -70,7 +69,6 @@ var (
 	maxInflight  = flag.Int("max-inflight", 0, "max concurrently executing requests (0 = GOMAXPROCS)")
 	maxQueue     = flag.Int("queue", 0, "max requests waiting for an execution slot (0 = 4x max-inflight)")
 	deadline     = flag.Duration("deadline", 30*time.Second, "default per-request deadline, queueing included")
-	workers      = flag.Int("workers", 0, "default worker count echoed for requests that do not set options.workers (0 = serial); the simulator runs serially either way")
 	drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
 	maxSessions  = flag.Int("max-sessions", 0, "max concurrently live scenario sessions (0 = 64, negative = unbounded)")
 	sessionTTL   = flag.Duration("session-ttl", 0, "evict sessions idle longer than this (0 = 15m, negative disables eviction)")
@@ -80,7 +78,6 @@ var (
 	rcacheBytes  = flag.Int64("rcache-bytes", server.DefaultCacheBytes, "response cache budget in bytes (0 disables)")
 	coalesce     = flag.Bool("coalesce", true, "merge identical in-flight requests into one computation")
 	fleetSpec    = flag.String("fleet", "", "run as a fleet front door over these workers: comma-separated id=url pairs (m0=http://127.0.0.1:9101,...)")
-	fleetConfig  = flag.String("fleet-config", "", "run as a fleet front door over the members in this JSON file ({\"members\":[{\"id\":...,\"url\":...},...]})")
 	memberID     = flag.String("member-id", "", "this worker's fleet member ID: stamped on responses, salted into session IDs")
 	fleetIDs     = flag.String("fleet-ids", "", "comma-separated IDs of every fleet member (workers mint session IDs that hash home to -member-id on this roster)")
 	probeEvery   = flag.Duration("probe-interval", time.Second, "front-door health-probe period (fleet mode)")
@@ -116,25 +113,24 @@ func main() {
 		log.Info("replay log open", "dir", *logDir, "next_seq", seq, "head", head)
 	}
 
-	if *fleetSpec != "" || *fleetConfig != "" {
+	if *fleetSpec != "" {
 		os.Exit(runFrontDoor(log, rlog))
 	}
 
 	srv := server.New(server.Config{
-		MemberID:       *memberID,
-		FleetIDs:       splitIDs(*fleetIDs),
-		PoolCap:        *poolCap,
-		PoolMaxPEs:     *poolMaxPEs,
-		MaxInFlight:    *maxInflight,
-		MaxQueue:       *maxQueue,
-		Deadline:       *deadline,
-		DefaultWorkers: *workers,
-		MaxSessions:    *maxSessions,
-		SessionTTL:     *sessionTTL,
-		Logger:         log,
-		ReplayLog:      rlog,
-		CacheBytes:     *rcacheBytes,
-		Coalesce:       *coalesce,
+		MemberID:    *memberID,
+		FleetIDs:    splitIDs(*fleetIDs),
+		PoolCap:     *poolCap,
+		PoolMaxPEs:  *poolMaxPEs,
+		MaxInFlight: *maxInflight,
+		MaxQueue:    *maxQueue,
+		Deadline:    *deadline,
+		MaxSessions: *maxSessions,
+		SessionTTL:  *sessionTTL,
+		Logger:      log,
+		ReplayLog:   rlog,
+		CacheBytes:  *rcacheBytes,
+		Coalesce:    *coalesce,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
@@ -189,25 +185,8 @@ func splitIDs(s string) []string {
 	return ids
 }
 
-// parseFleet resolves the fleet roster from -fleet (id=url pairs) or
-// -fleet-config (JSON file).
+// parseFleet resolves the fleet roster from -fleet (id=url pairs).
 func parseFleet() ([]fleet.Member, error) {
-	if *fleetSpec != "" && *fleetConfig != "" {
-		return nil, errors.New("use -fleet or -fleet-config, not both")
-	}
-	if *fleetConfig != "" {
-		data, err := os.ReadFile(*fleetConfig)
-		if err != nil {
-			return nil, err
-		}
-		var doc struct {
-			Members []fleet.Member `json:"members"`
-		}
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return nil, fmt.Errorf("%s: %w", *fleetConfig, err)
-		}
-		return doc.Members, nil
-	}
 	var members []fleet.Member
 	for _, pair := range strings.Split(*fleetSpec, ",") {
 		pair = strings.TrimSpace(pair)
@@ -233,14 +212,13 @@ func runFrontDoor(log *slog.Logger, rlog *replaylog.Log) int {
 		return 2
 	}
 	fd, err := fleet.New(fleet.Config{
-		Members:        members,
-		DefaultWorkers: *workers,
-		Deadline:       *deadline,
-		ProbeInterval:  *probeEvery,
-		CacheBytes:     *rcacheBytes,
-		Coalesce:       *coalesce,
-		Logger:         log,
-		ReplayLog:      rlog,
+		Members:       members,
+		Deadline:      *deadline,
+		ProbeInterval: *probeEvery,
+		CacheBytes:    *rcacheBytes,
+		Coalesce:      *coalesce,
+		Logger:        log,
+		ReplayLog:     rlog,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dyncgd: %v\n", err)
@@ -289,7 +267,6 @@ func runReplay(args []string) int {
 		from       = fs.Uint64("from", 0, "first record Seq to replay")
 		to         = fs.Uint64("to", 0, "last record Seq to replay (0 = end of log)")
 		poolCap    = fs.Int("pool-cap", 32, "pool capacity of the replay server (match the recording daemon)")
-		workers    = fs.Int("workers", 0, "default worker count of the replay server (match the recording daemon)")
 		ignorePool = fs.Bool("ignore-pool", false, "mask pool checkout info before diffing (for traces recorded under concurrent traffic)")
 		cacheBytes = fs.Int64("rcache-bytes", server.DefaultCacheBytes, "response cache budget of the replay server (match the recording daemon: a cached repeat only re-derives identical bytes if replay caches too)")
 		verifyOnly = fs.Bool("verify-only", false, "verify the hash chain and exit without re-executing")
@@ -313,9 +290,8 @@ func runReplay(args []string) int {
 	// No coalescing: replay serves one record at a time, so no two
 	// requests are ever in flight together.
 	srv := server.New(server.Config{
-		PoolCap:        *poolCap,
-		DefaultWorkers: *workers,
-		CacheBytes:     *cacheBytes,
+		PoolCap:    *poolCap,
+		CacheBytes: *cacheBytes,
 	})
 	end := *to
 	if end == 0 {

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -23,42 +22,25 @@ func TestSplitIDs(t *testing.T) {
 	}
 }
 
-// setFleetFlags points the -fleet and -fleet-config flags at the given
-// values for one test.
-func setFleetFlags(t *testing.T, spec, config string) {
+// setFleetFlag points the -fleet flag at the given value for one test.
+func setFleetFlag(t *testing.T, spec string) {
 	t.Helper()
-	oldSpec, oldConfig := *fleetSpec, *fleetConfig
-	*fleetSpec, *fleetConfig = spec, config
-	t.Cleanup(func() { *fleetSpec, *fleetConfig = oldSpec, oldConfig })
+	old := *fleetSpec
+	*fleetSpec = spec
+	t.Cleanup(func() { *fleetSpec = old })
 }
 
 func TestParseFleet(t *testing.T) {
 	want := []fleet.Member{{ID: "m0", URL: "http://a:1"}, {ID: "m1", URL: "http://b:2"}}
 
-	setFleetFlags(t, " m0=http://a:1, m1=http://b:2,", "")
+	setFleetFlag(t, " m0=http://a:1, m1=http://b:2,")
 	if got, err := parseFleet(); err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("-fleet: got %v, %v; want %v", got, err, want)
 	}
 
-	cfg := filepath.Join(t.TempDir(), "fleet.json")
-	doc := `{"members":[{"id":"m0","url":"http://a:1"},{"id":"m1","url":"http://b:2"}]}`
-	if err := os.WriteFile(cfg, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	setFleetFlags(t, "", cfg)
-	if got, err := parseFleet(); err != nil || !reflect.DeepEqual(got, want) {
-		t.Errorf("-fleet-config: got %v, %v; want %v", got, err, want)
-	}
-
-	for _, bad := range []struct{ spec, config string }{
-		{"m0=http://a:1", cfg}, // both flags
-		{"m0", ""},             // entry without '='
-		{"", filepath.Join(t.TempDir(), "missing")}, // unreadable file
-	} {
-		setFleetFlags(t, bad.spec, bad.config)
-		if got, err := parseFleet(); err == nil {
-			t.Errorf("parseFleet(%q, %q) = %v, want an error", bad.spec, bad.config, got)
-		}
+	setFleetFlag(t, "m0") // entry without '='
+	if got, err := parseFleet(); err == nil {
+		t.Errorf("parseFleet(%q) = %v, want an error", *fleetSpec, got)
 	}
 }
 

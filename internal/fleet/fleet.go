@@ -71,10 +71,6 @@ type Config struct {
 	// the workers apply, enforced here so an oversize body is rejected
 	// with the worker's exact envelope without crossing the network.
 	MaxBody int64
-	// DefaultWorkers mirrors the workers' -workers flag; the front
-	// door needs it to resolve the canonical hash the same way the
-	// computation will.
-	DefaultWorkers int
 	// Deadline bounds one forwarded request (0 = 30s).
 	Deadline time.Duration
 	// ProbeInterval is the health-probe period (0 = 1s; negative
@@ -416,7 +412,7 @@ func (f *FrontDoor) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 	key, cacheKey := "", ""
 	var req api.Request
 	if json.Unmarshal(raw, &req) == nil {
-		res, _ := front.Resolve(r.PathValue("algorithm"), &req, f.cfg.DefaultWorkers, 0)
+		res, _ := front.Resolve(r.PathValue("algorithm"), &req, 0)
 		cacheKey, key = res.Key, res.Key
 		if key == "" {
 			key = classKey(&req)

@@ -71,23 +71,19 @@ func Topology(name string) (topo.Topology, error) {
 }
 
 // Workers resolves options.workers to the worker count the machine
-// runs with, which keys both the warm pool and the canonical hash: 0
-// takes defaultWorkers, a negative count means procs (GOMAXPROCS of the
-// computing process), and anything below 1 is serial, 1. procs 0 means
-// the caller does not compute and cannot know that count; Workers then
-// returns 0 for a negative count.
-func Workers(requested, defaultWorkers, procs int) int {
-	w := requested
-	if w == 0 {
-		w = defaultWorkers
-	}
-	if w < 0 {
+// runs with, which keys both the warm pool and the canonical hash: a
+// negative count means procs (GOMAXPROCS of the computing process), and
+// anything below 1 is serial, 1. procs 0 means the caller does not
+// compute and cannot know that count; Workers then returns 0 for a
+// negative count.
+func Workers(requested, procs int) int {
+	if requested < 0 {
 		if procs == 0 {
 			return 0
 		}
-		w = procs
+		requested = procs
 	}
-	return max(w, 1)
+	return max(requested, 1)
 }
 
 // Resolved is a one-shot request resolved the way the computing process
@@ -103,15 +99,15 @@ type Resolved struct {
 	Key string
 }
 
-// Resolve resolves req for algorithm (the URL path element).
-// defaultWorkers and procs are as for Workers. The error is the
-// topology parse failure, answered as bad_topology.
-func Resolve(algorithm string, req *api.Request, defaultWorkers, procs int) (Resolved, error) {
+// Resolve resolves req for algorithm (the URL path element). procs is
+// as for Workers. The error is the topology parse failure, answered as
+// bad_topology.
+func Resolve(algorithm string, req *api.Request, procs int) (Resolved, error) {
 	tp, err := Topology(req.Options.Topology)
 	if err != nil {
 		return Resolved{}, err
 	}
-	res := Resolved{Topology: tp, Workers: Workers(req.Options.Workers, defaultWorkers, procs)}
+	res := Resolved{Topology: tp, Workers: Workers(req.Options.Workers, procs)}
 	if res.Workers > 0 {
 		res.Key, _ = canon.Key(algorithm, string(tp), res.Workers, req)
 	}

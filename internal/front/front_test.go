@@ -20,29 +20,26 @@ import (
 
 func TestWorkers(t *testing.T) {
 	for _, tc := range []struct {
-		requested, def, procs, want int
+		requested, procs, want int
 	}{
-		{0, 0, 4, 1},  // default serial
-		{0, 3, 4, 3},  // default taken
-		{1, 3, 4, 1},  // explicit serial
-		{5, 0, 4, 5},  // explicit parallel
-		{-1, 0, 4, 4}, // GOMAXPROCS of the computing process
-		{0, -1, 4, 4}, // negative default: same
-		{-1, 0, 1, 1}, // single-core host
-		{-1, 0, 0, 0}, // unknown procs: unresolved
-		{0, -1, 0, 0}, // negative default, unknown procs
-		{0, 0, 0, 1},  // nothing to resolve
-		{2, -1, 0, 2}, // explicit count needs no procs
+		{0, 4, 1},  // default serial
+		{1, 4, 1},  // explicit serial
+		{5, 4, 5},  // explicit parallel
+		{-1, 4, 4}, // GOMAXPROCS of the computing process
+		{-1, 1, 1}, // single-core host
+		{-1, 0, 0}, // unknown procs: unresolved
+		{0, 0, 1},  // nothing to resolve
+		{2, 0, 2},  // explicit count needs no procs
 	} {
-		if got := Workers(tc.requested, tc.def, tc.procs); got != tc.want {
-			t.Errorf("Workers(%d, %d, %d) = %d, want %d", tc.requested, tc.def, tc.procs, got, tc.want)
+		if got := Workers(tc.requested, tc.procs); got != tc.want {
+			t.Errorf("Workers(%d, %d) = %d, want %d", tc.requested, tc.procs, got, tc.want)
 		}
 	}
 }
 
 func TestResolve(t *testing.T) {
 	req := api.Request{V: api.Version, System: [][][]float64{{{0, 1}, {0}}, {{10, -1}, {1}}}}
-	res, err := Resolve("closest-point-sequence", &req, 0, 4)
+	res, err := Resolve("closest-point-sequence", &req, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,24 +51,24 @@ func TestResolve(t *testing.T) {
 	mesh := req
 	mesh.Options.Topology = "mesh"
 	mesh.Options.Workers = -1
-	res, _ = Resolve("closest-point-sequence", &mesh, 0, 4)
+	res, _ = Resolve("closest-point-sequence", &mesh, 4)
 	want, _ = canon.Key("closest-point-sequence", "mesh", 4, &mesh)
 	if res.Topology != topo.Mesh || res.Workers != 4 || res.Key != want {
 		t.Errorf("mesh workers:-1 resolution = %+v, want mesh/4/%s", res, want)
 	}
-	if res, _ := Resolve("closest-point-sequence", &mesh, 0, 0); res.Workers != 0 || res.Key != "" {
+	if res, _ := Resolve("closest-point-sequence", &mesh, 0); res.Workers != 0 || res.Key != "" {
 		t.Errorf("unknown procs: %+v, want no workers and no key", res)
 	}
 
 	faulted := req
 	faulted.Options.Faults = "transient=0.1"
-	if res, _ := Resolve("closest-point-sequence", &faulted, 0, 4); res.Key != "" {
+	if res, _ := Resolve("closest-point-sequence", &faulted, 4); res.Key != "" {
 		t.Errorf("faulted request keyed %q", res.Key)
 	}
 
 	bad := req
 	bad.Options.Topology = "torus"
-	if _, err := Resolve("closest-point-sequence", &bad, 0, 4); err == nil {
+	if _, err := Resolve("closest-point-sequence", &bad, 4); err == nil {
 		t.Error("unknown topology resolved")
 	}
 }

@@ -33,6 +33,7 @@ import (
 
 	"dyncg/internal/colstore"
 	"dyncg/internal/dsseq"
+	"dyncg/internal/keys"
 	"dyncg/internal/machine"
 	"dyncg/internal/pieces"
 )
@@ -171,7 +172,7 @@ func (t *MergeTree) Update(m *machine.M, ups []TreeUpdate) (UpdateStats, error) 
 		for b := range dirty {
 			parents[b>>1] = true
 		}
-		for _, b := range sortedKeys(parents) {
+		for _, b := range keys.Sorted(parents) {
 			v, err := t.mergeNode(m, l, t.levels[l-1][2*b], t.levels[l-1][2*b+1])
 			if err != nil {
 				return st, fmt.Errorf("penvelope: merge tree node (level %d, block %d): %w", l, b, err)
@@ -265,19 +266,4 @@ func clonePieces(f pieces.Piecewise) pieces.Piecewise {
 		return nil
 	}
 	return append(pieces.Piecewise(nil), f...)
-}
-
-func sortedKeys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	// Insertion sort: batches are small and this keeps recompute order
-	// (and thus charged costs) deterministic.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"dyncg/internal/keys"
 )
 
 // latBuckets are the upper bounds, in microseconds, of the request
@@ -54,21 +56,12 @@ func (x *Metrics) Observe(algo string, status int, d time.Duration) {
 func (x *Metrics) Write(w io.Writer) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	names := make([]string, 0, len(x.algos))
-	for name := range x.algos {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := keys.Sorted(x.algos)
 
 	fmt.Fprintf(w, "# TYPE dyncgd_requests_total counter\n")
 	for _, name := range names {
 		am := x.algos[name]
-		codes := make([]int, 0, len(am.codes))
-		for c := range am.codes {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
+		for _, c := range keys.Sorted(am.codes) {
 			fmt.Fprintf(w, "dyncgd_requests_total{algorithm=%q,code=\"%d\"} %d\n", name, c, am.codes[c])
 		}
 	}

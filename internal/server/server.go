@@ -54,10 +54,6 @@ type Config struct {
 	Deadline time.Duration
 	// MaxBody caps the request body size (0 = 8 MiB).
 	MaxBody int64
-	// DefaultWorkers is the worker count echoed in machine.workers for
-	// requests that do not set options.workers (0 = serial). It does not
-	// change how a request runs.
-	DefaultWorkers int
 	// MaxSessions caps concurrently live scenario sessions, each of which
 	// pins one machine for its lifetime (0 = 64; negative = unbounded).
 	MaxSessions int
@@ -408,7 +404,7 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		fail(st, code, err)
 		return
 	}
-	res, err := front.Resolve(name, &req, s.cfg.DefaultWorkers, runtime.GOMAXPROCS(0))
+	res, err := front.Resolve(name, &req, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fail(http.StatusBadRequest, api.CodeBadTopology, err)
 		return

@@ -250,23 +250,16 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The engine's own defaults, replicated here because the machine must
-	// be sized before the engine exists.
-	capacity := req.Options.Capacity
-	if capacity == 0 {
-		capacity = 2 * sys.N()
-		if capacity < 8 {
-			capacity = 8
-		}
-	}
-	maxK := req.Options.MaxDegree
-	if maxK == 0 {
-		maxK = sys.K
-		if maxK < 1 {
-			maxK = 1
-		}
-	}
-	need := session.PEs(string(tp), algo, capacity, maxK)
+	// The machine is sized before the engine exists, so resolve the
+	// engine's defaults here.
+	cfg := session.Config{
+		Algorithm: algo,
+		Origin:    req.Origin,
+		Dims:      req.Dims,
+		Capacity:  req.Options.Capacity,
+		MaxDegree: req.Options.MaxDegree,
+	}.Resolve(sys)
+	need := session.PEs(string(tp), algo, cfg.Capacity, cfg.MaxDegree)
 	if req.Options.PEs > need {
 		need = req.Options.PEs
 	}
@@ -276,7 +269,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		fail(st, code, err)
 		return
 	}
-	workers := front.Workers(req.Options.Workers, s.cfg.DefaultWorkers, runtime.GOMAXPROCS(0))
+	workers := front.Workers(req.Options.Workers, runtime.GOMAXPROCS(0))
 
 	deadline := s.cfg.Deadline
 	if req.Options.DeadlineMs > 0 {
@@ -302,13 +295,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			fail(st, code, err)
 			return
 		}
-	}
-	cfg := session.Config{
-		Algorithm: algo,
-		Origin:    req.Origin,
-		Dims:      req.Dims,
-		Capacity:  req.Options.Capacity,
-		MaxDegree: req.Options.MaxDegree,
 	}
 	eng, err := session.New(m, cfg, sys.Points)
 	if err != nil {

@@ -13,6 +13,8 @@ import (
 	"dyncg/internal/api"
 	"dyncg/internal/motion"
 	"dyncg/internal/poly"
+	"dyncg/internal/session"
+	"dyncg/internal/topo"
 )
 
 func wirePoint(p motion.Point) [][]float64 {
@@ -351,6 +353,43 @@ func TestSessionOversizedPEsRejected(t *testing.T) {
 				t.Fatalf("status = %d, body %s; want 422 too_few_pes", st, body)
 			}
 		})
+	}
+}
+
+// TestSessionDefaultsSizeTheMachine: a create that leaves capacity and
+// max_degree to the engine (capacity 0 → max(2n, 8), max_degree 0 →
+// max(K, 1)) gets a machine sized for the values the engine resolved.
+func TestSessionDefaultsSizeTheMachine(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	for _, sys := range []*motion.System{
+		motion.Random(rand.New(rand.NewSource(44)), 3, 1, 2, 10), // 3 points
+		motion.Random(rand.New(rand.NewSource(45)), 5, 0, 2, 10), // degree 0
+	} {
+		for _, tp := range []string{"hypercube", "mesh"} {
+			for _, algo := range []session.Algo{session.ClosestPointSeq, session.ClosestPairSeq} {
+				created := createSession(t, h, api.SessionCreateRequest{
+					V:         api.Version,
+					Algorithm: string(algo),
+					System:    wireSystem(sys),
+					Options:   api.SessionOptions{Topology: tp, Capacity: 0, MaxDegree: 0},
+				})
+				info := created.Session
+				if info.Capacity != max(2*sys.N(), 8) || info.MaxDegree != 1 {
+					t.Errorf("%s/%s n=%d k=%d: capacity %d, max_degree %d", tp, algo, sys.N(), sys.K, info.Capacity, info.MaxDegree)
+				}
+				want, err := topo.Size(topo.Topology(tp), session.PEs(tp, algo, info.Capacity, info.MaxDegree))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Machine.PEs != want {
+					t.Errorf("%s/%s n=%d k=%d: machine.pes = %d, want %d", tp, algo, sys.N(), sys.K, info.Machine.PEs, want)
+				}
+				if st, _ := sessionCall(t, h, http.MethodDelete, "/v1/sessions/"+info.ID, nil); st != http.StatusOK {
+					t.Fatalf("delete failed")
+				}
+			}
+		}
 	}
 }
 

@@ -3,7 +3,10 @@ package session
 // FuzzSessionUpdates drives byte-derived update batches through a
 // session engine and cross-checks every accepted batch against the
 // from-scratch oracle — the fuzzing arm of the differential battery.
-// Rejected batches must be atomic (the maintained answer unchanged).
+// Rejected batches must be atomic: a twin engine that receives only the
+// accepted batches must agree with the fuzzed one after every batch, so
+// slot state a rejected batch leaked would surface as a divergence in
+// live IDs, answers, inserted IDs, apply stats or charged cost.
 
 import (
 	"errors"
@@ -52,12 +55,17 @@ func FuzzSessionUpdates(f *testing.F) {
 		const capacity, d, k = 6, 2, 1
 		r := rand.New(rand.NewSource(seed))
 		pts := randPoints(r, 3, d, k)
-		m := machine.New(hypercube.MustNew(PEs("hypercube", algo, capacity, k)))
 		cfg := diffConfig(algo, capacity, d)
-		e, err := New(m, cfg, pts)
-		if err != nil {
-			t.Fatalf("New: %v", err)
+		newEngine := func() (*Engine, *machine.M) {
+			m := machine.New(hypercube.MustNew(PEs("hypercube", algo, capacity, k)))
+			e, err := New(m, cfg, pts)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			return e, m
 		}
+		e, m := newEngine()
+		twin, twinM := newEngine()
 		// Slice the remaining bytes into batches of up to 4 deltas.
 		body := ops[1:]
 		for len(body) >= 3 {
@@ -67,16 +75,37 @@ func FuzzSessionUpdates(f *testing.F) {
 				batch = append(batch, fuzzDelta(body[0], body[1], body[2], d, k))
 				body = body[3:]
 			}
-			before := e.Result()
-			if _, _, err := e.Apply(batch); err != nil {
-				if !reflect.DeepEqual(e.Result(), before) {
-					t.Fatalf("rejected batch mutated the result: %v", err)
-				}
+			before := m.Stats()
+			ins, st, err := e.Apply(batch)
+			cost := m.Stats().Sub(before)
+			var twinIns []int
+			var twinSt ApplyStats
+			var twinCost machine.Stats
+			if err != nil {
 				// Expected rejections: model violations and capacity. A
 				// broken session would be a real bug.
 				if !errors.Is(err, motion.ErrBadSystem) && !errors.Is(err, machine.ErrTooFewPEs) {
 					t.Fatalf("Apply failed outside the validation contract: %v", err)
 				}
+			} else {
+				twinBefore := twinM.Stats()
+				twinIns, twinSt, err = twin.Apply(batch)
+				if err != nil {
+					t.Fatalf("twin rejected a batch the engine accepted: %v", err)
+				}
+				twinCost = twinM.Stats().Sub(twinBefore)
+			}
+			if !reflect.DeepEqual(ins, twinIns) || st != twinSt || cost != twinCost {
+				t.Fatalf("engine and twin diverged: inserted %v/%v, stats %+v/%+v, cost %+v/%+v",
+					ins, twinIns, st, twinSt, cost, twinCost)
+			}
+			if !reflect.DeepEqual(e.Points(), twin.Points()) {
+				t.Fatalf("live IDs diverged: %v, twin %v", e.Points(), twin.Points())
+			}
+			if !reflect.DeepEqual(e.Result(), twin.Result()) {
+				t.Fatalf("result diverged from the twin\n got: %+v\nwant: %+v", e.Result(), twin.Result())
+			}
+			if err != nil {
 				continue
 			}
 			res, err := e.Rebuild()

@@ -5,6 +5,10 @@
 // trajectory inserts/deletes/retargets recomputes only the O(k·log n)
 // dirty merge paths (one Lemma 3.1 pass per dirty node) instead of
 // re-running the full Theorem 3.2 construction over all n functions.
+// That saves simulated messages, not host time: on the pinned
+// BenchmarkSessionUpdate rows (BENCH_perf.json) a batch of 16 of 64
+// points takes 167 520 ns/op against 83 189 ns/op for a rebuild of the
+// same churned population. ROADMAP item 1 holds the open work.
 //
 // The design follows the parallel batch-dynamic literature (Wang et al.,
 // PAPERS.md) in structure and the Dallant–Iacono lower bounds in
@@ -14,7 +18,7 @@
 // it.
 //
 // The package has two layers: Engine (one scenario's points, leaf-slot
-// maps, retained trees, and derived answer) and Registry (named live
+// table, retained trees, and derived answer) and Registry (named live
 // sessions with a capacity bound, idle-TTL eviction, and per-session
 // locking; machine release is a callback so the HTTP layer can return
 // pinned machines to its warm pool).
@@ -23,14 +27,17 @@ package session
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"dyncg/internal/core"
 	"dyncg/internal/curve"
+	"dyncg/internal/keys"
 	"dyncg/internal/machine"
 	"dyncg/internal/motion"
 	"dyncg/internal/penvelope"
 	"dyncg/internal/pieces"
+	"dyncg/internal/poly"
 )
 
 // Typed errors of the session layer (the server maps them to HTTP
@@ -182,10 +189,96 @@ type ApplyStats struct {
 	MergedNodes int
 }
 
-// Engine is one scenario's batch-dynamic state: the live points keyed by
-// stable ID, the leaf-slot maps, the retained merge trees, and the
-// derived answer. An Engine is bound to the machine it was created on
-// and is not safe for concurrent use (the Registry serialises access).
+// Resolve returns cfg with the defaults New applies for the initial
+// system sys filled in: a zero Capacity becomes max(2·n, 8) and a zero
+// MaxDegree becomes max(sys.K, 1). Callers that size the machine before
+// the engine exists size it with the resolved values.
+func (cfg Config) Resolve(sys *motion.System) Config {
+	if cfg.Capacity == 0 {
+		cfg.Capacity = max(2*sys.N(), 8)
+	}
+	if cfg.MaxDegree == 0 {
+		cfg.MaxDegree = max(sys.K, 1)
+	}
+	return cfg
+}
+
+// slotTable maps keys — point IDs (classPoint, classSpan) or ID pairs
+// {a, b} with a < b (classPair) — onto leaf slots. Slots are the piece
+// IDs behind every answer and every charged cost, so the allocation
+// order is part of the output: a freed slot is reused LIFO, and a new
+// one comes from the high-water mark.
+type slotTable[K comparable] struct {
+	slotOf map[K]int
+	keyAt  []K   // slot → key; stale on free slots (see key)
+	free   []int // LIFO
+	hw     int   // next never-used slot
+}
+
+func newSlotTable[K comparable](slots int) slotTable[K] {
+	return slotTable[K]{slotOf: make(map[K]int, slots), keyAt: make([]K, slots)}
+}
+
+func (t *slotTable[K]) insert(k K) int {
+	slot := t.hw
+	if n := len(t.free); n > 0 {
+		slot, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		t.hw++
+	}
+	t.slotOf[k] = slot
+	t.keyAt[slot] = k
+	return slot
+}
+
+func (t *slotTable[K]) remove(k K) (int, bool) {
+	slot, ok := t.slotOf[k]
+	if ok {
+		delete(t.slotOf, k)
+		t.free = append(t.free, slot)
+	}
+	return slot, ok
+}
+
+// key returns the key held at slot, and false when the slot is free.
+func (t *slotTable[K]) key(slot int) (K, bool) {
+	k := t.keyAt[slot]
+	s, ok := t.slotOf[k]
+	return k, ok && s == slot
+}
+
+func (t slotTable[K]) clone() slotTable[K] {
+	t.slotOf = maps.Clone(t.slotOf)
+	t.keyAt = slices.Clone(t.keyAt)
+	t.free = slices.Clone(t.free)
+	return t
+}
+
+// state is an engine's mutable bookkeeping: the live points by stable
+// ID and their leaf slots. Only the table of the engine's class is set.
+type state struct {
+	pts    map[int]motion.Point
+	nextID int
+	points slotTable[int]    // classPoint, classSpan
+	pairs  slotTable[[2]int] // classPair
+}
+
+func (s *state) clone() state {
+	return state{pts: maps.Clone(s.pts), nextID: s.nextID, points: s.points.clone(), pairs: s.pairs.clone()}
+}
+
+// pairKey is the slot-table key of the unordered pair {a, b}.
+func pairKey(a, b int) [2]int {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]int{a, b}
+}
+
+// Engine is one scenario's batch-dynamic state: the live points and
+// their leaf slots, the retained merge trees, and the derived answer. An
+// Engine is bound to the machine it was created on and is not safe for
+// concurrent use (the Registry serialises access).
 type Engine struct {
 	algo     Algo
 	m        *machine.M
@@ -195,20 +288,7 @@ type Engine struct {
 	originID int // stable ID of the query point (classPoint), else -1
 	dims     []float64
 
-	pts    map[int]motion.Point
-	nextID int
-
-	// classPoint / classSpan slot maps.
-	slotOf    map[int]int
-	slotPt    []int // slot → point ID, -1 when free
-	freeSlots []int // LIFO
-	hwSlot    int   // high-water sequential allocator
-
-	// classPair slot maps.
-	pairSlotOf map[[2]int]int
-	slotPair   [][2]int // slot → {a, b} with a < b, {-1, -1} when free
-	freePairs  []int
-	hwPair     int
+	live state
 
 	// trees: classPoint/classPair hold one tree; classSpan holds 2·d
 	// (min₀, max₀, min₁, max₁, …).
@@ -222,8 +302,8 @@ type Engine struct {
 // New builds a session engine on machine m from the initial points —
 // one from-scratch tree construction (the same cost as the one-shot
 // algorithm) that leaves the intermediate state resident. The machine
-// must satisfy PEs(topo, algo, capacity, maxDegree); undersized machines
-// are rejected with machine.ErrTooFewPEs.
+// must satisfy PEs(topo, algo, capacity, maxDegree) for cfg.Resolve;
+// undersized machines are rejected with machine.ErrTooFewPEs.
 func New(m *machine.M, cfg Config, pts []motion.Point) (*Engine, error) {
 	if _, err := ParseAlgo(string(cfg.Algorithm)); err != nil {
 		return nil, err
@@ -232,40 +312,26 @@ func New(m *machine.M, cfg Config, pts []motion.Point) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxK := cfg.MaxDegree
-	if maxK == 0 {
-		maxK = sys.K
-		if maxK < 1 {
-			maxK = 1
-		}
-	}
-	if sys.K > maxK {
+	cfg = cfg.Resolve(sys)
+	if sys.K > cfg.MaxDegree {
 		return nil, fmt.Errorf("session: initial system has degree %d, exceeding max_degree %d: %w",
-			sys.K, maxK, motion.ErrBadSystem)
+			sys.K, cfg.MaxDegree, motion.ErrBadSystem)
 	}
-	capacity := cfg.Capacity
-	if capacity == 0 {
-		capacity = 2 * len(pts)
-		if capacity < 8 {
-			capacity = 8
-		}
-	}
-	if capacity < len(pts) {
+	if cfg.Capacity < len(pts) {
 		return nil, fmt.Errorf("session: capacity %d below initial population %d: %w",
-			capacity, len(pts), motion.ErrBadSystem)
+			cfg.Capacity, len(pts), motion.ErrBadSystem)
 	}
 	e := &Engine{
 		algo:     cfg.Algorithm,
 		m:        m,
 		d:        sys.D,
-		maxK:     maxK,
-		capacity: capacity,
+		maxK:     cfg.MaxDegree,
+		capacity: cfg.Capacity,
 		originID: -1,
-		pts:      make(map[int]motion.Point, len(pts)),
+		live:     state{pts: make(map[int]motion.Point, len(pts)), nextID: len(pts)},
 	}
-	for _, p := range pts {
-		e.pts[e.nextID] = p
-		e.nextID++
+	for id, p := range pts {
+		e.live.pts[id] = p
 	}
 	switch e.algo.class() {
 	case classPoint:
@@ -273,35 +339,11 @@ func New(m *machine.M, cfg Config, pts []motion.Point) (*Engine, error) {
 			return nil, fmt.Errorf("session: origin %d out of range: %w", cfg.Origin, motion.ErrBadSystem)
 		}
 		e.originID = cfg.Origin
-		e.initPointSlots()
-		fs := make([]pieces.Piecewise, e.capacity)
-		for slot, id := range e.slotPt {
-			if id >= 0 {
-				fs[slot] = e.pointLeaf(slot, id, e.pts)
-			}
-		}
-		tr, err := penvelope.NewMergeTree(m, fs, e.algo.kind())
-		if err != nil {
-			return nil, err
-		}
-		e.trees = []*penvelope.MergeTree{tr}
 	case classPair:
 		if len(pts) < 2 {
 			return nil, fmt.Errorf("session: pair sequence needs at least two points: %w", motion.ErrBadSystem)
 		}
-		e.initPairSlots()
-		fs := make([]pieces.Piecewise, e.capacity*(e.capacity-1)/2)
-		for slot, pr := range e.slotPair {
-			if pr[0] >= 0 {
-				fs[slot] = e.pairLeaf(slot, pr, e.pts)
-			}
-		}
-		tr, err := penvelope.NewMergeTree(m, fs, e.algo.kind())
-		if err != nil {
-			return nil, err
-		}
-		e.trees = []*penvelope.MergeTree{tr}
-	default: // classSpan
+	case classSpan:
 		if e.algo == Containment {
 			if len(cfg.Dims) != sys.D {
 				return nil, fmt.Errorf("session: %d dims for %d-dimensional system: %w",
@@ -309,26 +351,27 @@ func New(m *machine.M, cfg Config, pts []motion.Point) (*Engine, error) {
 			}
 			e.dims = append([]float64(nil), cfg.Dims...)
 		}
-		e.initPointSlots()
-		e.trees = make([]*penvelope.MergeTree, 2*e.d)
-		for c := 0; c < e.d; c++ {
-			fs := make([]pieces.Piecewise, e.capacity)
-			for slot, id := range e.slotPt {
-				if id >= 0 {
-					fs[slot] = e.coordLeaf(slot, id, c, e.pts)
-				}
+	}
+	// Initial slots: points in ID order, the origin skipped; pairs
+	// (a < b) in lexicographic ID order.
+	if e.algo.class() == classPair {
+		e.live.pairs = newSlotTable[[2]int](e.slots())
+		for a := range pts {
+			for b := a + 1; b < len(pts); b++ {
+				e.live.pairs.insert([2]int{a, b})
 			}
-			lo, err := penvelope.NewMergeTree(m, fs, pieces.Min)
-			if err != nil {
-				return nil, err
-			}
-			hi, err := penvelope.NewMergeTree(m, fs, pieces.Max)
-			if err != nil {
-				return nil, err
-			}
-			e.trees[2*c] = lo
-			e.trees[2*c+1] = hi
 		}
+	} else {
+		e.live.points = newSlotTable[int](e.slots())
+		for id := range pts {
+			if id != e.originID {
+				e.live.points.insert(id)
+			}
+		}
+	}
+	e.trees, err = e.newTrees(func(ti, slot int) pieces.Piecewise { return e.leaf(ti, slot, &e.live) })
+	if err != nil {
+		return nil, err
 	}
 	res, err := e.deriveFrom(e.trees)
 	if err != nil {
@@ -338,55 +381,60 @@ func New(m *machine.M, cfg Config, pts []motion.Point) (*Engine, error) {
 	return e, nil
 }
 
-func (e *Engine) initPointSlots() {
-	e.slotOf = make(map[int]int, e.capacity)
-	e.slotPt = make([]int, e.capacity)
-	for i := range e.slotPt {
-		e.slotPt[i] = -1
+// slots returns the leaf-slot count of every tree: one slot per point,
+// or per unordered pair, at capacity.
+func (e *Engine) slots() int {
+	if e.algo.class() == classPair {
+		return e.capacity * (e.capacity - 1) / 2
 	}
-	for id := 0; id < e.nextID; id++ {
-		if id == e.originID {
-			continue
-		}
-		slot := e.hwSlot
-		e.hwSlot++
-		e.slotOf[id] = slot
-		e.slotPt[slot] = id
-	}
+	return e.capacity
 }
 
-func (e *Engine) initPairSlots() {
-	slots := e.capacity * (e.capacity - 1) / 2
-	e.pairSlotOf = make(map[[2]int]int, slots)
-	e.slotPair = make([][2]int, slots)
-	for i := range e.slotPair {
-		e.slotPair[i] = [2]int{-1, -1}
+// newTrees builds the engine's tree layout from scratch over the leaves
+// leaf(tree, slot) returns.
+func (e *Engine) newTrees(leaf func(ti, slot int) pieces.Piecewise) ([]*penvelope.MergeTree, error) {
+	n := 1
+	if e.algo.class() == classSpan {
+		n = 2 * e.d
 	}
-	for a := 0; a < e.nextID; a++ {
-		for b := a + 1; b < e.nextID; b++ {
-			slot := e.hwPair
-			e.hwPair++
-			pr := [2]int{a, b}
-			e.pairSlotOf[pr] = slot
-			e.slotPair[slot] = pr
+	trees := make([]*penvelope.MergeTree, n)
+	for ti := range trees {
+		fs := make([]pieces.Piecewise, e.slots())
+		for slot := range fs {
+			fs[slot] = leaf(ti, slot)
+		}
+		var err error
+		if trees[ti], err = penvelope.NewMergeTree(e.m, fs, treeKind(e.algo, ti)); err != nil {
+			return nil, err
 		}
 	}
+	return trees, nil
 }
 
-// pointLeaf is the d²-to-origin curve of point id, tagged with its slot
-// (slots are the stable run IDs of the Lemma 3.1 machinery).
-func (e *Engine) pointLeaf(slot, id int, pts map[int]motion.Point) pieces.Piecewise {
-	d2 := pts[e.originID].DistSq(pts[id])
-	return pieces.Total(curve.NewPoly(d2), slot)
-}
-
-func (e *Engine) pairLeaf(slot int, pr [2]int, pts map[int]motion.Point) pieces.Piecewise {
-	d2 := pts[pr[0]].DistSq(pts[pr[1]])
-	return pieces.Total(curve.NewPoly(d2), slot)
-}
-
-func (e *Engine) coordLeaf(slot, id, coord int, pts map[int]motion.Point) pieces.Piecewise {
-	return pieces.Total(curve.NewPoly(pts[id].Coord[coord]), slot)
+// leaf is the piece string of slot in tree ti under state s, tagged with
+// the slot (slots are the stable run IDs of the Lemma 3.1 machinery),
+// or nil when the slot is free: the d²-to-origin curve of a point, the
+// d² curve of a pair, or coordinate ti/2 of a point.
+func (e *Engine) leaf(ti, slot int, s *state) pieces.Piecewise {
+	var f poly.Poly
+	if e.algo.class() == classPair {
+		pr, ok := s.pairs.key(slot)
+		if !ok {
+			return nil
+		}
+		f = s.pts[pr[0]].DistSq(s.pts[pr[1]])
+	} else {
+		id, ok := s.points.key(slot)
+		if !ok {
+			return nil
+		}
+		if e.algo.class() == classPoint {
+			f = s.pts[e.originID].DistSq(s.pts[id])
+		} else {
+			f = s.pts[id].Coord[ti/2]
+		}
+	}
+	return pieces.Total(curve.NewPoly(f), slot)
 }
 
 // Algorithm returns the session's algorithm.
@@ -406,106 +454,17 @@ func (e *Engine) Origin() int { return e.originID }
 func (e *Engine) Updates() uint64 { return e.updates }
 
 // Points returns the live stable IDs in ascending order.
-func (e *Engine) Points() []int {
-	out := make([]int, 0, len(e.pts))
-	for id := range e.pts {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
+func (e *Engine) Points() []int { return keys.Sorted(e.live.pts) }
 
 // Point returns the current trajectory of a live stable ID.
 func (e *Engine) Point(id int) (motion.Point, bool) {
-	p, ok := e.pts[id]
+	p, ok := e.live.pts[id]
 	return p, ok
 }
 
 // Result returns the maintained answer (valid after New and after every
 // successful Apply; not a deep copy — callers must not mutate it).
 func (e *Engine) Result() Result { return e.res }
-
-// staged is the copy-on-write working state of one Apply: nothing in
-// the engine mutates until the whole batch validates.
-type staged struct {
-	pts        map[int]motion.Point
-	nextID     int
-	slotOf     map[int]int
-	slotPt     []int
-	freeSlots  []int
-	hwSlot     int
-	pairSlotOf map[[2]int]int
-	slotPair   [][2]int
-	freePairs  []int
-	hwPair     int
-	dirty      map[int]bool // classPoint/classSpan: dirty point slots
-	dirtyPair  map[int]bool
-	inserted   []int
-}
-
-func (e *Engine) stage() *staged {
-	s := &staged{
-		pts:       make(map[int]motion.Point, len(e.pts)),
-		nextID:    e.nextID,
-		hwSlot:    e.hwSlot,
-		hwPair:    e.hwPair,
-		dirty:     make(map[int]bool),
-		dirtyPair: make(map[int]bool),
-	}
-	for id, p := range e.pts {
-		s.pts[id] = p
-	}
-	if e.slotOf != nil {
-		s.slotOf = make(map[int]int, len(e.slotOf))
-		for id, sl := range e.slotOf {
-			s.slotOf[id] = sl
-		}
-		s.slotPt = append([]int(nil), e.slotPt...)
-		s.freeSlots = append([]int(nil), e.freeSlots...)
-	}
-	if e.pairSlotOf != nil {
-		s.pairSlotOf = make(map[[2]int]int, len(e.pairSlotOf))
-		for pr, sl := range e.pairSlotOf {
-			s.pairSlotOf[pr] = sl
-		}
-		s.slotPair = append([][2]int(nil), e.slotPair...)
-		s.freePairs = append([]int(nil), e.freePairs...)
-	}
-	return s
-}
-
-func (s *staged) allocSlot() int {
-	if n := len(s.freeSlots); n > 0 {
-		slot := s.freeSlots[n-1]
-		s.freeSlots = s.freeSlots[:n-1]
-		return slot
-	}
-	slot := s.hwSlot
-	s.hwSlot++
-	return slot
-}
-
-func (s *staged) allocPair() int {
-	if n := len(s.freePairs); n > 0 {
-		slot := s.freePairs[n-1]
-		s.freePairs = s.freePairs[:n-1]
-		return slot
-	}
-	slot := s.hwPair
-	s.hwPair++
-	return slot
-}
-
-// liveIDs returns the staged live IDs in ascending order (determinism
-// of slot allocation and dirty-set iteration).
-func (s *staged) liveIDs() []int {
-	out := make([]int, 0, len(s.pts))
-	for id := range s.pts {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
 
 func (e *Engine) validatePoint(p motion.Point) error {
 	if p.Dim() != e.d {
@@ -518,13 +477,13 @@ func (e *Engine) validatePoint(p motion.Point) error {
 	return nil
 }
 
-// Apply applies one update batch atomically: the whole batch is
-// validated against a staged copy of the engine state first, so a
-// rejected batch leaves the session untouched; then exactly the dirty
-// leaf slots are rewritten and the retained trees redo their dirty merge
-// paths. Returns the stable IDs assigned to the batch's inserts, in
-// order. The machine's Stats delta across the call is the simulated
-// incremental cost.
+// Apply applies one update batch atomically: the whole batch is applied
+// to a clone of the live state first and validated there, so a rejected
+// batch leaves the session untouched; then the clone is committed,
+// exactly the dirty leaf slots are rewritten and the retained trees redo
+// their dirty merge paths. Returns the stable IDs assigned to the
+// batch's inserts, in order. The machine's Stats delta across the call
+// is the simulated incremental cost.
 func (e *Engine) Apply(deltas []Delta) ([]int, ApplyStats, error) {
 	var st ApplyStats
 	if e.broken != nil {
@@ -533,18 +492,24 @@ func (e *Engine) Apply(deltas []Delta) ([]int, ApplyStats, error) {
 	if len(deltas) == 0 {
 		return nil, st, fmt.Errorf("session: empty update batch: %w", motion.ErrBadSystem)
 	}
-	s := e.stage()
+	next := e.live.clone()
+	dirty := make(map[int]bool)
+	var inserted []int
 	for i, d := range deltas {
-		if err := e.applyStaged(s, d); err != nil {
+		id, err := e.apply(&next, dirty, d)
+		if err != nil {
 			return nil, st, fmt.Errorf("session: update %d (%s): %w", i, d.Op, err)
+		}
+		if d.Op == OpInsert {
+			inserted = append(inserted, id)
 		}
 	}
 	// Whole-batch validation of the final population: the §2.4 system
 	// model (shared dimension, distinct initial positions) must hold for
 	// the points that remain.
-	final := make([]motion.Point, 0, len(s.pts))
-	for _, id := range s.liveIDs() {
-		final = append(final, s.pts[id])
+	final := make([]motion.Point, 0, len(next.pts))
+	for _, id := range keys.Sorted(next.pts) {
+		final = append(final, next.pts[id])
 	}
 	if len(final) == 0 {
 		return nil, st, fmt.Errorf("session: batch empties the session: %w", motion.ErrBadSystem)
@@ -553,52 +518,22 @@ func (e *Engine) Apply(deltas []Delta) ([]int, ApplyStats, error) {
 		return nil, st, err
 	}
 
-	// Build the leaf updates from the staged final state.
-	type treeUps struct{ ups []penvelope.TreeUpdate }
-	updatesFor := make([]treeUps, len(e.trees))
-	switch e.algo.class() {
-	case classPoint:
-		for _, slot := range sortedSlots(s.dirty) {
-			var f pieces.Piecewise
-			if id := s.slotPt[slot]; id >= 0 {
-				f = e.pointLeafStaged(slot, id, s)
-			}
-			updatesFor[0].ups = append(updatesFor[0].ups, penvelope.TreeUpdate{Slot: slot, F: f})
-		}
-	case classPair:
-		for _, slot := range sortedSlots(s.dirtyPair) {
-			var f pieces.Piecewise
-			if pr := s.slotPair[slot]; pr[0] >= 0 {
-				f = e.pairLeaf(slot, pr, s.pts)
-			}
-			updatesFor[0].ups = append(updatesFor[0].ups, penvelope.TreeUpdate{Slot: slot, F: f})
-		}
-	default:
-		for _, slot := range sortedSlots(s.dirty) {
-			id := s.slotPt[slot]
-			for c := 0; c < e.d; c++ {
-				var f pieces.Piecewise
-				if id >= 0 {
-					f = e.coordLeaf(slot, id, c, s.pts)
-				}
-				u := penvelope.TreeUpdate{Slot: slot, F: f}
-				updatesFor[2*c].ups = append(updatesFor[2*c].ups, u)
-				updatesFor[2*c+1].ups = append(updatesFor[2*c+1].ups, u)
-			}
+	ups := make([][]penvelope.TreeUpdate, len(e.trees))
+	for _, slot := range keys.Sorted(dirty) {
+		for ti := range ups {
+			ups[ti] = append(ups[ti], penvelope.TreeUpdate{Slot: slot, F: e.leaf(ti, slot, &next)})
 		}
 	}
 
-	// Commit the staged maps, then run the incremental recomputes. A
-	// failure past this point (a genuine λ under-allocation surfacing
-	// mid-merge) leaves the trees inconsistent: mark the session broken.
-	e.pts, e.nextID = s.pts, s.nextID
-	e.slotOf, e.slotPt, e.freeSlots, e.hwSlot = s.slotOf, s.slotPt, s.freeSlots, s.hwSlot
-	e.pairSlotOf, e.slotPair, e.freePairs, e.hwPair = s.pairSlotOf, s.slotPair, s.freePairs, s.hwPair
-	for ti, tu := range updatesFor {
-		if len(tu.ups) == 0 {
+	// Commit, then run the incremental recomputes. A failure past this
+	// point (a genuine λ under-allocation surfacing mid-merge) leaves the
+	// trees inconsistent: mark the session broken.
+	e.live = next
+	for ti, u := range ups {
+		if len(u) == 0 {
 			continue
 		}
-		ts, err := e.trees[ti].Update(e.m, tu.ups)
+		ts, err := e.trees[ti].Update(e.m, u)
 		st.DirtyLeaves += ts.DirtyLeaves
 		st.MergedNodes += ts.MergedNodes
 		if err != nil {
@@ -613,122 +548,84 @@ func (e *Engine) Apply(deltas []Delta) ([]int, ApplyStats, error) {
 	}
 	e.res = res
 	e.updates++
-	return s.inserted, st, nil
+	return inserted, st, nil
 }
 
-// pointLeafStaged is pointLeaf against the staged origin and points.
-func (e *Engine) pointLeafStaged(slot, id int, s *staged) pieces.Piecewise {
-	d2 := s.pts[e.originID].DistSq(s.pts[id])
-	return pieces.Total(curve.NewPoly(d2), slot)
-}
-
-// applyStaged applies one delta to the staged state, recording dirty
-// slots. Insertions allocate slots; deletions free them (slot values are
-// rebuilt from the final staged points afterwards, so insert-then-delete
-// of the same ID within a batch nets out to an empty dirty slot write).
-func (e *Engine) applyStaged(s *staged, d Delta) error {
+// apply applies one delta to state s, recording dirty slots, and
+// returns the ID an insert assigns. Inserts allocate slots and deletes
+// free them; leaf values are built from the final state afterwards, so
+// insert-then-delete of the same ID within a batch nets out to an empty
+// dirty slot write.
+func (e *Engine) apply(s *state, dirty map[int]bool, d Delta) (int, error) {
+	pairs := e.algo.class() == classPair
 	switch d.Op {
 	case OpInsert:
 		if err := e.validatePoint(d.Point); err != nil {
-			return err
+			return 0, err
 		}
 		if len(s.pts) >= e.capacity {
-			return fmt.Errorf("session: insert exceeds session capacity %d: %w", e.capacity, machine.ErrTooFewPEs)
+			return 0, fmt.Errorf("session: insert exceeds session capacity %d: %w", e.capacity, machine.ErrTooFewPEs)
 		}
 		id := s.nextID
 		s.nextID++
 		s.pts[id] = d.Point
-		s.inserted = append(s.inserted, id)
-		switch e.algo.class() {
-		case classPair:
-			for _, other := range s.liveIDs() {
-				if other == id {
-					continue
-				}
-				pr := [2]int{other, id}
-				if other > id {
-					pr = [2]int{id, other}
-				}
-				slot := s.allocPair()
-				s.pairSlotOf[pr] = slot
-				s.slotPair[slot] = pr
-				s.dirtyPair[slot] = true
-			}
-		default:
-			slot := s.allocSlot()
-			s.slotOf[id] = slot
-			s.slotPt[slot] = id
-			s.dirty[slot] = true
+		if !pairs {
+			dirty[s.points.insert(id)] = true
+			return id, nil
 		}
+		// New pairs take slots in ascending order of the partner ID.
+		for _, other := range keys.Sorted(s.pts) {
+			if other != id {
+				dirty[s.pairs.insert(pairKey(other, id))] = true
+			}
+		}
+		return id, nil
 	case OpDelete:
 		if _, ok := s.pts[d.ID]; !ok {
-			return fmt.Errorf("session: point %d does not exist: %w", d.ID, motion.ErrBadSystem)
+			return 0, fmt.Errorf("session: point %d does not exist: %w", d.ID, motion.ErrBadSystem)
 		}
 		if d.ID == e.originID {
-			return fmt.Errorf("session: cannot delete the origin point %d: %w", d.ID, motion.ErrBadSystem)
+			return 0, fmt.Errorf("session: cannot delete the origin point %d: %w", d.ID, motion.ErrBadSystem)
 		}
 		delete(s.pts, d.ID)
-		switch e.algo.class() {
-		case classPair:
-			for _, other := range s.liveIDs() {
-				pr := [2]int{other, d.ID}
-				if other > d.ID {
-					pr = [2]int{d.ID, other}
-				}
-				slot, ok := s.pairSlotOf[pr]
-				if !ok {
-					continue
-				}
-				delete(s.pairSlotOf, pr)
-				s.slotPair[slot] = [2]int{-1, -1}
-				s.freePairs = append(s.freePairs, slot)
-				s.dirtyPair[slot] = true
+		if !pairs {
+			slot, _ := s.points.remove(d.ID)
+			dirty[slot] = true
+			return 0, nil
+		}
+		// Freed pair slots join the free list in ascending partner order.
+		for _, other := range keys.Sorted(s.pts) {
+			if slot, ok := s.pairs.remove(pairKey(other, d.ID)); ok {
+				dirty[slot] = true
 			}
-		default:
-			slot := s.slotOf[d.ID]
-			delete(s.slotOf, d.ID)
-			s.slotPt[slot] = -1
-			s.freeSlots = append(s.freeSlots, slot)
-			s.dirty[slot] = true
 		}
 	case OpRetarget:
 		if _, ok := s.pts[d.ID]; !ok {
-			return fmt.Errorf("session: point %d does not exist: %w", d.ID, motion.ErrBadSystem)
+			return 0, fmt.Errorf("session: point %d does not exist: %w", d.ID, motion.ErrBadSystem)
 		}
 		if err := e.validatePoint(d.Point); err != nil {
-			return err
+			return 0, err
 		}
 		s.pts[d.ID] = d.Point
-		switch e.algo.class() {
-		case classPair:
-			for _, other := range s.liveIDs() {
-				if other == d.ID {
-					continue
+		switch {
+		case pairs:
+			for other := range s.pts {
+				if slot, ok := s.pairs.slotOf[pairKey(other, d.ID)]; ok {
+					dirty[slot] = true
 				}
-				pr := [2]int{other, d.ID}
-				if other > d.ID {
-					pr = [2]int{d.ID, other}
-				}
-				if slot, ok := s.pairSlotOf[pr]; ok {
-					s.dirtyPair[slot] = true
-				}
+			}
+		case d.ID == e.originID:
+			// The query trajectory changed: every d² leaf is dirty.
+			for _, slot := range s.points.slotOf {
+				dirty[slot] = true
 			}
 		default:
-			if d.ID == e.originID {
-				// The query trajectory changed: every d² leaf is dirty.
-				for slot, id := range s.slotPt {
-					if id >= 0 {
-						s.dirty[slot] = true
-					}
-				}
-			} else {
-				s.dirty[s.slotOf[d.ID]] = true
-			}
+			dirty[s.points.slotOf[d.ID]] = true
 		}
 	default:
-		return fmt.Errorf("session: unknown op %q: %w", d.Op, motion.ErrBadSystem)
+		return 0, fmt.Errorf("session: unknown op %q: %w", d.Op, motion.ErrBadSystem)
 	}
-	return nil
+	return 0, nil
 }
 
 // deriveFrom converts tree roots into the session's answer via the same
@@ -740,13 +637,13 @@ func (e *Engine) deriveFrom(trees []*penvelope.MergeTree) (Result, error) {
 		root := trees[0].Root()
 		res.Neighbors = make([]core.NeighborEvent, len(root))
 		for i, p := range root {
-			res.Neighbors[i] = core.NeighborEvent{Point: e.slotPt[p.ID], Lo: p.Lo, Hi: p.Hi}
+			res.Neighbors[i] = core.NeighborEvent{Point: e.live.points.keyAt[p.ID], Lo: p.Lo, Hi: p.Hi}
 		}
 	case classPair:
 		root := trees[0].Root()
 		res.Pairs = make([]core.PairEvent, len(root))
 		for i, p := range root {
-			pr := e.slotPair[p.ID]
+			pr := e.live.pairs.keyAt[p.ID]
 			res.Pairs[i] = core.PairEvent{A: pr[0], B: pr[1], Lo: p.Lo, Hi: p.Hi}
 		}
 	default:
@@ -792,17 +689,9 @@ func (e *Engine) Rebuild() (Result, error) {
 	if e.broken != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrBroken, e.broken)
 	}
-	fresh := make([]*penvelope.MergeTree, len(e.trees))
-	for i, tr := range e.trees {
-		leaves := make([]pieces.Piecewise, tr.Slots())
-		for s := 0; s < tr.Slots(); s++ {
-			leaves[s] = tr.Leaf(s)
-		}
-		var err error
-		fresh[i], err = penvelope.NewMergeTree(e.m, leaves, treeKind(e.algo, i))
-		if err != nil {
-			return Result{}, err
-		}
+	fresh, err := e.newTrees(func(ti, slot int) pieces.Piecewise { return e.trees[ti].Leaf(slot) })
+	if err != nil {
+		return Result{}, err
 	}
 	return e.deriveFrom(fresh)
 }
@@ -817,13 +706,4 @@ func treeKind(a Algo, i int) pieces.Kind {
 		return pieces.Min
 	}
 	return a.kind()
-}
-
-func sortedSlots(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -9,6 +9,8 @@ package session
 import (
 	"math/rand"
 	"testing"
+
+	"dyncg/internal/keys"
 )
 
 // deltaGen generates valid random batches against a mirror of the
@@ -32,21 +34,15 @@ func newDeltaGen(r *rand.Rand, n, capacity, d, k, origin int) *deltaGen {
 }
 
 func (g *deltaGen) pick(excludeOrigin bool) int {
-	ids := make([]int, 0, len(g.live))
-	for id := range g.live {
-		if excludeOrigin && id == g.origin {
-			continue
+	// Sorted before sampling: map iteration order is random.
+	var ids []int
+	for _, id := range keys.Sorted(g.live) {
+		if !excludeOrigin || id != g.origin {
+			ids = append(ids, id)
 		}
-		ids = append(ids, id)
 	}
 	if len(ids) == 0 {
 		return -1
-	}
-	// Deterministic order before sampling (map iteration is random).
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
 	}
 	return ids[g.r.Intn(len(ids))]
 }

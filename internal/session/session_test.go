@@ -207,6 +207,77 @@ func TestOriginRetarget(t *testing.T) {
 	}
 }
 
+// TestSlotAllocation pins the slot layout, which every answer's piece
+// IDs and every charged cost depend on: initial points in ID order with
+// the origin skipped, initial pairs (a < b) in lexicographic ID order,
+// freed slots reused LIFO, inserted pairs in ascending partner order,
+// then the high-water mark.
+func TestSlotAllocation(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	m := newTestMachine(t, "hypercube", ClosestPointSeq, 8, 1)
+	e, err := New(m, Config{Algorithm: ClosestPointSeq, Origin: 1, Capacity: 8}, randPoints(r, 4, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[int]int{0: 0, 2: 1, 3: 2}; !reflect.DeepEqual(e.live.points.slotOf, want) {
+		t.Fatalf("initial point slots = %v, want %v", e.live.points.slotOf, want)
+	}
+	if _, _, err := e.Apply([]Delta{{Op: OpDelete, ID: 0}, {Op: OpDelete, ID: 2},
+		{Op: OpInsert, Point: randPoint(r, 2, 1)}, {Op: OpInsert, Point: randPoint(r, 2, 1)},
+		{Op: OpInsert, Point: randPoint(r, 2, 1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[int]int{3: 2, 4: 1, 5: 0, 6: 3}; !reflect.DeepEqual(e.live.points.slotOf, want) {
+		t.Fatalf("point slots after churn = %v, want %v", e.live.points.slotOf, want)
+	}
+
+	m = newTestMachine(t, "hypercube", ClosestPairSeq, 6, 1)
+	e, err = New(m, Config{Algorithm: ClosestPairSeq, Capacity: 6}, randPoints(r, 4, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]int]int{{0, 1}: 0, {0, 2}: 1, {0, 3}: 2, {1, 2}: 3, {1, 3}: 4, {2, 3}: 5}
+	if !reflect.DeepEqual(e.live.pairs.slotOf, want) {
+		t.Fatalf("initial pair slots = %v, want %v", e.live.pairs.slotOf, want)
+	}
+	// Deleting 1 frees slots 0, 3, 4; inserting 4 takes 4, 3, 0 for its
+	// partners 0, 2, 3; inserting 5 continues at the high-water mark.
+	if _, _, err := e.Apply([]Delta{{Op: OpDelete, ID: 1}, {Op: OpInsert, Point: randPoint(r, 2, 1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Apply([]Delta{{Op: OpInsert, Point: randPoint(r, 2, 1)}}); err != nil {
+		t.Fatal(err)
+	}
+	want = map[[2]int]int{{0, 2}: 1, {0, 3}: 2, {2, 3}: 5, {0, 4}: 4, {2, 4}: 3, {3, 4}: 0,
+		{0, 5}: 6, {2, 5}: 7, {3, 5}: 8, {4, 5}: 9}
+	if !reflect.DeepEqual(e.live.pairs.slotOf, want) {
+		t.Fatalf("pair slots after churn = %v, want %v", e.live.pairs.slotOf, want)
+	}
+}
+
+func TestConfigResolve(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	for _, tc := range []struct {
+		n, k, capacity, maxDegree int
+		want                      Config
+	}{
+		{3, 1, 0, 0, Config{Capacity: 8, MaxDegree: 1}},
+		{5, 2, 0, 0, Config{Capacity: 10, MaxDegree: 2}},
+		{3, 0, 0, 0, Config{Capacity: 8, MaxDegree: 1}},
+		{3, 1, 4, 3, Config{Capacity: 4, MaxDegree: 3}},
+	} {
+		sys, err := motion.NewSystem(randPoints(r, tc.n, 2, tc.k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := Config{Capacity: tc.capacity, MaxDegree: tc.maxDegree}.Resolve(sys)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("n=%d k=%d capacity=%d max_degree=%d: resolved %+v, want %+v",
+				tc.n, tc.k, tc.capacity, tc.maxDegree, got, tc.want)
+		}
+	}
+}
+
 func TestPEsPrescriptions(t *testing.T) {
 	for _, algo := range []Algo{ClosestPointSeq, ClosestPairSeq, CubeEdge} {
 		for _, topo := range []string{"hypercube", "mesh"} {
