@@ -4,7 +4,7 @@
 // The suite measures, but does not gate, how a batch compares with the
 // rebuild. A batch redoes only the dirty root paths of the tree, yet on
 // the pins in BENCH_perf.json it is the slower one: batch=16 reads
-// 167 520 ns/op against 83 189 ns/op for rebuild-churned (see ROADMAP,
+// 167 520 ns/op against 88 771 ns/op for rebuild-churned (see ROADMAP,
 // item 1). cmd/benchgate checks each row against its own pin only,
 // never one row against another.
 //

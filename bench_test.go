@@ -47,6 +47,15 @@ func topologies(n int) map[string]func() *machine.M {
 	}
 }
 
+// benchMachine builds a machine of the family with at least n PEs.
+func benchMachine(family dyncg.Topology, n int) *machine.M {
+	m, err := dyncg.NewMachine(family, n)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func reportSim(b *testing.B, m *machine.M) {
 	b.ReportMetric(float64(m.Stats().Time()), "simsteps")
 	b.ReportMetric(float64(m.Stats().CommSteps), "commsteps")
@@ -210,8 +219,8 @@ func BenchmarkTable2(b *testing.B) {
 				name string
 				mk   func(s int) *machine.M
 			}{
-				{"mesh", func(s int) *machine.M { return core.MeshFor(n, s) }},
-				{"hypercube", func(s int) *machine.M { return core.CubeFor(n, s) }},
+				{"mesh", func(s int) *machine.M { return benchMachine(dyncg.Mesh, penvelope.MeshPEs(n, s)) }},
+				{"hypercube", func(s int) *machine.M { return benchMachine(dyncg.Hypercube, penvelope.CubePEs(n, s)) }},
 			} {
 				b.Run(fmt.Sprintf("%s/%s/n=%d", row.name, tc.name, n), func(b *testing.B) {
 					var last *machine.M
@@ -267,8 +276,8 @@ func BenchmarkTable3(b *testing.B) {
 				name string
 				mk   func(sz int) *machine.M
 			}{
-				{"mesh", func(sz int) *machine.M { return core.MeshOf(sz) }},
-				{"hypercube", func(sz int) *machine.M { return core.CubeOf(sz) }},
+				{"mesh", func(sz int) *machine.M { return benchMachine(dyncg.Mesh, sz) }},
+				{"hypercube", func(sz int) *machine.M { return benchMachine(dyncg.Hypercube, sz) }},
 			} {
 				b.Run(fmt.Sprintf("%s/%s/n=%d", row.name, tc.name, n), func(b *testing.B) {
 					var last *machine.M
@@ -367,7 +376,7 @@ func BenchmarkC3SteadyShortcut(b *testing.B) {
 		b.Run(fmt.Sprintf("direct/n=%d", n), func(b *testing.B) {
 			var last *machine.M
 			for i := 0; i < b.N; i++ {
-				m := core.MeshOf(n)
+				m := benchMachine(dyncg.Mesh, n)
 				if _, err := core.SteadyNearestNeighbor(m, sys, 0, false); err != nil {
 					b.Fatal(err)
 				}
@@ -378,7 +387,7 @@ func BenchmarkC3SteadyShortcut(b *testing.B) {
 		b.Run(fmt.Sprintf("via-transient/n=%d", n), func(b *testing.B) {
 			var last *machine.M
 			for i := 0; i < b.N; i++ {
-				m := core.MeshFor(n, 2)
+				m := benchMachine(dyncg.Mesh, penvelope.MeshPEs(n, 2))
 				if _, err := core.SteadyNearestViaTransient(m, sys, 0); err != nil {
 					b.Fatal(err)
 				}
@@ -498,12 +507,13 @@ func BenchmarkSection6PairSequence(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
 	for _, n := range []int{8, 16, 32} {
 		sys := motion.Random(r, n, 1, 2, 6)
+		pairs := core.PairSequencePEs(n, 1)
 		for _, tc := range []struct {
 			name string
 			mk   func() *machine.M
 		}{
-			{"mesh", func() *machine.M { return core.MeshFor(core.PairSequencePEs(n, 1), 2) }},
-			{"hypercube", func() *machine.M { return core.CubeFor(core.PairSequencePEs(n, 1), 2) }},
+			{"mesh", func() *machine.M { return benchMachine(dyncg.Mesh, penvelope.MeshPEs(pairs, 2)) }},
+			{"hypercube", func() *machine.M { return benchMachine(dyncg.Hypercube, penvelope.CubePEs(pairs, 2)) }},
 		} {
 			b.Run(fmt.Sprintf("closest-pairs/%s/n=%d", tc.name, n), func(b *testing.B) {
 				var last *machine.M

@@ -40,6 +40,7 @@ import (
 	"dyncg/internal/poly"
 	"dyncg/internal/pram"
 	"dyncg/internal/ratfun"
+	"dyncg/internal/topo"
 	"dyncg/internal/trace"
 )
 
@@ -56,22 +57,6 @@ var (
 	memProf    = flag.String("memprofile", "", "write a heap allocation profile to this file at exit (go tool pprof)")
 )
 
-// faultSpec is the parsed -faults value; each table machine gets its own
-// plan from it (same seed, so every cell sees the same deterministic
-// schedule relative to its own round stream). Figures and the C1–C4
-// comparisons build machines outside machineOf/machineFor and stay
-// fault-free.
-var faultSpec fault.Spec
-
-func maybeInject(m *machine.M) *machine.M {
-	if !faultSpec.Zero() {
-		p := fault.NewPlan(faultSpec, *faultSeed)
-		p.Bind(m.Size())
-		m.SetInjector(p)
-	}
-	return m
-}
-
 func main() {
 	flag.Parse()
 	spec, err := fault.ParseSpec(*faultsFlag)
@@ -83,9 +68,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tables: -faults fail= needs the remap-and-rerun recovery harness; use cmd/dyncg for permanent PE failures")
 		os.Exit(1)
 	}
-	faultSpec = spec
-	if !faultSpec.Zero() {
-		fmt.Printf("fault injection on every table cell: %s (seed %d)\n", faultSpec, *faultSeed)
+	if !spec.Zero() {
+		fmt.Printf("fault injection on every table cell: %s (seed %d)\n", spec, *faultSeed)
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -286,23 +270,28 @@ func printTable(table string, sizes []int, rows []row) {
 	}
 }
 
-func meshM(n int) *machine.M {
-	return machine.New(mesh.MustNew(dsseq.NextPow4(n), mesh.Proximity))
-}
-func cubeM(n int) *machine.M {
-	return machine.New(hypercube.MustNew(dsseq.NextPow2(n)))
-}
-func machineOf(n int, topo string) *machine.M {
-	if topo == "mesh" {
-		return maybeInject(maybeTrace(meshM(n)))
+// newMachine builds a machine of the family with at least n PEs.
+func newMachine(family string, n int, opts ...topo.Option) *machine.M {
+	m, err := topo.NewMachine(topo.Topology(family), n, opts...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tables:", err)
+		os.Exit(1)
 	}
-	return maybeInject(maybeTrace(cubeM(n)))
+	return m
 }
-func machineFor(n, s int, topo string) *machine.M {
-	if topo == "mesh" {
-		return maybeInject(maybeTrace(core.MeshFor(n, s)))
-	}
-	return maybeInject(maybeTrace(core.CubeFor(n, s)))
+
+// machineOf builds a table cell's machine with at least n PEs. Every
+// cell gets its own plan from -faults (same seed, so every cell sees the
+// same deterministic schedule relative to its own round stream), and the
+// armed tracer if any. Figures and the C1–C4 comparisons build their
+// machines with newMachine directly and stay fault-free.
+func machineOf(n int, family string) *machine.M {
+	return maybeTrace(newMachine(family, n, topo.WithFaultPlan(*faultsFlag, *faultSeed)))
+}
+
+// machineFor is machineOf sized by the envelope bound λ(n, s).
+func machineFor(n, s int, family string) *machine.M {
+	return machineOf(penvelope.PEs(family, n, s), family)
 }
 
 // ---------------------------------------------------------------- figures
@@ -592,22 +581,16 @@ func comparison2() {
 		for i := range cs {
 			cs[i] = curve.NewPoly(poly.New(r.NormFloat64()*5, r.NormFloat64(), 0.2+r.Float64()))
 		}
-		for _, topo := range []string{"mesh", "hypercube"} {
-			var m1, m2 *machine.M
-			if topo == "mesh" {
-				m1 = machine.New(mesh.MustNew(penvelope.MeshPEs(n, 2), mesh.Proximity))
-				m2 = machine.New(mesh.MustNew(penvelope.MeshPEs(n, 2), mesh.Proximity))
-			} else {
-				m1 = machine.New(hypercube.MustNew(penvelope.CubePEs(n, 2)))
-				m2 = machine.New(hypercube.MustNew(penvelope.CubePEs(n, 2)))
-			}
+		for _, family := range []string{"mesh", "hypercube"} {
+			m1 := newMachine(family, penvelope.PEs(family, n, 2))
+			m2 := newMachine(family, penvelope.PEs(family, n, 2))
 			if _, err := penvelope.EnvelopeOfCurves(m1, cs, pieces.Min); err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
 			pram.Envelope(m2, cs, pieces.Min)
 			t1, t2 := m1.Stats().Time(), m2.Stats().Time()
-			fmt.Printf("%8d %-10s %14d %14d %8.2f\n", n, topo, t1, t2, float64(t2)/float64(t1))
+			fmt.Printf("%8d %-10s %14d %14d %8.2f\n", n, family, t1, t2, float64(t2)/float64(t1))
 		}
 	}
 	fmt.Println("claim: mesh ratio grows like Θ(log n); hypercube like Θ(log n)")
@@ -619,12 +602,12 @@ func comparison3() {
 	fmt.Printf("%8s %14s %14s %8s\n", "n", "direct", "via Thm 4.1", "ratio")
 	for _, n := range []int{64, 256, 1024} {
 		sys := motion.Random(r, n, 1, 2, 8)
-		m1 := core.MeshOf(n)
+		m1 := newMachine("mesh", n)
 		if _, err := core.SteadyNearestNeighbor(m1, sys, 0, false); err != nil {
 			fmt.Println("error:", err)
 			continue
 		}
-		m2 := core.MeshFor(n, 2)
+		m2 := newMachine("mesh", penvelope.MeshPEs(n, 2))
 		if _, err := core.SteadyNearestViaTransient(m2, sys, 0); err != nil {
 			fmt.Println("error:", err)
 			continue
@@ -641,13 +624,13 @@ func comparison4() {
 	fmt.Printf("%8s %10s %12s %12s %10s\n", "n", "pairs", "mesh", "hypercube", "events")
 	for _, n := range []int{8, 16, 32} {
 		sys := motion.Random(r, n, 1, 2, 8)
-		mm := core.MeshFor(core.PairSequencePEs(n, 1), 2)
+		mm := newMachine("mesh", penvelope.MeshPEs(core.PairSequencePEs(n, 1), 2))
 		seq, err := core.ClosestPairSequence(mm, sys)
 		if err != nil {
 			fmt.Println("error:", err)
 			continue
 		}
-		hc := core.CubeFor(core.PairSequencePEs(n, 1), 2)
+		hc := newMachine("hypercube", penvelope.CubePEs(core.PairSequencePEs(n, 1), 2))
 		if _, err := core.ClosestPairSequence(hc, sys); err != nil {
 			fmt.Println("error:", err)
 			continue

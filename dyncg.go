@@ -176,9 +176,10 @@ func WithFaultPlan(spec string, seed int64) MachineOption {
 }
 
 // NewMachine constructs a simulated machine of the given topology family
-// with at least n PEs — the single constructor behind every CLI,
-// example, and the serving daemon. Options configure tracing and fault
-// injection.
+// with at least n PEs — the single constructor behind every machine the
+// CLIs, examples and daemon drive directly (the recovery harness,
+// fault.Run, builds each attempt's machine from a NewNetwork network).
+// Options configure tracing and fault injection.
 func NewMachine(t Topology, n int, opts ...MachineOption) (*Machine, error) {
 	return topo.NewMachine(t, n, opts...)
 }

@@ -18,12 +18,12 @@ import (
 	"fmt"
 	"math"
 
-	"dyncg/internal/core"
 	"dyncg/internal/curve"
 	"dyncg/internal/motion"
 	"dyncg/internal/penvelope"
 	"dyncg/internal/pieces"
 	"dyncg/internal/poly"
+	"dyncg/internal/topo"
 )
 
 func main() {
@@ -51,7 +51,10 @@ func main() {
 
 	// Upper envelope on the hypercube: rationals of this shape cross at
 	// most 4 times pairwise (degree-4 cross-multiplied polynomial).
-	m := core.CubeFor(len(txs), 4)
+	m, err := topo.NewMachine(topo.Hypercube, penvelope.CubePEs(len(txs), 4))
+	if err != nil {
+		panic(err)
+	}
 	env, err := penvelope.EnvelopeOfCurves(m, curves, pieces.Max)
 	if err != nil {
 		panic(err)

@@ -128,7 +128,7 @@ func indicatorIntervals(m *machine.M, w pieces.Piecewise) []Interval {
 // ContainmentIntervals implements Theorem 4.6: the ordered list J of time
 // intervals during which the system fits inside an iso-oriented
 // hyper-rectangle with side lengths dims. Machine allocation λ(n, k)
-// (MeshFor/CubeFor with s = max(k, 1)); time Θ(λ^{1/2}(n,k)) mesh,
+// (penvelope.MeshPEs/CubePEs with s = max(k, 1)); time Θ(λ^{1/2}(n,k)) mesh,
 // Θ(log² n) hypercube.
 func ContainmentIntervals(m *machine.M, sys *motion.System, dims []float64) ([]Interval, error) {
 	if len(dims) != sys.D {

@@ -5,42 +5,14 @@
 // baselines.
 //
 // Every function takes an explicit *machine.M whose accumulated Stats
-// give the simulated parallel running time; the sizing helpers below
-// build machines with the PE counts the theorems prescribe (λ_M/λ_H up to
-// the constant documented in DESIGN.md).
+// give the simulated parallel running time. Build it with
+// topo.NewMachine at the PE count the theorem prescribes: the envelope
+// allocation penvelope.MeshPEs/CubePEs (λ_M/λ_H up to the constant
+// documented in DESIGN.md) for §4, Θ(n) for §5; internal/algo holds the
+// prescription of every served algorithm.
 package core
 
-import (
-	"fmt"
-
-	"dyncg/internal/dsseq"
-	"dyncg/internal/hypercube"
-	"dyncg/internal/machine"
-	"dyncg/internal/mesh"
-	"dyncg/internal/penvelope"
-)
-
-// MeshFor returns a proximity-ordered mesh machine with Θ(λ(n, s)) PEs —
-// the Theorem 3.2/4.x allocation.
-func MeshFor(n, s int) *machine.M {
-	return machine.New(mesh.MustNew(penvelope.MeshPEs(n, s), mesh.Proximity))
-}
-
-// CubeFor is MeshFor for the hypercube.
-func CubeFor(n, s int) *machine.M {
-	return machine.New(hypercube.MustNew(penvelope.CubePEs(n, s)))
-}
-
-// MeshOf returns a mesh machine with at least n PEs (for the Θ(n)-PE
-// algorithms: Theorem 4.2 and all of §5).
-func MeshOf(n int) *machine.M {
-	return machine.New(mesh.MustNew(dsseq.NextPow4(n), mesh.Proximity))
-}
-
-// CubeOf is MeshOf for the hypercube.
-func CubeOf(n int) *machine.M {
-	return machine.New(hypercube.MustNew(dsseq.NextPow2(n)))
-}
+import "fmt"
 
 // Interval is a time interval [Lo, Hi]; Hi may be +Inf.
 type Interval struct {

@@ -16,7 +16,7 @@ import (
 // HullVertexIntervals implements Theorem 4.5: the ordered intervals of
 // time during which sys.Points[origin] is an extreme point of the convex
 // hull of the planar system. Machine allocation λ(n, 4k)
-// (MeshFor/CubeFor with s = 4k+2 is comfortable); time
+// (penvelope.MeshPEs/CubePEs with s = 4k+2 is comfortable); time
 // Θ(λ^{1/2}(n, 4k)) mesh, Θ(log² n) hypercube.
 //
 // The algorithm follows the paper's proof exactly:

@@ -41,7 +41,7 @@ func FarthestPairSequence(m *machine.M, sys *motion.System) ([]PairEvent, error)
 
 // PairSequencePEs returns the PE count §6 prescribes for the pair
 // sequences: Θ(λ(n(n−1)/2, 2k)), rounded for the topology by the caller
-// (MeshFor/CubeFor round internally, so this returns the function count).
+// (penvelope.MeshPEs/CubePEs round internally, so this returns the function count).
 func PairSequencePEs(n, k int) int {
 	return dsseq.LambdaBound(n*(n-1)/2, 2*k)
 }

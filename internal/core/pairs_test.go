@@ -42,7 +42,7 @@ func TestSection6ClosestPairSequence(t *testing.T) {
 		k := 1 + r.Intn(2)
 		d := 1 + r.Intn(3)
 		sys := motion.Random(r, n, k, d, 5)
-		for _, mk := range []func(int, int) *machine.M{MeshFor, CubeFor} {
+		for _, mk := range []func(int, int) *machine.M{meshFor, cubeFor} {
 			m := mk(PairSequencePEs(n, k), 2*k)
 			seq, err := ClosestPairSequence(m, sys)
 			if err != nil {
@@ -86,7 +86,7 @@ func TestSection6ClosestPairSequence(t *testing.T) {
 func TestSection6FarthestPairSequence(t *testing.T) {
 	r := rand.New(rand.NewSource(132))
 	sys := motion.Random(r, 6, 1, 2, 5)
-	m := CubeFor(PairSequencePEs(6, 1), 2)
+	m := cubeFor(PairSequencePEs(6, 1), 2)
 	seq, err := FarthestPairSequence(m, sys)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestSection6FarthestPairSequence(t *testing.T) {
 	}
 	// The last farthest pair must match the steady-state farthest pair's
 	// distance (ties possible on indices).
-	m2 := CubeOf(8 * sys.N())
+	m2 := cubeOf(8 * sys.N())
 	sa, sb, _, err := SteadyFarthestPair(m2, sys)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestSection6FarthestPairSequence(t *testing.T) {
 
 func TestPairSequenceTiny(t *testing.T) {
 	r := rand.New(rand.NewSource(133))
-	if _, err := ClosestPairSequence(CubeOf(4), motion.Random(r, 1, 1, 2, 5)); err == nil {
+	if _, err := ClosestPairSequence(cubeOf(4), motion.Random(r, 1, 1, 2, 5)); err == nil {
 		t.Fatal("single point accepted")
 	}
 }
@@ -138,7 +138,7 @@ func TestSteadyNearestNeighborD(t *testing.T) {
 		d := 1 + r.Intn(3)
 		sys := motion.Random(r, n, 2, d, 5)
 		origin := r.Intn(n)
-		m := CubeOf(n)
+		m := cubeOf(n)
 		got, err := SteadyNearestNeighborD(m, sys, origin, false)
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +166,7 @@ func TestSteadyNearestNeighborD(t *testing.T) {
 		}
 		// The planar special case agrees with the RatFun implementation.
 		if d == 2 {
-			m2 := CubeOf(n)
+			m2 := cubeOf(n)
 			got2, err := SteadyNearestNeighbor(m2, sys, origin, false)
 			if err != nil {
 				t.Fatal(err)

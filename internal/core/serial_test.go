@@ -39,7 +39,7 @@ func TestSerialBaselinesMatchMachine(t *testing.T) {
 		sys := motion.Random(r, n, k, 2, 5)
 
 		// Theorem 4.5.
-		m := CubeFor(n, 4*k+2)
+		m := cubeFor(n, 4*k+2)
 		gotHull, err := HullVertexIntervals(m, sys, 0)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -52,7 +52,7 @@ func TestSerialBaselinesMatchMachine(t *testing.T) {
 
 		// Theorem 4.6.
 		dims := []float64{4 + r.Float64()*8, 4 + r.Float64()*8}
-		m2 := CubeFor(n, k+2)
+		m2 := cubeFor(n, k+2)
 		gotC, err := ContainmentIntervals(m2, sys, dims)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -64,7 +64,7 @@ func TestSerialBaselinesMatchMachine(t *testing.T) {
 		sameIntervals(t, gotC, wantC, "containment")
 
 		// Theorem 4.7: compare the span functions pointwise.
-		m3 := CubeFor(n, k+2)
+		m3 := cubeFor(n, k+2)
 		gotD, err := SmallestHypercubeEdge(m3, sys)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

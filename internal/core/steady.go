@@ -28,7 +28,7 @@ func SteadyPoints(sys *motion.System) ([]geom.Point[ratfun.RatFun], error) {
 
 // SteadyNearestNeighbor implements Proposition 5.2: a steady-state
 // nearest (or farthest) neighbour of sys.Points[origin], in Θ(√n) mesh /
-// Θ(log n) hypercube time on Θ(n) PEs (MeshOf/CubeOf).
+// Θ(log n) hypercube time on Θ(n) PEs (topo.NewMachine with n PEs).
 func SteadyNearestNeighbor(m *machine.M, sys *motion.System, origin int, farthest bool) (int, error) {
 	if m.Observed() {
 		m.SpanBegin("prop5.2-steady-nn",

@@ -21,7 +21,7 @@ func TestProposition52SteadyNearest(t *testing.T) {
 		n := 3 + r.Intn(12)
 		sys := motion.Random(r, n, 1, 2, 5)
 		origin := r.Intn(n)
-		for _, m := range []*machine.M{MeshOf(4 * n), CubeOf(4 * n)} {
+		for _, m := range []*machine.M{meshOf(4 * n), cubeOf(4 * n)} {
 			got, err := SteadyNearestNeighbor(m, sys, origin, false)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
@@ -56,12 +56,12 @@ func TestC3SteadyShortcutAgreesWithTransient(t *testing.T) {
 		sys := motion.Random(r, n, 1, 2, 4)
 		origin := r.Intn(n)
 
-		mDirect := MeshOf(4 * n)
+		mDirect := meshOf(4 * n)
 		direct, err := SteadyNearestNeighbor(mDirect, sys, origin, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mSeq := MeshFor(n, 2)
+		mSeq := meshFor(n, 2)
 		viaSeq, err := SteadyNearestViaTransient(mSeq, sys, origin)
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +85,7 @@ func TestProposition53SteadyClosestPair(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 3 + r.Intn(10)
 		sys := motion.Random(r, n, 1, 2, 5)
-		m := CubeOf(4 * n)
+		m := cubeOf(4 * n)
 		a, b, err := SteadyClosestPair(m, sys)
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestProposition54SteadyHull(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 4 + r.Intn(10)
 		sys := motion.Diverging(r, n)
-		m := CubeOf(4 * n)
+		m := cubeOf(4 * n)
 		got, err := SteadyHull(m, sys)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -127,7 +127,7 @@ func TestCorollary57SteadyFarthestPair(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 4 + r.Intn(10)
 		sys := motion.Random(r, n, 1, 2, 5)
-		m := CubeOf(4 * n)
+		m := cubeOf(4 * n)
 		a, b, d2, err := SteadyFarthestPair(m, sys)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -152,7 +152,7 @@ func TestCorollary59SteadyMinAreaRect(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		n := 5 + r.Intn(8)
 		sys := motion.Diverging(r, n)
-		m := CubeOf(4 * n)
+		m := cubeOf(4 * n)
 		rect, err := SteadyMinAreaRect(m, sys)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -188,7 +188,7 @@ func TestCorollary59SteadyMinAreaRect(t *testing.T) {
 func TestSteadyRejectsNonPlanar(t *testing.T) {
 	r := rand.New(rand.NewSource(117))
 	sys := motion.Random(r, 4, 1, 3, 5)
-	if _, err := SteadyHull(CubeOf(16), sys); err == nil {
+	if _, err := SteadyHull(cubeOf(16), sys); err == nil {
 		t.Fatal("3-D system accepted by planar steady-state algorithm")
 	}
 }
@@ -201,12 +201,12 @@ func TestTable3CostShape(t *testing.T) {
 	var nnMesh, cpMesh []float64
 	for _, n := range sizes {
 		sys := motion.Random(r, n, 1, 2, 10)
-		m := MeshOf(n)
+		m := meshOf(n)
 		if _, err := SteadyNearestNeighbor(m, sys, 0, false); err != nil {
 			t.Fatal(err)
 		}
 		nnMesh = append(nnMesh, float64(m.Stats().Time()))
-		m2 := MeshOf(4 * n)
+		m2 := meshOf(4 * n)
 		if _, _, err := SteadyClosestPair(m2, sys); err != nil {
 			t.Fatal(err)
 		}

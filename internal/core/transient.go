@@ -24,7 +24,7 @@ type NeighborEvent struct {
 // sys.Points[origin] in chronological order (Theorem 4.1): broadcast the
 // query trajectory, let each PE form the squared-distance polynomial
 // d²_{0j}(t) of degree ≤ 2k, and build the minimum function with
-// Theorem 3.2. Machine allocation: λ(n−1, 2k) PEs (use MeshFor/CubeFor
+// Theorem 3.2. Machine allocation: λ(n−1, 2k) PEs (penvelope.MeshPEs/CubePEs
 // with s = 2k); time Θ(λ^{1/2}(n−1, 2k)) mesh, Θ(log² n) hypercube.
 func ClosestPointSequence(m *machine.M, sys *motion.System, origin int) ([]NeighborEvent, error) {
 	return neighborSequence(m, sys, origin, pieces.Min)
@@ -90,7 +90,7 @@ type Collision struct {
 // broadcast the query trajectory, solve d²_{0j}(t) = 0 locally (≤ 2k
 // positive roots per PE, Θ(1) serial time), then sort the union —
 // Θ(n^{1/2}) on a mesh of 4^⌈log₄ n⌉ PEs, Θ(log² n) on a hypercube of
-// 2^⌈log₂ n⌉ PEs (use MeshOf/CubeOf with n·(2k+1) capacity for the
+// 2^⌈log₂ n⌉ PEs (size the machine for n·(2k+1) PEs for the
 // one-root-per-PE layout).
 func CollisionTimes(m *machine.M, sys *motion.System, origin int) ([]Collision, error) {
 	if m.Observed() {

@@ -58,7 +58,7 @@ func TestTheorem41ClosestSequence(t *testing.T) {
 		d := 1 + r.Intn(3)
 		sys := motion.Random(r, n, k, d, 5)
 		origin := r.Intn(n)
-		for _, m := range []*machine.M{MeshFor(n, 2*k), CubeFor(n, 2*k)} {
+		for _, m := range []*machine.M{meshFor(n, 2*k), cubeFor(n, 2*k)} {
 			seq, err := ClosestPointSequence(m, sys, origin)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
@@ -106,7 +106,7 @@ func TestTheorem41ClosestSequence(t *testing.T) {
 func TestTheorem41FarthestSequence(t *testing.T) {
 	r := rand.New(rand.NewSource(102))
 	sys := motion.Random(r, 8, 1, 2, 5)
-	m := CubeFor(8, 2)
+	m := cubeFor(8, 2)
 	seq, err := FarthestPointSequence(m, sys, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestTheorem42Collisions(t *testing.T) {
 		sys := motion.Converging(r, n)
 		origin := r.Intn(n)
 		want := SerialCollisionTimes(sys, origin)
-		for _, m := range []*machine.M{MeshOf(8 * n), CubeOf(8 * n)} {
+		for _, m := range []*machine.M{meshOf(8 * n), cubeOf(8 * n)} {
 			got, err := CollisionTimes(m, sys, origin)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
@@ -171,7 +171,7 @@ func TestCollisionsNoneForDiverging(t *testing.T) {
 	// collide; verify agreement with the serial oracle rather than zero.
 	r := rand.New(rand.NewSource(104))
 	sys := motion.Diverging(r, 6)
-	m := CubeOf(64)
+	m := cubeOf(64)
 	got, err := CollisionTimes(m, sys, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestTheorem46Containment(t *testing.T) {
 		for i := range dims {
 			dims[i] = 2 + r.Float64()*6
 		}
-		m := MeshFor(n, 2*k+2)
+		m := meshFor(n, 2*k+2)
 		ivs, err := ContainmentIntervals(m, sys, dims)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -236,7 +236,7 @@ func TestTheorem47SmallestHypercubeEdge(t *testing.T) {
 		k := 1 + r.Intn(2)
 		d := 2 + r.Intn(2)
 		sys := motion.Random(r, n, k, d, 4)
-		m := CubeFor(n, 2*k+2)
+		m := cubeFor(n, 2*k+2)
 		dfn, err := SmallestHypercubeEdge(m, sys)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -269,7 +269,7 @@ func TestCorollary48SmallestEver(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 3 + r.Intn(6)
 		sys := motion.Random(r, n, 1, 2, 4)
-		m := MeshFor(n, 4)
+		m := meshFor(n, 4)
 		dmin, tmin, err := SmallestEverHypercube(m, sys)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -358,7 +358,7 @@ func TestTheorem45HullMembership(t *testing.T) {
 		k := 1 + r.Intn(2)
 		sys := motion.Random(r, n, k, 2, 4)
 		origin := r.Intn(n)
-		for _, m := range []*machine.M{MeshFor(n, 4*k+2), CubeFor(n, 4*k+2)} {
+		for _, m := range []*machine.M{meshFor(n, 4*k+2), cubeFor(n, 4*k+2)} {
 			ivs, err := HullVertexIntervals(m, sys, origin)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
@@ -391,7 +391,7 @@ func TestTheorem45HullMembership(t *testing.T) {
 func TestHullMembershipTinySystems(t *testing.T) {
 	r := rand.New(rand.NewSource(109))
 	sys := motion.Random(r, 2, 1, 2, 3)
-	m := CubeFor(2, 4)
+	m := cubeFor(2, 4)
 	ivs, err := HullVertexIntervals(m, sys, 0)
 	if err != nil {
 		t.Fatal(err)

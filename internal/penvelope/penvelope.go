@@ -456,6 +456,16 @@ func MeshPEs(n, s int) int { return dsseq.NextPow4(4 * dsseq.LambdaBound(n, s)) 
 // CubePEs is MeshPEs for the hypercube: Θ(λ_H(n, s)) PEs, a power of two.
 func CubePEs(n, s int) int { return dsseq.NextPow2(4 * dsseq.LambdaBound(n, s)) }
 
+// PEs is the envelope allocation for a topology family: MeshPEs for
+// "mesh", CubePEs for every other family (hypercube, CCC,
+// shuffle-exchange).
+func PEs(topo string, n, s int) int {
+	if topo == "mesh" {
+		return MeshPEs(n, s)
+	}
+	return CubePEs(n, s)
+}
+
 // EnvelopeOfCurves runs Envelope over total curves, tagging curve i with
 // ID i — the direct parallel construction of Equation (1).
 func EnvelopeOfCurves(m *machine.M, cs []curve.Curve, kind pieces.Kind) (pieces.Piecewise, error) {

@@ -125,10 +125,6 @@ func (t *MergeTree) Slots() int { return len(t.levels[0]) }
 // per-leaf piece capacity).
 func (t *MergeTree) Stride() int { return t.stride }
 
-// Leaf returns the piece string of one leaf slot (not a copy; callers
-// must not mutate it).
-func (t *MergeTree) Leaf(slot int) pieces.Piecewise { return t.levels[0][slot] }
-
 // Root returns the maintained envelope of all occupied leaves (not a
 // copy; callers must not mutate it).
 func (t *MergeTree) Root() pieces.Piecewise { return t.levels[len(t.levels)-1][0] }

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dyncg/internal/algo"
 	"dyncg/internal/api"
 	"dyncg/internal/fault"
 	"dyncg/internal/front"
@@ -238,6 +239,15 @@ func (s *Server) admit(ctx context.Context) (release func(), status int, code ap
 	}
 }
 
+// deadline resolves a request's deadline_ms option: the server default
+// when it is unset.
+func (s *Server) deadline(ms int64) time.Duration {
+	if ms > 0 {
+		return time.Duration(ms) * time.Millisecond
+	}
+	return s.cfg.Deadline
+}
+
 // errStatus maps the facade's typed errors to HTTP statuses and the
 // typed error codes of the v1 envelope.
 func errStatus(err error) (int, api.ErrorCode) {
@@ -330,7 +340,7 @@ func (o *outcome) Wire() (int, []byte) {
 // request — everything compute needs, independent of the HTTP layer.
 type algRequest struct {
 	name        string
-	alg         algorithm
+	alg         algo.Algorithm
 	req         *api.Request
 	tp          topo.Topology
 	spec        fault.Spec
@@ -390,7 +400,7 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 	}()
 	fail := func(st int, code api.ErrorCode, err error) { o = errOutcome(st, code, err) }
 
-	alg, ok := algorithms[name]
+	alg, ok := algo.Lookup(name)
 	if !ok {
 		fail(http.StatusNotFound, api.CodeUnknownAlgorithm,
 			fmt.Errorf("server: unknown algorithm %q", name))
@@ -415,7 +425,7 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, api.CodeBadFaults, err)
 		return
 	}
-	sys, err := systemFrom(req.System)
+	sys, err := algo.SystemFrom(req.System)
 	if err != nil {
 		st, code := errStatus(err)
 		fail(st, code, err)
@@ -429,10 +439,7 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		infoWorkers = workers
 	}
 
-	need := alg.pes(string(tp), sys)
-	if req.Options.PEs > need {
-		need = req.Options.PEs
-	}
+	need := max(alg.PEs(string(tp), sys), req.Options.PEs)
 	classSize, err := topo.Size(tp, need)
 	if err != nil {
 		st, code := errStatus(err)
@@ -453,11 +460,7 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		classSize:   classSize,
 	}
 
-	deadline := s.cfg.Deadline
-	if req.Options.DeadlineMs > 0 {
-		deadline = time.Duration(req.Options.DeadlineMs) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.Options.DeadlineMs))
 	defer cancel()
 
 	// Front door: a cacheable request (res.Key set) with the cache or
@@ -538,12 +541,8 @@ func (s *Server) compute(ctx context.Context, ar *algRequest) *outcome {
 			}))
 		}
 		res, err := fault.Run(net, plan, func(fm *machine.M) error {
-			if alg.minSize != nil && fm.Size() < alg.minSize(sys) {
-				return fmt.Errorf("server: %s needs %d PEs, machine has %d: %w",
-					name, alg.minSize(sys), fm.Size(), machine.ErrTooFewPEs)
-			}
 			var err error
-			result, err = alg.run(fm, sys, req)
+			result, err = alg.Run(fm, sys, req)
 			return err
 		}, ropts...)
 		runErr = err
@@ -572,19 +571,14 @@ func (s *Server) compute(ctx context.Context, ar *algRequest) *outcome {
 		}
 		defer s.pool.Put(key, m)
 		o.mi = api.MachineInfo{Topology: string(tp), PEs: m.Size(), Workers: ar.infoWorkers}
-		if alg.minSize != nil && m.Size() < alg.minSize(sys) {
-			runErr = fmt.Errorf("server: %s needs %d PEs, machine has %d: %w",
-				name, alg.minSize(sys), m.Size(), machine.ErrTooFewPEs)
-		} else {
-			if req.Options.Trace {
-				tr = trace.Attach(m, name)
-			}
-			if s.hookRunning != nil {
-				s.hookRunning()
-			}
-			result, runErr = alg.run(m, sys, req)
-			stats = m.Stats()
+		if req.Options.Trace {
+			tr = trace.Attach(m, name)
 		}
+		if s.hookRunning != nil {
+			s.hookRunning()
+		}
+		result, runErr = alg.Run(m, sys, req)
+		stats = m.Stats()
 	}
 	o.sim = stats.Time()
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dyncg/internal/algo"
 	"dyncg/internal/api"
 	"dyncg/internal/core"
 	"dyncg/internal/fault"
@@ -119,11 +120,11 @@ func endpointCases(testing.TB) map[string]api.Request {
 // so the test exercises an independent path to each algorithm.
 func runDirect(t *testing.T, name string, tp topo.Topology, req api.Request) (any, machine.Stats) {
 	t.Helper()
-	sys, err := systemFrom(req.System)
+	sys, err := algo.SystemFrom(req.System)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := topo.NewMachine(tp, algorithms[name].pes(string(tp), sys))
+	m, err := topo.NewMachine(tp, prescribedPEs(name, string(tp), sys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,27 +133,27 @@ func runDirect(t *testing.T, name string, tp topo.Topology, req api.Request) (an
 	case "closest-point-sequence":
 		seq, err := core.ClosestPointSequence(m, sys, req.Origin)
 		check(t, err)
-		result = neighborEvents(seq)
+		result = algo.NeighborEvents(seq)
 	case "farthest-point-sequence":
 		seq, err := core.FarthestPointSequence(m, sys, req.Origin)
 		check(t, err)
-		result = neighborEvents(seq)
+		result = algo.NeighborEvents(seq)
 	case "collision-times":
 		cs, err := core.CollisionTimes(m, sys, req.Origin)
 		check(t, err)
-		result = collisions(cs)
+		result = algo.Collisions(cs)
 	case "hull-vertex-intervals":
 		ivs, err := core.HullVertexIntervals(m, sys, req.Origin)
 		check(t, err)
-		result = intervals(ivs)
+		result = algo.Intervals(ivs)
 	case "containment-intervals":
 		ivs, err := core.ContainmentIntervals(m, sys, req.Dims)
 		check(t, err)
-		result = intervals(ivs)
+		result = algo.Intervals(ivs)
 	case "smallest-hypercube-edge":
 		pw, err := core.SmallestHypercubeEdge(m, sys)
 		check(t, err)
-		result = piecewise(pw)
+		result = algo.Piecewise(pw)
 	case "smallest-ever-hypercube":
 		dmin, tmin, err := core.SmallestEverHypercube(m, sys)
 		check(t, err)
@@ -172,7 +173,7 @@ func runDirect(t *testing.T, name string, tp topo.Topology, req api.Request) (an
 	case "steady-farthest-pair":
 		a, b, d2, err := core.SteadyFarthestPair(m, sys)
 		check(t, err)
-		result = api.FarthestPair{A: a, B: b, Dist2: coefs(d2)}
+		result = api.FarthestPair{A: a, B: b, Dist2: algo.Coefs(d2)}
 	case "steady-min-area-rect":
 		rect, err := core.SteadyMinAreaRect(m, sys)
 		check(t, err)
@@ -180,15 +181,21 @@ func runDirect(t *testing.T, name string, tp topo.Topology, req api.Request) (an
 	case "closest-pair-sequence":
 		seq, err := core.ClosestPairSequence(m, sys)
 		check(t, err)
-		result = pairEvents(seq)
+		result = algo.PairEvents(seq)
 	case "farthest-pair-sequence":
 		seq, err := core.FarthestPairSequence(m, sys)
 		check(t, err)
-		result = pairEvents(seq)
+		result = algo.PairEvents(seq)
 	default:
 		t.Fatalf("no direct path for %q", name)
 	}
 	return result, m.Stats()
+}
+
+// prescribedPEs is the table's PE prescription for one algorithm.
+func prescribedPEs(name, tp string, sys *motion.System) int {
+	a, _ := algo.Lookup(name)
+	return a.PEs(tp, sys)
 }
 
 func check(t *testing.T, err error) {
@@ -274,7 +281,7 @@ func TestFaultedRequestBitIdentical(t *testing.T) {
 
 	spec, err := fault.ParseSpec(specStr)
 	check(t, err)
-	net, err := topo.NewNetwork(topo.Hypercube, algorithms["steady-hull"].pes("hypercube", sys))
+	net, err := topo.NewNetwork(topo.Hypercube, prescribedPEs("steady-hull", "hypercube", sys))
 	check(t, err)
 	var hull []int
 	res, err := fault.Run(net, fault.NewPlan(spec, 42), func(m *machine.M) error {

@@ -26,10 +26,10 @@ import (
 	"sync"
 	"time"
 
+	"dyncg/internal/algo"
 	"dyncg/internal/api"
 	"dyncg/internal/front"
 	"dyncg/internal/motion"
-	"dyncg/internal/poly"
 	"dyncg/internal/session"
 	"dyncg/internal/topo"
 )
@@ -117,29 +117,19 @@ func sessionInfo(ss *session.Session) api.SessionInfo {
 
 // sessionResult converts a session's maintained answer to the same wire
 // payload the one-shot algorithm would return.
-func sessionResult(algo session.Algo, res session.Result) any {
-	switch algo {
+func sessionResult(a session.Algo, res session.Result) any {
+	switch a {
 	case session.ClosestPointSeq, session.FarthestPointSeq:
-		return neighborEvents(res.Neighbors)
+		return algo.NeighborEvents(res.Neighbors)
 	case session.ClosestPairSeq, session.FarthestPairSeq:
-		return pairEvents(res.Pairs)
+		return algo.PairEvents(res.Pairs)
 	case session.CubeEdge:
-		return piecewise(res.Edge)
+		return algo.Piecewise(res.Edge)
 	case session.SmallestEver:
 		return api.MinCube{D: res.MinD, T: res.MinT}
 	default: // session.Containment
-		return intervals(res.Intervals)
+		return algo.Intervals(res.Intervals)
 	}
-}
-
-// pointFrom decodes one moving point (coordinate → ascending
-// coefficients).
-func pointFrom(coords [][]float64) motion.Point {
-	cs := make([]poly.Poly, len(coords))
-	for j, cf := range coords {
-		cs[j] = poly.New(cf...)
-	}
-	return motion.NewPoint(cs...)
 }
 
 // deltasFrom converts the wire batch to engine deltas.
@@ -152,7 +142,7 @@ func deltasFrom(ws []api.SessionDelta) ([]session.Delta, error) {
 			if len(wd.Point) == 0 {
 				return nil, fmt.Errorf("server: delta %d (%s) has no point: %w", i, wd.Op, motion.ErrBadSystem)
 			}
-			d.Point = pointFrom(wd.Point)
+			d.Point = algo.PointFrom(wd.Point)
 		case session.OpDelete:
 		default:
 			return nil, fmt.Errorf("server: delta %d has unknown op %q: %w", i, wd.Op, motion.ErrBadSystem)
@@ -160,6 +150,16 @@ func deltasFrom(ws []api.SessionDelta) ([]session.Delta, error) {
 		out[i] = d
 	}
 	return out, nil
+}
+
+// sessionDeadline is the deadline of an admitted request on session id:
+// the one its create resolved, or the server default for an unknown ID
+// (whose request then fails with ErrNoSession after admission).
+func (s *Server) sessionDeadline(id string) time.Duration {
+	if ss, ok := s.sessions.Lookup(id); ok {
+		return ss.Deadline
+	}
+	return s.cfg.Deadline
 }
 
 // sessionLog emits one structured record for a session endpoint.
@@ -228,7 +228,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		fail(st, code, derr)
 		return
 	}
-	algo, err := session.ParseAlgo(req.Algorithm)
+	sa, err := session.ParseAlgo(req.Algorithm)
 	if err != nil {
 		fail(http.StatusBadRequest, api.CodeUnknownAlgorithm, err)
 		return
@@ -243,7 +243,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("server: sessions support mesh and hypercube machines, not %q", tp))
 		return
 	}
-	sys, err := systemFrom(req.System)
+	sys, err := algo.SystemFrom(req.System)
 	if err != nil {
 		st, code := errStatus(err)
 		fail(st, code, err)
@@ -253,16 +253,13 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// The machine is sized before the engine exists, so resolve the
 	// engine's defaults here.
 	cfg := session.Config{
-		Algorithm: algo,
+		Algorithm: sa,
 		Origin:    req.Origin,
 		Dims:      req.Dims,
 		Capacity:  req.Options.Capacity,
 		MaxDegree: req.Options.MaxDegree,
 	}.Resolve(sys)
-	need := session.PEs(string(tp), algo, cfg.Capacity, cfg.MaxDegree)
-	if req.Options.PEs > need {
-		need = req.Options.PEs
-	}
+	need := max(session.PEs(string(tp), sa, cfg.Capacity, cfg.MaxDegree), req.Options.PEs)
 	classSize, err := topo.Size(tp, need)
 	if err != nil {
 		st, code := errStatus(err)
@@ -271,10 +268,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	workers := front.Workers(req.Options.Workers, runtime.GOMAXPROCS(0))
 
-	deadline := s.cfg.Deadline
-	if req.Options.DeadlineMs > 0 {
-		deadline = time.Duration(req.Options.DeadlineMs) * time.Millisecond
-	}
+	deadline := s.deadline(req.Options.DeadlineMs)
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 	release, st, code := s.admit(ctx)
@@ -304,7 +298,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	buildStats := m.Stats()
-	ss, err := s.sessions.Add(eng, m, string(tp), workers)
+	ss, err := s.sessions.Add(eng, m, string(tp), workers, deadline)
 	if err != nil {
 		m.WarmReset()
 		s.pool.Put(key, m)
@@ -319,7 +313,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		Session: sessionInfo(ss),
 		Pool:    pi,
 		Stats:   api.FromStats(buildStats),
-		Result:  sessionResult(algo, eng.Result()),
+		Result:  sessionResult(sa, eng.Result()),
 	}
 	mi = resp.Session.Machine
 	status, out = http.StatusOK, resp
@@ -370,7 +364,7 @@ func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Deadline)
+	ctx, cancel := context.WithTimeout(r.Context(), s.sessionDeadline(id))
 	defer cancel()
 	release, st, code := s.admit(ctx)
 	if st != 0 {
@@ -434,7 +428,7 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if verify {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Deadline)
+		ctx, cancel := context.WithTimeout(r.Context(), s.sessionDeadline(id))
 		defer cancel()
 		release, st, code := s.admit(ctx)
 		if st != 0 {

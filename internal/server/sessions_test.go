@@ -425,6 +425,42 @@ func TestSessionTTLEviction(t *testing.T) {
 	}
 }
 
+// TestSessionDeadlineAppliesToEveryRequest: the deadline_ms given at
+// create caps the session's later admitted requests too — an update and
+// a verified query that queue behind a busy execution slot give up after
+// the session's deadline, not the server's default.
+func TestSessionDeadlineAppliesToEveryRequest(t *testing.T) {
+	s := New(Config{MaxInFlight: 1, Deadline: 2 * time.Second})
+	h := s.Handler()
+	sys := motion.Random(rand.New(rand.NewSource(52)), 4, 1, 2, 10)
+	created := createSession(t, h, api.SessionCreateRequest{
+		V: api.Version, Algorithm: "smallest-hypercube-edge", System: wireSystem(sys),
+		Options: api.SessionOptions{DeadlineMs: 25},
+	})
+	id := created.Session.ID
+	s.sem <- struct{}{} // the only execution slot is busy: requests queue
+	defer func() { <-s.sem }()
+	for _, c := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodPost, "/v1/sessions/" + id + "/update", api.SessionUpdateRequest{V: api.Version}},
+		{http.MethodGet, "/v1/sessions/" + id + "/query?verify=1", nil},
+	} {
+		start := time.Now()
+		st, body := sessionCall(t, h, c.method, c.path, c.body)
+		if elapsed := time.Since(start); elapsed >= time.Second {
+			t.Errorf("%s waited %v: the session deadline was not applied", c.path, elapsed)
+		}
+		if st != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status = %d, want 503 (%s)", c.path, st, body)
+		}
+		if e := decodeErr(t, body); e.Code != "deadline_queued" {
+			t.Errorf("%s: code = %q, want deadline_queued", c.path, e.Code)
+		}
+	}
+}
+
 // TestSessionMetricsExposed: the issue's dyncg_-prefixed metric family
 // appears on /metrics with the update counter and latency histogram
 // moving.

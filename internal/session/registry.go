@@ -23,6 +23,9 @@ type Session struct {
 	PEs     int
 	Workers int
 	Created time.Time
+	// Deadline caps each admitted request on the session (update, and
+	// query with verification), resolved once at create.
+	Deadline time.Duration
 
 	mu       sync.Mutex
 	closed   bool
@@ -113,7 +116,7 @@ func NewRegistry(max int, ttl time.Duration, release func(*Session)) *Registry {
 // Add registers a new session over an engine and its pinned machine,
 // assigning the ID. Fails with ErrTooManySessions at capacity (sweep
 // first: an expired session should never crowd out a new one).
-func (r *Registry) Add(eng *Engine, m *machine.M, topo string, workers int) (*Session, error) {
+func (r *Registry) Add(eng *Engine, m *machine.M, topo string, workers int, deadline time.Duration) (*Session, error) {
 	r.Sweep()
 	now := r.now()
 	r.mu.Lock()
@@ -144,24 +147,32 @@ func (r *Registry) Add(eng *Engine, m *machine.M, topo string, workers int) (*Se
 		}
 	}
 	s := &Session{
-		ID:      id,
-		Eng:     eng,
-		M:       m,
-		Topo:    topo,
-		PEs:     m.Size(),
-		Workers: workers,
-		Created: now,
+		ID:       id,
+		Eng:      eng,
+		M:        m,
+		Topo:     topo,
+		PEs:      m.Size(),
+		Workers:  workers,
+		Created:  now,
+		Deadline: deadline,
 	}
 	s.lastUsed.Store(now.UnixNano())
 	r.sessions[s.ID] = s
 	return s, nil
 }
 
+// Lookup returns the live session with the given ID, if any. The
+// session may close before the caller uses it; Do reports that.
+func (r *Registry) Lookup(id string) (*Session, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, ok := r.sessions[id]
+	return s, ok
+}
+
 // Do looks up a session and runs fn with exclusive access to it.
 func (r *Registry) Do(id string, fn func(*Session) error) error {
-	r.mu.Lock()
-	s, ok := r.sessions[id]
-	r.mu.Unlock()
+	s, ok := r.Lookup(id)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSession, id)
 	}

@@ -7,7 +7,7 @@
 // re-running the full Theorem 3.2 construction over all n functions.
 // That saves simulated messages, not host time: on the pinned
 // BenchmarkSessionUpdate rows (BENCH_perf.json) a batch of 16 of 64
-// points takes 167 520 ns/op against 83 189 ns/op for a rebuild of the
+// points takes 167 520 ns/op against 88 771 ns/op for a rebuild of the
 // same churned population. ROADMAP item 1 holds the open work.
 //
 // The design follows the parallel batch-dynamic literature (Wang et al.,
@@ -154,21 +154,14 @@ type Config struct {
 // (not its current population), so the pinned machine never needs to
 // grow. topo selects the λ_M ("mesh") or λ_H bound.
 func PEs(topo string, algo Algo, capacity, maxDegree int) int {
-	k := maxDegree
-	if k < 1 {
-		k = 1
-	}
-	env := penvelope.CubePEs
-	if topo == "mesh" {
-		env = penvelope.MeshPEs
-	}
+	k := max(maxDegree, 1)
 	switch algo.class() {
 	case classPair:
-		return env(capacity*(capacity-1)/2, 2*k)
+		return penvelope.PEs(topo, capacity*(capacity-1)/2, 2*k)
 	case classSpan:
-		return env(capacity, k+2)
+		return penvelope.PEs(topo, capacity, k+2)
 	}
-	return env(capacity, 2*k)
+	return penvelope.PEs(topo, capacity, 2*k)
 }
 
 // Result is a session's maintained answer; the field matching the
@@ -369,11 +362,12 @@ func New(m *machine.M, cfg Config, pts []motion.Point) (*Engine, error) {
 			}
 		}
 	}
-	e.trees, err = e.newTrees(func(ti, slot int) pieces.Piecewise { return e.leaf(ti, slot, &e.live) })
+	e.trees, err = e.newTrees()
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.deriveFrom(e.trees)
+	var buf [4]pieces.Piecewise
+	res, err := e.deriveFrom(e.roots(buf[:0]))
 	if err != nil {
 		return nil, err
 	}
@@ -390,9 +384,9 @@ func (e *Engine) slots() int {
 	return e.capacity
 }
 
-// newTrees builds the engine's tree layout from scratch over the leaves
-// leaf(tree, slot) returns.
-func (e *Engine) newTrees(leaf func(ti, slot int) pieces.Piecewise) ([]*penvelope.MergeTree, error) {
+// newTrees builds the engine's tree layout from scratch over the live
+// state's leaves.
+func (e *Engine) newTrees() ([]*penvelope.MergeTree, error) {
 	n := 1
 	if e.algo.class() == classSpan {
 		n = 2 * e.d
@@ -401,7 +395,7 @@ func (e *Engine) newTrees(leaf func(ti, slot int) pieces.Piecewise) ([]*penvelop
 	for ti := range trees {
 		fs := make([]pieces.Piecewise, e.slots())
 		for slot := range fs {
-			fs[slot] = leaf(ti, slot)
+			fs[slot] = e.leaf(ti, slot, &e.live)
 		}
 		var err error
 		if trees[ti], err = penvelope.NewMergeTree(e.m, fs, treeKind(e.algo, ti)); err != nil {
@@ -541,7 +535,8 @@ func (e *Engine) Apply(deltas []Delta) ([]int, ApplyStats, error) {
 			return nil, st, fmt.Errorf("%w: %v", ErrBroken, err)
 		}
 	}
-	res, err := e.deriveFrom(e.trees)
+	var buf [4]pieces.Piecewise
+	res, err := e.deriveFrom(e.roots(buf[:0]))
 	if err != nil {
 		e.broken = err
 		return nil, st, fmt.Errorf("%w: %v", ErrBroken, err)
@@ -628,19 +623,30 @@ func (e *Engine) apply(s *state, dirty map[int]bool, d Delta) (int, error) {
 	return 0, nil
 }
 
-// deriveFrom converts tree roots into the session's answer via the same
-// derivation code the one-shot algorithms use (internal/core).
-func (e *Engine) deriveFrom(trees []*penvelope.MergeTree) (Result, error) {
+// roots appends the maintained root envelope of every tree to dst
+// (a caller's stack buffer, so deriving the answer allocates nothing
+// for planar layouts).
+func (e *Engine) roots(dst []pieces.Piecewise) []pieces.Piecewise {
+	for _, t := range e.trees {
+		dst = append(dst, t.Root())
+	}
+	return dst
+}
+
+// deriveFrom converts the trees' root envelopes into the session's
+// answer via the same derivation code the one-shot algorithms use
+// (internal/core).
+func (e *Engine) deriveFrom(roots []pieces.Piecewise) (Result, error) {
 	var res Result
 	switch e.algo.class() {
 	case classPoint:
-		root := trees[0].Root()
+		root := roots[0]
 		res.Neighbors = make([]core.NeighborEvent, len(root))
 		for i, p := range root {
 			res.Neighbors[i] = core.NeighborEvent{Point: e.live.points.keyAt[p.ID], Lo: p.Lo, Hi: p.Hi}
 		}
 	case classPair:
-		root := trees[0].Root()
+		root := roots[0]
 		res.Pairs = make([]core.PairEvent, len(root))
 		for i, p := range root {
 			pr := e.live.pairs.keyAt[p.ID]
@@ -649,7 +655,7 @@ func (e *Engine) deriveFrom(trees []*penvelope.MergeTree) (Result, error) {
 	default:
 		spans := make([]pieces.Piecewise, e.d)
 		for c := 0; c < e.d; c++ {
-			diff, err := core.SpanFromEnvelopes(e.m, trees[2*c+1].Root(), trees[2*c].Root(), c)
+			diff, err := core.SpanFromEnvelopes(e.m, roots[2*c+1], roots[2*c], c)
 			if err != nil {
 				return res, err
 			}
@@ -681,19 +687,22 @@ func (e *Engine) deriveFrom(trees []*penvelope.MergeTree) (Result, error) {
 }
 
 // Rebuild recomputes the session's answer from scratch on the same
-// machine — fresh merge trees over the current leaves, then the same
-// derivation — without touching the retained state. It is the exact
-// correctness oracle of the batch-dynamic design: Apply's maintained
-// result must be bit-identical to it.
+// machine — one full envelope pass per tree over its current leaves,
+// then the same derivation — without touching the retained state. It is
+// the exact correctness oracle of the batch-dynamic design: Apply's
+// maintained result must be bit-identical to it.
 func (e *Engine) Rebuild() (Result, error) {
 	if e.broken != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrBroken, e.broken)
 	}
-	fresh, err := e.newTrees(func(ti, slot int) pieces.Piecewise { return e.trees[ti].Leaf(slot) })
-	if err != nil {
-		return Result{}, err
+	roots := make([]pieces.Piecewise, len(e.trees))
+	for ti, t := range e.trees {
+		var err error
+		if roots[ti], err = t.Rebuild(e.m); err != nil {
+			return Result{}, err
+		}
 	}
-	return e.deriveFrom(fresh)
+	return e.deriveFrom(roots)
 }
 
 // treeKind returns the envelope kind of tree index i under the engine's

@@ -301,7 +301,7 @@ func addSession(t *testing.T, r *Registry) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := r.Add(e, m, "hypercube", 0)
+	s, err := r.Add(e, m, "hypercube", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if s1.ID == s2.ID {
 		t.Fatalf("duplicate session IDs: %q", s1.ID)
 	}
-	if _, err := r.Add(s1.Eng, s1.M, "hypercube", 0); !errors.Is(err, ErrTooManySessions) {
+	if _, err := r.Add(s1.Eng, s1.M, "hypercube", 0, 0); !errors.Is(err, ErrTooManySessions) {
 		t.Fatalf("over-capacity Add: err = %v", err)
 	}
 	var got *Engine

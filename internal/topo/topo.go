@@ -153,9 +153,10 @@ func WithFaultPlan(spec string, seed int64) Option {
 }
 
 // NewMachine constructs a simulated machine of the given topology family
-// with at least n PEs — the single constructor behind every CLI,
-// example, and the serving daemon. Options configure tracing and fault
-// injection.
+// with at least n PEs — the single constructor behind every machine the
+// CLIs, examples and daemon drive directly (the recovery harness,
+// fault.Run, builds each attempt's machine from a NewNetwork network).
+// Options configure tracing and fault injection.
 func NewMachine(t Topology, n int, opts ...Option) (*machine.M, error) {
 	var cfg config
 	for _, o := range opts {

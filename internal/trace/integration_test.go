@@ -11,8 +11,19 @@ import (
 	"dyncg/internal/core"
 	"dyncg/internal/machine"
 	"dyncg/internal/motion"
+	"dyncg/internal/penvelope"
+	"dyncg/internal/topo"
 	"dyncg/internal/trace"
 )
+
+func mustMachine(t *testing.T, family topo.Topology, n int) *machine.M {
+	t.Helper()
+	m, err := topo.NewMachine(family, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // TestExactAttributionEndToEnd is the subsystem's acceptance check: for a
 // §4 transient algorithm (Theorem 4.1 closest-point sequence) and a §5
@@ -29,19 +40,19 @@ func TestExactAttributionEndToEnd(t *testing.T) {
 		m    *machine.M
 		run  func(m *machine.M) error
 	}{
-		{"thm4.1-closest-seq", "mesh", core.MeshFor(sys.N()-1, 2), func(m *machine.M) error {
+		{"thm4.1-closest-seq", "mesh", mustMachine(t, topo.Mesh, penvelope.MeshPEs(sys.N()-1, 2)), func(m *machine.M) error {
 			_, err := core.ClosestPointSequence(m, sys, 0)
 			return err
 		}},
-		{"thm4.1-closest-seq", "hypercube", core.CubeFor(sys.N()-1, 2), func(m *machine.M) error {
+		{"thm4.1-closest-seq", "hypercube", mustMachine(t, topo.Hypercube, penvelope.CubePEs(sys.N()-1, 2)), func(m *machine.M) error {
 			_, err := core.ClosestPointSequence(m, sys, 0)
 			return err
 		}},
-		{"prop5.4-steady-hull", "mesh", core.MeshOf(4 * sys.N()), func(m *machine.M) error {
+		{"prop5.4-steady-hull", "mesh", mustMachine(t, topo.Mesh, 4*sys.N()), func(m *machine.M) error {
 			_, err := core.SteadyHull(m, sys)
 			return err
 		}},
-		{"prop5.4-steady-hull", "hypercube", core.CubeOf(4 * sys.N()), func(m *machine.M) error {
+		{"prop5.4-steady-hull", "hypercube", mustMachine(t, topo.Hypercube, 4*sys.N()), func(m *machine.M) error {
 			_, err := core.SteadyHull(m, sys)
 			return err
 		}},
@@ -120,7 +131,7 @@ func TestExactAttributionEndToEnd(t *testing.T) {
 func TestMetricsAcrossAlgorithms(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	sys := motion.Random(r, 10, 1, 2, 5)
-	m := core.MeshOf(4 * sys.N())
+	m := mustMachine(t, topo.Mesh, 4*sys.N())
 	tr := trace.Attach(m, "run")
 	if _, _, err := core.SteadyClosestPair(m, sys); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	m := core.CubeOf(n)
+//	m, _ := topo.NewMachine(topo.Hypercube, n)
 //	tr := trace.Attach(m, "closest")         // tr observes every charge
 //	core.ClosestPointSequence(m, sys, 0)
 //	root := tr.Finish()                      // detaches, closes open spans
