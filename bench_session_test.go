@@ -1,12 +1,11 @@
 // Pinned host-performance benchmarks for batch-dynamic sessions: the
-// wall-clock cost of applying a delta batch against the retained merge
-// tree, versus rebuilding the answer from scratch on the same machine.
-// The suite measures, but does not gate, how a batch compares with the
-// rebuild. A batch redoes only the dirty root paths of the tree, yet on
-// the pins in BENCH_perf.json it is the slower one: batch=16 reads
-// 167 520 ns/op against 88 771 ns/op for rebuild-churned (see ROADMAP,
-// item 1). cmd/benchgate checks each row against its own pin only,
-// never one row against another.
+// wall-clock cost of applying a delta batch, versus rebuilding the
+// answer from scratch on the same machine. A batch rewrites its dirty
+// leaves and then runs the same envelope pass a rebuild runs, so it
+// charges the rebuild's simulated cost and its host time adds the batch
+// validation, the state copy and the leaf builds on top. cmd/benchgate
+// checks each row against its own pin only, never one row against
+// another.
 //
 // Like bench_perf_test.go, the suite runs under scripts/bench.sh with a
 // pinned iteration count and is baselined in BENCH_perf.json.
@@ -76,8 +75,8 @@ func applyChurn(b *testing.B, s *dyncg.Session, deltas []dyncg.SessionDelta, i i
 }
 
 // BenchmarkSessionUpdate measures one applied batch of k retargets
-// (k = 1, 16, 64 of the 64 live points) and, as the baselines it should
-// beat, the from-scratch rebuild of the same answer on the same machine.
+// (k = 1, 16, 64 of the 64 live points) and, as the baselines, the
+// from-scratch rebuild of the same answer on the same machine.
 // The rebuild row rebuilds the unchurned first population, whose
 // envelope is simpler than the batch rows'; rebuild-churned first
 // applies 200 batch=16 rounds, the population the batch rows retarget.

@@ -47,9 +47,19 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "dyncg: %v\n", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the stderr line of a failed run: the error behind one
+// "dyncg: " prefix, which the facade's own errors already carry.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "dyncg: ") {
+		return msg
+	}
+	return "dyncg: " + msg
 }
 
 // run parses args, runs the chosen algorithm and writes the report to w.

@@ -122,10 +122,22 @@ func TestCLIFaultsKeepAnswer(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsUnknownNames: unknown names fail, and the printed line
+// carries exactly one "dyncg:" prefix whether the error comes from the
+// CLI itself or from the facade (topo), whose errors carry their own.
 func TestCLIRejectsUnknownNames(t *testing.T) {
 	for _, args := range [][]string{{"-algo", "closest"}, {"-workload", "nosuch"}, {"-topo", "ring"}} {
-		if err := run(args, new(bytes.Buffer)); err == nil {
+		err := run(args, new(bytes.Buffer))
+		if err == nil {
 			t.Errorf("dyncg %s: no error", strings.Join(args, " "))
+			continue
 		}
+		if line := errorLine(err); !strings.HasPrefix(line, "dyncg: ") || strings.Count(line, "dyncg:") != 1 {
+			t.Errorf("dyncg %s prints %q, want one dyncg: prefix", strings.Join(args, " "), line)
+		}
+	}
+	want := `dyncg: unknown topology "ring" (want mesh|hypercube|ccc|shuffle)`
+	if line := errorLine(run([]string{"-topo", "ring"}, new(bytes.Buffer))); line != want {
+		t.Errorf("dyncg -topo ring prints %q, want %q", line, want)
 	}
 }

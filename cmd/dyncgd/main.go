@@ -14,7 +14,7 @@
 //	}'
 //
 // Stateful scenario sessions pin a warm machine across requests and
-// apply trajectory deltas with incremental recompute:
+// apply trajectory deltas, answered by one envelope pass per batch:
 //
 //	curl -s -X POST localhost:8080/v1/sessions -d '{...}'         # create
 //	curl -s -X POST localhost:8080/v1/sessions/{id}/update -d ...  # batch deltas

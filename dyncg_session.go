@@ -8,12 +8,14 @@ import (
 
 // Batch-dynamic scenario sessions (facade over internal/session).
 //
-// A Session pins one machine and keeps the algorithm's balanced merge
-// tree of piecewise envelopes resident, so a batch of k trajectory
-// changes recomputes only the O(k log n) dirty merge path instead of
-// rebuilding from scratch. The maintained answer is bit-identical to a
-// from-scratch run on the same machine — Session.Rebuild audits that
-// contract on demand.
+// A Session pins one machine and keeps the algorithm's points and the
+// leaf curves of its envelopes resident. A batch of k trajectory changes
+// rewrites only the k dirty leaves and then answers with one
+// from-scratch Theorem 3.2 envelope pass, so it charges the same
+// simulated cost as Session.Rebuild; the session saves the system build,
+// the machine checkout and re-sending the points. The maintained answer
+// is bit-identical to a from-scratch run on the same machine —
+// Session.Rebuild audits that contract on demand.
 
 // SessionAlgo names a session-maintainable algorithm — the
 // envelope-backed subset of the facade (point sequences, pair sequences,
@@ -47,8 +49,8 @@ type SessionDelta = session.Delta
 // populated depends on the algorithm (see session.Result).
 type SessionResult = session.Result
 
-// SessionApplyStats reports the incremental work one applied batch
-// caused: dirty leaves rewritten and internal tree nodes re-merged.
+// SessionApplyStats reports the work one applied batch caused: leaf
+// slots rewritten and Lemma 3.1 block merges run by its envelope passes.
 type SessionApplyStats = session.ApplyStats
 
 // InsertPoint is a delta adding a point with a fresh stable ID (returned
@@ -82,7 +84,7 @@ func SessionPEs(topo Topology, algo SessionAlgo, capacity, maxDegree int) (int, 
 }
 
 // Session is a stateful batch-dynamic scenario: a pinned machine plus
-// the retained merge tree of the algorithm's envelope computation.
+// the live points and the cached leaves of the algorithm's envelopes.
 // Sessions are not safe for concurrent use.
 type Session struct {
 	eng *session.Engine
@@ -103,8 +105,8 @@ func NewSession(m *Machine, cfg SessionConfig, sys *System) (*Session, error) {
 }
 
 // Apply applies one batch of deltas atomically: either every delta
-// applies and the maintained answer is refreshed incrementally, or the
-// session is unchanged and the error reports the first offending delta.
+// applies and the maintained answer is recomputed, or the session is
+// unchanged and the error reports the first offending delta.
 // It returns the stable IDs assigned to the batch's inserts, in order.
 func (s *Session) Apply(deltas ...SessionDelta) ([]int, SessionApplyStats, error) {
 	return s.eng.Apply(deltas)

@@ -197,7 +197,7 @@ func runSession(addr string) {
 	if _, _, err := direct.Apply(dyncg.InsertPoint(p3), dyncg.RetargetPoint(2, p2)); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("update applied: inserted %v, %d dirty leaves, %d merged nodes\n",
+	fmt.Printf("update applied: inserted %v, %d dirty leaves, %d block merges\n",
 		updated.Inserted, updated.DirtyLeaves, updated.MergedNodes)
 	compare("update", updated.Result, direct.Result().Neighbors)
 

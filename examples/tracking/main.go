@@ -1,15 +1,16 @@
 // Long-horizon tracking on the streaming API: the surveillance
 // motivation of §1 (a sensor network tracking a cloud of targets) as a
-// batch-dynamic scenario session. Instead of re-running Theorem 4.1 from
-// scratch every time the picture changes, the session keeps the merge
-// tree of distance envelopes resident and each scan streams a delta
-// batch — new contacts appear, stale tracks drop, course changes
-// retarget — redoing only the O(k log n) dirty merge paths.
+// batch-dynamic scenario session. Instead of re-sending the whole
+// picture every time it changes, the session keeps the targets and their
+// distance curves resident and each scan streams a delta batch — new
+// contacts appear, stale tracks drop, course changes retarget — that
+// rewrites only the dirty leaves before one Theorem 3.2 envelope pass
+// answers it.
 //
 // Every scan's maintained closest-target sequence is bit-identical to a
 // from-scratch rebuild on the same machine (the session contract); the
-// example audits one scan against Session.Rebuild and reports the
-// incremental work the batch actually caused.
+// example audits one scan against Session.Rebuild and reports the leaves
+// each batch rewrote and the block merges its envelope pass ran.
 //
 // The epilogue asks a §5 steady-state question of the final picture —
 // which surviving targets form the eventual convex hull (Proposition
@@ -76,7 +77,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("scan 1: +2 contacts (ids %v), -1 stale track — %d dirty leaves, %d merged nodes\n",
+	fmt.Printf("scan 1: +2 contacts (ids %v), -1 stale track — %d dirty leaves, %d block merges\n",
 		ids, stats.DirtyLeaves, stats.MergedNodes)
 	report(s)
 
@@ -86,7 +87,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("scan 2: contact 5 turns inbound — %d dirty leaves, %d merged nodes\n",
+	fmt.Printf("scan 2: contact 5 turns inbound — %d dirty leaves, %d block merges\n",
 		stats.DirtyLeaves, stats.MergedNodes)
 	report(s)
 

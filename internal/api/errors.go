@@ -45,9 +45,6 @@ const (
 	// CodeNoSession: the session ID is unknown (never created, deleted,
 	// TTL-evicted, or lost with a restarted fleet member).
 	CodeNoSession ErrorCode = "no_session"
-	// CodeSessionBroken: a previous failed update left the session's
-	// engine unusable; delete it and rebuild.
-	CodeSessionBroken ErrorCode = "session_broken"
 	// CodeNotSurvivable: the injected fault schedule destroyed more of
 	// the machine than the recovery theorems can remap around.
 	CodeNotSurvivable ErrorCode = "not_survivable"

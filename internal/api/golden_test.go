@@ -101,7 +101,7 @@ func TestErrorCodeRetryable(t *testing.T) {
 		}
 	}
 	for _, c := range []ErrorCode{CodeBadRequest, CodeBadVersion, CodeBadSystem,
-		CodeTooFewPEs, CodeNoSession, CodeSessionBroken, CodeMemberDown, CodeInternal} {
+		CodeTooFewPEs, CodeNoSession, CodeMemberDown, CodeInternal} {
 		if c.Retryable() {
 			t.Errorf("%s must not be retryable", c)
 		}

@@ -99,17 +99,22 @@ type SessionUpdateRequest struct {
 }
 
 // SessionUpdateResponse reports one applied batch: the IDs assigned to
-// its inserts, the incremental work (dirty leaves, merged internal
-// nodes, and the simulated cost delta of exactly the recomputation this
-// batch caused), and the refreshed result.
+// its inserts, its work, and the refreshed result.
 type SessionUpdateResponse struct {
-	V           int         `json:"v"`
-	Session     SessionInfo `json:"session"`
-	Inserted    []int       `json:"inserted,omitempty"`
-	DirtyLeaves int         `json:"dirty_leaves"`
-	MergedNodes int         `json:"merged_nodes"`
-	Stats       Stats       `json:"stats"`
-	Result      any         `json:"result"`
+	V        int         `json:"v"`
+	Session  SessionInfo `json:"session"`
+	Inserted []int       `json:"inserted,omitempty"`
+	// DirtyLeaves counts the leaf slots the batch rewrote, summed over
+	// the session's envelopes.
+	DirtyLeaves int `json:"dirty_leaves"`
+	// MergedNodes counts the Lemma 3.1 block merges of the batch's
+	// Theorem 3.2 envelope passes: NextPow2(slots) − 1 per envelope,
+	// whatever the batch size.
+	MergedNodes int `json:"merged_nodes"`
+	// Stats is the simulated cost of the batch: one envelope pass per
+	// envelope plus the derivation, the cost of a verify=1 rebuild.
+	Stats  Stats `json:"stats"`
+	Result any   `json:"result"`
 }
 
 // SessionQueryResponse is the envelope answering GET

@@ -51,7 +51,7 @@ func spanFunctions(m *machine.M, sys *motion.System) ([]pieces.Piecewise, error)
 // envelopes — one Lemma 3.1 pass (Theorem 4.6 Step 2). It is the shared
 // derivation layer between the one-shot algorithms here (which build hi
 // and lo from scratch) and the batch-dynamic session engine of
-// internal/session (which maintains them in retained merge trees).
+// internal/session (which rebuilds them from its cached leaves).
 func SpanFromEnvelopes(m *machine.M, hi, lo pieces.Piecewise, coord int) (pieces.Piecewise, error) {
 	diff, err := penvelope.Combine2(m, hi, lo, windowDiffFor(coord))
 	if err != nil {

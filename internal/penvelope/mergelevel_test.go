@@ -193,7 +193,7 @@ func levelBodies(layout colstore.File[envReg], block int, window pieces.Window) 
 }
 
 // pairLayout lays f and g in the two halves of an N-PE file, as Combine2
-// and MergeTree.mergeOnce do.
+// does.
 func pairLayout(N int, f, g pieces.Piecewise) colstore.File[envReg] {
 	regs := colstore.New[envReg](N)
 	for j, p := range f {
@@ -334,9 +334,9 @@ var oracleTopos = []string{"mesh", "hypercube"}
 // TestMergeLevelMatchesDense pins the packed Lemma 3.1 level to the dense
 // round-by-round oracle of mergeref_test.go through every caller:
 // Envelope (min and max, total and partial inputs, every level's
-// registers), Combine2 with core-shaped windows, MapPieces, and
-// MergeTree dirty-node re-merges including the ErrBlockCapacity retry —
-// on the mesh and the hypercube, machines 1–4× the minimum size, and
+// registers), Combine2 with core-shaped windows, MapPieces, and merge
+// levels in blocks too small for their output (ErrBlockCapacity) — on
+// the mesh and the hypercube, machines 1–4× the minimum size, and
 // with a PE failure injected at a random round.
 func TestMergeLevelMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
@@ -429,80 +429,40 @@ func TestMergeLevelMatchesDense(t *testing.T) {
 		}
 	}
 
-	// MergeTree: a retained tree under random leaf replacements. Every
-	// dirty node is re-merged by the packed mergeNode and the dense
-	// refMergeNode, and every block size mergeNode tries — including the
-	// under-sized ones that end in ErrBlockCapacity — is checked as a
-	// level.
+	// Blocks too small for their merge: f and g each hold k pieces on the
+	// intervals [i, i+1), f_i a constant and g_i a parabola that crosses
+	// it twice inside, so every window emits three pieces. Laid in the
+	// halves of a 2k-PE block (pairLayout) the merge's 3k pieces overflow
+	// it; the packed and the dense level must fail alike with
+	// ErrBlockCapacity, the guard against a λ under-allocation, and then
+	// agree at 4k PEs, where the merge fits.
 	for trial := 0; trial < 6; trial++ {
 		topo := oracleTopos[trial%2]
-		n := 4 + r.Intn(12)
-		deg := 2 + r.Intn(2)
-		N := machineSizes(topo, CubePEs(dsseq.NextPow2(n), deg+1))[0]
+		k := 1 << r.Intn(4)
 		kind := pieces.Kind(r.Intn(2))
-		fs := leavesOf(r, n, deg)
-		tr, err := NewMergeTree(newTopoMachine(topo, N), fs, kind)
-		if err != nil {
-			t.Fatalf("NewMergeTree: %v", err)
+		var f, g pieces.Piecewise
+		for i := 0; i < k; i++ {
+			lo, hi := float64(i), float64(i+1)
+			c := r.NormFloat64() * 3
+			mid, d := lo+0.3+0.4*r.Float64(), 0.01+0.04*r.Float64()
+			f = append(f, pieces.Piece{F: curve.Const(c), ID: i, Lo: lo, Hi: hi})
+			g = append(g, pieces.Piece{F: curve.NewPoly(poly.New(c+mid*mid-d, -2*mid, 1)), ID: k + i, Lo: lo, Hi: hi})
 		}
-		for batch := 0; batch < 4; batch++ {
-			var ups []TreeUpdate
-			dirty := map[int]bool{}
-			for k := 1 + r.Intn(3); k > 0; k-- {
-				slot := r.Intn(tr.Slots())
-				var f pieces.Piecewise
-				if r.Intn(5) > 0 {
-					f = pieces.Total(randPoly(r, deg, 3), slot)
-				}
-				ups = append(ups, TreeUpdate{Slot: slot, F: f})
-				dirty[slot] = true
+		N := machineSizes(topo, 4*k)[0]
+		label := topo + "/small-block"
+		for _, block := range []int{2 * k, 4 * k} {
+			packed, dense := levelBodies(pairLayout(block, f, g), block, windows[kindName(kind)])
+			run := checkBodies(t, r, label, topo, N, packed, dense)
+			if overflow := block == 2*k; errors.Is(run.err, ErrBlockCapacity) != overflow {
+				t.Fatalf("%s: %d pieces merged in %d PEs: error %v", label, 3*k, block, run.err)
 			}
-			if _, err := tr.Update(newTopoMachine(topo, N), ups); err != nil {
-				t.Fatalf("Update: %v", err)
-			}
-			for l := 1; l < len(tr.levels); l++ {
-				parents := map[int]bool{}
-				for b := range dirty {
-					parents[b>>1] = true
-				}
-				for b := range parents {
-					f, g := tr.levels[l-1][2*b], tr.levels[l-1][2*b+1]
-					label := topo + "/MergeTree"
-					got := checkBodies(t, r, label, topo, N,
-						func(m *machine.M, _ func(int, colstore.File[envReg])) (pieces.Piecewise, error) {
-							return tr.mergeNode(m, l, f, g)
-						},
-						func(m *machine.M, _ func(int, colstore.File[envReg])) (pieces.Piecewise, error) {
-							return refMergeNode(tr, m, l, f, g)
-						})
-					if !reflect.DeepEqual(got.out, tr.levels[l][b]) {
-						t.Fatalf("%s: re-merged node (%d, %d) differs from the tree's", label, l, b)
-					}
-					full := tr.stride << l
-					block := min(dsseq.NextPow2(max(len(f), len(g), 1))*4, full)
-					for ; block <= full; block *= 2 {
-						packed, dense := levelBodies(pairLayout(block, f, g), block, windows[kindName(kind)])
-						run := checkBodies(t, r, label+"/level", topo, N, packed, dense)
-						if !errors.Is(run.err, ErrBlockCapacity) {
-							break
-						}
-						capacityErrors++
-					}
-					// An under-sized block: the merged population
-					// commonly overflows it.
-					if block := dsseq.NextPow2(max(len(f), len(g), 1)) * 2; block < full {
-						packed, dense := levelBodies(pairLayout(block, f, g), block, windows[kindName(kind)])
-						if run := checkBodies(t, r, label+"/small", topo, N, packed, dense); errors.Is(run.err, ErrBlockCapacity) {
-							capacityErrors++
-						}
-					}
-				}
-				dirty = parents
+			if run.err != nil {
+				capacityErrors++
 			}
 		}
 	}
 	if capacityErrors == 0 {
-		t.Fatal("no level ended in ErrBlockCapacity: the retry path went unchecked")
+		t.Fatal("no level ended in ErrBlockCapacity: the capacity guard went unchecked")
 	}
 }
 

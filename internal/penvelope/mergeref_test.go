@@ -6,14 +6,13 @@ package penvelope
 // below are the dense round-by-round bodies they replaced — a bitonic
 // MergeBlocksCols, shifts, scans and a compaction over all N registers —
 // kept as the test oracle, together with the callers that ran them
-// as they were (refEnvelope, refCombine2, refMapPieces, refMergeNode).
+// as they were (refEnvelope, refCombine2, refMapPieces).
 // TestMergeLevelMatchesDense and FuzzMergeLevel require the two to agree
 // on every register after every level, on the result and error, on
 // Stats, on the observer span/round stream, and on Stats at the panic
 // when an injector fails a PE mid-level.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -343,32 +342,4 @@ func refMapPieces(m *machine.M, f pieces.Piecewise, fn func(pieces.Piece) []piec
 		return nil, fmt.Errorf("penvelope: MapPieces produced invalid pieces: %w", err)
 	}
 	return out, nil
-}
-
-// refMergeNode is MergeTree.mergeNode over refMergeLevel.
-func refMergeNode(t *MergeTree, m *machine.M, level int, f, g pieces.Piecewise) (pieces.Piecewise, error) {
-	full := t.stride << level
-	need := max(len(f), len(g), 1)
-	block := min(dsseq.NextPow2(need)*4, full)
-	for {
-		regs := colstore.New[envReg](block)
-		for j, p := range f {
-			regs.Set(j, envReg{p: p})
-		}
-		for j, p := range g {
-			regs.Set(block/2+j, envReg{p: p})
-		}
-		window := func(dst, fw, gw pieces.Piecewise) pieces.Piecewise {
-			return pieces.AppendMerge(dst, fw, gw, t.kind)
-		}
-		err := refMergeLevel(m, regs, block, window)
-		if err == nil {
-			return frontRun(regs, 0, block), nil
-		}
-		if errors.Is(err, ErrBlockCapacity) && block < full {
-			block *= 2
-			continue
-		}
-		return nil, err
-	}
 }

@@ -21,7 +21,7 @@
 // executed simultaneously in every block pair.
 //
 // The packed-run invariant. Every register file a merge level receives —
-// from envelope, Combine2, MapPieces and MergeTree.mergeOnce alike —
+// from envelope, Combine2 and MapPieces alike —
 // holds, in each half of each block, a front-packed run of pieces sorted
 // by Lo (a valid Piecewise), and every other register is empty and
 // zero; every level leaves its blocks in that state. The machine is
@@ -52,10 +52,9 @@ import (
 
 // ErrBlockCapacity reports that a merge level emitted more pieces than
 // an aligned block can hold one-per-PE. Under the MeshPEs/CubePEs
-// allocation (N ≥ 4·λ(n, s)) this never fires for from-scratch
-// envelopes; the retained MergeTree deliberately re-merges dirty nodes
-// in under-sized scratch blocks and uses this sentinel to retry with a
-// doubled block (see mergeNode).
+// allocation (N ≥ 4·λ(n, s)) no caller's level overflows; the error
+// guards a λ under-allocation, and TestMergeLevelMatchesDense drives it
+// with deliberately small blocks.
 var ErrBlockCapacity = errors.New("penvelope: block capacity exceeded (λ under-allocation)")
 
 // kindName names the envelope kind in trace spans.
@@ -106,9 +105,9 @@ func Envelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind) (pieces.Pie
 // envelope is the body of Envelope with an optional per-level snapshot
 // hook: after every completed merge level, snap receives the block size
 // and the register file, whose aligned blocks hold the sorted,
-// front-packed envelopes of their function groups. NewMergeTree uses the
-// hook to capture every internal node of the recursion tree in one
-// bottom-up pass.
+// front-packed envelopes of their function groups. The dense oracle
+// check (TestMergeLevelMatchesDense, FuzzMergeLevel) uses the hook to
+// compare every level's registers.
 func envelope(m *machine.M, fs []pieces.Piecewise, kind pieces.Kind, snap func(block int, regs colstore.File[envReg])) (pieces.Piecewise, error) {
 	n := len(fs)
 	N := m.Size()

@@ -172,6 +172,24 @@ func TestEmptyInput(t *testing.T) {
 	}
 }
 
+// TestEnvelopeEmptyAndSparseSlots: a slot array whose functions are all
+// empty has an empty envelope, and one occupied slot among empty ones is
+// its own envelope, with its slot's ID — the layouts of a session whose
+// free leaf slots are nil.
+func TestEnvelopeEmptyAndSparseSlots(t *testing.T) {
+	m := newCube(64)
+	fs := make([]pieces.Piecewise, 8)
+	got, err := Envelope(m, fs, pieces.Min)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("all-empty slots: %v, %v", got, err)
+	}
+	fs[3] = pieces.Total(curve.NewPoly(poly.New(1, 2)), 3)
+	got, err = Envelope(m, fs, pieces.Min)
+	if err != nil || len(got) != 1 || got[0].ID != 3 {
+		t.Fatalf("one occupied slot: %v, %v", got, err)
+	}
+}
+
 func TestTooSmallMachine(t *testing.T) {
 	m := newCube(2)
 	_, err := EnvelopeOfCurves(m, randomCurves(rand.New(rand.NewSource(1)), 8, 1), pieces.Min)

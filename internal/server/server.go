@@ -262,8 +262,6 @@ func errStatus(err error) (int, api.ErrorCode) {
 		return http.StatusNotFound, api.CodeNoSession
 	case errors.Is(err, session.ErrTooManySessions):
 		return http.StatusTooManyRequests, api.CodeTooManySessions
-	case errors.Is(err, session.ErrBroken):
-		return http.StatusConflict, api.CodeSessionBroken
 	}
 	return http.StatusInternalServerError, api.CodeInternal
 }

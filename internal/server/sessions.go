@@ -2,13 +2,13 @@ package server
 
 // The stateful session endpoints: a session checks one machine out of
 // the warm pool, builds an internal/session engine on it, and keeps both
-// resident so each update batch pays only the engine's incremental dirty
-// merge paths. DELETE (or TTL eviction) WarmResets the machine and
+// resident so each update batch sends only its deltas and pays one
+// envelope pass on the pinned machine. DELETE (or TTL eviction) WarmResets the machine and
 // returns it to the pool — the machine's lifecycle is pool → pinned →
 // pool, never leaked, which TestSessionChurnPoolAccounting pins down.
 //
 //	POST   /v1/sessions              create (admitted; one from-scratch build)
-//	POST   /v1/sessions/{id}/update  apply a batch (admitted; incremental)
+//	POST   /v1/sessions/{id}/update  apply a batch (admitted; one envelope pass)
 //	GET    /v1/sessions/{id}/query   read the maintained answer (admitted
 //	                                 only with ?verify=1, which re-derives
 //	                                 from scratch and audits bit-identity)
@@ -321,8 +321,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionUpdate serves POST /v1/sessions/{id}/update: admit, then
 // apply the batch under the session lock. The reported Stats are the
-// machine's counter delta across the batch — the simulated cost of
-// exactly the incremental recompute.
+// machine's counter delta across the batch — the simulated cost of the
+// batch's envelope passes and derivation.
 func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	s.sessions.Sweep()

@@ -2,7 +2,8 @@ package session
 
 // FuzzSessionUpdates drives byte-derived update batches through a
 // session engine and cross-checks every accepted batch against the
-// from-scratch oracle — the fuzzing arm of the differential battery.
+// from-scratch oracle (auditEngine: cached leaves, answer and charged
+// cost) — the fuzzing arm of the differential battery.
 // Rejected batches must be atomic: a twin engine that receives only the
 // accepted batches must agree with the fuzzed one after every batch, so
 // slot state a rejected batch leaked would surface as a divergence in
@@ -82,8 +83,7 @@ func FuzzSessionUpdates(f *testing.F) {
 			var twinSt ApplyStats
 			var twinCost machine.Stats
 			if err != nil {
-				// Expected rejections: model violations and capacity. A
-				// broken session would be a real bug.
+				// Expected rejections: model violations and capacity.
 				if !errors.Is(err, motion.ErrBadSystem) && !errors.Is(err, machine.ErrTooFewPEs) {
 					t.Fatalf("Apply failed outside the validation contract: %v", err)
 				}
@@ -105,15 +105,8 @@ func FuzzSessionUpdates(f *testing.F) {
 			if !reflect.DeepEqual(e.Result(), twin.Result()) {
 				t.Fatalf("result diverged from the twin\n got: %+v\nwant: %+v", e.Result(), twin.Result())
 			}
-			if err != nil {
-				continue
-			}
-			res, err := e.Rebuild()
-			if err != nil {
-				t.Fatalf("Rebuild: %v", err)
-			}
-			if !reflect.DeepEqual(e.Result(), res) {
-				t.Fatalf("incremental result diverged from rebuild\n got: %+v\nwant: %+v", e.Result(), res)
+			if err == nil {
+				auditEngine(t, e, cost, "fuzzed batch")
 			}
 		}
 	})

@@ -1,24 +1,26 @@
-// Package session implements stateful batch-dynamic scenario sessions —
-// the serving-layer counterpart of the retained merge tree of
-// internal/penvelope. A session pins a simulated machine and keeps the
-// intermediate envelope state of one algorithm resident, so a batch of k
-// trajectory inserts/deletes/retargets recomputes only the O(k·log n)
-// dirty merge paths (one Lemma 3.1 pass per dirty node) instead of
-// re-running the full Theorem 3.2 construction over all n functions.
-// That saves simulated messages, not host time: on the pinned
-// BenchmarkSessionUpdate rows (BENCH_perf.json) a batch of 16 of 64
-// points takes 167 520 ns/op against 88 771 ns/op for a rebuild of the
-// same churned population. ROADMAP item 1 holds the open work.
+// Package session implements stateful batch-dynamic scenario sessions.
+// A session pins a simulated machine, keeps one algorithm's points and
+// the per-slot leaf curves of its envelopes resident, and answers every
+// update batch of trajectory inserts, deletes and retargets with one
+// from-scratch Theorem 3.2 pass per envelope (penvelope.Envelope) over
+// the cached leaves, of which the batch rewrites only the dirty ones.
+// An update therefore charges exactly what Engine.Rebuild charges on the
+// same population; what a session saves over a one-shot request is the
+// system build, the machine checkout and the re-sent points, not
+// simulated work. Re-merging only the dirty root paths of a retained
+// merge tree, one Lemma 3.1 pass per node, moves far fewer simulated
+// messages but lost to this pass in host time on every pinned
+// BenchmarkSessionUpdate row, and in simulated time once a few scattered
+// leaves were dirty (EXPERIMENTS, "One Theorem 3.2 pass per session
+// batch").
 //
-// The design follows the parallel batch-dynamic literature (Wang et al.,
-// PAPERS.md) in structure and the Dallant–Iacono lower bounds in
-// spirit: exact from-scratch recomputation on the same machine
-// (Engine.Rebuild) is retained as the correctness oracle, and every
-// incremental answer is required — and tested — to be bit-identical to
-// it.
+// Engine.Rebuild recomputes the answer from the cached leaves on the
+// same machine and is the audit oracle of the maintained answer; the
+// differential battery also checks every cached leaf against the live
+// points, so a dirty slot that Apply failed to rewrite surfaces.
 //
 // The package has two layers: Engine (one scenario's points, leaf-slot
-// table, retained trees, and derived answer) and Registry (named live
+// table, cached leaves, and derived answer) and Registry (named live
 // sessions with a capacity bound, idle-TTL eviction, and per-session
 // locking; machine release is a callback so the HTTP layer can return
 // pinned machines to its warm pool).
@@ -32,6 +34,7 @@ import (
 
 	"dyncg/internal/core"
 	"dyncg/internal/curve"
+	"dyncg/internal/dsseq"
 	"dyncg/internal/keys"
 	"dyncg/internal/machine"
 	"dyncg/internal/motion"
@@ -49,29 +52,24 @@ var (
 	ErrNoSession = errors.New("session: no such session")
 	// ErrTooManySessions: the registry is at its session capacity.
 	ErrTooManySessions = errors.New("session: session limit reached")
-	// ErrBroken: a previous update failed mid-recompute and the retained
-	// trees may be inconsistent; the session only answers with this error
-	// from then on (delete it and create a fresh one).
-	ErrBroken = errors.New("session: broken by a failed update")
 )
 
 // Algo names a session algorithm — the subset of the serving surface
-// whose intermediate state is envelope-shaped and therefore maintainable
-// in retained merge trees.
+// whose answer derives from envelopes of per-point or per-pair curves.
 type Algo string
 
 // The session algorithms.
 const (
 	// ClosestPointSeq / FarthestPointSeq: Theorem 4.1 sequences against
-	// a fixed origin point (one d²-curve tree).
+	// a fixed origin point (one envelope of d² curves).
 	ClosestPointSeq  Algo = "closest-point-sequence"
 	FarthestPointSeq Algo = "farthest-point-sequence"
 	// ClosestPairSeq / FarthestPairSeq: the §6 pair sequences — closest
-	// pair and diameter over time (one tree over all unordered pairs).
+	// pair and diameter over time (one envelope over all unordered pairs).
 	ClosestPairSeq  Algo = "closest-pair-sequence"
 	FarthestPairSeq Algo = "farthest-pair-sequence"
 	// CubeEdge / SmallestEver / Containment: the §4.3 envelope-backed
-	// measures (2d coordinate-envelope trees plus the shared derivation
+	// measures (2d coordinate envelopes plus the shared derivation
 	// helpers of internal/core).
 	CubeEdge     Algo = "smallest-hypercube-edge"
 	SmallestEver Algo = "smallest-ever-hypercube"
@@ -92,7 +90,7 @@ func ParseAlgo(s string) (Algo, error) {
 const (
 	classPoint = iota // one slot per non-origin point (d² curves)
 	classPair         // one slot per unordered point pair
-	classSpan         // one slot per point, in 2·d coordinate trees
+	classSpan         // one slot per point, in 2·d coordinate envelopes
 )
 
 func (a Algo) class() int {
@@ -175,10 +173,13 @@ type Result struct {
 	Intervals []core.Interval // containment-intervals
 }
 
-// ApplyStats reports the incremental work of one update batch, summed
-// over the session's retained trees.
+// ApplyStats reports the work of one update batch, summed over the
+// session's envelopes.
 type ApplyStats struct {
+	// DirtyLeaves counts the leaf slots the batch rewrote.
 	DirtyLeaves int
+	// MergedNodes counts the Lemma 3.1 block merges of the batch's
+	// Theorem 3.2 passes: NextPow2(slots) − 1 per envelope.
 	MergedNodes int
 }
 
@@ -269,9 +270,9 @@ func pairKey(a, b int) [2]int {
 }
 
 // Engine is one scenario's batch-dynamic state: the live points and
-// their leaf slots, the retained merge trees, and the derived answer. An
-// Engine is bound to the machine it was created on and is not safe for
-// concurrent use (the Registry serialises access).
+// their leaf slots, the cached leaves of every envelope, and the derived
+// answer. An Engine is bound to the machine it was created on and is not
+// safe for concurrent use (the Registry serialises access).
 type Engine struct {
 	algo     Algo
 	m        *machine.M
@@ -283,18 +284,18 @@ type Engine struct {
 
 	live state
 
-	// trees: classPoint/classPair hold one tree; classSpan holds 2·d
-	// (min₀, max₀, min₁, max₁, …).
-	trees []*penvelope.MergeTree
+	// leaves[ti][slot] is e.leaf(ti, slot, &e.live), over NextPow2(slots)
+	// slots (Envelope's layout). classPoint/classPair have one envelope;
+	// classSpan has 2·d (min₀, max₀, min₁, max₁, …).
+	leaves [][]pieces.Piecewise
 
 	res     Result
 	updates uint64
-	broken  error
 }
 
 // New builds a session engine on machine m from the initial points —
-// one from-scratch tree construction (the same cost as the one-shot
-// algorithm) that leaves the intermediate state resident. The machine
+// one from-scratch envelope pass per envelope (the same cost as the
+// one-shot algorithm) whose leaves stay resident. The machine
 // must satisfy PEs(topo, algo, capacity, maxDegree) for cfg.Resolve;
 // undersized machines are rejected with machine.ErrTooFewPEs.
 func New(m *machine.M, cfg Config, pts []motion.Point) (*Engine, error) {
@@ -362,21 +363,25 @@ func New(m *machine.M, cfg Config, pts []motion.Point) (*Engine, error) {
 			}
 		}
 	}
-	e.trees, err = e.newTrees()
-	if err != nil {
+	n := 1
+	if e.algo.class() == classSpan {
+		n = 2 * e.d
+	}
+	e.leaves = make([][]pieces.Piecewise, n)
+	for ti := range e.leaves {
+		e.leaves[ti] = make([]pieces.Piecewise, dsseq.NextPow2(e.slots()))
+		for slot := range e.slots() {
+			e.leaves[ti][slot] = e.leaf(ti, slot, &e.live)
+		}
+	}
+	if e.res, err = e.solve(e.leaves, &e.live); err != nil {
 		return nil, err
 	}
-	var buf [4]pieces.Piecewise
-	res, err := e.deriveFrom(e.roots(buf[:0]))
-	if err != nil {
-		return nil, err
-	}
-	e.res = res
 	return e, nil
 }
 
-// slots returns the leaf-slot count of every tree: one slot per point,
-// or per unordered pair, at capacity.
+// slots returns the leaf-slot count of every envelope: one slot per
+// point, or per unordered pair, at capacity.
 func (e *Engine) slots() int {
 	if e.algo.class() == classPair {
 		return e.capacity * (e.capacity - 1) / 2
@@ -384,28 +389,7 @@ func (e *Engine) slots() int {
 	return e.capacity
 }
 
-// newTrees builds the engine's tree layout from scratch over the live
-// state's leaves.
-func (e *Engine) newTrees() ([]*penvelope.MergeTree, error) {
-	n := 1
-	if e.algo.class() == classSpan {
-		n = 2 * e.d
-	}
-	trees := make([]*penvelope.MergeTree, n)
-	for ti := range trees {
-		fs := make([]pieces.Piecewise, e.slots())
-		for slot := range fs {
-			fs[slot] = e.leaf(ti, slot, &e.live)
-		}
-		var err error
-		if trees[ti], err = penvelope.NewMergeTree(e.m, fs, treeKind(e.algo, ti)); err != nil {
-			return nil, err
-		}
-	}
-	return trees, nil
-}
-
-// leaf is the piece string of slot in tree ti under state s, tagged with
+// leaf is the piece string of slot in envelope ti under state s, tagged with
 // the slot (slots are the stable run IDs of the Lemma 3.1 machinery),
 // or nil when the slot is free: the d²-to-origin curve of a point, the
 // d² curve of a pair, or coordinate ti/2 of a point.
@@ -472,17 +456,15 @@ func (e *Engine) validatePoint(p motion.Point) error {
 }
 
 // Apply applies one update batch atomically: the whole batch is applied
-// to a clone of the live state first and validated there, so a rejected
-// batch leaves the session untouched; then the clone is committed,
-// exactly the dirty leaf slots are rewritten and the retained trees redo
-// their dirty merge paths. Returns the stable IDs assigned to the
+// to a clone of the live state and validated there, the dirty leaf slots
+// are rewritten in a copy of the cached leaves, and one envelope pass
+// per envelope derives the new answer; only when all of that succeeds
+// are the state, the leaves and the answer committed, so a failed batch
+// leaves the session untouched. Returns the stable IDs assigned to the
 // batch's inserts, in order. The machine's Stats delta across the call
-// is the simulated incremental cost.
+// equals that of a following Rebuild.
 func (e *Engine) Apply(deltas []Delta) ([]int, ApplyStats, error) {
 	var st ApplyStats
-	if e.broken != nil {
-		return nil, st, fmt.Errorf("%w: %v", ErrBroken, e.broken)
-	}
 	if len(deltas) == 0 {
 		return nil, st, fmt.Errorf("session: empty update batch: %w", motion.ErrBadSystem)
 	}
@@ -512,37 +494,21 @@ func (e *Engine) Apply(deltas []Delta) ([]int, ApplyStats, error) {
 		return nil, st, err
 	}
 
-	ups := make([][]penvelope.TreeUpdate, len(e.trees))
-	for _, slot := range keys.Sorted(dirty) {
-		for ti := range ups {
-			ups[ti] = append(ups[ti], penvelope.TreeUpdate{Slot: slot, F: e.leaf(ti, slot, &next)})
+	leaves := make([][]pieces.Piecewise, len(e.leaves))
+	for ti := range leaves {
+		leaves[ti] = slices.Clone(e.leaves[ti])
+		for slot := range dirty {
+			leaves[ti][slot] = e.leaf(ti, slot, &next)
 		}
 	}
-
-	// Commit, then run the incremental recomputes. A failure past this
-	// point (a genuine λ under-allocation surfacing mid-merge) leaves the
-	// trees inconsistent: mark the session broken.
-	e.live = next
-	for ti, u := range ups {
-		if len(u) == 0 {
-			continue
-		}
-		ts, err := e.trees[ti].Update(e.m, u)
-		st.DirtyLeaves += ts.DirtyLeaves
-		st.MergedNodes += ts.MergedNodes
-		if err != nil {
-			e.broken = err
-			return nil, st, fmt.Errorf("%w: %v", ErrBroken, err)
-		}
-	}
-	var buf [4]pieces.Piecewise
-	res, err := e.deriveFrom(e.roots(buf[:0]))
+	res, err := e.solve(leaves, &next)
 	if err != nil {
-		e.broken = err
-		return nil, st, fmt.Errorf("%w: %v", ErrBroken, err)
+		return nil, st, err
 	}
-	e.res = res
+	e.live, e.leaves, e.res = next, leaves, res
 	e.updates++
+	st.DirtyLeaves = len(leaves) * len(dirty)
+	st.MergedNodes = len(leaves) * (dsseq.NextPow2(e.slots()) - 1)
 	return inserted, st, nil
 }
 
@@ -623,33 +589,38 @@ func (e *Engine) apply(s *state, dirty map[int]bool, d Delta) (int, error) {
 	return 0, nil
 }
 
-// roots appends the maintained root envelope of every tree to dst
-// (a caller's stack buffer, so deriving the answer allocates nothing
-// for planar layouts).
-func (e *Engine) roots(dst []pieces.Piecewise) []pieces.Piecewise {
-	for _, t := range e.trees {
-		dst = append(dst, t.Root())
+// solve runs one Theorem 3.2 envelope pass per envelope over leaves and
+// derives the session's answer from the roots under state s.
+func (e *Engine) solve(leaves [][]pieces.Piecewise, s *state) (Result, error) {
+	var buf [4]pieces.Piecewise // planar layouts derive without allocating
+	roots := buf[:0]
+	for ti, fs := range leaves {
+		root, err := penvelope.Envelope(e.m, fs, envelopeKind(e.algo, ti))
+		if err != nil {
+			return Result{}, err
+		}
+		roots = append(roots, root)
 	}
-	return dst
+	return e.deriveFrom(roots, s)
 }
 
-// deriveFrom converts the trees' root envelopes into the session's
-// answer via the same derivation code the one-shot algorithms use
+// deriveFrom converts the root envelopes into the session's answer under
+// state s via the same derivation code the one-shot algorithms use
 // (internal/core).
-func (e *Engine) deriveFrom(roots []pieces.Piecewise) (Result, error) {
+func (e *Engine) deriveFrom(roots []pieces.Piecewise, s *state) (Result, error) {
 	var res Result
 	switch e.algo.class() {
 	case classPoint:
 		root := roots[0]
 		res.Neighbors = make([]core.NeighborEvent, len(root))
 		for i, p := range root {
-			res.Neighbors[i] = core.NeighborEvent{Point: e.live.points.keyAt[p.ID], Lo: p.Lo, Hi: p.Hi}
+			res.Neighbors[i] = core.NeighborEvent{Point: s.points.keyAt[p.ID], Lo: p.Lo, Hi: p.Hi}
 		}
 	case classPair:
 		root := roots[0]
 		res.Pairs = make([]core.PairEvent, len(root))
 		for i, p := range root {
-			pr := e.live.pairs.keyAt[p.ID]
+			pr := s.pairs.keyAt[p.ID]
 			res.Pairs[i] = core.PairEvent{A: pr[0], B: pr[1], Lo: p.Lo, Hi: p.Hi}
 		}
 	default:
@@ -687,27 +658,14 @@ func (e *Engine) deriveFrom(roots []pieces.Piecewise) (Result, error) {
 }
 
 // Rebuild recomputes the session's answer from scratch on the same
-// machine — one full envelope pass per tree over its current leaves,
-// then the same derivation — without touching the retained state. It is
-// the exact correctness oracle of the batch-dynamic design: Apply's
-// maintained result must be bit-identical to it.
-func (e *Engine) Rebuild() (Result, error) {
-	if e.broken != nil {
-		return Result{}, fmt.Errorf("%w: %v", ErrBroken, e.broken)
-	}
-	roots := make([]pieces.Piecewise, len(e.trees))
-	for ti, t := range e.trees {
-		var err error
-		if roots[ti], err = t.Rebuild(e.m); err != nil {
-			return Result{}, err
-		}
-	}
-	return e.deriveFrom(roots)
-}
+// machine — one envelope pass per envelope over the cached leaves, then
+// the same derivation — without touching the session. It is the audit
+// oracle of the maintained answer: Result must equal it exactly, and it
+// charges what Apply charges for a batch that leaves the same leaves.
+func (e *Engine) Rebuild() (Result, error) { return e.solve(e.leaves, &e.live) }
 
-// treeKind returns the envelope kind of tree index i under the engine's
-// tree layout.
-func treeKind(a Algo, i int) pieces.Kind {
+// envelopeKind returns the kind of envelope i under the engine's layout.
+func envelopeKind(a Algo, i int) pieces.Kind {
 	if a.class() == classSpan {
 		if i%2 == 1 {
 			return pieces.Max

@@ -1,17 +1,50 @@
 package session
 
 // The differential battery of the batch-dynamic contract: random update
-// batches driven through Engine.Apply must leave a maintained answer
+// batches driven through Engine.Apply must leave every cached leaf equal
+// to the leaf built from the live points, and a maintained answer
 // bit-identical to Engine.Rebuild — a from-scratch reconstruction on the
-// same machine — for every session algorithm, on both topologies, at
-// batch sizes from 1 to 64. Runs under -race in CI (scripts/check.sh).
+// same machine — at the simulated cost the batch charged, for every
+// session algorithm, on both topologies, at batch sizes from 1 to 64.
+// Runs under -race in CI (scripts/check.sh).
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dyncg/internal/keys"
+	"dyncg/internal/machine"
+	"dyncg/internal/pieces"
 )
+
+// auditEngine checks e against its oracles after New or an accepted
+// batch that charged cost: every cached leaf equals e.leaf over the live
+// state (a dirty slot Apply failed to rewrite would differ), and Rebuild
+// returns the maintained answer while charging exactly cost.
+func auditEngine(t *testing.T, e *Engine, cost machine.Stats, label string) {
+	t.Helper()
+	for ti, fs := range e.leaves {
+		for slot, f := range fs {
+			var want pieces.Piecewise
+			if slot < e.slots() {
+				want = e.leaf(ti, slot, &e.live)
+			}
+			if !reflect.DeepEqual(f, want) {
+				t.Fatalf("%s: envelope %d slot %d caches %v, live points give %v", label, ti, slot, f, want)
+			}
+		}
+	}
+	before := e.m.Stats()
+	res, err := e.Rebuild()
+	if err != nil {
+		t.Fatalf("%s: Rebuild: %v", label, err)
+	}
+	if rebuilt := e.m.Stats().Sub(before); rebuilt != cost {
+		t.Fatalf("%s: batch charged %+v, Rebuild %+v", label, cost, rebuilt)
+	}
+	sameResult(t, e.Result(), res, label)
+}
 
 // deltaGen generates valid random batches against a mirror of the
 // engine's ID state (IDs are deterministic: initial points get 0..n-1,
@@ -117,11 +150,7 @@ func TestSessionDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				// The engine's very first answer must already match.
-				res, err := e.Rebuild()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResult(t, e.Result(), res, "initial")
+				auditEngine(t, e, m.Stats(), "initial")
 				g := newDeltaGen(r, n, tc.capacity, tc.d, k, e.Origin())
 				rounds := 8
 				if topo == "mesh" {
@@ -129,14 +158,11 @@ func TestSessionDifferential(t *testing.T) {
 				}
 				for round := 0; round < rounds; round++ {
 					b := g.batch(1 + r.Intn(6))
+					before := m.Stats()
 					if _, _, err := e.Apply(b); err != nil {
 						t.Fatalf("round %d: Apply(%d deltas): %v", round, len(b), err)
 					}
-					res, err := e.Rebuild()
-					if err != nil {
-						t.Fatalf("round %d: Rebuild: %v", round, err)
-					}
-					sameResult(t, e.Result(), res, "round")
+					auditEngine(t, e, m.Stats().Sub(before), "round")
 				}
 			})
 		}
@@ -160,13 +186,10 @@ func TestSessionDifferentialLargeBatches(t *testing.T) {
 	g := newDeltaGen(r, 48, capacity, d, k, 0)
 	for _, size := range []int{1, 4, 16, 64} {
 		b := g.batch(size)
+		before := m.Stats()
 		if _, _, err := e.Apply(b); err != nil {
 			t.Fatalf("batch of %d: %v", size, err)
 		}
-		res, err := e.Rebuild()
-		if err != nil {
-			t.Fatalf("batch of %d: Rebuild: %v", size, err)
-		}
-		sameResult(t, e.Result(), res, "large batch")
+		auditEngine(t, e, m.Stats().Sub(before), "large batch")
 	}
 }

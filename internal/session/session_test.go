@@ -151,8 +151,11 @@ func TestApplyInsertDeleteLifecycle(t *testing.T) {
 	if !reflect.DeepEqual(ins, []int{3, 4}) {
 		t.Fatalf("inserted IDs = %v, want [3 4]", ins)
 	}
-	if st.DirtyLeaves == 0 || st.MergedNodes == 0 {
-		t.Fatalf("stats not populated: %+v", st)
+	// Points 0 and 2 hold slots 0 and 1 (the origin has none); 3 and 4
+	// take slots 2 and 3 and deleting 0 frees slot 0. One envelope over 8
+	// slots merges 7 blocks.
+	if want := (ApplyStats{DirtyLeaves: 3, MergedNodes: 7}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 	if want := []int{1, 2, 3, 4}; !reflect.DeepEqual(e.Points(), want) {
 		t.Fatalf("Points() = %v, want %v", e.Points(), want)

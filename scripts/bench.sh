@@ -13,8 +13,7 @@
 # BenchmarkServerEndpoint: the same warm request once per serving
 # endpoint (all 14 algorithms) — plus
 # BenchmarkSessionUpdate in the root package: one session delta batch
-# (1/16/64 retargets) against the retained merge tree vs a full rebuild
-# on the same machine — plus BenchmarkReplayLogAppend in
+# (1/16/64 retargets) vs a full rebuild on the same machine — plus BenchmarkReplayLogAppend in
 # internal/replaylog: the computation-log hook, gated at 0 allocs/op
 # when recording is disabled. The iteration count is
 # pinned (-benchtime 100x) so allocs/op is deterministic and comparable
