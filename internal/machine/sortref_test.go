@@ -168,7 +168,8 @@ func lessColl(a, b collRec) bool {
 	return a.B < b.B
 }
 
-// groupRec mirrors Group's entry order: key, data before queries, index.
+// groupRec is a record of the §2.6 grouping operation's sort: key, then
+// data before queries, then index.
 type groupRec struct {
 	v     int
 	query bool

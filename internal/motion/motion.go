@@ -113,19 +113,23 @@ func NewSystem(pts []Point) (*System, error) {
 	}
 	for i := 0; i < len(pts); i++ {
 		for j := i + 1; j < len(pts); j++ {
-			same := true
-			for c := 0; c < d; c++ {
-				if pts[i].Coord[c].Eval(0) != pts[j].Coord[c].Eval(0) {
-					same = false
-					break
-				}
-			}
-			if same {
+			if pts[i].SameStart(pts[j]) {
 				return nil, fmt.Errorf("points %d and %d share an initial position (violates §2.4): %w", i, j, ErrBadSystem)
 			}
 		}
 	}
 	return &System{Points: pts, K: k, D: d}, nil
+}
+
+// SameStart reports whether p and q, of one dimension, share an initial
+// position: the coincidence §2.4 forbids within a system.
+func (p Point) SameStart(q Point) bool {
+	for c := range p.Coord {
+		if p.Coord[c].Eval(0) != q.Coord[c].Eval(0) {
+			return false
+		}
+	}
+	return true
 }
 
 // N returns the number of points.

@@ -1,20 +1,3 @@
-// Package server is the batch-serving layer of the repository: an HTTP
-// handler exposing every facade algorithm as POST /v1/<algorithm> with
-// the versioned JSON schema of internal/api, backed by a sharded pool of
-// pre-warmed machines so steady-state requests simulate without
-// allocating.
-//
-// The serving pipeline per request:
-//
-//	decode → validate → admit (bounded queue + in-flight cap, deadline)
-//	→ check a machine out of the pool (or construct on miss)
-//	→ run the algorithm → convert the answer to its wire form
-//	→ check the machine back in → respond.
-//
-// Fault-injected requests bypass the pool: the recovery harness
-// (internal/fault.Run) owns machine construction across its re-run
-// attempts, so those requests construct throwaway machines and report
-// Pool.Bypassed.
 package server
 
 import (

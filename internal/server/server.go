@@ -1,3 +1,25 @@
+// Package server is the batch-serving layer of the repository: an HTTP
+// handler exposing every facade algorithm as POST /v1/<algorithm> with
+// the versioned JSON schema of internal/api, backed by a sharded pool of
+// pre-warmed machines so steady-state requests simulate without
+// allocating, plus the stateful session endpoints under /v1/sessions.
+//
+// Every /v1 request runs through one lifecycle, serve: it times the
+// request, runs the endpoint's handler, which returns the per-caller
+// facts and the outcome, and then alone writes and records the response
+// (front.Recorder), observes the request registry and emits the one
+// structured log record. A one-shot's handler runs:
+//
+//	decode → validate → front door (cache, coalescing)
+//	→ admit (bounded queue + in-flight cap, deadline)
+//	→ check a machine out of the pool (or construct on miss)
+//	→ run the algorithm → convert the answer to its wire form
+//	→ check the machine back in.
+//
+// Fault-injected requests bypass the pool: the recovery harness
+// (internal/fault.Run) owns machine construction across its re-run
+// attempts, so those requests construct throwaway machines and report
+// Pool.Bypassed.
 package server
 
 import (
@@ -174,11 +196,11 @@ func New(cfg Config) *Server {
 	if check := fleetIDCheck(cfg); check != nil {
 		s.sessions.SetIDCheck(check)
 	}
-	s.mux.HandleFunc("POST /v1/{algorithm}", s.handleAlgorithm)
-	s.mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/update", s.handleSessionUpdate)
-	s.mux.HandleFunc("GET /v1/sessions/{id}/query", s.handleSessionQuery)
-	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
+	s.mux.HandleFunc("POST /v1/{algorithm}", s.serve("", s.handleAlgorithm))
+	s.mux.HandleFunc("POST /v1/sessions", s.serve("create", s.handleSessionCreate))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/update", s.serve("update", s.handleSessionUpdate))
+	s.mux.HandleFunc("GET /v1/sessions/{id}/query", s.serve("query", s.handleSessionQuery))
+	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.serve("delete", s.handleSessionDelete))
 	s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -213,30 +235,127 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // InFlight returns the number of currently executing requests.
 func (s *Server) InFlight() int { return len(s.sem) }
 
-// admit applies admission control: reject when draining, 429 when the
-// wait queue is full, then block for an execution slot until the
-// request's deadline. The returned release frees the slot.
-func (s *Server) admit(ctx context.Context) (release func(), status int, code api.ErrorCode) {
+// unknownAlgorithm is the one /metrics label every 404 unknown_algorithm
+// is observed under, so made-up names cannot add series.
+const unknownAlgorithm = "unknown"
+
+// call is the per-caller half of a served request, which its handler
+// returns beside the outcome. A coalesced one-shot shares one outcome
+// with every caller of its flight, so nothing per caller is written
+// into the outcome: it lives here.
+type call struct {
+	raw    []byte    // the request body, for the replay record
+	source string    // one-shot: the X-Dyncg-Source value
+	n      int       // one-shot: the system's point count
+	sid    string    // session: the session addressed
+	extra  slog.Attr // session: the endpoint's own log attribute, if any
+}
+
+// serve returns the lifecycle every /v1 endpoint runs under. endpoint
+// names the session endpoint ("create", "update", "query", "delete"),
+// or is empty for a one-shot POST /v1/<algorithm>. serve times the
+// request and runs h; then it alone writes and records the response,
+// observes the request registry (under the algorithm, or
+// sessions.<endpoint>) and emits the request's structured record, at
+// error level for a 5xx.
+func (s *Server) serve(endpoint string, h func(http.ResponseWriter, *http.Request) (call, *outcome)) http.HandlerFunc {
+	label := "sessions." + endpoint
+	return func(w http.ResponseWriter, r *http.Request) {
+		started := time.Now()
+		if endpoint != "" {
+			s.sessions.Sweep() // lazy TTL eviction rides the session paths
+		}
+		c, o := h(w, r)
+		metric := label
+		if endpoint == "" {
+			w.Header().Set("X-Dyncg-Source", c.source)
+			metric = r.PathValue("algorithm")
+			if e, ok := o.out.(*api.Error); ok && e.Code == api.CodeUnknownAlgorithm {
+				metric = unknownAlgorithm
+			}
+		}
+		status, body := o.Wire()
+		s.rec.Send(w, r, status, body, c.raw, api.ReplayMeta{
+			Topology:  o.mi.Topology,
+			PEs:       o.mi.PEs,
+			Workers:   o.mi.Workers,
+			FaultSeed: o.faultSeed,
+			Session:   c.sid,
+		})
+		lat := time.Since(started)
+		s.met.Observe(metric, status, lat)
+		if endpoint == "update" && status == http.StatusOK {
+			s.sessMet.observeUpdate(lat)
+		}
+		lvl := slog.LevelInfo
+		if status >= http.StatusInternalServerError {
+			lvl = slog.LevelError
+		}
+		if endpoint != "" {
+			attrs := [...]slog.Attr{
+				slog.String("endpoint", endpoint),
+				slog.String("session_id", c.sid),
+				slog.Int("status", status),
+				slog.Duration("latency", lat),
+				c.extra,
+			}
+			n := len(attrs)
+			if c.extra.Key == "" {
+				n--
+			}
+			s.log.LogAttrs(r.Context(), lvl, "session", attrs[:n]...)
+			return
+		}
+		s.log.LogAttrs(r.Context(), lvl, "request",
+			slog.String("algorithm", r.PathValue("algorithm")),
+			slog.Int("status", status),
+			slog.Duration("latency", lat),
+			slog.Int("n", c.n),
+			slog.String("topology", o.mi.Topology),
+			slog.Int("pes", o.mi.PEs),
+			slog.Int("workers", o.mi.Workers),
+			slog.Bool("pool_hit", o.pi.Hit),
+			slog.Bool("pool_bypassed", o.pi.Bypassed),
+			slog.String("source", c.source),
+			slog.Int64("sim_time", o.sim),
+			slog.String("error", o.errMsg),
+		)
+	}
+}
+
+// admitted applies admission control: reject when draining, 429 when
+// the wait queue is full, then wait for an execution slot until ctx is
+// done or, when d > 0, d has passed (a one-shot passes 0: its ctx
+// already carries the request deadline). It returns the slot's release,
+// or the rejection.
+func (s *Server) admitted(ctx context.Context, d time.Duration) (release func(), rejected *outcome) {
+	reject := func(st int, code api.ErrorCode) (func(), *outcome) {
+		return nil, fail(st, code, fmt.Errorf("server: request not admitted: %s", code))
+	}
 	if s.draining.Load() {
-		return nil, http.StatusServiceUnavailable, api.CodeDraining
+		return reject(http.StatusServiceUnavailable, api.CodeDraining)
 	}
 	select {
 	case s.queue <- struct{}{}:
 	default:
-		return nil, http.StatusTooManyRequests, api.CodeQueueFull
+		return reject(http.StatusTooManyRequests, api.CodeQueueFull)
+	}
+	if d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
 	}
 	select {
 	case s.sem <- struct{}{}:
 		<-s.queue
-		if ctx.Err() != nil {
-			<-s.sem
-			return nil, http.StatusServiceUnavailable, api.CodeDeadlineQueued
+		if ctx.Err() == nil {
+			return func() { <-s.sem }, nil
 		}
-		return func() { <-s.sem }, 0, ""
+		<-s.sem
 	case <-ctx.Done():
 		<-s.queue
-		return nil, http.StatusServiceUnavailable, api.CodeDeadlineQueued
 	}
+	return reject(http.StatusServiceUnavailable, api.CodeDeadlineQueued)
 }
 
 // deadline resolves a request's deadline_ms option: the server default
@@ -246,6 +365,25 @@ func (s *Server) deadline(ms int64) time.Duration {
 		return time.Duration(ms) * time.Millisecond
 	}
 	return s.cfg.Deadline
+}
+
+// checkout takes an idle machine of key's size class from the pool or,
+// on a miss, constructs one for need PEs; hit reports which.
+func (s *Server) checkout(key Key, need int) (m *machine.M, hit bool, err error) {
+	if m = s.pool.Get(key); m != nil {
+		return m, true, nil
+	}
+	m, err = topo.NewMachine(topo.Topology(key.Topo), need)
+	return m, false, err
+}
+
+// infoWorkers is the worker count a response reports: the resolved
+// count, or 0 when it runs serially.
+func infoWorkers(workers int) int {
+	if workers > 1 {
+		return workers
+	}
+	return 0
 }
 
 // errStatus maps the facade's typed errors to HTTP statuses and the
@@ -266,21 +404,10 @@ func errStatus(err error) (int, api.ErrorCode) {
 	return http.StatusInternalServerError, api.CodeInternal
 }
 
-func apiError(code api.ErrorCode, err error) *api.Error {
-	return api.NewError(code, err.Error())
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-// send encodes o (once: a shared outcome is already encoded) and
-// writes and records it.
-func (s *Server) send(w http.ResponseWriter, r *http.Request, o *outcome, raw []byte, meta api.ReplayMeta) {
-	status, body := o.Wire()
-	s.rec.Send(w, r, status, body, raw, meta)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -297,11 +424,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.writeMetrics(w)
 }
 
-// outcome is the complete result of serving one algorithm request: the
-// HTTP status, the response envelope (out) or its exact wire bytes
-// (body, without the trailing newline), and the metadata the replay
-// record and the structured log want. Outcomes produced behind the
-// front door are marshalled once and shared across coalesced callers.
+// outcome is the complete result of serving one request: the HTTP
+// status, the response envelope (out) or its exact wire bytes (body,
+// without the trailing newline), and the metadata the replay record and
+// the structured log want. Outcomes produced behind the front door are
+// marshalled once and shared across coalesced callers.
 type outcome struct {
 	status    int
 	out       any
@@ -313,9 +440,23 @@ type outcome struct {
 	faultSeed int64
 }
 
-func errOutcome(st int, code api.ErrorCode, err error) *outcome {
-	return &outcome{status: st, out: apiError(code, err), errMsg: err.Error()}
+// fail makes o answer with the typed error code under status st,
+// keeping what o already records of the machine, and returns o.
+func (o *outcome) fail(st int, code api.ErrorCode, err error) *outcome {
+	o.status, o.out, o.errMsg = st, api.NewError(code, err.Error()), err.Error()
+	return o
 }
+
+// failed makes o answer with err's own status and code (errStatus).
+func (o *outcome) failed(err error) *outcome {
+	st, code := errStatus(err)
+	return o.fail(st, code, err)
+}
+
+// fail and failed answer a request that failed before it reached a
+// machine.
+func fail(st int, code api.ErrorCode, err error) *outcome { return new(outcome).fail(st, code, err) }
+func failed(err error) *outcome                           { return new(outcome).failed(err) }
 
 // Wire returns the status and wire bytes, encoding o.out on first use.
 // Marshal cannot fail for the envelope types this package produces; the
@@ -325,138 +466,67 @@ func (o *outcome) Wire() (int, []byte) {
 	if o.body == nil {
 		b, err := json.Marshal(o.out)
 		if err != nil {
-			e := apiError(api.CodeInternal, fmt.Errorf("server: encoding response: %w", err))
-			o.status, o.out, o.errMsg = http.StatusInternalServerError, e, err.Error()
-			b, _ = json.Marshal(e)
+			o.fail(http.StatusInternalServerError, api.CodeInternal, fmt.Errorf("server: encoding response: %w", err))
+			b, _ = json.Marshal(o.out)
 		}
 		o.body = b
 	}
 	return o.status, o.body
 }
 
-// algRequest is one decoded, validated, fully resolved one-shot
-// request — everything compute needs, independent of the HTTP layer.
-type algRequest struct {
-	name        string
-	alg         algo.Algorithm
-	req         *api.Request
-	tp          topo.Topology
-	spec        fault.Spec
-	sys         *motion.System
-	workers     int // resolved pool-key worker count (≥ 1)
-	infoWorkers int // reported worker count (0 when serial)
-	need        int // PEs the theorem prescribes (pre-rounding)
-	classSize   int // constructed machine size (post-rounding)
+// decode reads a request body under the server's body cap, decodes it
+// into v and applies the version gate, returning the raw body bytes for
+// the computation log. A non-nil outcome is the 400/413 failure.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any, version func() int) ([]byte, *outcome) {
+	raw, st, err := front.ReadBody(w, r, s.cfg.MaxBody)
+	if st != 0 {
+		return raw, fail(st, api.CodeBadRequest, err)
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		return raw, fail(http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("server: decoding request: %w", err))
+	}
+	if got := version(); got != api.Version {
+		return raw, fail(http.StatusBadRequest, api.CodeBadVersion,
+			fmt.Errorf("server: unsupported schema version %d (want %d)", got, api.Version))
+	}
+	return raw, nil
 }
 
 // handleAlgorithm serves POST /v1/<algorithm>: decode, validate, then
 // either serve from the response cache, join an identical in-flight
-// computation, or compute (admit, check out a machine, run, convert).
-// Every response carries X-Dyncg-Source: computed|coalesced|cache.
-func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
-	started := time.Now()
+// computation, or compute. Every response carries X-Dyncg-Source:
+// computed|coalesced|cache.
+func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) (c call, o *outcome) {
+	c.source = front.SourceComputed
 	name := r.PathValue("algorithm")
-
-	var (
-		o      *outcome
-		raw    []byte
-		sysN   int
-		source = front.SourceComputed
-	)
-	defer func() {
-		if o == nil {
-			o = errOutcome(http.StatusInternalServerError, api.CodeInternal,
-				errors.New("server: request produced no outcome"))
-		}
-		w.Header().Set("X-Dyncg-Source", source)
-		s.send(w, r, o, raw, api.ReplayMeta{
-			Topology:  o.mi.Topology,
-			PEs:       o.mi.PEs,
-			Workers:   o.mi.Workers,
-			FaultSeed: o.faultSeed,
-		})
-		lat := time.Since(started)
-		s.met.Observe(name, o.status, lat)
-		lvl := slog.LevelInfo
-		if o.status >= http.StatusInternalServerError {
-			lvl = slog.LevelError
-		}
-		s.log.LogAttrs(r.Context(), lvl, "request",
-			slog.String("algorithm", name),
-			slog.Int("status", o.status),
-			slog.Duration("latency", lat),
-			slog.Int("n", sysN),
-			slog.String("topology", o.mi.Topology),
-			slog.Int("pes", o.mi.PEs),
-			slog.Int("workers", o.mi.Workers),
-			slog.Bool("pool_hit", o.pi.Hit),
-			slog.Bool("pool_bypassed", o.pi.Bypassed),
-			slog.String("source", source),
-			slog.Int64("sim_time", o.sim),
-			slog.String("error", o.errMsg),
-		)
-	}()
-	fail := func(st int, code api.ErrorCode, err error) { o = errOutcome(st, code, err) }
-
 	alg, ok := algo.Lookup(name)
 	if !ok {
-		fail(http.StatusNotFound, api.CodeUnknownAlgorithm,
+		return c, fail(http.StatusNotFound, api.CodeUnknownAlgorithm,
 			fmt.Errorf("server: unknown algorithm %q", name))
-		return
 	}
-
 	var req api.Request
-	body, st, code, err := decode(w, r, s.cfg.MaxBody, &req, func() int { return req.V })
-	raw = body
-	if st != 0 {
-		fail(st, code, err)
-		return
+	if c.raw, o = s.decode(w, r, &req, func() int { return req.V }); o != nil {
+		return c, o
 	}
 	res, err := front.Resolve(name, &req, runtime.GOMAXPROCS(0))
 	if err != nil {
-		fail(http.StatusBadRequest, api.CodeBadTopology, err)
-		return
+		return c, fail(http.StatusBadRequest, api.CodeBadTopology, err)
 	}
-	tp := res.Topology
 	spec, err := fault.ParseSpec(req.Options.Faults)
 	if err != nil {
-		fail(http.StatusBadRequest, api.CodeBadFaults, err)
-		return
+		return c, fail(http.StatusBadRequest, api.CodeBadFaults, err)
 	}
 	sys, err := algo.SystemFrom(req.System)
 	if err != nil {
-		st, code := errStatus(err)
-		fail(st, code, err)
-		return
+		return c, failed(err)
 	}
-	sysN = sys.N()
-
-	workers := res.Workers
-	infoWorkers := 0
-	if workers > 1 {
-		infoWorkers = workers
-	}
-
-	need := max(alg.PEs(string(tp), sys), req.Options.PEs)
-	classSize, err := topo.Size(tp, need)
+	c.n = sys.N()
+	need := max(alg.PEs(string(res.Topology), sys), req.Options.PEs)
+	classSize, err := topo.Size(res.Topology, need)
 	if err != nil {
-		st, code := errStatus(err)
-		fail(st, code, err)
-		return
+		return c, failed(err)
 	}
-
-	ar := &algRequest{
-		name:        name,
-		alg:         alg,
-		req:         &req,
-		tp:          tp,
-		spec:        spec,
-		sys:         sys,
-		workers:     workers,
-		infoWorkers: infoWorkers,
-		need:        need,
-		classSize:   classSize,
-	}
+	key := Key{Topo: string(res.Topology), PEs: classSize, Workers: res.Workers}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.Options.DeadlineMs))
 	defer cancel()
@@ -466,50 +536,46 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 	// simulated work, joins an identical in-flight computation, or leads
 	// one. A draining server skips the cache read, so admission rejects
 	// even a request whose answer is cached.
-	o, source, err = s.stage.Do(ctx, res.Key, !s.draining.Load(),
+	o, c.source, err = s.stage.Do(ctx, res.Key, !s.draining.Load(),
 		func(body []byte) *outcome {
 			return &outcome{
 				status: http.StatusOK,
 				body:   body,
-				mi:     api.MachineInfo{Topology: string(tp), PEs: classSize, Workers: infoWorkers},
+				mi:     api.MachineInfo{Topology: key.Topo, PEs: key.PEs, Workers: infoWorkers(key.Workers)},
 			}
 		},
-		func() (*outcome, error) { return s.compute(ctx, ar), nil })
+		func() (*outcome, error) { return s.compute(ctx, name, alg, &req, sys, spec, key, need), nil })
 	if err != nil {
 		// This follower's deadline expired while the leader was still
 		// computing. 503 is an admission artifact: replay skips it like
 		// any other load-dependent rejection.
-		fail(http.StatusServiceUnavailable, api.CodeCoalesceTimeout,
+		o = fail(http.StatusServiceUnavailable, api.CodeCoalesceTimeout,
 			fmt.Errorf("server: deadline expired waiting for coalesced computation: %w", err))
 	}
+	return c, o
 }
 
 // compute runs one resolved request through admission, machine
 // checkout (or the fault-recovery harness), the algorithm, and wire
-// conversion. It is the single computation a coalesced flight performs
-// on behalf of all its callers.
-func (s *Server) compute(ctx context.Context, ar *algRequest) *outcome {
-	o := &outcome{}
-	fail := func(st int, code api.ErrorCode, err error) {
-		o.status, o.out, o.errMsg = st, apiError(code, err), err.Error()
-	}
-
-	release, st, code := s.admit(ctx)
-	if st != 0 {
-		fail(st, code, fmt.Errorf("server: request not admitted: %s", code))
-		return o
+// conversion. key is the size class, need the PEs the theorem
+// prescribes before rounding. It is the single computation a coalesced
+// flight performs on behalf of all its callers.
+func (s *Server) compute(ctx context.Context, name string, alg algo.Algorithm, req *api.Request, sys *motion.System, spec fault.Spec, key Key, need int) *outcome {
+	release, rejected := s.admitted(ctx, 0)
+	if rejected != nil {
+		return rejected
 	}
 	defer release()
 	if s.hookAdmitted != nil {
 		s.hookAdmitted()
 	}
 	if ctx.Err() != nil {
-		fail(http.StatusServiceUnavailable, api.CodeDeadlineQueued,
+		return fail(http.StatusServiceUnavailable, api.CodeDeadlineQueued,
 			fmt.Errorf("server: deadline expired before execution: %w", ctx.Err()))
-		return o
 	}
 
-	name, alg, req, tp, sys := ar.name, ar.alg, ar.req, ar.tp, ar.sys
+	tp := topo.Topology(key.Topo)
+	o := &outcome{}
 	var (
 		stats    machine.Stats
 		freport  *api.FaultReport
@@ -518,18 +584,16 @@ func (s *Server) compute(ctx context.Context, ar *algRequest) *outcome {
 		runErr   error
 		costTree string
 	)
-	if !ar.spec.Zero() {
+	if !spec.Zero() {
 		// Fault-injected runs bypass the pool: the recovery harness owns
 		// machine construction across its remap-and-rerun attempts.
 		o.pi.Bypassed = true
 		o.faultSeed = req.Options.FaultSeed
-		net, err := topo.NewNetwork(tp, ar.need)
+		net, err := topo.NewNetwork(tp, need)
 		if err != nil {
-			st, code := errStatus(err)
-			fail(st, code, err)
-			return o
+			return o.failed(err)
 		}
-		plan := fault.NewPlan(ar.spec, req.Options.FaultSeed)
+		plan := fault.NewPlan(spec, req.Options.FaultSeed)
 		var ropts []fault.RunOption
 		if req.Options.Trace {
 			// A fresh tracer per attempt; the final attempt's tree is the
@@ -546,7 +610,7 @@ func (s *Server) compute(ctx context.Context, ar *algRequest) *outcome {
 		runErr = err
 		if res != nil {
 			stats = res.Stats
-			o.mi = api.MachineInfo{Topology: string(tp), PEs: res.Topo.Size(), Workers: ar.infoWorkers}
+			o.mi = api.MachineInfo{Topology: key.Topo, PEs: res.Topo.Size(), Workers: infoWorkers(key.Workers)}
 			freport = &api.FaultReport{
 				Attempts:    res.Attempts,
 				Transients:  res.Transients,
@@ -555,20 +619,13 @@ func (s *Server) compute(ctx context.Context, ar *algRequest) *outcome {
 			}
 		}
 	} else {
-		key := Key{Topo: string(tp), PEs: ar.classSize, Workers: ar.workers}
-		m := s.pool.Get(key)
-		o.pi.Hit = m != nil
-		if m == nil {
-			var err error
-			m, err = topo.NewMachine(tp, ar.need)
-			if err != nil {
-				st, code := errStatus(err)
-				fail(st, code, err)
-				return o
-			}
+		m, hit, err := s.checkout(key, need)
+		o.pi.Hit = hit
+		if err != nil {
+			return o.failed(err)
 		}
 		defer s.pool.Put(key, m)
-		o.mi = api.MachineInfo{Topology: string(tp), PEs: m.Size(), Workers: ar.infoWorkers}
+		o.mi = api.MachineInfo{Topology: key.Topo, PEs: m.Size(), Workers: infoWorkers(key.Workers)}
 		if req.Options.Trace {
 			tr = trace.Attach(m, name)
 		}
@@ -589,14 +646,11 @@ func (s *Server) compute(ctx context.Context, ar *algRequest) *outcome {
 		}
 	}
 	if runErr != nil {
-		st, code := errStatus(runErr)
-		fail(st, code, runErr)
-		return o
+		return o.failed(runErr)
 	}
 	if ctx.Err() != nil {
-		fail(http.StatusGatewayTimeout, api.CodeDeadlineExceeded,
+		return o.fail(http.StatusGatewayTimeout, api.CodeDeadlineExceeded,
 			fmt.Errorf("server: deadline expired during execution: %w", ctx.Err()))
-		return o
 	}
 
 	o.status = http.StatusOK

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -656,30 +655,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func newTestLogger(buf *bytes.Buffer) *slog.Logger {
-	return slog.New(slog.NewTextHandler(buf, &slog.HandlerOptions{
-		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
-			if a.Key == slog.TimeKey { // deterministic output
-				return slog.Attr{}
-			}
-			return a
-		},
-	}))
-}
-
-func TestStructuredRequestLog(t *testing.T) {
-	var buf bytes.Buffer
-	s := New(Config{Logger: newTestLogger(&buf)})
-	st, b := post(t, s.Handler(), "steady-hull", endpointCases(t)["steady-hull"])
-	decodeOK(t, st, b)
-	line := buf.String()
-	for _, want := range []string{"algorithm=steady-hull", "status=200", "topology=hypercube", "pool_hit=false"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("request log missing %q:\n%s", want, line)
 		}
 	}
 }

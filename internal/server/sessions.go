@@ -15,8 +15,6 @@ package server
 //	DELETE /v1/sessions/{id}         release (not admitted; frees capacity)
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -99,14 +97,10 @@ func (s *Server) Sessions() *session.Registry { return s.sessions }
 // sessionInfo snapshots a session's wire description (caller holds the
 // session via registry.Do).
 func sessionInfo(ss *session.Session) api.SessionInfo {
-	infoWorkers := 0
-	if ss.Workers > 1 {
-		infoWorkers = ss.Workers
-	}
 	return api.SessionInfo{
 		ID:        ss.ID,
 		Algorithm: string(ss.Eng.Algorithm()),
-		Machine:   api.MachineInfo{Topology: ss.Topo, PEs: ss.PEs, Workers: infoWorkers},
+		Machine:   api.MachineInfo{Topology: ss.Topo, PEs: ss.PEs, Workers: infoWorkers(ss.Workers)},
 		Capacity:  ss.Eng.Capacity(),
 		MaxDegree: ss.Eng.MaxDegree(),
 		Origin:    ss.Eng.Origin(),
@@ -162,92 +156,28 @@ func (s *Server) sessionDeadline(id string) time.Duration {
 	return s.cfg.Deadline
 }
 
-// sessionLog emits one structured record for a session endpoint.
-func (s *Server) sessionLog(ctx context.Context, endpoint, id string, status int, lat time.Duration, attrs ...slog.Attr) {
-	lvl := slog.LevelInfo
-	if status >= http.StatusInternalServerError {
-		lvl = slog.LevelError
-	}
-	base := []slog.Attr{
-		slog.String("endpoint", endpoint),
-		slog.String("session_id", id),
-		slog.Int("status", status),
-		slog.Duration("latency", lat),
-	}
-	s.log.LogAttrs(ctx, lvl, "session", append(base, attrs...)...)
-}
-
-// decode reads a request body under the server's body cap, decodes it
-// into v and applies the version gate, returning the raw body bytes for
-// the computation log. A non-zero status is a failure to answer with
-// code and err.
-func decode(w http.ResponseWriter, r *http.Request, maxBody int64, v any, version func() int) ([]byte, int, api.ErrorCode, error) {
-	raw, st, err := front.ReadBody(w, r, maxBody)
-	if st != 0 {
-		return raw, st, api.CodeBadRequest, err
-	}
-	if err := json.Unmarshal(raw, v); err != nil {
-		return raw, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("server: decoding request: %w", err)
-	}
-	if got := version(); got != api.Version {
-		return raw, http.StatusBadRequest, api.CodeBadVersion,
-			fmt.Errorf("server: unsupported schema version %d (want %d)", got, api.Version)
-	}
-	return raw, 0, "", nil
-}
-
 // handleSessionCreate serves POST /v1/sessions: admit, pin a machine
 // from the pool (or construct into the session's size class), build the
 // engine from scratch, and register the session.
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	started := time.Now()
-	s.sessions.Sweep()
-	var (
-		status int
-		out    any
-		sid    string
-		raw    []byte
-		mi     api.MachineInfo
-	)
-	defer func() {
-		s.send(w, r, &outcome{status: status, out: out}, raw, api.ReplayMeta{
-			Topology: mi.Topology, PEs: mi.PEs, Workers: mi.Workers, Session: sid,
-		})
-		lat := time.Since(started)
-		s.met.Observe("sessions.create", status, lat)
-		s.sessionLog(r.Context(), "create", sid, status, lat)
-	}()
-	fail := func(st int, code api.ErrorCode, err error) {
-		status, out = st, apiError(code, err)
-	}
-
+func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (c call, o *outcome) {
 	var req api.SessionCreateRequest
-	body, st, code, derr := decode(w, r, s.cfg.MaxBody, &req, func() int { return req.V })
-	raw = body
-	if st != 0 {
-		fail(st, code, derr)
-		return
+	if c.raw, o = s.decode(w, r, &req, func() int { return req.V }); o != nil {
+		return c, o
 	}
 	sa, err := session.ParseAlgo(req.Algorithm)
 	if err != nil {
-		fail(http.StatusBadRequest, api.CodeUnknownAlgorithm, err)
-		return
+		return c, fail(http.StatusBadRequest, api.CodeUnknownAlgorithm, err)
 	}
 	tp, err := front.Topology(req.Options.Topology)
-	if err != nil {
-		fail(http.StatusBadRequest, api.CodeBadTopology, err)
-		return
+	if err == nil && tp != topo.Hypercube && tp != topo.Mesh {
+		err = fmt.Errorf("server: sessions support mesh and hypercube machines, not %q", tp)
 	}
-	if tp != topo.Hypercube && tp != topo.Mesh {
-		fail(http.StatusBadRequest, api.CodeBadTopology,
-			fmt.Errorf("server: sessions support mesh and hypercube machines, not %q", tp))
-		return
+	if err != nil {
+		return c, fail(http.StatusBadRequest, api.CodeBadTopology, err)
 	}
 	sys, err := algo.SystemFrom(req.System)
 	if err != nil {
-		st, code := errStatus(err)
-		fail(st, code, err)
-		return
+		return c, failed(err)
 	}
 
 	// The machine is sized before the engine exists, so resolve the
@@ -262,114 +192,61 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	need := max(session.PEs(string(tp), sa, cfg.Capacity, cfg.MaxDegree), req.Options.PEs)
 	classSize, err := topo.Size(tp, need)
 	if err != nil {
-		st, code := errStatus(err)
-		fail(st, code, err)
-		return
+		return c, failed(err)
 	}
-	workers := front.Workers(req.Options.Workers, runtime.GOMAXPROCS(0))
+	key := Key{Topo: string(tp), PEs: classSize, Workers: front.Workers(req.Options.Workers, runtime.GOMAXPROCS(0))}
 
 	deadline := s.deadline(req.Options.DeadlineMs)
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-	release, st, code := s.admit(ctx)
-	if st != 0 {
-		fail(st, code, fmt.Errorf("server: request not admitted: %s", code))
-		return
+	release, rejected := s.admitted(r.Context(), deadline)
+	if rejected != nil {
+		return c, rejected
 	}
 	defer release()
-
-	key := Key{Topo: string(tp), PEs: classSize, Workers: workers}
-	m := s.pool.Get(key)
-	var pi api.PoolInfo
-	pi.Hit = m != nil
-	if m == nil {
-		m, err = topo.NewMachine(tp, need)
-		if err != nil {
-			st, code := errStatus(err)
-			fail(st, code, err)
-			return
-		}
+	m, hit, err := s.checkout(key, need)
+	if err != nil {
+		return c, failed(err)
 	}
 	eng, err := session.New(m, cfg, sys.Points)
-	if err != nil {
-		s.pool.Put(key, m) // the machine is clean: New failed before mutating it, or its work is discarded by WarmReset on next checkout
-		st, code := errStatus(err)
-		fail(st, code, err)
-		return
-	}
 	buildStats := m.Stats()
-	ss, err := s.sessions.Add(eng, m, string(tp), workers, deadline)
-	if err != nil {
-		m.WarmReset()
-		s.pool.Put(key, m)
-		st, code := errStatus(err)
-		fail(st, code, err)
-		return
+	var ss *session.Session
+	if err == nil {
+		ss, err = s.sessions.Add(eng, m, key.Topo, key.Workers, deadline)
 	}
-	sid = ss.ID
-
+	if err != nil {
+		s.pool.Put(key, m) // the next checkout's WarmReset discards whatever New ran
+		return c, failed(err)
+	}
+	c.sid = ss.ID
 	resp := &api.SessionCreateResponse{
 		V:       api.Version,
 		Session: sessionInfo(ss),
-		Pool:    pi,
+		Pool:    api.PoolInfo{Hit: hit},
 		Stats:   api.FromStats(buildStats),
 		Result:  sessionResult(sa, eng.Result()),
 	}
-	mi = resp.Session.Machine
-	status, out = http.StatusOK, resp
+	return c, &outcome{status: http.StatusOK, out: resp, mi: resp.Session.Machine}
 }
 
 // handleSessionUpdate serves POST /v1/sessions/{id}/update: admit, then
 // apply the batch under the session lock. The reported Stats are the
 // machine's counter delta across the batch — the simulated cost of the
 // batch's envelope passes and derivation.
-func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
-	started := time.Now()
-	s.sessions.Sweep()
+func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) (c call, o *outcome) {
 	id := r.PathValue("id")
-	var (
-		status int
-		out    any
-		nd     int
-		raw    []byte
-		mi     api.MachineInfo
-	)
-	defer func() {
-		s.send(w, r, &outcome{status: status, out: out}, raw, api.ReplayMeta{
-			Topology: mi.Topology, PEs: mi.PEs, Workers: mi.Workers, Session: id,
-		})
-		lat := time.Since(started)
-		s.met.Observe("sessions.update", status, lat)
-		if status == http.StatusOK {
-			s.sessMet.observeUpdate(lat)
-		}
-		s.sessionLog(r.Context(), "update", id, status, lat, slog.Int("deltas", nd))
-	}()
-	fail := func(st int, code api.ErrorCode, err error) {
-		status, out = st, apiError(code, err)
-	}
-
+	c.sid, c.extra = id, slog.Int("deltas", 0)
 	var req api.SessionUpdateRequest
-	body, st, code, derr := decode(w, r, s.cfg.MaxBody, &req, func() int { return req.V })
-	raw = body
-	if st != 0 {
-		fail(st, code, derr)
-		return
+	if c.raw, o = s.decode(w, r, &req, func() int { return req.V }); o != nil {
+		return c, o
 	}
-	nd = len(req.Deltas)
+	c.extra = slog.Int("deltas", len(req.Deltas))
 	deltas, err := deltasFrom(req.Deltas)
 	if err != nil {
-		st, code := errStatus(err)
-		fail(st, code, err)
-		return
+		return c, failed(err)
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.sessionDeadline(id))
-	defer cancel()
-	release, st, code := s.admit(ctx)
-	if st != 0 {
-		fail(st, code, fmt.Errorf("server: request not admitted: %s", code))
-		return
+	release, rejected := s.admitted(r.Context(), s.sessionDeadline(id))
+	if rejected != nil {
+		return c, rejected
 	}
 	defer release()
 
@@ -392,12 +269,9 @@ func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		st, code := errStatus(err)
-		fail(st, code, err)
-		return
+		return c, failed(err)
 	}
-	mi = resp.Session.Machine
-	status, out = http.StatusOK, resp
+	return c, &outcome{status: http.StatusOK, out: resp, mi: resp.Session.Machine}
 }
 
 // handleSessionQuery serves GET /v1/sessions/{id}/query. The plain read
@@ -405,35 +279,14 @@ func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 // admission — it does no simulated work). With ?verify=1 the request is
 // admitted and the answer is re-derived from scratch on the session's
 // machine, reporting whether the maintained result is bit-identical.
-func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
-	started := time.Now()
-	s.sessions.Sweep()
+func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) (c call, o *outcome) {
 	id := r.PathValue("id")
 	verify := r.URL.Query().Get("verify") == "1"
-	var (
-		status int
-		out    any
-		mi     api.MachineInfo
-	)
-	defer func() {
-		s.send(w, r, &outcome{status: status, out: out}, nil, api.ReplayMeta{
-			Topology: mi.Topology, PEs: mi.PEs, Workers: mi.Workers, Session: id,
-		})
-		lat := time.Since(started)
-		s.met.Observe("sessions.query", status, lat)
-		s.sessionLog(r.Context(), "query", id, status, lat, slog.Bool("verify", verify))
-	}()
-	fail := func(st int, code api.ErrorCode, err error) {
-		status, out = st, apiError(code, err)
-	}
-
+	c.sid, c.extra = id, slog.Bool("verify", verify)
 	if verify {
-		ctx, cancel := context.WithTimeout(r.Context(), s.sessionDeadline(id))
-		defer cancel()
-		release, st, code := s.admit(ctx)
-		if st != 0 {
-			fail(st, code, fmt.Errorf("server: request not admitted: %s", code))
-			return
+		release, rejected := s.admitted(r.Context(), s.sessionDeadline(id))
+		if rejected != nil {
+			return c, rejected
 		}
 		defer release()
 	}
@@ -456,45 +309,26 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		st, code := errStatus(err)
-		fail(st, code, err)
-		return
+		return c, failed(err)
 	}
-	mi = resp.Session.Machine
-	status, out = http.StatusOK, resp
+	return c, &outcome{status: http.StatusOK, out: resp, mi: resp.Session.Machine}
 }
 
 // handleSessionDelete serves DELETE /v1/sessions/{id}: drop the session
 // and return its machine to the pool. Not admitted — deletion frees
 // capacity and must work on a saturated server.
-func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	started := time.Now()
-	s.sessions.Sweep()
-	id := r.PathValue("id")
-	var (
-		status int
-		out    any
-	)
-	defer func() {
-		s.send(w, r, &outcome{status: status, out: out}, nil, api.ReplayMeta{Session: id})
-		lat := time.Since(started)
-		s.met.Observe("sessions.delete", status, lat)
-		s.sessionLog(r.Context(), "delete", id, status, lat)
-	}()
-
+func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) (c call, o *outcome) {
+	c.sid = r.PathValue("id")
 	var updates uint64
-	err := s.sessions.Do(id, func(ss *session.Session) error {
+	err := s.sessions.Do(c.sid, func(ss *session.Session) error {
 		updates = ss.Eng.Updates()
 		return nil
 	})
 	if err == nil {
-		err = s.sessions.Remove(id)
+		err = s.sessions.Remove(c.sid)
 	}
 	if err != nil {
-		st, code := errStatus(err)
-		status, out = st, apiError(code, err)
-		return
+		return c, failed(err)
 	}
-	status = http.StatusOK
-	out = &api.SessionDeleteResponse{V: api.Version, ID: id, Updates: updates}
+	return c, &outcome{status: http.StatusOK, out: &api.SessionDeleteResponse{V: api.Version, ID: c.sid, Updates: updates}}
 }

@@ -471,26 +471,24 @@ func (e *Engine) Apply(deltas []Delta) ([]int, ApplyStats, error) {
 	next := e.live.clone()
 	dirty := make(map[int]bool)
 	var inserted []int
+	moved := make([]int, 0, len(deltas))
 	for i, d := range deltas {
 		id, err := e.apply(&next, dirty, d)
 		if err != nil {
 			return nil, st, fmt.Errorf("session: update %d (%s): %w", i, d.Op, err)
 		}
-		if d.Op == OpInsert {
+		switch d.Op {
+		case OpInsert:
 			inserted = append(inserted, id)
+			moved = append(moved, id)
+		case OpRetarget:
+			moved = append(moved, d.ID)
 		}
 	}
-	// Whole-batch validation of the final population: the §2.4 system
-	// model (shared dimension, distinct initial positions) must hold for
-	// the points that remain.
-	final := make([]motion.Point, 0, len(next.pts))
-	for _, id := range keys.Sorted(next.pts) {
-		final = append(final, next.pts[id])
-	}
-	if len(final) == 0 {
+	if len(next.pts) == 0 {
 		return nil, st, fmt.Errorf("session: batch empties the session: %w", motion.ErrBadSystem)
 	}
-	if _, err := motion.NewSystem(final); err != nil {
+	if err := distinctStarts(next.pts, moved); err != nil {
 		return nil, st, err
 	}
 
@@ -510,6 +508,48 @@ func (e *Engine) Apply(deltas []Delta) ([]int, ApplyStats, error) {
 	st.DirtyLeaves = len(leaves) * len(dirty)
 	st.MergedNodes = len(leaves) * (dsseq.NextPow2(e.slots()) - 1)
 	return inserted, st, nil
+}
+
+// distinctStarts checks the §2.4 system model's distinct initial
+// positions over the population pts after a batch that inserted or
+// retargeted the points moved. Every other point was already distinct
+// from the rest, so only the moved points still live need checking,
+// each against the whole population: one pass over it, comparing first
+// coordinates before whole positions. The error names, by stable ID,
+// the lowest moved point that collides and its lowest partner.
+func distinctStarts(pts map[int]motion.Point, moved []int) error {
+	moved = slices.DeleteFunc(moved, func(id int) bool { _, live := pts[id]; return !live })
+	var buf [64]float64 // a batch of up to 64 moved points compares on the stack
+	first := buf[:0]
+	for _, id := range moved {
+		first = append(first, startX(pts[id]))
+	}
+	a, b := -1, -1
+	for q, pq := range pts {
+		x := startX(pq)
+		for i, id := range moved {
+			if first[i] != x || id == q || !pts[id].SameStart(pq) {
+				continue
+			}
+			if a < 0 || id < a || id == a && q < b {
+				a, b = id, q
+			}
+		}
+	}
+	if a < 0 {
+		return nil
+	}
+	return fmt.Errorf("session: points %d and %d share an initial position (violates §2.4): %w",
+		min(a, b), max(a, b), motion.ErrBadSystem)
+}
+
+// startX is p's initial first coordinate (0 for a point of no
+// dimension, which then matches every other such point).
+func startX(p motion.Point) float64 {
+	if len(p.Coord) == 0 {
+		return 0
+	}
+	return p.Coord[0].Eval(0)
 }
 
 // apply applies one delta to state s, recording dirty slots, and

@@ -132,6 +132,58 @@ func TestApplyAtomicity(t *testing.T) {
 	}
 }
 
+// TestDuplicateStartNamesStableIDs: a batch that gives two live points
+// one initial position is rejected with an error naming both by the
+// stable IDs the client holds, not by positions in some internal list.
+func TestDuplicateStartNamesStableIDs(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	pts := randPoints(r, 6, 2, 1)
+	m := newTestMachine(t, "hypercube", ClosestPointSeq, 8, 1)
+	e, err := New(m, Config{Algorithm: ClosestPointSeq, Origin: 0, Capacity: 8}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Apply([]Delta{{Op: OpDelete, ID: 1}, {Op: OpDelete, ID: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		batch []Delta
+		want  string
+	}{
+		// Live IDs {0, 3, 4, 5}: the insert takes ID 6.
+		{[]Delta{{Op: OpInsert, Point: pts[5]}}, "session: points 5 and 6 share an initial position"},
+		{[]Delta{{Op: OpRetarget, ID: 0, Point: pts[4]}}, "session: points 0 and 4 share an initial position"},
+		// Two moved points collide with each other and with ID 3.
+		{[]Delta{{Op: OpRetarget, ID: 5, Point: pts[3]}, {Op: OpRetarget, ID: 4, Point: pts[3]}},
+			"session: points 3 and 4 share an initial position"},
+		// Moving a point onto a deleted one's position is fine; the
+		// collision is with the point inserted there (a rejected batch
+		// assigns no ID, so the insert takes 6 again).
+		{[]Delta{{Op: OpInsert, Point: pts[1]}, {Op: OpRetarget, ID: 3, Point: pts[1]}},
+			"session: points 3 and 6 share an initial position"},
+	}
+	for _, c := range cases {
+		_, _, err := e.Apply(c.batch)
+		if !errors.Is(err, motion.ErrBadSystem) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Apply(%v) = %v, want %q wrapping ErrBadSystem", c.batch, err, c.want)
+		}
+	}
+	// A moved point may take a position the same batch vacates.
+	if _, _, err := e.Apply([]Delta{{Op: OpRetarget, ID: 4, Point: pts[1]}, {Op: OpRetarget, ID: 3, Point: pts[4]}}); err != nil {
+		t.Errorf("swap onto a vacated position rejected: %v", err)
+	}
+
+	// Points of no dimension all start at the same (empty) position.
+	e0, err := New(newTestMachine(t, "hypercube", ClosestPointSeq, 8, 1), Config{Algorithm: ClosestPointSeq, Capacity: 8}, []motion.Point{motion.NewPoint()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e0.Apply([]Delta{{Op: OpInsert, Point: motion.NewPoint()}}); !errors.Is(err, motion.ErrBadSystem) ||
+		!strings.Contains(err.Error(), "session: points 0 and 1 share an initial position") {
+		t.Errorf("second zero-dimension point: %v", err)
+	}
+}
+
 func TestApplyInsertDeleteLifecycle(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	pts := randPoints(r, 3, 2, 1)
