@@ -16,9 +16,15 @@ import "encoding/json"
 //     included, is covered, and flipping any byte anywhere breaks either
 //     this record's hash or the next record's Prev link.
 //
-// Records are written as compact single-line JSON (JSONL); request and
-// response bodies are embedded verbatim as raw JSON, re-compacted by the
-// encoder, so VerifyChain can check the stored bytes exactly.
+// Records are written as compact single-line JSON (JSONL), byte for
+// byte json.Marshal's encoding of the record: request and response
+// bodies are embedded as raw JSON, compacted and HTML-escaped as
+// json.Marshal embeds a json.RawMessage (a body already in that form is
+// copied as is), so VerifyChain can check the stored bytes exactly by
+// re-encoding with json.Marshal. internal/replaylog writes these bytes
+// by hand, so a field added here must be added to its appendRecord too;
+// its TestSealLineMatchesMarshal and FuzzSealRecord hold the two
+// encodings equal.
 
 // ReplayMeta is the execution metadata of one recorded request: enough
 // to see, without parsing the embedded bodies, which machine served it

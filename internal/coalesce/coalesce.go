@@ -21,9 +21,14 @@ package coalesce
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 )
+
+// ErrLeaderPanicked is the error the followers of a flight receive when
+// the leader's function panicked instead of returning.
+var ErrLeaderPanicked = errors.New("coalesce: the shared computation panicked")
 
 // call is one in-flight computation.
 type call[V any] struct {
@@ -71,11 +76,16 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v 
 	g.mu.Unlock()
 
 	// Settle in a defer so a panicking fn still unblocks its followers
-	// (they observe the zero value and nil error; the panic propagates
-	// to the leader's caller). Removing the key and reading the follower
-	// count happen under the same lock that admits followers, so the
-	// count is exact: after the delete no caller can attach.
+	// (they observe the zero value and ErrLeaderPanicked; the panic
+	// propagates to the leader's caller). Removing the key and reading
+	// the follower count happen under the same lock that admits
+	// followers, so the count is exact: after the delete no caller can
+	// attach.
+	returned := false
 	defer func() {
+		if !returned {
+			c.err = ErrLeaderPanicked
+		}
 		g.mu.Lock()
 		delete(g.flight, key)
 		shared = c.followers.Load() > 0
@@ -83,6 +93,7 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v 
 		close(c.done)
 	}()
 	c.val, c.err = fn()
+	returned = true
 	return c.val, false, c.err
 }
 

@@ -190,7 +190,7 @@ func TestSequentialCallsRecompute(t *testing.T) {
 }
 
 // TestPanicUnblocksFollowers: a panicking leader must not strand its
-// followers on the done channel.
+// followers on the done channel, and they learn it panicked.
 func TestPanicUnblocksFollowers(t *testing.T) {
 	g := New[int]()
 	gate := make(chan struct{})
@@ -205,10 +205,10 @@ func TestPanicUnblocksFollowers(t *testing.T) {
 		})
 	}()
 	<-inFn
-	followerDone := make(chan struct{})
+	followerDone := make(chan error, 1)
 	go func() {
-		defer close(followerDone)
-		g.Do(context.Background(), "k", func() (int, error) { return 0, nil })
+		_, _, err := g.Do(context.Background(), "k", func() (int, error) { return 0, nil })
+		followerDone <- err
 	}()
 	for g.Merged() < 1 {
 		time.Sleep(time.Millisecond)
@@ -218,7 +218,10 @@ func TestPanicUnblocksFollowers(t *testing.T) {
 		t.Fatal("leader panic did not propagate")
 	}
 	select {
-	case <-followerDone:
+	case err := <-followerDone:
+		if !errors.Is(err, ErrLeaderPanicked) {
+			t.Fatalf("follower of a panicked leader got %v, want ErrLeaderPanicked", err)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("follower stranded after leader panic")
 	}

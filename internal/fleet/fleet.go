@@ -333,24 +333,25 @@ func (f *FrontDoor) forwardWalk(ctx context.Context, key, method, uri string, bo
 	return nil
 }
 
-// write sends a proxied response to the client and records it.
-func (f *FrontDoor) write(w http.ResponseWriter, r *http.Request, p *proxied, raw []byte, meta api.ReplayMeta) {
+// write sends a proxied response to the client and records it. rawJSON
+// says the request body decoded, as for front.Recorder.Send.
+func (f *FrontDoor) write(w http.ResponseWriter, r *http.Request, p *proxied, raw []byte, rawJSON bool, meta api.ReplayMeta) {
 	w.Header().Set("X-Dyncg-Member", p.member)
 	if p.source != "" {
 		w.Header().Set("X-Dyncg-Source", p.source)
 	}
 	meta.Member = p.member
-	f.rec.Send(w, r, p.status, p.body, raw, meta)
+	f.rec.Send(w, r, p.status, p.body, raw, rawJSON, meta)
 }
 
 // fail sends a front-door-originated error envelope. member attributes
 // the failure to a fleet member (member_down); empty for fleet-wide
 // conditions.
-func (f *FrontDoor) fail(w http.ResponseWriter, r *http.Request, status int, e *api.Error, raw []byte, meta api.ReplayMeta) {
+func (f *FrontDoor) fail(w http.ResponseWriter, r *http.Request, status int, e *api.Error, raw []byte, rawJSON bool, meta api.ReplayMeta) {
 	body, _ := json.Marshal(e)
 	w.Header().Set("X-Dyncg-Member", "frontdoor")
 	meta.Member = e.Member
-	f.rec.Send(w, r, status, body, raw, meta)
+	f.rec.Send(w, r, status, body, raw, rawJSON, meta)
 }
 
 // machineMeta extracts the served machine from a successful response
@@ -411,7 +412,8 @@ func (f *FrontDoor) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 	// deterministically.
 	key, cacheKey := "", ""
 	var req api.Request
-	if json.Unmarshal(raw, &req) == nil {
+	decoded := api.DecodeRequest(raw, &req) == nil
+	if decoded {
 		res, _ := front.Resolve(r.PathValue("algorithm"), &req, 0)
 		cacheKey, key = res.Key, res.Key
 		if key == "" {
@@ -433,7 +435,7 @@ func (f *FrontDoor) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, errNoMembers):
 		f.fail(w, r, http.StatusServiceUnavailable,
 			api.NewError(api.CodeNoMembers, "fleet: no live member to serve the request"),
-			raw, api.ReplayMeta{})
+			raw, decoded, api.ReplayMeta{})
 		return
 	case err != nil:
 		// This follower's context expired while the leader was still
@@ -441,7 +443,7 @@ func (f *FrontDoor) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		f.fail(w, r, http.StatusServiceUnavailable,
 			api.NewError(api.CodeCoalesceTimeout,
 				fmt.Sprintf("fleet: deadline expired waiting for coalesced computation: %v", err)),
-			raw, api.ReplayMeta{})
+			raw, decoded, api.ReplayMeta{})
 		return
 	}
 	meta := machineMeta(p.status, p.body)
@@ -453,7 +455,7 @@ func (f *FrontDoor) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		// relabel a copy.
 		p = &proxied{status: p.status, body: p.body, member: p.member, source: source}
 	}
-	f.write(w, r, p, raw, meta)
+	f.write(w, r, p, raw, decoded, meta)
 }
 
 // errNoMembers marks a coalesced leader's walk that found no live
@@ -466,7 +468,7 @@ var errNoMembers = errors.New("fleet: no live member")
 func (f *FrontDoor) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	raw, st, err := front.ReadBody(w, r, f.cfg.MaxBody)
 	if st != 0 {
-		f.fail(w, r, st, api.NewError(api.CodeBadRequest, err.Error()), raw, api.ReplayMeta{})
+		f.fail(w, r, st, api.NewError(api.CodeBadRequest, err.Error()), raw, false, api.ReplayMeta{})
 		return nil, err
 	}
 	return raw, nil
@@ -495,13 +497,13 @@ func (f *FrontDoor) handleSessionCreate(w http.ResponseWriter, r *http.Request) 
 		}
 		meta := machineMeta(p.status, p.body)
 		meta.Session = sessionIDOf(p.body)
-		f.write(w, r, p, raw, meta)
+		f.write(w, r, p, raw, false, meta)
 		return
 	}
 	f.exhausted.Add(1)
 	f.fail(w, r, http.StatusServiceUnavailable,
 		api.NewError(api.CodeNoMembers, "fleet: no live member to serve the request"),
-		raw, api.ReplayMeta{})
+		raw, false, api.ReplayMeta{})
 }
 
 // sessionIDOf pulls the session ID out of a create response.
@@ -539,7 +541,7 @@ func (f *FrontDoor) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 		e := api.NewError(api.CodeMemberDown,
 			fmt.Sprintf("fleet: member %q owning session %q is down", home, id))
 		e.Member = home
-		f.fail(w, r, http.StatusServiceUnavailable, e, raw, api.ReplayMeta{Session: id})
+		f.fail(w, r, http.StatusServiceUnavailable, e, raw, false, api.ReplayMeta{Session: id})
 		return
 	}
 	p, err := f.forward(r.Context(), m, r.Method, r.URL.RequestURI(), raw)
@@ -548,12 +550,12 @@ func (f *FrontDoor) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 		e := api.NewError(api.CodeMemberDown,
 			fmt.Sprintf("fleet: member %q owning session %q is down", home, id))
 		e.Member = home
-		f.fail(w, r, http.StatusServiceUnavailable, e, raw, api.ReplayMeta{Session: id})
+		f.fail(w, r, http.StatusServiceUnavailable, e, raw, false, api.ReplayMeta{Session: id})
 		return
 	}
 	meta := machineMeta(p.status, p.body)
 	meta.Session = id
-	f.write(w, r, p, raw, meta)
+	f.write(w, r, p, raw, false, meta)
 }
 
 // handleHealthz: the fleet is healthy while any member is.

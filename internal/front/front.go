@@ -154,7 +154,8 @@ func (s *Stage[V]) Merged() int64 {
 // cache or any coalesced follower sees it, so a result that encodes
 // itself lazily is encoded once, by its leader. The returned source is
 // one of the Source values; err is compute's error or, for a coalesced
-// follower, its own ctx's expiry while the leader still runs.
+// follower, its own ctx's expiry while the leader still runs, or
+// coalesce.ErrLeaderPanicked when the leader's compute panicked.
 func (s *Stage[V]) Do(ctx context.Context, key string, readCache bool, hit func(body []byte) V, compute func() (V, error)) (V, string, error) {
 	if key == "" || (s.rc == nil && s.cg == nil) {
 		v, err := compute()
@@ -203,9 +204,11 @@ type Recorder struct {
 // Send writes one JSON response — the body, then the newline a
 // json.Encoder ends with — and, when the log is on, appends its replay
 // record: the request as raw JSON, or as base64 when the body is not
-// JSON, so a rejected body is recorded byte-exact. body is never
-// modified. Log.Append serialises concurrent appends itself.
-func (rc Recorder) Send(w http.ResponseWriter, r *http.Request, status int, body, raw []byte, meta api.ReplayMeta) {
+// JSON, so a rejected body is recorded byte-exact. rawJSON says raw is
+// already known to be JSON because it decoded, which spares the
+// json.Valid scan. body is never modified. Log.Append serialises
+// concurrent appends itself.
+func (rc Recorder) Send(w http.ResponseWriter, r *http.Request, status int, body, raw []byte, rawJSON bool, meta api.ReplayMeta) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)
@@ -222,7 +225,7 @@ func (rc Recorder) Send(w http.ResponseWriter, r *http.Request, status int, body
 	}
 	switch {
 	case len(raw) == 0:
-	case json.Valid(raw):
+	case rawJSON || json.Valid(raw):
 		rec.Request = raw
 	default:
 		rec.RequestBin = raw

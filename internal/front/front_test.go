@@ -234,10 +234,13 @@ func TestRecorderSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := Recorder{Log: log}
-	for _, raw := range []string{`{"v":1}`, "not json", ""} {
+	for _, body := range []struct {
+		raw     string
+		rawJSON bool
+	}{{`{"v":1}`, false}, {"not json", false}, {"", false}, {"{\n \"v\": 1\n}", true}} {
 		w := httptest.NewRecorder()
 		rc.Send(w, httptest.NewRequest(http.MethodPost, "/v1/x?q=1", nil), http.StatusTeapot,
-			[]byte(`{"ok":true}`), []byte(raw), api.ReplayMeta{PEs: 4})
+			[]byte(`{"ok":true}`), []byte(body.raw), body.rawJSON, api.ReplayMeta{PEs: 4})
 		if w.Code != http.StatusTeapot || w.Body.String() != "{\"ok\":true}\n" ||
 			w.Header().Get("Content-Type") != "application/json" {
 			t.Errorf("wrote %d %q (%s)", w.Code, w.Body, w.Header().Get("Content-Type"))
@@ -256,8 +259,8 @@ func TestRecorderSend(t *testing.T) {
 			got = append(got, rec)
 		}
 	}
-	if len(got) != 3 {
-		t.Fatalf("recorded %d records, want 3", len(got))
+	if len(got) != 4 {
+		t.Fatalf("recorded %d records, want 4", len(got))
 	}
 	for _, rec := range got {
 		if rec.Path != "/v1/x?q=1" || rec.Status != http.StatusTeapot || rec.Meta.PEs != 4 ||
@@ -273,5 +276,10 @@ func TestRecorderSend(t *testing.T) {
 	}
 	if got[2].Request != nil || got[2].RequestBin != nil {
 		t.Errorf("empty body recorded as %q / %q", got[2].Request, got[2].RequestBin)
+	}
+	// A body that decoded is recorded as JSON without a second scan, and
+	// the record stores it compacted.
+	if string(got[3].Request) != `{"v":1}` || got[3].RequestBin != nil {
+		t.Errorf("decoded body recorded as %q / %q", got[3].Request, got[3].RequestBin)
 	}
 }

@@ -95,13 +95,16 @@ type System struct {
 	D      int // dimension
 }
 
-// NewSystem validates and wraps a set of points (all must share the
-// dimension; K is the observed maximum degree).
+// NewSystem validates and wraps a set of points (all must share one
+// dimension d ≥ 1; K is the observed maximum degree).
 func NewSystem(pts []Point) (*System, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("empty system: %w", ErrBadSystem)
 	}
 	d := pts[0].Dim()
+	if d < 1 {
+		return nil, fmt.Errorf("points have no coordinates (dimension 0): %w", ErrBadSystem)
+	}
 	k := 0
 	for i, p := range pts {
 		if p.Dim() != d {

@@ -1,6 +1,7 @@
 package motion
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -70,6 +71,10 @@ func TestNewSystemValidation(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("shared initial position accepted")
+	}
+	// A point needs at least one coordinate, even alone in its system.
+	if _, err := NewSystem([]Point{NewPoint()}); !errors.Is(err, ErrBadSystem) {
+		t.Errorf("zero-dimension system: %v, want ErrBadSystem", err)
 	}
 }
 

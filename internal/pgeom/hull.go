@@ -54,11 +54,13 @@ func HullStatic(m *machine.M, pts []geom.Point[ratfun.F64]) ([]int, error) {
 	// one semigroup).
 	b := slopeBound(m, uniq)
 
-	// Dual lines over the shifted parameter u = m + B ∈ [0, 2B].
+	// Dual lines over the shifted parameter u = m + B ∈ [0, 2B], their
+	// coefficients carved from one block, each capped at its own two.
+	coef := make(poly.Poly, 2*len(uniq))
 	lines := make([]curve.Curve, len(uniq))
 	for i, p := range uniq {
 		a, bb := float64(p.X), float64(p.Y)
-		lines[i] = curve.NewPoly(poly.New(bb+a*b, -a))
+		lines[i] = curve.NewPoly(poly.NewTo(coef[2*i:2*i+2:2*i+2], bb+a*b, -a))
 	}
 	lower, err := penvelope.EnvelopeOfCurves(m, lines, pieces.Min)
 	if err != nil {

@@ -25,8 +25,12 @@ const eps = 1e-12
 
 // New returns a polynomial with the given ascending coefficients,
 // normalized so that the leading coefficient is nonzero.
-func New(coefs ...float64) Poly {
-	p := make(Poly, len(coefs))
+func New(coefs ...float64) Poly { return NewTo(nil, coefs...) }
+
+// NewTo is New computed into dst's storage when its capacity suffices
+// and into a fresh slice otherwise.
+func NewTo(dst Poly, coefs ...float64) Poly {
+	p := grow(dst, len(coefs))
 	copy(p, coefs)
 	return p.normalize()
 }

@@ -27,11 +27,9 @@
 package replaylog
 
 import (
-	"bytes"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -194,35 +192,36 @@ func (l *Log) Head() (seq uint64, hash string) {
 	return l.seq, l.prev
 }
 
-// hashTail is how a record's canonical encoding with Hash empty ends:
-// Hash is the last field of api.ReplayRecord and has no omitempty.
-const hashTail = `"hash":""}`
-
 // seal computes the record's chain fields — Prev, and Hash, the SHA-256
-// over its canonical encoding with Hash empty — and returns its JSONL
-// line. The line is the pre-image with the hex digest, which JSON never
-// escapes, spliced in before the closing `"}`, so it is byte-identical
-// to encoding the sealed record again.
-func seal(rec *api.ReplayRecord, prev string) ([]byte, error) {
+// over its canonical encoding with Hash empty — and appends its JSONL
+// line to dst. The canonical encoding is json.Marshal's (appendRecord
+// writes it by hand); the line is that pre-image with the hex digest,
+// which JSON never escapes, spliced in before the closing `"}`, so it
+// is byte-identical to encoding the sealed record again.
+func seal(dst []byte, rec *api.ReplayRecord, prev string) ([]byte, error) {
 	rec.Prev = prev
 	rec.Hash = ""
-	pre, err := json.Marshal(rec)
+	start := len(dst)
+	dst, err := appendRecord(dst, rec)
 	if err != nil {
 		return nil, err
 	}
-	if !bytes.HasSuffix(pre, []byte(hashTail)) {
-		return nil, errors.New("replaylog: record encoding does not end with the hash field")
-	}
-	sum := sha256.Sum256(pre)
-	rec.Hash = hex.EncodeToString(sum[:])
-	line := append(pre[:len(pre)-len(`"}`)], rec.Hash...)
-	return append(line, "\"}\n"...), nil
+	sum := sha256.Sum256(dst[start:])
+	dst = hex.AppendEncode(dst[:len(dst)-len(`"}`)], sum[:])
+	rec.Hash = string(dst[len(dst)-2*len(sum):])
+	return append(dst, "\"}\n"...), nil
 }
 
 // Append seals rec onto the chain (assigning Seq, Time, Prev, Hash) and
 // writes it as one JSONL line, rotating the segment when it exceeds the
 // size threshold. Records are appended in call order — the log's
-// arrival order.
+// arrival order. rec.Request and rec.Response must each be one JSON
+// value; they are stored as json.Marshal embeds a json.RawMessage, so
+// an indented body is accepted and stored compacted, and a body that is
+// not JSON fails the append with encoding/json's error. The line is
+// written without reflection (appendRecord): a compact body with
+// nothing to escape is copied as is, any other takes one compaction
+// pass.
 func (l *Log) Append(rec api.ReplayRecord) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -252,7 +251,7 @@ func (l *Log) Append(rec api.ReplayRecord) error {
 // write seals and writes one record line to the open segment. Caller
 // holds mu; rec.Seq must equal l.seq.
 func (l *Log) write(rec *api.ReplayRecord) error {
-	line, err := seal(rec, l.prev)
+	line, err := seal(make([]byte, 0, recordSize(rec)), rec, l.prev)
 	if err != nil {
 		return fmt.Errorf("replaylog: sealing record %d: %w", rec.Seq, err)
 	}
@@ -264,6 +263,13 @@ func (l *Log) write(rec *api.ReplayRecord) error {
 	l.segSize += int64(len(line))
 	l.bytes.Add(uint64(len(line)))
 	return nil
+}
+
+// recordSize is a capacity for rec's line that its bodies, its base64
+// request and the fixed fields fit in.
+func recordSize(rec *api.ReplayRecord) int {
+	return len(rec.Request) + len(rec.Response) + base64.StdEncoding.EncodedLen(len(rec.RequestBin)) +
+		len(rec.Path) + len(rec.Meta.Session) + 384
 }
 
 // sealSegment appends the anchor record: the Merkle root over the

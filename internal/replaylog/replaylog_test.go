@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -278,7 +279,7 @@ func TestOpenPathIsFile(t *testing.T) {
 func TestMerkleRoot(t *testing.T) {
 	h := func(s string) string {
 		rec := api.ReplayRecord{Path: s}
-		if _, err := seal(&rec, ""); err != nil {
+		if _, err := seal(nil, &rec, ""); err != nil {
 			t.Fatalf("seal: %v", err)
 		}
 		return rec.Hash
@@ -326,8 +327,8 @@ func TestWriteToClosedLogErrors(t *testing.T) {
 
 // TestSealLineMatchesMarshal: the line seal splices together is the
 // sealed record encoded again, byte for byte — for plain and anchor
-// records, and for bodies JSON escapes (HTML characters, line
-// separators, invalid UTF-8, binary request bodies).
+// records, for bodies JSON escapes (HTML characters, line separators,
+// invalid UTF-8, binary request bodies), and for indented bodies.
 func TestSealLineMatchesMarshal(t *testing.T) {
 	prev := ""
 	for i, rec := range []api.ReplayRecord{
@@ -339,10 +340,21 @@ func TestSealLineMatchesMarshal(t *testing.T) {
 		{Method: "POST", Path: "/v1/collision-times", Status: 400,
 			RequestBin: []byte{0, 0xff, '"', '\\', '\n'}},
 		{Path: "bad utf-8 \xff\xfe", Response: json.RawMessage(`"\ud800"`)},
+		{Response: json.RawMessage(`{"f":"x<y&z>"}`)},
 		{Anchor: true, Count: 3, Root: "ab12"},
+		// Indented and padded bodies take the compaction pass: the
+		// reversed-key, indented spelling a client may send, and a
+		// body with a line separator and an HTML character in a string.
+		{Method: "POST", Path: "/v1/containment-intervals", Status: 200,
+			Request:  json.RawMessage("{\n  \"options\":{\"topology\":\"mesh\", \"workers\":2},\n  \"dims\":[3e+01,4e+01],\n  \"system\":[[[1e+00,0],[2e+00,0]]],\n  \"v\":1\n}"),
+			Response: json.RawMessage(" [ {\"f\" : \"a\u2028b\u2029<\"} ] \n")},
+		{Method: "POST", Path: "/v1/steady-hull", Status: 400,
+			Meta:     api.ReplayMeta{Member: "m2"},
+			Request:  json.RawMessage("\t{\"v\":1,\"system\":[]}\r\n"),
+			Response: json.RawMessage(`{"v":1,"code":"bad_system","message":"empty system"}`)},
 	} {
 		rec.V, rec.Seq, rec.Time = api.Version, uint64(i), "2026-01-02T03:04:05Z"
-		line, err := seal(&rec, prev)
+		line, err := seal(nil, &rec, prev)
 		if err != nil {
 			t.Fatalf("record %d: seal: %v", i, err)
 		}
@@ -354,5 +366,70 @@ func TestSealLineMatchesMarshal(t *testing.T) {
 			t.Fatalf("record %d: seal line\n %s\nwant\n %s", i, line, want)
 		}
 		prev = rec.Hash
+	}
+}
+
+// checkSeal holds seal to json.Marshal: the same line for the sealed
+// record, or the same error.
+func checkSeal(t *testing.T, rec api.ReplayRecord) {
+	t.Helper()
+	line, err := seal(nil, &rec, "ab")
+	want, werr := json.Marshal(&rec)
+	switch {
+	case (err == nil) != (werr == nil):
+		t.Fatalf("seal error %v, json.Marshal error %v", err, werr)
+	case err != nil:
+		if err.Error() != werr.Error() {
+			t.Fatalf("seal error %q, want %q", err, werr)
+		}
+		return
+	}
+	if string(line) != string(want)+"\n" {
+		t.Fatalf("seal line\n %q\nwant\n %q", line, want)
+	}
+}
+
+func TestSealRejectsWhatMarshalRejects(t *testing.T) {
+	for _, body := range []string{"{", "[1,]", "01", "\"\\x\"", "[" + strings.Repeat("[", 300) + strings.Repeat("]", 301)} {
+		checkSeal(t, api.ReplayRecord{Request: json.RawMessage(body)})
+		checkSeal(t, api.ReplayRecord{Response: json.RawMessage(body)})
+	}
+}
+
+// FuzzSealRecord holds the hand-written record encoding to json.Marshal
+// over arbitrary string fields and raw bodies.
+func FuzzSealRecord(f *testing.F) {
+	f.Add("POST", "/v1/steady-hull?x=<&>", "s-1", []byte(`{"v":1,"system":[[[0],[1]]]}`), []byte(`{"result":[1,2.5e-7,null]}`), []byte(nil), 200, false)
+	f.Add("", "bad utf-8 \xff\u2028", "", []byte("{\n  \"v\": 1\n}"), []byte(`"\ud800<"`), []byte{0, 0xff}, 400, false)
+	f.Add("GET", "", "", []byte(nil), []byte(" [true,false,null,-0.5E+3] "), []byte(nil), 0, true)
+	f.Add("POST", "/v1/x", "", []byte(`{"a":"\u00e9\u2029"}`), []byte("not json"), []byte(nil), 500, false)
+	f.Fuzz(func(t *testing.T, method, path, session string, req, resp, bin []byte, status int, anchor bool) {
+		rec := api.ReplayRecord{V: api.Version, Seq: uint64(len(req)), Time: method + path,
+			Method: method, Path: path, Status: status,
+			Meta:    api.ReplayMeta{Topology: session, PEs: status, Workers: -status, FaultSeed: int64(len(resp)), Session: session, Member: method},
+			Request: req, RequestBin: bin, Response: resp,
+			Anchor: anchor, Count: uint64(len(bin)), Root: session}
+		checkSeal(t, rec)
+	})
+}
+
+// TestRecordEncoderKnowsEveryField: appendRecord writes api.ReplayRecord
+// by hand, so a field added to the schema must be added there too. This
+// pins the fields it knows, in order.
+func TestRecordEncoderKnowsEveryField(t *testing.T) {
+	names := func(v any) string {
+		var out []string
+		rt := reflect.TypeOf(v)
+		for i := 0; i < rt.NumField(); i++ {
+			name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+			out = append(out, name)
+		}
+		return strings.Join(out, " ")
+	}
+	if got, want := names(api.ReplayRecord{}), "v seq time method path status meta request request_bin response anchor count root prev hash"; got != want {
+		t.Errorf("api.ReplayRecord fields are %q; appendRecord writes %q", got, want)
+	}
+	if got, want := names(api.ReplayMeta{}), "topology pes workers fault_seed session member"; got != want {
+		t.Errorf("api.ReplayMeta fields are %q; appendMeta writes %q", got, want)
 	}
 }

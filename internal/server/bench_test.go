@@ -40,13 +40,15 @@ func serveOnce(b testing.TB, s *Server, algo string, body []byte) {
 // allocations; the rational-function sign predicates run in a stack
 // arena and make none either, and the Lemma 3.1 window step allocates
 // nothing per window. A memory profile of the warm run (-benchtime
-// 2000x -memprofilerate 1: 419 allocs/op on a 2-vCPU Xeon, go1.24.0)
-// puts 34% of them in pgeom.HullStatic (11% its dual lines, 4% its
-// envelope, which now allocates only its inputs and result), 28% in
-// verifySteadyHull (22% the one-block results of RatFun.Sub behind
-// geom.Point.Sub), 12% in JSON decode, 6% in the system build and 4%
-// in the canonical key. The cold variant constructs a machine per
-// request, and the gap between the two is what the pool buys.
+// 2000x -memprofilerate 1: 346 allocs/op on a 2-vCPU Xeon, go1.24.0)
+// puts 36% of them in pgeom.HullStatic (7% the boxed curves of its dual
+// lines, whose coefficients share one block; 5% its envelope; 11% the
+// geom.Hull seam cleanup), 34% in verifySteadyHull (27% the one-block
+// results of RatFun.Sub behind geom.Point.Sub), 7% in the system build,
+// 5% in the canonical key and 1.5% in JSON decode (api.DecodeRequest,
+// which puts the body's coefficients in one block; json.Unmarshal was
+// 12% of 419). The cold variant constructs a machine per request, and
+// the gap between the two is what the pool buys.
 func BenchmarkServer(b *testing.B) {
 	algo, body := benchRequest(b)
 	b.Run("warm", func(b *testing.B) {

@@ -13,6 +13,7 @@ import (
 
 	"dyncg/internal/api"
 	"dyncg/internal/canon"
+	"dyncg/internal/replaylog"
 )
 
 // postRec sends one request and returns the full recorder, for tests
@@ -323,5 +324,85 @@ func TestCanonHashEqualImpliesSameResponse(t *testing.T) {
 			t.Errorf("pair %d: hash-equal requests got different bytes:\n  %s\n  %s",
 				i, bodies[0], bodies[1])
 		}
+	}
+}
+
+// TestPanicContained: a computation that panics once is answered, not
+// dropped. The panicking request gets a typed 500 internal and its
+// replay record; an identical request coalesced onto it gets a typed
+// 5xx too; the machine it panicked on is not pooled again; and the
+// next request is served normally.
+func TestPanicContained(t *testing.T) {
+	algo, body := benchRequest(t)
+	dir := t.TempDir()
+	rlog, err := replaylog.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Coalesce: true, ReplayLog: rlog})
+	var runs atomic.Int64
+	entered := make(chan struct{})
+	gate := make(chan struct{})
+	s.hookRunning = func() {
+		if runs.Add(1) == 1 {
+			close(entered)
+			<-gate
+			panic("injected fault")
+		}
+	}
+
+	var leader, follower *httptest.ResponseRecorder
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		leader = postRec(t, s.Handler(), algo, body)
+	}()
+	<-entered
+	go func() {
+		defer wg.Done()
+		follower = postRec(t, s.Handler(), algo, body)
+	}()
+	for s.CoalesceMerged() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+
+	if leader.Code != http.StatusInternalServerError || decodeErr(t, leader.Body.Bytes()).Code != api.CodeInternal {
+		t.Fatalf("panicking request: %d %s, want 500 internal", leader.Code, leader.Body)
+	}
+	if follower.Code < 500 || decodeErr(t, follower.Body.Bytes()).Code == "" {
+		t.Fatalf("coalesced follower: %d %s, want a typed 5xx", follower.Code, follower.Body)
+	}
+	next := postRec(t, s.Handler(), algo, body)
+	if resp := decodeOK(t, next.Code, next.Body.Bytes()); resp.Pool.Hit {
+		t.Error("the machine the panic ran on was pooled again")
+	}
+	var metrics strings.Builder
+	s.Metrics().Write(&metrics)
+	if want := `dyncgd_requests_total{algorithm="` + algo + `",code="500"} 2`; !strings.Contains(metrics.String(), want) {
+		t.Errorf("metrics lack %s:\n%s", want, metrics.String())
+	}
+
+	if err := rlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := replaylog.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var statuses []int
+	for _, rec := range recs {
+		if rec.Anchor {
+			continue
+		}
+		statuses = append(statuses, rec.Status)
+		if string(rec.Request) != string(body) {
+			t.Errorf("record %d (status %d) holds request %q, want the body", rec.Seq, rec.Status, rec.Request)
+		}
+	}
+	if len(statuses) != 3 || statuses[0] < 500 || statuses[1] < 500 || statuses[2] != http.StatusOK {
+		t.Errorf("recorded statuses %v, want the two 5xx answers then 200", statuses)
 	}
 }

@@ -37,6 +37,7 @@ import (
 
 	"dyncg/internal/algo"
 	"dyncg/internal/api"
+	"dyncg/internal/coalesce"
 	"dyncg/internal/fault"
 	"dyncg/internal/front"
 	"dyncg/internal/machine"
@@ -244,28 +245,34 @@ const unknownAlgorithm = "unknown"
 // with every caller of its flight, so nothing per caller is written
 // into the outcome: it lives here.
 type call struct {
-	raw    []byte    // the request body, for the replay record
-	source string    // one-shot: the X-Dyncg-Source value
-	n      int       // one-shot: the system's point count
-	sid    string    // session: the session addressed
-	extra  slog.Attr // session: the endpoint's own log attribute, if any
+	raw     []byte    // the request body, for the replay record
+	rawJSON bool      // raw decoded, so the record need not validate it
+	source  string    // one-shot: the X-Dyncg-Source value
+	n       int       // one-shot: the system's point count
+	sid     string    // session: the session addressed
+	extra   slog.Attr // session: the endpoint's own log attribute, if any
 }
+
+// handler is one /v1 endpoint: it fills in the per-caller facts of c
+// and returns the outcome.
+type handler func(w http.ResponseWriter, r *http.Request, c *call) *outcome
 
 // serve returns the lifecycle every /v1 endpoint runs under. endpoint
 // names the session endpoint ("create", "update", "query", "delete"),
 // or is empty for a one-shot POST /v1/<algorithm>. serve times the
-// request and runs h; then it alone writes and records the response,
-// observes the request registry (under the algorithm, or
-// sessions.<endpoint>) and emits the request's structured record, at
-// error level for a 5xx.
-func (s *Server) serve(endpoint string, h func(http.ResponseWriter, *http.Request) (call, *outcome)) http.HandlerFunc {
+// request and runs h, answering a panic in h with a typed 500
+// internal; then it alone writes and records the response, observes
+// the request registry (under the algorithm, or sessions.<endpoint>)
+// and emits the request's structured record, at error level for a 5xx.
+func (s *Server) serve(endpoint string, h handler) http.HandlerFunc {
 	label := "sessions." + endpoint
 	return func(w http.ResponseWriter, r *http.Request) {
 		started := time.Now()
 		if endpoint != "" {
 			s.sessions.Sweep() // lazy TTL eviction rides the session paths
 		}
-		c, o := h(w, r)
+		var c call
+		o := contained(h, w, r, &c)
 		metric := label
 		if endpoint == "" {
 			w.Header().Set("X-Dyncg-Source", c.source)
@@ -275,7 +282,7 @@ func (s *Server) serve(endpoint string, h func(http.ResponseWriter, *http.Reques
 			}
 		}
 		status, body := o.Wire()
-		s.rec.Send(w, r, status, body, c.raw, api.ReplayMeta{
+		s.rec.Send(w, r, status, body, c.raw, c.rawJSON, api.ReplayMeta{
 			Topology:  o.mi.Topology,
 			PEs:       o.mi.PEs,
 			Workers:   o.mi.Workers,
@@ -321,6 +328,21 @@ func (s *Server) serve(endpoint string, h func(http.ResponseWriter, *http.Reques
 			slog.String("error", o.errMsg),
 		)
 	}
+}
+
+// contained runs h and turns a panic into a typed 500 internal
+// outcome, so the request is still answered, recorded, observed and
+// logged. The facts h put in c before it panicked are kept.
+func contained(h handler, w http.ResponseWriter, r *http.Request, c *call) (o *outcome) {
+	defer func() {
+		if p := recover(); p != nil {
+			if p == http.ErrAbortHandler {
+				panic(p)
+			}
+			o = fail(http.StatusInternalServerError, api.CodeInternal, fmt.Errorf("server: panic serving request: %v", p))
+		}
+	}()
+	return h(w, r, c)
 }
 
 // admitted applies admission control: reject when draining, 429 when
@@ -474,57 +496,66 @@ func (o *outcome) Wire() (int, []byte) {
 	return o.status, o.body
 }
 
-// decode reads a request body under the server's body cap, decodes it
-// into v and applies the version gate, returning the raw body bytes for
-// the computation log. A non-nil outcome is the 400/413 failure.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any, version func() int) ([]byte, *outcome) {
+// decode reads a request body under the server's body cap into c.raw,
+// decodes it into v — api.DecodeRequest for a one-shot *api.Request,
+// json.Unmarshal for a session body — and applies the version gate. A
+// body that decodes is JSON, which decode notes in c.rawJSON for the
+// replay record. A non-nil outcome is the 400/413 failure.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, c *call, v any, version func() int) *outcome {
 	raw, st, err := front.ReadBody(w, r, s.cfg.MaxBody)
+	c.raw = raw
 	if st != 0 {
-		return raw, fail(st, api.CodeBadRequest, err)
+		return fail(st, api.CodeBadRequest, err)
 	}
-	if err := json.Unmarshal(raw, v); err != nil {
-		return raw, fail(http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("server: decoding request: %w", err))
+	if req, ok := v.(*api.Request); ok {
+		err = api.DecodeRequest(raw, req)
+	} else {
+		err = json.Unmarshal(raw, v)
 	}
+	if err != nil {
+		return fail(http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("server: decoding request: %w", err))
+	}
+	c.rawJSON = true
 	if got := version(); got != api.Version {
-		return raw, fail(http.StatusBadRequest, api.CodeBadVersion,
+		return fail(http.StatusBadRequest, api.CodeBadVersion,
 			fmt.Errorf("server: unsupported schema version %d (want %d)", got, api.Version))
 	}
-	return raw, nil
+	return nil
 }
 
 // handleAlgorithm serves POST /v1/<algorithm>: decode, validate, then
 // either serve from the response cache, join an identical in-flight
 // computation, or compute. Every response carries X-Dyncg-Source:
 // computed|coalesced|cache.
-func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) (c call, o *outcome) {
+func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request, c *call) (o *outcome) {
 	c.source = front.SourceComputed
 	name := r.PathValue("algorithm")
 	alg, ok := algo.Lookup(name)
 	if !ok {
-		return c, fail(http.StatusNotFound, api.CodeUnknownAlgorithm,
+		return fail(http.StatusNotFound, api.CodeUnknownAlgorithm,
 			fmt.Errorf("server: unknown algorithm %q", name))
 	}
 	var req api.Request
-	if c.raw, o = s.decode(w, r, &req, func() int { return req.V }); o != nil {
-		return c, o
+	if o = s.decode(w, r, c, &req, func() int { return req.V }); o != nil {
+		return o
 	}
 	res, err := front.Resolve(name, &req, runtime.GOMAXPROCS(0))
 	if err != nil {
-		return c, fail(http.StatusBadRequest, api.CodeBadTopology, err)
+		return fail(http.StatusBadRequest, api.CodeBadTopology, err)
 	}
 	spec, err := fault.ParseSpec(req.Options.Faults)
 	if err != nil {
-		return c, fail(http.StatusBadRequest, api.CodeBadFaults, err)
+		return fail(http.StatusBadRequest, api.CodeBadFaults, err)
 	}
 	sys, err := algo.SystemFrom(req.System)
 	if err != nil {
-		return c, failed(err)
+		return failed(err)
 	}
 	c.n = sys.N()
 	need := max(alg.PEs(string(res.Topology), sys), req.Options.PEs)
 	classSize, err := topo.Size(res.Topology, need)
 	if err != nil {
-		return c, failed(err)
+		return failed(err)
 	}
 	key := Key{Topo: string(res.Topology), PEs: classSize, Workers: res.Workers}
 
@@ -545,14 +576,19 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) (c call
 			}
 		},
 		func() (*outcome, error) { return s.compute(ctx, name, alg, &req, sys, spec, key, need), nil })
-	if err != nil {
+	switch {
+	case errors.Is(err, coalesce.ErrLeaderPanicked):
+		// The leader of this follower's flight panicked; serve answers
+		// the leader itself the same way.
+		o = fail(http.StatusInternalServerError, api.CodeInternal, fmt.Errorf("server: %w", err))
+	case err != nil:
 		// This follower's deadline expired while the leader was still
 		// computing. 503 is an admission artifact: replay skips it like
 		// any other load-dependent rejection.
 		o = fail(http.StatusServiceUnavailable, api.CodeCoalesceTimeout,
 			fmt.Errorf("server: deadline expired waiting for coalesced computation: %w", err))
 	}
-	return c, o
+	return o
 }
 
 // compute runs one resolved request through admission, machine
@@ -624,7 +660,15 @@ func (s *Server) compute(ctx context.Context, name string, alg algo.Algorithm, r
 		if err != nil {
 			return o.failed(err)
 		}
-		defer s.pool.Put(key, m)
+		// The machine goes back to the pool only if the algorithm
+		// returned: one it panicked in may hold any state, so it is
+		// dropped.
+		ran := false
+		defer func() {
+			if ran {
+				s.pool.Put(key, m)
+			}
+		}()
 		o.mi = api.MachineInfo{Topology: key.Topo, PEs: m.Size(), Workers: infoWorkers(key.Workers)}
 		if req.Options.Trace {
 			tr = trace.Attach(m, name)
@@ -633,6 +677,7 @@ func (s *Server) compute(ctx context.Context, name string, alg algo.Algorithm, r
 			s.hookRunning()
 		}
 		result, runErr = alg.Run(m, sys, req)
+		ran = true
 		stats = m.Stats()
 	}
 	o.sim = stats.Time()

@@ -447,6 +447,33 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestZeroDimensionSystemRejected: a system whose points have no
+// coordinates is a 400 bad_system on every one-shot endpoint and on
+// session create, even with a single point (no pair is ever compared).
+func TestZeroDimensionSystemRejected(t *testing.T) {
+	h := New(Config{}).Handler()
+	serveRaw := func(path, body string) (int, []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return w.Code, w.Body.Bytes()
+	}
+	for _, name := range algo.Names() {
+		for _, sys := range []string{`[[]]`, `[[],[]]`} {
+			st, body := serveRaw("/v1/"+name, `{"v":1,"system":`+sys+`,"dims":[1]}`)
+			if st != http.StatusBadRequest || decodeErr(t, body).Code != api.CodeBadSystem {
+				t.Errorf("%s with system %s: %d %s, want 400 bad_system", name, sys, st, body)
+			}
+		}
+	}
+	for _, name := range []string{"closest-point-sequence", "farthest-point-sequence", "containment-intervals",
+		"smallest-hypercube-edge", "smallest-ever-hypercube", "closest-pair-sequence", "farthest-pair-sequence"} {
+		st, body := serveRaw("/v1/sessions", `{"v":1,"algorithm":"`+name+`","system":[[]],"dims":[1]}`)
+		if st != http.StatusBadRequest || decodeErr(t, body).Code != api.CodeBadSystem {
+			t.Errorf("session %s with system [[]]: %d %s, want 400 bad_system", name, st, body)
+		}
+	}
+}
+
 // oversizedPEs is past the largest power of two an int holds (2^62 + 1).
 const oversizedPEs = 1<<62 + 1
 

@@ -159,25 +159,25 @@ func (s *Server) sessionDeadline(id string) time.Duration {
 // handleSessionCreate serves POST /v1/sessions: admit, pin a machine
 // from the pool (or construct into the session's size class), build the
 // engine from scratch, and register the session.
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (c call, o *outcome) {
+func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request, c *call) (o *outcome) {
 	var req api.SessionCreateRequest
-	if c.raw, o = s.decode(w, r, &req, func() int { return req.V }); o != nil {
-		return c, o
+	if o = s.decode(w, r, c, &req, func() int { return req.V }); o != nil {
+		return o
 	}
 	sa, err := session.ParseAlgo(req.Algorithm)
 	if err != nil {
-		return c, fail(http.StatusBadRequest, api.CodeUnknownAlgorithm, err)
+		return fail(http.StatusBadRequest, api.CodeUnknownAlgorithm, err)
 	}
 	tp, err := front.Topology(req.Options.Topology)
 	if err == nil && tp != topo.Hypercube && tp != topo.Mesh {
 		err = fmt.Errorf("server: sessions support mesh and hypercube machines, not %q", tp)
 	}
 	if err != nil {
-		return c, fail(http.StatusBadRequest, api.CodeBadTopology, err)
+		return fail(http.StatusBadRequest, api.CodeBadTopology, err)
 	}
 	sys, err := algo.SystemFrom(req.System)
 	if err != nil {
-		return c, failed(err)
+		return failed(err)
 	}
 
 	// The machine is sized before the engine exists, so resolve the
@@ -192,19 +192,19 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (c 
 	need := max(session.PEs(string(tp), sa, cfg.Capacity, cfg.MaxDegree), req.Options.PEs)
 	classSize, err := topo.Size(tp, need)
 	if err != nil {
-		return c, failed(err)
+		return failed(err)
 	}
 	key := Key{Topo: string(tp), PEs: classSize, Workers: front.Workers(req.Options.Workers, runtime.GOMAXPROCS(0))}
 
 	deadline := s.deadline(req.Options.DeadlineMs)
 	release, rejected := s.admitted(r.Context(), deadline)
 	if rejected != nil {
-		return c, rejected
+		return rejected
 	}
 	defer release()
 	m, hit, err := s.checkout(key, need)
 	if err != nil {
-		return c, failed(err)
+		return failed(err)
 	}
 	eng, err := session.New(m, cfg, sys.Points)
 	buildStats := m.Stats()
@@ -214,7 +214,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (c 
 	}
 	if err != nil {
 		s.pool.Put(key, m) // the next checkout's WarmReset discards whatever New ran
-		return c, failed(err)
+		return failed(err)
 	}
 	c.sid = ss.ID
 	resp := &api.SessionCreateResponse{
@@ -224,29 +224,29 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (c 
 		Stats:   api.FromStats(buildStats),
 		Result:  sessionResult(sa, eng.Result()),
 	}
-	return c, &outcome{status: http.StatusOK, out: resp, mi: resp.Session.Machine}
+	return &outcome{status: http.StatusOK, out: resp, mi: resp.Session.Machine}
 }
 
 // handleSessionUpdate serves POST /v1/sessions/{id}/update: admit, then
 // apply the batch under the session lock. The reported Stats are the
 // machine's counter delta across the batch — the simulated cost of the
 // batch's envelope passes and derivation.
-func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) (c call, o *outcome) {
+func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request, c *call) (o *outcome) {
 	id := r.PathValue("id")
 	c.sid, c.extra = id, slog.Int("deltas", 0)
 	var req api.SessionUpdateRequest
-	if c.raw, o = s.decode(w, r, &req, func() int { return req.V }); o != nil {
-		return c, o
+	if o = s.decode(w, r, c, &req, func() int { return req.V }); o != nil {
+		return o
 	}
 	c.extra = slog.Int("deltas", len(req.Deltas))
 	deltas, err := deltasFrom(req.Deltas)
 	if err != nil {
-		return c, failed(err)
+		return failed(err)
 	}
 
 	release, rejected := s.admitted(r.Context(), s.sessionDeadline(id))
 	if rejected != nil {
-		return c, rejected
+		return rejected
 	}
 	defer release()
 
@@ -269,9 +269,9 @@ func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) (c 
 		return nil
 	})
 	if err != nil {
-		return c, failed(err)
+		return failed(err)
 	}
-	return c, &outcome{status: http.StatusOK, out: resp, mi: resp.Session.Machine}
+	return &outcome{status: http.StatusOK, out: resp, mi: resp.Session.Machine}
 }
 
 // handleSessionQuery serves GET /v1/sessions/{id}/query. The plain read
@@ -279,14 +279,14 @@ func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) (c 
 // admission — it does no simulated work). With ?verify=1 the request is
 // admitted and the answer is re-derived from scratch on the session's
 // machine, reporting whether the maintained result is bit-identical.
-func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) (c call, o *outcome) {
+func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request, c *call) (o *outcome) {
 	id := r.PathValue("id")
 	verify := r.URL.Query().Get("verify") == "1"
 	c.sid, c.extra = id, slog.Bool("verify", verify)
 	if verify {
 		release, rejected := s.admitted(r.Context(), s.sessionDeadline(id))
 		if rejected != nil {
-			return c, rejected
+			return rejected
 		}
 		defer release()
 	}
@@ -309,15 +309,15 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) (c c
 		return nil
 	})
 	if err != nil {
-		return c, failed(err)
+		return failed(err)
 	}
-	return c, &outcome{status: http.StatusOK, out: resp, mi: resp.Session.Machine}
+	return &outcome{status: http.StatusOK, out: resp, mi: resp.Session.Machine}
 }
 
 // handleSessionDelete serves DELETE /v1/sessions/{id}: drop the session
 // and return its machine to the pool. Not admitted — deletion frees
 // capacity and must work on a saturated server.
-func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) (c call, o *outcome) {
+func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request, c *call) (o *outcome) {
 	c.sid = r.PathValue("id")
 	var updates uint64
 	err := s.sessions.Do(c.sid, func(ss *session.Session) error {
@@ -328,7 +328,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) (c 
 		err = s.sessions.Remove(c.sid)
 	}
 	if err != nil {
-		return c, failed(err)
+		return failed(err)
 	}
-	return c, &outcome{status: http.StatusOK, out: &api.SessionDeleteResponse{V: api.Version, ID: c.sid, Updates: updates}}
+	return &outcome{status: http.StatusOK, out: &api.SessionDeleteResponse{V: api.Version, ID: c.sid, Updates: updates}}
 }

@@ -543,14 +543,9 @@ func distinctStarts(pts map[int]motion.Point, moved []int) error {
 		min(a, b), max(a, b), motion.ErrBadSystem)
 }
 
-// startX is p's initial first coordinate (0 for a point of no
-// dimension, which then matches every other such point).
-func startX(p motion.Point) float64 {
-	if len(p.Coord) == 0 {
-		return 0
-	}
-	return p.Coord[0].Eval(0)
-}
+// startX is p's initial first coordinate (a session's points have at
+// least one: New rejects a system of dimension 0).
+func startX(p motion.Point) float64 { return p.Coord[0].Eval(0) }
 
 // apply applies one delta to state s, recording dirty slots, and
 // returns the ID an insert assigns. Inserts allocate slots and deletes
