@@ -251,7 +251,7 @@ func BenchmarkTable3(b *testing.B) {
 			run  func(m *machine.M) error
 		}{
 			{"nearest-neighbor", n, func(m *machine.M) error {
-				_, err := core.SteadyNearestNeighbor(m, sys, 0, false)
+				_, err := core.SteadyNearestNeighborD(m, sys, 0, false)
 				return err
 			}},
 			{"closest-pair", 4 * n, func(m *machine.M) error {
@@ -377,7 +377,7 @@ func BenchmarkC3SteadyShortcut(b *testing.B) {
 			var last *machine.M
 			for i := 0; i < b.N; i++ {
 				m := benchMachine(dyncg.Mesh, n)
-				if _, err := core.SteadyNearestNeighbor(m, sys, 0, false); err != nil {
+				if _, err := core.SteadyNearestNeighborD(m, sys, 0, false); err != nil {
 					b.Fatal(err)
 				}
 				last = m

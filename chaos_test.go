@@ -201,7 +201,7 @@ var chaosCases = []chaosCase{
 				return fmt.Errorf("steady-nn: %d points on %d PEs", sys.N(), m.Size())
 			}
 			var err error
-			out, err = core.SteadyNearestNeighbor(m, sys, 0, false)
+			out, err = core.SteadyNearestNeighborD(m, sys, 0, false)
 			return err
 		}
 		return body, func() any { return out }

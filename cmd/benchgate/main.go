@@ -15,7 +15,10 @@
 //     pins -benchtime 100x), so the gate is tight: FAIL when
 //     new > old·1.25 + 2. The +2 absorbs once-per-run warmup amortised
 //     over the fixed iterations; the factor flags any real reintroduction
-//     of per-call allocation.
+//     of per-call allocation. The same band bounds it from below: FAIL
+//     with a re-pin message when new < (old − 2)/1.25, so a pin that an
+//     allocation cut left far above the measurement cannot later absorb
+//     a regression back up to it.
 //
 //   - B/op is nearly deterministic but rounding and map growth wobble it:
 //     FAIL when new > old·1.5 + 512.
@@ -289,6 +292,11 @@ func gate(base Baseline, cur []Result) bool {
 		}
 		if old.AllocsOp >= 0 && now.AllocsOp > old.AllocsOp*1.25+2 {
 			fmt.Printf("FAIL %s: allocs/op %.1f exceeds baseline %.1f (gate: old*1.25+2)\n",
+				old.Name, now.AllocsOp, old.AllocsOp)
+			ok = false
+		}
+		if now.AllocsOp >= 0 && now.AllocsOp < (old.AllocsOp-2)/1.25 {
+			fmt.Printf("FAIL %s: allocs/op %.1f fell far below baseline %.1f (gate: (old-2)/1.25); re-pin the row\n",
 				old.Name, now.AllocsOp, old.AllocsOp)
 			ok = false
 		}

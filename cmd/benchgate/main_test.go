@@ -161,6 +161,11 @@ func TestGateTolerances(t *testing.T) {
 		{"allocs-over", res("b", 100, 100, 10), res("b", 100, 100, 15), false},
 		{"allocs-zero-slack", res("b", 100, 0, 0), res("b", 100, 0, 2), true},
 		{"allocs-zero-over", res("b", 100, 0, 0), res("b", 100, 0, 3), false},
+		// A stale pin far above the measurement fails with a re-pin
+		// message: (old−2)/1.25 mirrors the old·1.25+2 ceiling.
+		{"allocs-below-within", res("b", 100, 100, 91), res("b", 100, 100, 72), true},
+		{"allocs-far-below", res("b", 100, 100, 91), res("b", 100, 100, 35), false},
+		{"allocs-small-pin-slack", res("b", 100, 0, 2), res("b", 100, 0, 0), true},
 		{"bytes-within", res("b", 100, 1000, 0), res("b", 100, 2012, 0), true},
 		{"bytes-over", res("b", 100, 1000, 0), res("b", 100, 2013, 0), false},
 		{"ns-noise-ok", res("b", 100, 0, 0), res("b", 600, 0, 0), true},

@@ -107,3 +107,32 @@ func captureStdout(t *testing.T, f func()) []byte {
 	}
 	return buf.Bytes()
 }
+
+// TestServedRowsRun runs every Table 2 and Table 3 row — each an
+// internal/algo entry run through served — once at the table's smallest
+// size on both topologies. Unlike TestGoldenOutput it runs under -short
+// and -race, so a row naming an algorithm the table does not serve, or
+// one its prescribed machine cannot run, fails here too.
+func TestServedRowsRun(t *testing.T) {
+	tables := []struct {
+		name  string
+		sizes []int
+		rows  []row
+	}{
+		{"table2", table2Sizes, table2Rows()},
+		{"table3", table3Sizes, table3Rows()},
+	}
+	for _, tb := range tables {
+		n := tb.sizes[0]
+		for _, rw := range tb.rows {
+			for _, topo := range []string{"mesh", "hypercube"} {
+				st, err := rw.run(n, topo)
+				if err != nil {
+					t.Errorf("%s/%s/%s n=%d: %v", tb.name, rw.id, topo, n, err)
+				} else if st <= 0 {
+					t.Errorf("%s/%s/%s n=%d: simulated time %d, want > 0", tb.name, rw.id, topo, n, st)
+				}
+			}
+		}
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"dyncg/internal/algo"
 	"dyncg/internal/api"
 	"dyncg/internal/colstore"
 	"dyncg/internal/core"
@@ -161,8 +162,8 @@ func writeBenchJSON() {
 }
 
 // Tracing hook for -trace-dir: printTable arms the hook before a run it
-// wants traced; the first machine the row builds (via machineOf or
-// machineFor) gets the tracer.
+// wants traced; the first machine the row builds (via machineOf) gets
+// the tracer.
 var (
 	armLabel  string
 	armTracer *trace.Tracer
@@ -289,9 +290,33 @@ func machineOf(n int, family string) *machine.M {
 	return maybeTrace(newMachine(family, n, topo.WithFaultPlan(*faultsFlag, *faultSeed)))
 }
 
-// machineFor is machineOf sized by the envelope bound λ(n, s).
-func machineFor(n, s int, family string) *machine.M {
-	return machineOf(penvelope.PEs(family, n, s), family)
+// plainMachine is newMachine with no options: the fault-free, untraced
+// machine of the C1–C4 comparisons.
+func plainMachine(n int, family string) *machine.M { return newMachine(family, n) }
+
+// runAlgo runs the internal/algo entry name — the algorithm the daemon
+// serves as POST /v1/<name> and cmd/dyncg runs as -algo <name> — for sys
+// with the request's parameters, on a machine of the family that mk
+// builds with the entry's prescribed PE count. The table therefore sizes
+// and runs every served algorithm exactly as the daemon does.
+func runAlgo(name, family string, sys *motion.System, req *api.Request, mk func(n int, family string) *machine.M) (*machine.M, any, error) {
+	alg, ok := algo.Lookup(name)
+	if !ok {
+		panic(fmt.Sprintf("tables: %q is not a served algorithm", name))
+	}
+	m := mk(alg.PEs(family, sys), family)
+	res, err := alg.Run(m, sys, req)
+	return m, res, err
+}
+
+// served is a table row's runner for the internal/algo entry name: each
+// cell runs it for systems[n] on a machineOf machine, so -faults and
+// -trace-dir apply.
+func served(name string, systems map[int]*motion.System, req *api.Request) func(n int, topo string) (int64, error) {
+	return func(n int, topo string) (int64, error) {
+		m, _, err := runAlgo(name, topo, systems[n], req, machineOf)
+		return m.Stats().Time(), err
+	}
 }
 
 // ---------------------------------------------------------------- figures
@@ -416,92 +441,76 @@ func table1() {
 
 func table2() {
 	header("Table 2: transient behaviour problems (measured simulated time)")
+	printTable("table2", table2Sizes, table2Rows())
+}
+
+var table2Sizes = []int{16, 64, 256}
+
+// table2Rows are the Table 2 rows, each a served algorithm run on random
+// k=2 systems (planar, or 3-D for the hyper-rectangle problems) and on
+// converging systems for the collision times.
+func table2Rows() []row {
 	r := rand.New(rand.NewSource(*seed))
-	sizes := []int{16, 64, 256}
 	k := 2
 	sys2 := map[int]*motion.System{}
 	sys3 := map[int]*motion.System{}
 	conv := map[int]*motion.System{}
-	for _, n := range sizes {
+	for _, n := range table2Sizes {
 		sys2[n] = motion.Random(r, n, k, 2, 8)
 		sys3[n] = motion.Random(r, n, k, 3, 8)
 		conv[n] = motion.Converging(r, n)
 	}
-	rows := []row{
-		{"closest-point sequence", "closest-seq", "Θ(λ^½(n−1,2k)) / Θ(log² n)", bnd(lamHalf(1, 2*k), log2N), func(n int, topo string) (int64, error) {
-			m := machineFor(n, 2*k, topo)
-			_, err := core.ClosestPointSequence(m, sys2[n], 0)
-			return m.Stats().Time(), err
-		}},
-		{"collision times", "collisions", "Θ(n^½) / Θ(log² n)", bnd(sqrtN, log2N), func(n int, topo string) (int64, error) {
-			m := machineOf(8*n, topo)
-			_, err := core.CollisionTimes(m, conv[n], 0)
-			return m.Stats().Time(), err
-		}},
-		{"hull-vertex intervals", "hull-member", "Θ(λ^½(n,4k)) / Θ(log² n)", bnd(lamHalf(0, 4*k), log2N), func(n int, topo string) (int64, error) {
-			m := machineFor(n, 4*k+2, topo)
-			_, err := core.HullVertexIntervals(m, sys2[n], 0)
-			return m.Stats().Time(), err
-		}},
-		{"containment intervals", "containment", "Θ(λ^½(n,k)) / Θ(log² n)", bnd(lamHalf(0, k), log2N), func(n int, topo string) (int64, error) {
-			m := machineFor(n, k+2, topo)
-			_, err := core.ContainmentIntervals(m, sys3[n], []float64{12, 12, 12})
-			return m.Stats().Time(), err
-		}},
-		{"cube edgelength fn", "cube-edge", "Θ(λ^½(n,k)) / Θ(log² n)", bnd(lamHalf(0, k), log2N), func(n int, topo string) (int64, error) {
-			m := machineFor(n, k+2, topo)
-			_, err := core.SmallestHypercubeEdge(m, sys3[n])
-			return m.Stats().Time(), err
-		}},
-		{"smallest-ever cube", "smallest-cube", "Θ(λ^½(n,k)) / Θ(log² n)", bnd(lamHalf(0, k), log2N), func(n int, topo string) (int64, error) {
-			m := machineFor(n, k+2, topo)
-			_, _, err := core.SmallestEverHypercube(m, sys3[n])
-			return m.Stats().Time(), err
-		}},
+	req := &api.Request{}
+	box := &api.Request{Dims: []float64{12, 12, 12}}
+	return []row{
+		{"closest-point sequence", "closest-seq", "Θ(λ^½(n−1,2k)) / Θ(log² n)", bnd(lamHalf(1, 2*k), log2N),
+			served("closest-point-sequence", sys2, req)},
+		{"collision times", "collisions", "Θ(n^½) / Θ(log² n)", bnd(sqrtN, log2N),
+			served("collision-times", conv, req)},
+		{"hull-vertex intervals", "hull-member", "Θ(λ^½(n,4k)) / Θ(log² n)", bnd(lamHalf(0, 4*k), log2N),
+			served("hull-vertex-intervals", sys2, req)},
+		{"containment intervals", "containment", "Θ(λ^½(n,k)) / Θ(log² n)", bnd(lamHalf(0, k), log2N),
+			served("containment-intervals", sys3, box)},
+		{"cube edgelength fn", "cube-edge", "Θ(λ^½(n,k)) / Θ(log² n)", bnd(lamHalf(0, k), log2N),
+			served("smallest-hypercube-edge", sys3, req)},
+		{"smallest-ever cube", "smallest-cube", "Θ(λ^½(n,k)) / Θ(log² n)", bnd(lamHalf(0, k), log2N),
+			served("smallest-ever-hypercube", sys3, req)},
 	}
-	printTable("table2", sizes, rows)
 }
 
 // ---------------------------------------------------------------- Table 3
 
 func table3() {
 	header("Table 3: steady-state problems (measured simulated time)")
+	printTable("table3", table3Sizes, table3Rows())
+}
+
+var table3Sizes = []int{64, 256, 1024}
+
+// table3Rows are the Table 3 rows, each a served algorithm run on random
+// linear planar systems, and on diverging ones for the rows that need a
+// hull of several vertices.
+func table3Rows() []row {
 	r := rand.New(rand.NewSource(*seed))
-	sizes := []int{64, 256, 1024}
 	sys := map[int]*motion.System{}
 	div := map[int]*motion.System{}
-	for _, n := range sizes {
+	for _, n := range table3Sizes {
 		sys[n] = motion.Random(r, n, 1, 2, 8)
 		div[n] = motion.Diverging(r, n)
 	}
-	rows := []row{
-		{"nearest neighbour", "steady-nn", "Θ(√n) / Θ(log n)", bnd(sqrtN, logN), func(n int, topo string) (int64, error) {
-			m := machineOf(n, topo)
-			_, err := core.SteadyNearestNeighbor(m, sys[n], 0, false)
-			return m.Stats().Time(), err
-		}},
-		{"closest pair", "steady-cp", "Θ(√n) / Θ(log² n)", bnd(sqrtN, log2N), func(n int, topo string) (int64, error) {
-			m := machineOf(4*n, topo)
-			_, _, err := core.SteadyClosestPair(m, sys[n])
-			return m.Stats().Time(), err
-		}},
-		{"ordered hull(S)", "steady-hull", "Θ(√n) / Θ(log² n)", bnd(sqrtN, log2N), func(n int, topo string) (int64, error) {
-			m := machineOf(8*n, topo)
-			_, err := core.SteadyHull(m, sys[n])
-			return m.Stats().Time(), err
-		}},
-		{"farthest pair", "steady-farthest", "Θ(√n) / Θ(log² n)", bnd(sqrtN, log2N), func(n int, topo string) (int64, error) {
-			m := machineOf(8*n, topo)
-			_, _, _, err := core.SteadyFarthestPair(m, div[n])
-			return m.Stats().Time(), err
-		}},
-		{"min-area rectangle", "steady-rect", "Θ(√n) / Θ(log² n)", bnd(sqrtN, log2N), func(n int, topo string) (int64, error) {
-			m := machineOf(8*n, topo)
-			_, err := core.SteadyMinAreaRect(m, div[n])
-			return m.Stats().Time(), err
-		}},
+	req := &api.Request{}
+	return []row{
+		{"nearest neighbour", "steady-nn", "Θ(√n) / Θ(log n)", bnd(sqrtN, logN),
+			served("steady-nearest-neighbor", sys, req)},
+		{"closest pair", "steady-cp", "Θ(√n) / Θ(log² n)", bnd(sqrtN, log2N),
+			served("steady-closest-pair", sys, req)},
+		{"ordered hull(S)", "steady-hull", "Θ(√n) / Θ(log² n)", bnd(sqrtN, log2N),
+			served("steady-hull", sys, req)},
+		{"farthest pair", "steady-farthest", "Θ(√n) / Θ(log² n)", bnd(sqrtN, log2N),
+			served("steady-farthest-pair", div, req)},
+		{"min-area rectangle", "steady-rect", "Θ(√n) / Θ(log² n)", bnd(sqrtN, log2N),
+			served("steady-min-area-rect", div, req)},
 	}
-	printTable("table3", sizes, rows)
 }
 
 // ---------------------------------------------------------------- Table 4
@@ -602,8 +611,8 @@ func comparison3() {
 	fmt.Printf("%8s %14s %14s %8s\n", "n", "direct", "via Thm 4.1", "ratio")
 	for _, n := range []int{64, 256, 1024} {
 		sys := motion.Random(r, n, 1, 2, 8)
-		m1 := newMachine("mesh", n)
-		if _, err := core.SteadyNearestNeighbor(m1, sys, 0, false); err != nil {
+		m1, _, err := runAlgo("steady-nearest-neighbor", "mesh", sys, &api.Request{}, plainMachine)
+		if err != nil {
 			fmt.Println("error:", err)
 			continue
 		}
@@ -624,19 +633,18 @@ func comparison4() {
 	fmt.Printf("%8s %10s %12s %12s %10s\n", "n", "pairs", "mesh", "hypercube", "events")
 	for _, n := range []int{8, 16, 32} {
 		sys := motion.Random(r, n, 1, 2, 8)
-		mm := newMachine("mesh", penvelope.MeshPEs(core.PairSequencePEs(n, 1), 2))
-		seq, err := core.ClosestPairSequence(mm, sys)
+		mm, seq, err := runAlgo("closest-pair-sequence", "mesh", sys, &api.Request{}, plainMachine)
 		if err != nil {
 			fmt.Println("error:", err)
 			continue
 		}
-		hc := newMachine("hypercube", penvelope.CubePEs(core.PairSequencePEs(n, 1), 2))
-		if _, err := core.ClosestPairSequence(hc, sys); err != nil {
+		hc, _, err := runAlgo("closest-pair-sequence", "hypercube", sys, &api.Request{}, plainMachine)
+		if err != nil {
 			fmt.Println("error:", err)
 			continue
 		}
 		fmt.Printf("%8d %10d %12d %12d %10d\n",
-			n, n*(n-1)/2, mm.Stats().Time(), hc.Stats().Time(), len(seq))
+			n, n*(n-1)/2, mm.Stats().Time(), hc.Stats().Time(), len(seq.([]api.PairEvent)))
 	}
 	fmt.Println("claim: Θ(λ^½(n(n−1)/2, 2k)) mesh / Θ(log² n) hypercube")
 }

@@ -26,7 +26,7 @@
 //
 // # Steady-state algorithms (paper §5, Table 3)
 //
-//   - SteadyNearestNeighbor (Proposition 5.2)
+//   - SteadyNearestNeighbor (Proposition 5.2, in any dimension)
 //   - SteadyClosestPair (Proposition 5.3)
 //   - SteadyHull (Proposition 5.4)
 //   - SteadyFarthestPair (Proposition 5.6, Corollary 5.7)
@@ -251,9 +251,10 @@ func SmallestEverHypercube(m *Machine, sys *System) (dmin, tmin float64, err err
 // --- §5: steady state ----------------------------------------------------
 
 // SteadyNearestNeighbor returns a steady-state nearest (or farthest)
-// neighbour of sys.Points[origin] (Proposition 5.2).
+// neighbour of sys.Points[origin] (Proposition 5.2), for systems in any
+// dimension.
 func SteadyNearestNeighbor(m *Machine, sys *System, origin int, farthest bool) (int, error) {
-	return core.SteadyNearestNeighbor(m, sys, origin, farthest)
+	return core.SteadyNearestNeighborD(m, sys, origin, farthest)
 }
 
 // SteadyClosestPair returns a steady-state closest pair (Proposition 5.3).
@@ -302,14 +303,9 @@ func FarthestPairSequence(m *Machine, sys *System) ([]PairEvent, error) {
 	return core.FarthestPairSequence(m, sys)
 }
 
-// PairSequencePEs returns the §6 function count for the pair sequences.
+// PairSequencePEs returns λ(n(n−1)/2, 2k), the §6 bound on the pieces
+// of a pair sequence's envelope — not the function count n(n−1)/2.
 func PairSequencePEs(n, k int) int { return core.PairSequencePEs(n, k) }
-
-// SteadyNearestNeighborD is SteadyNearestNeighbor for systems in any
-// fixed dimension (Proposition 5.2 as stated).
-func SteadyNearestNeighborD(m *Machine, sys *System, origin int, farthest bool) (int, error) {
-	return core.SteadyNearestNeighborD(m, sys, origin, farthest)
-}
 
 // --- tracing & cost attribution ------------------------------------------
 

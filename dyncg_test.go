@@ -127,3 +127,44 @@ func TestLambdaFacade(t *testing.T) {
 		t.Fatal("EnvelopePEs below λ")
 	}
 }
+
+// TestSteadyNearestNeighborAnyDimension: the facade's Proposition 5.2
+// answers 3-D systems (the planar implementation rejected them with
+// ErrBadSystem) and its answer, nearest and farthest, matches a
+// brute-force comparison of the squared distances at t → ∞.
+func TestSteadyNearestNeighborAnyDimension(t *testing.T) {
+	r := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 10; trial++ {
+		sys := dyncg.RandomSystem(r, 3+r.Intn(20), 1+r.Intn(2), 3, 10)
+		origin := r.Intn(sys.N())
+		for _, farthest := range []bool{false, true} {
+			for _, topo := range []dyncg.Topology{dyncg.Mesh, dyncg.Hypercube} {
+				got, err := dyncg.SteadyNearestNeighbor(newMachine(t, topo, sys.N()), sys, origin, farthest)
+				if err != nil {
+					t.Fatalf("trial %d %s: %v", trial, topo, err)
+				}
+				best := -1
+				for j := range sys.Points {
+					if j == origin {
+						continue
+					}
+					if best < 0 {
+						best = j
+						continue
+					}
+					c := sys.Points[origin].DistSq(sys.Points[j]).CompareAtInfinity(sys.Points[origin].DistSq(sys.Points[best]))
+					if farthest {
+						c = -c
+					}
+					if c < 0 {
+						best = j
+					}
+				}
+				gd := sys.Points[origin].DistSq(sys.Points[got])
+				if got == origin || gd.CompareAtInfinity(sys.Points[origin].DistSq(sys.Points[best])) != 0 {
+					t.Fatalf("trial %d %s farthest=%v: got %d, oracle %d", trial, topo, farthest, got, best)
+				}
+			}
+		}
+	}
+}

@@ -39,9 +39,13 @@ func FarthestPairSequence(m *machine.M, sys *motion.System) ([]PairEvent, error)
 	return pairSequence(m, sys, pieces.Max)
 }
 
-// PairSequencePEs returns the PE count §6 prescribes for the pair
-// sequences: Θ(λ(n(n−1)/2, 2k)), rounded for the topology by the caller
-// (penvelope.MeshPEs/CubePEs round internally, so this returns the function count).
+// PairSequencePEs returns λ(n(n−1)/2, 2k), the bound on the number of
+// pieces of the pair sequence's envelope: the Θ(λ(n(n−1)/2, 2k)) PEs §6
+// prescribes, before topology rounding. It is not the function count
+// n(n−1)/2. Every caller (internal/algo, cmd/tables, the benchmark's
+// algorithm table) passes it to penvelope.MeshPEs/CubePEs as the
+// function count, which applies λ a second time; the served machine
+// sizes, the goldens and the replay corpus all pin that doubled sizing.
 func PairSequencePEs(n, k int) int {
 	return dsseq.LambdaBound(n*(n-1)/2, 2*k)
 }
@@ -111,11 +115,13 @@ func SerialClosestPairSequence(sys *motion.System, kind pieces.Kind) []PairEvent
 	return out
 }
 
-// SteadyNearestNeighborD solves Proposition 5.2 in any fixed dimension d
-// (the proposition is stated for d-dimensional space; the planar
-// restriction elsewhere in §5 is only needed by the hull-based
-// algorithms): broadcast the query trajectory, Θ(1) local construction
-// of d²_{0j}, then a semigroup under the Lemma 5.1 steady-state order.
+// SteadyNearestNeighborD implements Proposition 5.2: a steady-state
+// nearest (or farthest) neighbour of sys.Points[origin], in any fixed
+// dimension d (the proposition is stated for d-dimensional space; the
+// planar restriction elsewhere in §5 is only needed by the hull-based
+// algorithms). Broadcast the query trajectory, Θ(1) local construction
+// of d²_{0j}, then a semigroup under the Lemma 5.1 steady-state order:
+// Θ(√n) mesh / Θ(log n) hypercube time on Θ(n) PEs.
 func SteadyNearestNeighborD(m *machine.M, sys *motion.System, origin int, farthest bool) (int, error) {
 	if origin < 0 || origin >= sys.N() {
 		return -1, fmt.Errorf("core: origin %d out of range: %w", origin, motion.ErrBadSystem)

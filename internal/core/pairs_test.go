@@ -8,6 +8,7 @@ import (
 	"dyncg/internal/machine"
 	"dyncg/internal/motion"
 	"dyncg/internal/pieces"
+	"dyncg/internal/poly"
 )
 
 // bruteClosestPairD2 returns the squared distance of the closest pair of
@@ -164,17 +165,28 @@ func TestSteadyNearestNeighborD(t *testing.T) {
 		if gd.CompareAtInfinity(bd) != 0 {
 			t.Fatalf("trial %d (d=%d): nearest %d, want %d", trial, d, got, best)
 		}
-		// The planar special case agrees with the RatFun implementation.
-		if d == 2 {
-			m2 := cubeOf(n)
-			got2, err := SteadyNearestNeighbor(m2, sys, origin, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g2 := sys.Points[origin].DistSq(sys.Points[got2])
-			if gd.CompareAtInfinity(g2) != 0 {
-				t.Fatalf("trial %d: d-dim and planar disagree: %d vs %d", trial, got, got2)
-			}
+	}
+}
+
+// TestSteadyNearestNeighbor: in the steady state a static point beats
+// every escaping point however near they start, and the farthest
+// neighbour is the fastest escaper.
+func TestSteadyNearestNeighbor(t *testing.T) {
+	sys, err := motion.NewSystem([]motion.Point{
+		motion.NewPoint(poly.New(0), poly.New(0)),      // origin
+		motion.NewPoint(poly.New(100), poly.New(0)),    // static at distance 100
+		motion.NewPoint(poly.New(1, 2), poly.New(0)),   // escapes
+		motion.NewPoint(poly.New(2, 0.5), poly.New(0)), // escapes slowly
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*machine.M{meshOf(sys.N()), cubeOf(sys.N())} {
+		if got, err := SteadyNearestNeighborD(m, sys, 0, false); err != nil || got != 1 {
+			t.Fatalf("%s: steady nearest = %d, %v; want 1", m.Topology().Name(), got, err)
+		}
+		if got, err := SteadyNearestNeighborD(m, sys, 0, true); err != nil || got != 2 {
+			t.Fatalf("%s: steady farthest = %d, %v; want 2", m.Topology().Name(), got, err)
 		}
 	}
 }

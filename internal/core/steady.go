@@ -26,22 +26,6 @@ func SteadyPoints(sys *motion.System) ([]geom.Point[ratfun.RatFun], error) {
 	return pts, nil
 }
 
-// SteadyNearestNeighbor implements Proposition 5.2: a steady-state
-// nearest (or farthest) neighbour of sys.Points[origin], in Θ(√n) mesh /
-// Θ(log n) hypercube time on Θ(n) PEs (topo.NewMachine with n PEs).
-func SteadyNearestNeighbor(m *machine.M, sys *motion.System, origin int, farthest bool) (int, error) {
-	if m.Observed() {
-		m.SpanBegin("prop5.2-steady-nn",
-			"n", strconv.Itoa(sys.N()), "origin", strconv.Itoa(origin))
-		defer m.SpanEnd()
-	}
-	pts, err := SteadyPoints(sys)
-	if err != nil {
-		return -1, err
-	}
-	return pgeom.NearestNeighbor(m, pts, origin, farthest), nil
-}
-
 // SteadyNearestViaTransient is the naive alternative the §5 introduction
 // warns about: build the full transient closest-point sequence of
 // Theorem 4.1 (λ_M(n−1, 2k) PEs, Θ(λ^{1/2}) time) and take its last
@@ -154,7 +138,7 @@ func SteadyDiameterSequenceCheck(m *machine.M, sys *motion.System, origin int) (
 	if err != nil {
 		return -1, -1, err
 	}
-	st, err := SteadyNearestNeighbor(m, sys, origin, true)
+	st, err := SteadyNearestNeighborD(m, sys, origin, true)
 	if err != nil {
 		return -1, -1, err
 	}

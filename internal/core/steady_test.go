@@ -22,7 +22,7 @@ func TestProposition52SteadyNearest(t *testing.T) {
 		sys := motion.Random(r, n, 1, 2, 5)
 		origin := r.Intn(n)
 		for _, m := range []*machine.M{meshOf(4 * n), cubeOf(4 * n)} {
-			got, err := SteadyNearestNeighbor(m, sys, origin, false)
+			got, err := SteadyNearestNeighborD(m, sys, origin, false)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -57,7 +57,7 @@ func TestC3SteadyShortcutAgreesWithTransient(t *testing.T) {
 		origin := r.Intn(n)
 
 		mDirect := meshOf(4 * n)
-		direct, err := SteadyNearestNeighbor(mDirect, sys, origin, false)
+		direct, err := SteadyNearestNeighborD(mDirect, sys, origin, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestTable3CostShape(t *testing.T) {
 	for _, n := range sizes {
 		sys := motion.Random(r, n, 1, 2, 10)
 		m := meshOf(n)
-		if _, err := SteadyNearestNeighbor(m, sys, 0, false); err != nil {
+		if _, err := SteadyNearestNeighborD(m, sys, 0, false); err != nil {
 			t.Fatal(err)
 		}
 		nnMesh = append(nnMesh, float64(m.Stats().Time()))

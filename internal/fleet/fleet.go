@@ -80,8 +80,10 @@ type Config struct {
 	// Coalesce the fleet-wide request coalescer.
 	CacheBytes int64
 	Coalesce   bool
-	// Logger receives one structured record per proxied request (nil =
-	// discard).
+	// Logger receives the front door's warnings and errors: member
+	// health flips, a member marked down after a forward error, and
+	// replay-log append failures. It gets no per-request record
+	// (nil = discard).
 	Logger *slog.Logger
 	// ReplayLog, when non-nil, records the fleet-wide request stream —
 	// every /v1/* request in front-door arrival order, each stamped

@@ -3,7 +3,9 @@
 // antipodal vertices, minimal enclosing rectangle) and their steady-state
 // versions of §5, which are the same algorithms with every predicate
 // evaluated in the ordered field of rational functions at t → ∞
-// (Lemma 5.1, Propositions 5.2–5.4, Theorem 5.8).
+// (Lemma 5.1, Propositions 5.3–5.4, Theorem 5.8). Proposition 5.2, the
+// steady-state nearest neighbour, works in any dimension and lives in
+// internal/core (SteadyNearestNeighborD).
 //
 // All algorithms are expressed in the data movement operations of §2.6 —
 // sort, merge, scan, semigroup, broadcast, grouping — so their simulated
@@ -12,11 +14,7 @@
 package pgeom
 
 import (
-	"strconv"
-
-	"dyncg/internal/colstore"
 	"dyncg/internal/geom"
-	"dyncg/internal/machine"
 	"dyncg/internal/ratfun"
 )
 
@@ -62,51 +60,4 @@ func dirCmp[T ratfun.Real[T]](a, b geom.Point[T], ha, hb int) int {
 		return -1
 	}
 	return 1
-}
-
-// NearestNeighbor returns the index (into pts) of a nearest neighbour of
-// pts[origin], excluding origin itself: broadcast the query point, Θ(1)
-// local squared-distance arithmetic, then a semigroup argmin — exactly
-// the algorithm of Proposition 5.2, costing Θ(√n) on the mesh and
-// Θ(log n) on the hypercube. Instantiated at RatFun it is the
-// steady-state nearest neighbour; at F64 the static one.
-func NearestNeighbor[T ratfun.Real[T]](m *machine.M, pts []geom.Point[T], origin int, farthest bool) int {
-	if m.Observed() {
-		m.SpanBegin("nearest-neighbor",
-			"n", strconv.Itoa(len(pts)), "origin", strconv.Itoa(origin))
-		defer m.SpanEnd()
-	}
-	n := m.Size()
-	seg := machine.WholeMachine(n)
-	// Broadcast the query point.
-	q := colstore.New[geom.Point[T]](n)
-	q.Set(origin, pts[origin])
-	machine.SpreadCols(m, q, seg)
-	// Local distance + semigroup argmin/argmax.
-	type cand struct {
-		d  T
-		id int
-	}
-	regs := colstore.New[cand](n)
-	m.ChargeLocal(1)
-	for i := range pts {
-		if i == origin {
-			continue
-		}
-		regs.Set(i, cand{d: geom.DistSq(pts[i], q.Val[i]), id: i})
-	}
-	machine.SemigroupCols(m, regs, seg, func(a, b cand) cand {
-		c := a.d.Cmp(b.d)
-		if farthest {
-			c = -c
-		}
-		if c < 0 || (c == 0 && a.id < b.id) {
-			return a
-		}
-		return b
-	})
-	if c, ok := regs.First(); ok {
-		return c.id
-	}
-	return -1
 }

@@ -141,57 +141,6 @@ func TestHullSteadyMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestNearestNeighborMachine(t *testing.T) {
-	r := rand.New(rand.NewSource(83))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + r.Intn(30)
-		pts := fpts(r, n)
-		origin := r.Intn(n)
-		for _, m := range []*machine.M{meshFor(n), cubeFor(n)} {
-			got := NearestNeighbor(m, pts, origin, false)
-			// Serial oracle (excluding origin).
-			var rest []geom.Point[ratfun.F64]
-			for i, p := range pts {
-				if i != origin {
-					rest = append(rest, p)
-				}
-			}
-			want := rest[geom.NearestTo(rest, pts[origin])].ID
-			wd := geom.DistSq(pts[want], pts[origin])
-			gd := geom.DistSq(pts[got], pts[origin])
-			if gd.Cmp(wd) != 0 {
-				t.Fatalf("trial %d: nearest %d (d²=%v), want %d (d²=%v)",
-					trial, got, gd, want, wd)
-			}
-			gotF := NearestNeighbor(m, pts, origin, true)
-			wantF := rest[geom.FarthestFrom(rest, pts[origin])].ID
-			if geom.DistSq(pts[gotF], pts[origin]).Cmp(geom.DistSq(pts[wantF], pts[origin])) != 0 {
-				t.Fatalf("trial %d: farthest mismatch", trial)
-			}
-		}
-	}
-}
-
-func TestSteadyNearestNeighbor(t *testing.T) {
-	// Static point beats diverging points in the steady state.
-	mk := func(x, y poly.Poly, id int) geom.Point[ratfun.RatFun] {
-		return geom.Point[ratfun.RatFun]{X: ratfun.FromPoly(x), Y: ratfun.FromPoly(y), ID: id}
-	}
-	pts := []geom.Point[ratfun.RatFun]{
-		mk(poly.New(0), poly.New(0), 0),      // origin
-		mk(poly.New(100), poly.New(0), 1),    // static at distance 100
-		mk(poly.New(1, 2), poly.New(0), 2),   // escapes
-		mk(poly.New(2, 0.5), poly.New(0), 3), // escapes slowly
-	}
-	m := cubeFor(len(pts))
-	if got := NearestNeighbor(m, pts, 0, false); got != 1 {
-		t.Fatalf("steady nearest = %d, want 1", got)
-	}
-	if got := NearestNeighbor(m, pts, 0, true); got != 2 {
-		t.Fatalf("steady farthest = %d, want 2", got)
-	}
-}
-
 // TestClosestPairMatchesSerial on both topologies and both fields.
 func TestClosestPairMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(84))
