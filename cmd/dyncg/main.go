@@ -132,7 +132,7 @@ func run(args []string, w io.Writer) (err error) {
 	if !spec.Zero() {
 		plan = fault.NewPlan(spec, *faultSeed)
 	}
-	net, err := topo.NewNetwork(topo.Topology(*topoName), a.PEs(*topoName, sys))
+	net, err := topo.NewNetwork(topo.Topology(*topoName), a.PEs(*topoName, sys.N(), sys.K))
 	if err != nil {
 		return err
 	}

@@ -304,7 +304,7 @@ func runAlgo(name, family string, sys *motion.System, req *api.Request, mk func(
 	if !ok {
 		panic(fmt.Sprintf("tables: %q is not a served algorithm", name))
 	}
-	m := mk(alg.PEs(family, sys), family)
+	m := mk(alg.PEs(family, sys.N(), sys.K), family)
 	res, err := alg.Run(m, sys, req)
 	return m, res, err
 }

@@ -25,9 +25,10 @@ import (
 // wire conversion. Obtain one with Lookup.
 type Algorithm struct {
 	name string
-	// pes is the PE count the theorem prescribes for the system on the
-	// given topology family, before topology rounding.
-	pes func(topo string, sys *motion.System) int
+	// pes is the PE count the theorem prescribes for a system of n
+	// points of motion degree k on the given topology family, before
+	// topology rounding.
+	pes func(topo string, n, k int) int
 	// minSize, when non-nil, is the smallest machine the body accepts
 	// after rounding or fault degradation (the guard that turns an
 	// under-sized degraded submachine into ErrTooFewPEs instead of an
@@ -53,10 +54,13 @@ func Names() []string {
 	return names
 }
 
-// PEs is the PE count the algorithm prescribes for sys on the topology
+// PEs is the PE count the algorithm prescribes for a system of n points
+// of motion degree k (a motion.System's N() and K) on the topology
 // family topo ("mesh" gets the λ_M envelope bound, every other family
-// λ_H), before the family rounds it up to a network size.
-func (a Algorithm) PEs(topo string, sys *motion.System) int { return a.pes(topo, sys) }
+// λ_H), before the family rounds it up to a network size. It reads
+// nothing else of the system, so a request's shape sizes its machine
+// before, or without, the system being built.
+func (a Algorithm) PEs(topo string, n, k int) int { return a.pes(topo, n, k) }
 
 // Run computes the algorithm on m for sys and the request's parameters
 // (origin, dims, farthest) and returns the answer in its wire form. A
@@ -78,8 +82,8 @@ func atLeast(mult int) func(sys *motion.System) int {
 // its wire name.
 var table = map[string]Algorithm{
 	"closest-point-sequence": {
-		pes: func(topo string, sys *motion.System) int {
-			return penvelope.PEs(topo, sys.N(), 2*max(sys.K, 1))
+		pes: func(topo string, n, k int) int {
+			return penvelope.PEs(topo, n, 2*max(k, 1))
 		},
 		run: func(m *machine.M, sys *motion.System, req *api.Request) (any, error) {
 			seq, err := core.ClosestPointSequence(m, sys, req.Origin)
@@ -87,8 +91,8 @@ var table = map[string]Algorithm{
 		},
 	},
 	"farthest-point-sequence": {
-		pes: func(topo string, sys *motion.System) int {
-			return penvelope.PEs(topo, sys.N(), 2*max(sys.K, 1))
+		pes: func(topo string, n, k int) int {
+			return penvelope.PEs(topo, n, 2*max(k, 1))
 		},
 		run: func(m *machine.M, sys *motion.System, req *api.Request) (any, error) {
 			seq, err := core.FarthestPointSequence(m, sys, req.Origin)
@@ -96,15 +100,15 @@ var table = map[string]Algorithm{
 		},
 	},
 	"collision-times": {
-		pes: func(topo string, sys *motion.System) int { return 8 * sys.N() },
+		pes: func(topo string, n, k int) int { return 8 * n },
 		run: func(m *machine.M, sys *motion.System, req *api.Request) (any, error) {
 			cs, err := core.CollisionTimes(m, sys, req.Origin)
 			return Collisions(cs), err
 		},
 	},
 	"hull-vertex-intervals": {
-		pes: func(topo string, sys *motion.System) int {
-			return penvelope.PEs(topo, sys.N(), 4*max(sys.K, 1)+2)
+		pes: func(topo string, n, k int) int {
+			return penvelope.PEs(topo, n, 4*max(k, 1)+2)
 		},
 		run: func(m *machine.M, sys *motion.System, req *api.Request) (any, error) {
 			ivs, err := core.HullVertexIntervals(m, sys, req.Origin)
@@ -112,8 +116,8 @@ var table = map[string]Algorithm{
 		},
 	},
 	"containment-intervals": {
-		pes: func(topo string, sys *motion.System) int {
-			return penvelope.PEs(topo, sys.N(), sys.K+2)
+		pes: func(topo string, n, k int) int {
+			return penvelope.PEs(topo, n, k+2)
 		},
 		run: func(m *machine.M, sys *motion.System, req *api.Request) (any, error) {
 			ivs, err := core.ContainmentIntervals(m, sys, req.Dims)
@@ -121,8 +125,8 @@ var table = map[string]Algorithm{
 		},
 	},
 	"smallest-hypercube-edge": {
-		pes: func(topo string, sys *motion.System) int {
-			return penvelope.PEs(topo, sys.N(), sys.K+2)
+		pes: func(topo string, n, k int) int {
+			return penvelope.PEs(topo, n, k+2)
 		},
 		run: func(m *machine.M, sys *motion.System, req *api.Request) (any, error) {
 			pw, err := core.SmallestHypercubeEdge(m, sys)
@@ -130,8 +134,8 @@ var table = map[string]Algorithm{
 		},
 	},
 	"smallest-ever-hypercube": {
-		pes: func(topo string, sys *motion.System) int {
-			return penvelope.PEs(topo, sys.N(), sys.K+2)
+		pes: func(topo string, n, k int) int {
+			return penvelope.PEs(topo, n, k+2)
 		},
 		run: func(m *machine.M, sys *motion.System, req *api.Request) (any, error) {
 			dmin, tmin, err := core.SmallestEverHypercube(m, sys)
@@ -139,7 +143,7 @@ var table = map[string]Algorithm{
 		},
 	},
 	"steady-nearest-neighbor": {
-		pes:     func(topo string, sys *motion.System) int { return sys.N() },
+		pes:     func(topo string, n, k int) int { return n },
 		minSize: atLeast(1),
 		run: func(m *machine.M, sys *motion.System, req *api.Request) (any, error) {
 			nn, err := core.SteadyNearestNeighborD(m, sys, req.Origin, req.Farthest)
@@ -147,7 +151,7 @@ var table = map[string]Algorithm{
 		},
 	},
 	"steady-closest-pair": {
-		pes:     func(topo string, sys *motion.System) int { return 4 * sys.N() },
+		pes:     func(topo string, n, k int) int { return 4 * n },
 		minSize: atLeast(1),
 		run: func(m *machine.M, sys *motion.System, req *api.Request) (any, error) {
 			a, b, err := core.SteadyClosestPair(m, sys)
@@ -155,7 +159,7 @@ var table = map[string]Algorithm{
 		},
 	},
 	"steady-hull": {
-		pes:     func(topo string, sys *motion.System) int { return 8 * sys.N() },
+		pes:     func(topo string, n, k int) int { return 8 * n },
 		minSize: atLeast(1),
 		run: func(m *machine.M, sys *motion.System, req *api.Request) (any, error) {
 			hull, err := core.SteadyHull(m, sys)
@@ -163,7 +167,7 @@ var table = map[string]Algorithm{
 		},
 	},
 	"steady-farthest-pair": {
-		pes: func(topo string, sys *motion.System) int { return 8 * sys.N() },
+		pes: func(topo string, n, k int) int { return 8 * n },
 		// The antipodal stage groups hull edges with query directions on
 		// one machine, so it needs headroom beyond the point count.
 		minSize: atLeast(4),
@@ -173,7 +177,7 @@ var table = map[string]Algorithm{
 		},
 	},
 	"steady-min-area-rect": {
-		pes:     func(topo string, sys *motion.System) int { return 8 * sys.N() },
+		pes:     func(topo string, n, k int) int { return 8 * n },
 		minSize: atLeast(4),
 		run: func(m *machine.M, sys *motion.System, req *api.Request) (any, error) {
 			rect, err := core.SteadyMinAreaRect(m, sys)
@@ -184,9 +188,9 @@ var table = map[string]Algorithm{
 		},
 	},
 	"closest-pair-sequence": {
-		pes: func(topo string, sys *motion.System) int {
-			k := max(sys.K, 1)
-			return penvelope.PEs(topo, core.PairSequencePEs(sys.N(), k), 2*k)
+		pes: func(topo string, n, k int) int {
+			k = max(k, 1)
+			return penvelope.PEs(topo, core.PairSequencePEs(n, k), 2*k)
 		},
 		run: func(m *machine.M, sys *motion.System, req *api.Request) (any, error) {
 			seq, err := core.ClosestPairSequence(m, sys)
@@ -194,9 +198,9 @@ var table = map[string]Algorithm{
 		},
 	},
 	"farthest-pair-sequence": {
-		pes: func(topo string, sys *motion.System) int {
-			k := max(sys.K, 1)
-			return penvelope.PEs(topo, core.PairSequencePEs(sys.N(), k), 2*k)
+		pes: func(topo string, n, k int) int {
+			k = max(k, 1)
+			return penvelope.PEs(topo, core.PairSequencePEs(n, k), 2*k)
 		},
 		run: func(m *machine.M, sys *motion.System, req *api.Request) (any, error) {
 			seq, err := core.FarthestPairSequence(m, sys)

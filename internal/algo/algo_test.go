@@ -36,7 +36,7 @@ func TestEveryEntryRuns(t *testing.T) {
 	for _, name := range Names() {
 		for _, tp := range []topo.Topology{topo.Mesh, topo.Hypercube} {
 			a, _ := Lookup(name)
-			m, err := topo.NewMachine(tp, a.PEs(string(tp), sys))
+			m, err := topo.NewMachine(tp, a.PEs(string(tp), sys.N(), sys.K))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,14 +20,20 @@ import (
 // body — malformed, case-variant or duplicate keys, escapes, unknown
 // keys, out-of-range numbers — goes to json.Unmarshal into a fresh
 // Request, so it gets today's value or today's error text.
-func DecodeRequest(raw []byte, req *Request) error {
+//
+// verbatim reports that the fast path accepted raw and found it compact
+// (no whitespace) with no <, > or & in its strings: raw is then
+// byte for byte what json.Marshal embeds for it as a json.RawMessage,
+// and a replay record may copy it without scanning it again. It is
+// false for every body the fast path leaves to json.Unmarshal.
+func DecodeRequest(raw []byte, req *Request) (verbatim bool, err error) {
 	*req = Request{}
 	d := decoder{b: raw}
 	if d.request(req) {
-		return nil
+		return !d.loose, nil
 	}
 	*req = Request{}
-	return json.Unmarshal(raw, req)
+	return false, json.Unmarshal(raw, req)
 }
 
 // decoder is the fast path's cursor over a body. Every method returns
@@ -36,6 +42,9 @@ func DecodeRequest(raw []byte, req *Request) error {
 type decoder struct {
 	b []byte
 	i int
+	// loose records that the body has whitespace or a string holding a
+	// character json.Marshal escapes, so it is not verbatim.
+	loose bool
 }
 
 // ws skips JSON whitespace.
@@ -44,6 +53,7 @@ func (d *decoder) ws() {
 		switch d.b[d.i] {
 		case ' ', '\t', '\n', '\r':
 			d.i++
+			d.loose = true
 		default:
 			return
 		}
@@ -104,6 +114,8 @@ func (d *decoder) str() ([]byte, bool) {
 			return d.b[start : d.i-1], true
 		case c == '\\' || c < 0x20 || c > 0x7f:
 			return nil, false
+		case c == '<' || c == '>' || c == '&':
+			d.loose = true
 		}
 	}
 	return nil, false

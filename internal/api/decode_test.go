@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -50,7 +51,7 @@ func sameRequest(a, b *Request) string {
 func checkDecode(t *testing.T, body []byte) {
 	t.Helper()
 	var got, want Request
-	gerr := DecodeRequest(body, &got)
+	verbatim, gerr := DecodeRequest(body, &got)
 	werr := json.Unmarshal(body, &want)
 	switch {
 	case (gerr == nil) != (werr == nil):
@@ -64,6 +65,11 @@ func checkDecode(t *testing.T, body []byte) {
 	var fast Request
 	if (&decoder{b: body}).request(&fast) && !json.Valid(body) {
 		t.Fatalf("%q: fast path accepted a body that is not valid JSON", body)
+	}
+	if verbatim {
+		if m, err := json.Marshal(json.RawMessage(body)); err != nil || !bytes.Equal(m, body) {
+			t.Fatalf("%q: verbatim, but json.Marshal embeds it as %q (%v)", body, m, err)
+		}
 	}
 }
 
@@ -96,6 +102,7 @@ var decodeCases = []string{
 	`{"v":1,"options":{"topology":"mesh"}}`,
 	`{"v":1,"options":{"topology":"mesh","faults":"transient=0.05,fail=1","fault_seed":-7,"trace":true,"cost_depth":2,"deadline_ms":100,"workers":-1}}`,
 	`{"v":1,"options":{"topology":"réseau"}}`,
+	`{"v":1,"options":{"topology":"a<b>&c"}}`,
 	"{\"v\":1,\"options\":{\"topology\":\"\x7f\"}}",
 	"{\"v\":1,\"options\":{\"topology\":\"caf\xc3\xa9\"}}",
 	"{\"v\":1,\"options\":{\"topology\":\"\xff\"}}",
@@ -129,12 +136,37 @@ func TestDecodeRequestMatchesUnmarshal(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestVerbatim: json.Marshal's own encoding of a request
+// is verbatim; whitespace anywhere, or an HTML character in a string,
+// is not.
+func TestDecodeRequestVerbatim(t *testing.T) {
+	marshalled, err := json.Marshal(Request{V: Version, System: [][][]float64{{{1, 2.5}, {-3e-7}}},
+		Dims: []float64{40}, Options: Options{Topology: "mesh", Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for body, want := range map[string]bool{
+		string(marshalled):                         true,
+		`{"v":1,"system":[[[1]]]}`:                 true,
+		`{"v":1,"system":[[[1]]]} `:                false,
+		`{"v":1, "system":[[[1]]]}`:                false,
+		`{"v":1,"options":{"topology":"a&b"}}`:     false,
+		`{"v":1,"options":{"topology":"a\u0026"}}`: false, // json.Unmarshal's path
+	} {
+		var req Request
+		got, err := DecodeRequest([]byte(body), &req)
+		if err != nil || got != want {
+			t.Errorf("%s: verbatim = %v (%v), want %v", body, got, err, want)
+		}
+	}
+}
+
 // TestDecodeRequestOverwrites pins that *req is replaced, not merged
 // into, on both paths.
 func TestDecodeRequestOverwrites(t *testing.T) {
 	for _, body := range []string{`{"v":1}`, `{"V":1}`} {
 		req := Request{Origin: 5, Dims: []float64{1}, Options: Options{PEs: 3}}
-		if err := DecodeRequest([]byte(body), &req); err != nil {
+		if _, err := DecodeRequest([]byte(body), &req); err != nil {
 			t.Fatal(err)
 		}
 		if d := sameRequest(&req, &Request{V: 1}); d != "" {

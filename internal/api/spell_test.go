@@ -173,7 +173,7 @@ func BenchmarkDecodeRequest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var req api.Request
-		if err := api.DecodeRequest(bodies[i%len(bodies)], &req); err != nil {
+		if _, err := api.DecodeRequest(bodies[i%len(bodies)], &req); err != nil {
 			b.Fatal(err)
 		}
 	}

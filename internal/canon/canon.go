@@ -11,10 +11,11 @@
 // normalizations applied are precisely the ones the computation itself
 // applies when it decodes a request, no more:
 //
-//   - Coefficient arrays are normalized with poly.New — trailing
-//     coefficients that are zero or negligible relative to the array's
-//     largest magnitude are trimmed — because that is what systemFrom
-//     feeds the algorithms. [1, 2, 0] and [1, 2] are the same motion.
+//   - Coefficient arrays are normalized as poly.New normalizes them —
+//     trailing coefficients that are zero or negligible relative to the
+//     array's largest magnitude are trimmed — because that is what
+//     systemFrom feeds the algorithms. [1, 2, 0] and [1, 2] are the same
+//     motion.
 //   - Remaining coefficients are hashed by their exact IEEE-754 bit
 //     pattern (so 1, 1.0, and 1e0 coincide after JSON decoding, while
 //     -0.0 stays distinct from +0.0 — the sign can surface in printed
@@ -46,6 +47,12 @@ import (
 // encoding change can never collide with keys from an older layout.
 const version = "dyncg-canon-v1"
 
+// Shape is a request's system as the algorithms size it: N points of
+// motion degree K, the largest degree of any normalized coordinate
+// polynomial (0 when every coordinate is constant or zero). It equals
+// the N() and K of the motion.System the request decodes to.
+type Shape struct{ N, K int }
+
 // Key returns the canonical-form SHA-256 (hex) of a one-shot request
 // and whether the request is cacheable at all. algorithm is the URL
 // path element; topology and workers are the server-resolved values
@@ -53,67 +60,69 @@ const version = "dyncg-canon-v1"
 // A request with a fault spec is uncacheable: its response depends on
 // the injected schedule and its accounting on the recovery harness.
 func Key(algorithm, topology string, workers int, req *api.Request) (string, bool) {
-	if req.Options.Faults != "" {
-		return "", false
-	}
-	h := sha256.New()
-	buf := make([]byte, 0, 64)
+	key, _, ok := KeyShape(algorithm, topology, workers, req)
+	return key, ok
+}
 
+// KeyShape is Key that also returns the request's Shape, read off the
+// same pass over the system. The shape is zero when the request is
+// uncacheable.
+func KeyShape(algorithm, topology string, workers int, req *api.Request) (string, Shape, bool) {
+	if req.Options.Faults != "" {
+		return "", Shape{}, false
+	}
+	// The encoding is built in one buffer and hashed once; a request of
+	// up to about a hundred coefficients fits on the stack.
+	var stack [1024]byte
+	b := stack[:0]
 	str := func(s string) {
-		buf = binary.AppendUvarint(buf[:0], uint64(len(s)))
-		h.Write(buf)
-		h.Write([]byte(s))
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
 	}
-	uvar := func(v uint64) {
-		buf = binary.AppendUvarint(buf[:0], v)
-		h.Write(buf)
-	}
-	ivar := func(v int64) {
-		buf = binary.AppendVarint(buf[:0], v)
-		h.Write(buf)
-	}
-	f64 := func(f float64) {
-		buf = binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(f))
-		h.Write(buf)
-	}
-	boolb := func(b bool) {
-		v := byte(0)
-		if b {
-			v = 1
+	boolb := func(v bool) {
+		if v {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
 		}
-		h.Write([]byte{v})
 	}
 
 	str(version)
-	uvar(uint64(req.V))
+	b = binary.AppendUvarint(b, uint64(req.V))
 	str(algorithm)
 	str(topology)
-	ivar(int64(workers))
-	ivar(int64(req.Options.PEs))
+	b = binary.AppendVarint(b, int64(workers))
+	b = binary.AppendVarint(b, int64(req.Options.PEs))
 	boolb(req.Options.Trace)
-	ivar(int64(req.Options.CostDepth))
-	ivar(req.Options.DeadlineMs)
-	ivar(int64(req.Origin))
+	b = binary.AppendVarint(b, int64(req.Options.CostDepth))
+	b = binary.AppendVarint(b, req.Options.DeadlineMs)
+	b = binary.AppendVarint(b, int64(req.Origin))
 	boolb(req.Farthest)
 
-	uvar(uint64(len(req.Dims)))
+	b = binary.AppendUvarint(b, uint64(len(req.Dims)))
 	for _, d := range req.Dims {
-		f64(d)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d))
 	}
 
-	uvar(uint64(len(req.System)))
+	shape := Shape{N: len(req.System)}
+	b = binary.AppendUvarint(b, uint64(len(req.System)))
 	for _, coords := range req.System {
-		uvar(uint64(len(coords)))
+		b = binary.AppendUvarint(b, uint64(len(coords)))
 		for _, cf := range coords {
-			// The same normalization systemFrom applies: the algorithms
-			// never see the trimmed coefficients, so neither does the key.
-			p := poly.New(cf...)
-			uvar(uint64(len(p)))
-			for _, c := range p {
-				f64(c)
+			// The same normalization systemFrom applies, trimmed in
+			// place: the algorithms never see the trimmed coefficients,
+			// so neither does the key. Degree is the trimmed length − 1.
+			deg := poly.Poly(cf).Degree()
+			shape.K = max(shape.K, deg)
+			b = binary.AppendUvarint(b, uint64(deg+1))
+			for _, c := range cf[:deg+1] {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c))
 			}
 		}
 	}
 
-	return hex.EncodeToString(h.Sum(nil)), true
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:]), shape, true
 }

@@ -1,12 +1,17 @@
 package canon
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
 
+	"dyncg/internal/algo"
 	"dyncg/internal/api"
+	"dyncg/internal/poly"
 )
 
 func req(system [][][]float64, mod func(*api.Request)) *api.Request {
@@ -190,5 +195,126 @@ func TestKeyDeterministic(t *testing.T) {
 		if k1 != k2 {
 			t.Fatalf("trial %d: identical requests hashed differently", trial)
 		}
+	}
+}
+
+// keyRef is Key as a streaming hash over poly.New's normalized copies:
+// the encoding the one-buffer Key must reproduce bit for bit.
+func keyRef(algorithm, topology string, workers int, req *api.Request) (string, bool) {
+	if req.Options.Faults != "" {
+		return "", false
+	}
+	h := sha256.New()
+	var buf []byte
+	put := func(b []byte) { h.Write(b) }
+	str := func(s string) { put(binary.AppendUvarint(buf[:0], uint64(len(s)))); put([]byte(s)) }
+	uvar := func(v uint64) { put(binary.AppendUvarint(buf[:0], v)) }
+	ivar := func(v int64) { put(binary.AppendVarint(buf[:0], v)) }
+	f64 := func(f float64) { put(binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(f))) }
+	boolb := func(b bool) {
+		if b {
+			put([]byte{1})
+		} else {
+			put([]byte{0})
+		}
+	}
+	str(version)
+	uvar(uint64(req.V))
+	str(algorithm)
+	str(topology)
+	ivar(int64(workers))
+	ivar(int64(req.Options.PEs))
+	boolb(req.Options.Trace)
+	ivar(int64(req.Options.CostDepth))
+	ivar(req.Options.DeadlineMs)
+	ivar(int64(req.Origin))
+	boolb(req.Farthest)
+	uvar(uint64(len(req.Dims)))
+	for _, d := range req.Dims {
+		f64(d)
+	}
+	uvar(uint64(len(req.System)))
+	for _, coords := range req.System {
+		uvar(uint64(len(coords)))
+		for _, cf := range coords {
+			p := poly.New(cf...)
+			uvar(uint64(len(p)))
+			for _, c := range p {
+				f64(c)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), true
+}
+
+// checkKey holds Key to keyRef and KeyShape's shape to the system
+// algo.SystemFrom builds, where it builds one.
+func checkKey(t *testing.T, alg, topo string, workers int, r *api.Request) {
+	t.Helper()
+	key, shape, ok := KeyShape(alg, topo, workers, r)
+	want, wantOK := keyRef(alg, topo, workers, r)
+	if key != want || ok != wantOK {
+		t.Fatalf("KeyShape = %q %v, keyRef = %q %v", key, ok, want, wantOK)
+	}
+	if k, _ := Key(alg, topo, workers, r); k != key {
+		t.Fatalf("Key = %q, KeyShape = %q", k, key)
+	}
+	if !ok {
+		return
+	}
+	if sys, err := algo.SystemFrom(r.System); err == nil && (shape.N != sys.N() || shape.K != sys.K) {
+		t.Fatalf("shape = %+v, system has N=%d K=%d", shape, sys.N(), sys.K)
+	}
+}
+
+// TestKeyPinned pins two keys computed by the streaming encoder the
+// one-buffer Key replaced: the encoding may not move, or every cached
+// answer of a running fleet would be orphaned.
+func TestKeyPinned(t *testing.T) {
+	full := req([][][]float64{{{0, 1, 0}, {2, 1e-30}}, {{math.Copysign(0, -1), 3}, {4}}}, func(r *api.Request) {
+		r.Origin, r.Farthest, r.Dims = 1, true, []float64{40, 41}
+		r.Options = api.Options{PEs: 64, Trace: true, CostDepth: 2, DeadlineMs: 100}
+	})
+	if got, want := mustKey(t, "steady-hull", "mesh", 2, full), "8d36050e862137b0560929a2ad4d1c6b9a59d6492683c0d190bd5700c2376732"; got != want {
+		t.Errorf("key = %s, want %s", got, want)
+	}
+	pair := req([][][]float64{{{1}}, {{2, 0, 0}}}, nil)
+	if got, want := mustKey(t, "closest-pair-sequence", "hypercube", 1, pair), "60f7d7f1fa0042c3b19325721c382068ba832151e93603c438135d4f8a09759e"; got != want {
+		t.Errorf("key = %s, want %s", got, want)
+	}
+}
+
+// TestKeyMatchesStreamingEncoder holds Key and KeyShape to keyRef over
+// random requests large enough to leave the stack buffer, every option
+// set, and a fault spec.
+func TestKeyMatchesStreamingEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		sys := make([][][]float64, 1+rng.Intn(40))
+		for i := range sys {
+			sys[i] = make([][]float64, 1+rng.Intn(3))
+			for j := range sys[i] {
+				cf := make([]float64, rng.Intn(5))
+				for k := range cf {
+					switch rng.Intn(4) {
+					case 0:
+						cf[k] = 0
+					case 1:
+						cf[k] = 1e-30
+					default:
+						cf[k] = rng.NormFloat64() * 100
+					}
+				}
+				sys[i][j] = cf
+			}
+		}
+		r := req(sys, func(r *api.Request) {
+			r.Origin, r.Farthest = rng.Intn(5), rng.Intn(2) == 0
+			r.Options = api.Options{PEs: rng.Intn(100), Trace: rng.Intn(2) == 0, CostDepth: rng.Intn(3), DeadlineMs: int64(rng.Intn(50))}
+			if rng.Intn(10) == 0 {
+				r.Options.Faults = "transient=0.1"
+			}
+		})
+		checkKey(t, "hull-vertex-intervals", "mesh", 1+rng.Intn(4), r)
 	}
 }

@@ -8,8 +8,9 @@ import (
 	"dyncg/internal/api"
 )
 
-// FuzzCanonicalHash checks the two load-bearing properties of the
-// canonical hash on arbitrary systems:
+// FuzzCanonicalHash holds Key to its streaming oracle (checkKey) and
+// checks the two load-bearing properties of the canonical hash on
+// arbitrary systems:
 //
 //  1. Renormalization invariance — appending trailing zero coefficients
 //     to every coefficient array (a different spelling of the same
@@ -61,6 +62,7 @@ func FuzzCanonicalHash(f *testing.F) {
 			sys = append(sys, [][]float64{append([]float64(nil), fs[i:end]...)})
 		}
 		r1 := &api.Request{V: api.Version, System: sys}
+		checkKey(t, "steady-hull", "hypercube", 1, r1)
 		k1, ok := Key("steady-hull", "hypercube", 1, r1)
 		if !ok {
 			t.Fatal("fault-free request reported uncacheable")

@@ -130,21 +130,6 @@ func SteadyMinAreaRect(m *machine.M, sys *motion.System) (SteadyRect, error) {
 	return pgeom.MinAreaRect(m, hull), nil
 }
 
-// SteadyDiameterSequenceCheck is a reference helper: the transient
-// farthest-point-sequence's last element must agree with the steady
-// farthest neighbour (used by tests to tie §4 and §5 together).
-func SteadyDiameterSequenceCheck(m *machine.M, sys *motion.System, origin int) (transient, steady int, err error) {
-	seq, err := FarthestPointSequence(m, sys, origin)
-	if err != nil {
-		return -1, -1, err
-	}
-	st, err := SteadyNearestNeighborD(m, sys, origin, true)
-	if err != nil {
-		return -1, -1, err
-	}
-	return seq[len(seq)-1].Point, st, nil
-}
-
 // StaticPointsAt evaluates the system at a fixed time as float points —
 // used by tests to validate transient results against static geometry.
 func StaticPointsAt(sys *motion.System, t float64) []geom.Point[ratfun.F64] {

@@ -335,25 +335,26 @@ func (f *FrontDoor) forwardWalk(ctx context.Context, key, method, uri string, bo
 	return nil
 }
 
-// write sends a proxied response to the client and records it. rawJSON
-// says the request body decoded, as for front.Recorder.Send.
-func (f *FrontDoor) write(w http.ResponseWriter, r *http.Request, p *proxied, raw []byte, rawJSON bool, meta api.ReplayMeta) {
+// write sends a proxied response to the client and records it. known
+// is what the front door knows of the request body, as for
+// front.Recorder.Send; a member's response body is recorded as read.
+func (f *FrontDoor) write(w http.ResponseWriter, r *http.Request, p *proxied, raw []byte, known front.Known, meta api.ReplayMeta) {
 	w.Header().Set("X-Dyncg-Member", p.member)
 	if p.source != "" {
 		w.Header().Set("X-Dyncg-Source", p.source)
 	}
 	meta.Member = p.member
-	f.rec.Send(w, r, p.status, p.body, raw, rawJSON, meta)
+	f.rec.Send(w, r, p.status, p.body, raw, known, meta)
 }
 
 // fail sends a front-door-originated error envelope. member attributes
 // the failure to a fleet member (member_down); empty for fleet-wide
 // conditions.
-func (f *FrontDoor) fail(w http.ResponseWriter, r *http.Request, status int, e *api.Error, raw []byte, rawJSON bool, meta api.ReplayMeta) {
+func (f *FrontDoor) fail(w http.ResponseWriter, r *http.Request, status int, e *api.Error, raw []byte, known front.Known, meta api.ReplayMeta) {
 	body, _ := json.Marshal(e)
 	w.Header().Set("X-Dyncg-Member", "frontdoor")
 	meta.Member = e.Member
-	f.rec.Send(w, r, status, body, raw, rawJSON, meta)
+	f.rec.Send(w, r, status, body, raw, known|front.BodyEmbedded, meta)
 }
 
 // machineMeta extracts the served machine from a successful response
@@ -414,8 +415,14 @@ func (f *FrontDoor) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 	// deterministically.
 	key, cacheKey := "", ""
 	var req api.Request
-	decoded := api.DecodeRequest(raw, &req) == nil
+	var known front.Known
+	verbatim, derr := api.DecodeRequest(raw, &req)
+	decoded := derr == nil
 	if decoded {
+		known = front.RawJSON
+		if verbatim {
+			known |= front.RawEmbedded
+		}
 		res, _ := front.Resolve(r.PathValue("algorithm"), &req, 0)
 		cacheKey, key = res.Key, res.Key
 		if key == "" {
@@ -423,21 +430,26 @@ func (f *FrontDoor) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	p, source, err := f.stage.Do(r.Context(), cacheKey, true,
-		func(body []byte) *proxied {
-			return &proxied{status: http.StatusOK, body: body, member: "frontdoor", source: front.SourceCache}
-		},
-		func() (*proxied, error) {
+	var (
+		p   *proxied
+		err error
+	)
+	source := front.SourceCache
+	if body, hit := f.stage.Get(cacheKey); hit {
+		p = &proxied{status: http.StatusOK, body: body, member: "frontdoor", source: source}
+	} else {
+		p, source, err = f.stage.Do(r.Context(), cacheKey, func() (*proxied, error) {
 			if p := f.forwardWalk(r.Context(), key, r.Method, r.URL.RequestURI(), raw); p != nil {
 				return p, nil
 			}
 			return nil, errNoMembers
 		})
+	}
 	switch {
 	case errors.Is(err, errNoMembers):
 		f.fail(w, r, http.StatusServiceUnavailable,
 			api.NewError(api.CodeNoMembers, "fleet: no live member to serve the request"),
-			raw, decoded, api.ReplayMeta{})
+			raw, known, api.ReplayMeta{})
 		return
 	case err != nil:
 		// This follower's context expired while the leader was still
@@ -445,7 +457,7 @@ func (f *FrontDoor) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		f.fail(w, r, http.StatusServiceUnavailable,
 			api.NewError(api.CodeCoalesceTimeout,
 				fmt.Sprintf("fleet: deadline expired waiting for coalesced computation: %v", err)),
-			raw, decoded, api.ReplayMeta{})
+			raw, known, api.ReplayMeta{})
 		return
 	}
 	meta := machineMeta(p.status, p.body)
@@ -457,7 +469,7 @@ func (f *FrontDoor) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		// relabel a copy.
 		p = &proxied{status: p.status, body: p.body, member: p.member, source: source}
 	}
-	f.write(w, r, p, raw, decoded, meta)
+	f.write(w, r, p, raw, known, meta)
 }
 
 // errNoMembers marks a coalesced leader's walk that found no live
@@ -470,7 +482,7 @@ var errNoMembers = errors.New("fleet: no live member")
 func (f *FrontDoor) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	raw, st, err := front.ReadBody(w, r, f.cfg.MaxBody)
 	if st != 0 {
-		f.fail(w, r, st, api.NewError(api.CodeBadRequest, err.Error()), raw, false, api.ReplayMeta{})
+		f.fail(w, r, st, api.NewError(api.CodeBadRequest, err.Error()), raw, 0, api.ReplayMeta{})
 		return nil, err
 	}
 	return raw, nil
@@ -499,13 +511,13 @@ func (f *FrontDoor) handleSessionCreate(w http.ResponseWriter, r *http.Request) 
 		}
 		meta := machineMeta(p.status, p.body)
 		meta.Session = sessionIDOf(p.body)
-		f.write(w, r, p, raw, false, meta)
+		f.write(w, r, p, raw, 0, meta)
 		return
 	}
 	f.exhausted.Add(1)
 	f.fail(w, r, http.StatusServiceUnavailable,
 		api.NewError(api.CodeNoMembers, "fleet: no live member to serve the request"),
-		raw, false, api.ReplayMeta{})
+		raw, 0, api.ReplayMeta{})
 }
 
 // sessionIDOf pulls the session ID out of a create response.
@@ -543,7 +555,7 @@ func (f *FrontDoor) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 		e := api.NewError(api.CodeMemberDown,
 			fmt.Sprintf("fleet: member %q owning session %q is down", home, id))
 		e.Member = home
-		f.fail(w, r, http.StatusServiceUnavailable, e, raw, false, api.ReplayMeta{Session: id})
+		f.fail(w, r, http.StatusServiceUnavailable, e, raw, 0, api.ReplayMeta{Session: id})
 		return
 	}
 	p, err := f.forward(r.Context(), m, r.Method, r.URL.RequestURI(), raw)
@@ -552,12 +564,12 @@ func (f *FrontDoor) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 		e := api.NewError(api.CodeMemberDown,
 			fmt.Sprintf("fleet: member %q owning session %q is down", home, id))
 		e.Member = home
-		f.fail(w, r, http.StatusServiceUnavailable, e, raw, false, api.ReplayMeta{Session: id})
+		f.fail(w, r, http.StatusServiceUnavailable, e, raw, 0, api.ReplayMeta{Session: id})
 		return
 	}
 	meta := machineMeta(p.status, p.body)
 	meta.Session = id
-	f.write(w, r, p, raw, false, meta)
+	f.write(w, r, p, raw, 0, meta)
 }
 
 // handleHealthz: the fleet is healthy while any member is.

@@ -44,14 +44,36 @@ const (
 	SourceCache     = "cache"     // served from the response cache
 )
 
+// maxPresize bounds the buffer ReadBody sizes from a request's
+// Content-Length before any of the body has arrived: a client's claim
+// buys at most this much memory up front, and a longer body grows the
+// buffer as its bytes are read.
+const maxPresize = 64 << 10
+
 // ReadBody reads the request body under the maxBody cap. On failure it
 // returns the bytes read so far (the replay record keeps them), the
 // status — 413 past the cap, 400 otherwise — and the error that words
-// the bad_request envelope. status is 0 on success.
+// the bad_request envelope. status is 0 on success. The buffer starts
+// at the declared Content-Length, up to maxPresize, with a byte to
+// spare for the read that meets the end, so a body of declared length
+// is read without regrowing.
 func ReadBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, int, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	raw, err := io.ReadAll(r.Body)
-	if err == nil {
+	size := int64(512)
+	if cl := r.ContentLength; cl > 0 {
+		size = min(cl, maxPresize) + 1
+	}
+	raw := make([]byte, 0, size)
+	var err error
+	for err == nil {
+		if len(raw) == cap(raw) {
+			raw = append(raw, 0)[:len(raw)]
+		}
+		var n int
+		n, err = r.Body.Read(raw[len(raw):cap(raw)])
+		raw = raw[:len(raw)+n]
+	}
+	if err == io.EOF {
 		return raw, 0, nil
 	}
 	st := http.StatusBadRequest
@@ -97,6 +119,10 @@ type Resolved struct {
 	// or empty when the request is uncacheable: faults are injected, or
 	// Workers is unknown.
 	Key string
+	// Shape is the system's shape, read off the hash's pass (zero when
+	// Key is empty). It sizes a cache hit's machine report without the
+	// system being built.
+	Shape canon.Shape
 }
 
 // Resolve resolves req for algorithm (the URL path element). procs is
@@ -109,7 +135,7 @@ func Resolve(algorithm string, req *api.Request, procs int) (Resolved, error) {
 	}
 	res := Resolved{Topology: tp, Workers: Workers(req.Options.Workers, procs)}
 	if res.Workers > 0 {
-		res.Key, _ = canon.Key(algorithm, string(tp), res.Workers, req)
+		res.Key, res.Shape, _ = canon.KeyShape(algorithm, string(tp), res.Workers, req)
 	}
 	return res, nil
 }
@@ -120,9 +146,12 @@ type Response interface {
 	Wire() (status int, body []byte)
 }
 
-// Stage deduplicates one-shot requests by canonical key: a cache read,
-// then one computation per key in flight, then a cache write of 200
-// responses. With no cache and coalescing off it is a pass-through.
+// Stage deduplicates one-shot requests by canonical key: a cache read
+// (Get), then, for a request the cache did not answer, one computation
+// per key in flight and a cache write of 200 responses (Do). A door
+// calls Get as soon as it has the key, so a hit does none of the work
+// only a computation needs, and Do on a miss. With no cache and
+// coalescing off it is a pass-through.
 type Stage[V Response] struct {
 	rc *rcache.Cache      // nil when caching is disabled
 	cg *coalesce.Group[V] // nil when coalescing is disabled
@@ -147,24 +176,29 @@ func (s *Stage[V]) Merged() int64 {
 	return s.cg.Merged()
 }
 
+// Get returns the cached response bytes of key. An uncacheable request
+// (empty key) or a disabled cache misses without touching the cache's
+// counters; every other call counts one hit or one miss.
+func (s *Stage[V]) Get(key string) ([]byte, bool) {
+	if key == "" {
+		return nil, false
+	}
+	return s.rc.Get(key)
+}
+
 // Do serves one request under key (empty = uncacheable, computed
-// directly). readCache false skips the cache read: the daemon's drain
-// gate, which sends even cached answers to admission. hit wraps cached
-// bytes into a response. Do calls Wire on compute's result before the
-// cache or any coalesced follower sees it, so a result that encodes
-// itself lazily is encoded once, by its leader. The returned source is
-// one of the Source values; err is compute's error or, for a coalesced
-// follower, its own ctx's expiry while the leader still runs, or
-// coalesce.ErrLeaderPanicked when the leader's compute panicked.
-func (s *Stage[V]) Do(ctx context.Context, key string, readCache bool, hit func(body []byte) V, compute func() (V, error)) (V, string, error) {
+// directly) that Get did not answer: it joins an identical in-flight
+// computation or leads one, and caches a 200 result. Do calls Wire on
+// compute's result before the cache or any coalesced follower sees it,
+// so a result that encodes itself lazily is encoded once, by its
+// leader. The returned source is SourceComputed or SourceCoalesced; err
+// is compute's error or, for a coalesced follower, its own ctx's expiry
+// while the leader still runs, or coalesce.ErrLeaderPanicked when the
+// leader's compute panicked.
+func (s *Stage[V]) Do(ctx context.Context, key string, compute func() (V, error)) (V, string, error) {
 	if key == "" || (s.rc == nil && s.cg == nil) {
 		v, err := compute()
 		return v, SourceComputed, err
-	}
-	if readCache {
-		if body, ok := s.rc.Get(key); ok {
-			return hit(body), SourceCache, nil
-		}
 	}
 	fill := func() (V, error) {
 		v, err := compute()
@@ -201,14 +235,27 @@ type Recorder struct {
 	Logger *slog.Logger   // receives append failures
 }
 
+// Known flags what the caller of Send already knows of the bytes it
+// records, so the replay record does not scan them again.
+type Known uint8
+
+const (
+	// RawJSON: raw decoded, so it is JSON (no json.Valid scan).
+	RawJSON Known = 1 << iota
+	// RawEmbedded: raw is also already as json.Marshal embeds it
+	// (api.DecodeRequest's verbatim). It implies RawJSON.
+	RawEmbedded
+	// BodyEmbedded: body is json.Marshal's own output.
+	BodyEmbedded
+)
+
 // Send writes one JSON response — the body, then the newline a
 // json.Encoder ends with — and, when the log is on, appends its replay
 // record: the request as raw JSON, or as base64 when the body is not
-// JSON, so a rejected body is recorded byte-exact. rawJSON says raw is
-// already known to be JSON because it decoded, which spares the
-// json.Valid scan. body is never modified. Log.Append serialises
-// concurrent appends itself.
-func (rc Recorder) Send(w http.ResponseWriter, r *http.Request, status int, body, raw []byte, rawJSON bool, meta api.ReplayMeta) {
+// JSON, so a rejected body is recorded byte-exact. known spares the
+// record the scans whose answers the caller already has. body is never
+// modified. Log.Append serialises concurrent appends itself.
+func (rc Recorder) Send(w http.ResponseWriter, r *http.Request, status int, body, raw []byte, known Known, meta api.ReplayMeta) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)
@@ -223,14 +270,21 @@ func (rc Recorder) Send(w http.ResponseWriter, r *http.Request, status int, body
 		Meta:     meta,
 		Response: body,
 	}
+	var embedded replaylog.Embedded
+	if known&BodyEmbedded != 0 {
+		embedded |= replaylog.ResponseEmbedded
+	}
 	switch {
 	case len(raw) == 0:
-	case rawJSON || json.Valid(raw):
+	case known&RawEmbedded != 0:
+		rec.Request = raw
+		embedded |= replaylog.RequestEmbedded
+	case known&RawJSON != 0 || json.Valid(raw):
 		rec.Request = raw
 	default:
 		rec.RequestBin = raw
 	}
-	if err := rc.Log.Append(rec); err != nil {
+	if err := rc.Log.AppendEmbedded(rec, embedded); err != nil {
 		rc.Logger.LogAttrs(r.Context(), slog.LevelError, "replaylog",
 			slog.String("error", err.Error()))
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -85,8 +86,6 @@ func (r *reply) Wire() (int, []byte) {
 	return r.status, r.body
 }
 
-func hitReply(body []byte) *reply { return &reply{status: http.StatusOK, body: body} }
-
 func TestStagePassThrough(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -98,7 +97,10 @@ func TestStagePassThrough(t *testing.T) {
 		{"uncacheable", NewStage[*reply](rcache.New(1<<20), true), ""},
 	} {
 		for i := 0; i < 2; i++ {
-			v, src, err := tc.stage.Do(ctx, tc.key, true, hitReply, func() (*reply, error) {
+			if _, hit := tc.stage.Get(tc.key); hit {
+				t.Errorf("%s request %d: cache hit", tc.name, i)
+			}
+			v, src, err := tc.stage.Do(ctx, tc.key, func() (*reply, error) {
 				return &reply{status: http.StatusOK, body: []byte("x")}, nil
 			})
 			if err != nil || src != SourceComputed || v.wired != 0 {
@@ -110,7 +112,8 @@ func TestStagePassThrough(t *testing.T) {
 
 func TestStageCache(t *testing.T) {
 	ctx := context.Background()
-	s := NewStage[*reply](rcache.New(1<<20), false)
+	rc := rcache.New(1 << 20)
+	s := NewStage[*reply](rc, false)
 	computed := 0
 	compute := func(status int) func() (*reply, error) {
 		return func() (*reply, error) {
@@ -120,23 +123,31 @@ func TestStageCache(t *testing.T) {
 	}
 	// Non-200 answers are never cached.
 	for i := 0; i < 2; i++ {
-		if _, src, _ := s.Do(ctx, "bad", true, hitReply, compute(http.StatusBadRequest)); src != SourceComputed {
+		if _, hit := s.Get("bad"); hit {
+			t.Errorf("error answer %d was cached", i)
+		}
+		if _, src, _ := s.Do(ctx, "bad", compute(http.StatusBadRequest)); src != SourceComputed {
 			t.Errorf("error answer %d: source %q", i, src)
 		}
 	}
-	if _, src, _ := s.Do(ctx, "ok", true, hitReply, compute(http.StatusOK)); src != SourceComputed {
+	if _, src, _ := s.Do(ctx, "ok", compute(http.StatusOK)); src != SourceComputed {
 		t.Errorf("first 200: source %q", src)
 	}
-	v, src, _ := s.Do(ctx, "ok", true, hitReply, compute(http.StatusOK))
-	if src != SourceCache || string(v.body) != "body" {
-		t.Errorf("repeat: source %q body %q, want cache", src, v.body)
+	if body, hit := s.Get("ok"); !hit || string(body) != "body" {
+		t.Errorf("repeat: hit %v body %q, want the cached body", hit, body)
 	}
-	// readCache false (the drain gate) computes even a cached key.
-	if _, src, _ := s.Do(ctx, "ok", false, hitReply, compute(http.StatusOK)); src != SourceComputed {
+	// Do never reads the cache: a door that skips Get (the drain gate)
+	// computes even a cached key.
+	if _, src, _ := s.Do(ctx, "ok", compute(http.StatusOK)); src != SourceComputed {
 		t.Errorf("gated read: source %q", src)
 	}
 	if computed != 4 {
 		t.Errorf("computed %d times, want 4", computed)
+	}
+	// Two misses and a hit: Do and an uncacheable Get count nothing.
+	s.Get("")
+	if st := rc.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Errorf("cache counted %d hits, %d misses; want 1, 2", st.Hits, st.Misses)
 	}
 	if s.Merged() != 0 {
 		t.Errorf("Merged = %d without coalescing", s.Merged())
@@ -154,7 +165,7 @@ func TestStageCoalesce(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		vals[0], srcs[0], _ = s.Do(ctx, "k", true, hitReply, func() (*reply, error) {
+		vals[0], srcs[0], _ = s.Do(ctx, "k", func() (*reply, error) {
 			close(entered)
 			<-gate
 			return leader, nil
@@ -164,7 +175,7 @@ func TestStageCoalesce(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		vals[1], srcs[1], _ = s.Do(ctx, "k", true, hitReply, func() (*reply, error) {
+		vals[1], srcs[1], _ = s.Do(ctx, "k", func() (*reply, error) {
 			t.Error("follower computed")
 			return nil, nil
 		})
@@ -183,7 +194,7 @@ func TestStageCoalesce(t *testing.T) {
 
 	// A follower whose context expires unblocks with its error.
 	entered, gate = make(chan struct{}), make(chan struct{})
-	go s.Do(ctx, "slow", true, hitReply, func() (*reply, error) {
+	go s.Do(ctx, "slow", func() (*reply, error) {
 		close(entered)
 		<-gate
 		return leader, nil
@@ -191,7 +202,7 @@ func TestStageCoalesce(t *testing.T) {
 	<-entered
 	done, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, src, err := s.Do(done, "slow", true, hitReply, nil); !errors.Is(err, context.Canceled) || src != SourceCoalesced {
+	if _, src, err := s.Do(done, "slow", nil); !errors.Is(err, context.Canceled) || src != SourceCoalesced {
 		t.Errorf("expired follower: source %q err %v", src, err)
 	}
 	close(gate)
@@ -223,6 +234,37 @@ func TestReadBody(t *testing.T) {
 	}
 }
 
+// TestReadBodyPresizeBounded: a Content-Length claim sizes the buffer
+// only up to maxPresize, so a client that claims 8 MiB and sends 10
+// bytes gets no 8 MiB allocation; a truthful claim is read in one
+// buffer.
+func TestReadBodyPresizeBounded(t *testing.T) {
+	const claimed = 8 << 20
+	read := func(body string, length int64) []byte {
+		r := httptest.NewRequest(http.MethodPost, "/v1/x", strings.NewReader(body))
+		r.ContentLength = length
+		raw, _, _ := ReadBody(httptest.NewRecorder(), r, claimed)
+		return raw
+	}
+	if raw := read("0123456789", claimed); string(raw) != "0123456789" || cap(raw) > maxPresize+1 {
+		t.Errorf("claimed %d, sent 10: read %q into cap %d, want at most %d", claimed, raw, cap(raw), maxPresize+1)
+	}
+	body := strings.Repeat("x", 3000)
+	if raw := read(body, int64(len(body))); string(raw) != body || cap(raw) != len(body)+1 {
+		t.Errorf("truthful 3000-byte claim: read %d bytes into cap %d, want one buffer of %d", len(raw), cap(raw), len(body)+1)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		read("0123456789", claimed)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 2*maxPresize {
+		t.Errorf("a lying 8 MiB claim allocates %d bytes per request, want at most about the presize bound %d", per, maxPresize)
+	}
+}
+
 type errReader struct{}
 
 func (errReader) Read([]byte) (int, error) { return 0, errors.New("connection reset") }
@@ -235,12 +277,12 @@ func TestRecorderSend(t *testing.T) {
 	}
 	rc := Recorder{Log: log}
 	for _, body := range []struct {
-		raw     string
-		rawJSON bool
-	}{{`{"v":1}`, false}, {"not json", false}, {"", false}, {"{\n \"v\": 1\n}", true}} {
+		raw   string
+		known Known
+	}{{`{"v":1}`, 0}, {"not json", 0}, {"", 0}, {"{\n \"v\": 1\n}", RawJSON}, {`{"v":1}`, RawJSON | RawEmbedded | BodyEmbedded}} {
 		w := httptest.NewRecorder()
 		rc.Send(w, httptest.NewRequest(http.MethodPost, "/v1/x?q=1", nil), http.StatusTeapot,
-			[]byte(`{"ok":true}`), []byte(body.raw), body.rawJSON, api.ReplayMeta{PEs: 4})
+			[]byte(`{"ok":true}`), []byte(body.raw), body.known, api.ReplayMeta{PEs: 4})
 		if w.Code != http.StatusTeapot || w.Body.String() != "{\"ok\":true}\n" ||
 			w.Header().Get("Content-Type") != "application/json" {
 			t.Errorf("wrote %d %q (%s)", w.Code, w.Body, w.Header().Get("Content-Type"))
@@ -259,8 +301,8 @@ func TestRecorderSend(t *testing.T) {
 			got = append(got, rec)
 		}
 	}
-	if len(got) != 4 {
-		t.Fatalf("recorded %d records, want 4", len(got))
+	if len(got) != 5 {
+		t.Fatalf("recorded %d records, want 5", len(got))
 	}
 	for _, rec := range got {
 		if rec.Path != "/v1/x?q=1" || rec.Status != http.StatusTeapot || rec.Meta.PEs != 4 ||
@@ -281,5 +323,9 @@ func TestRecorderSend(t *testing.T) {
 	// the record stores it compacted.
 	if string(got[3].Request) != `{"v":1}` || got[3].RequestBin != nil {
 		t.Errorf("decoded body recorded as %q / %q", got[3].Request, got[3].RequestBin)
+	}
+	// Bodies known embedded are copied without a scan, as they are.
+	if string(got[4].Request) != `{"v":1}` || got[4].RequestBin != nil {
+		t.Errorf("embedded body recorded as %q / %q", got[4].Request, got[4].RequestBin)
 	}
 }

@@ -146,16 +146,3 @@ func MinAreaRect[T ratfun.Real[T]](hull []Point[T]) Rect[T] {
 	}
 	return best
 }
-
-// RectContains reports whether the rectangle contains the point (boundary
-// inclusive) — a test helper exported for reuse by the parallel version's
-// validators.
-func RectContains[T ratfun.Real[T]](r Rect[T], v Point[T]) bool {
-	for i := 0; i < 4; i++ {
-		a, b := r.Corners[i], r.Corners[(i+1)%4]
-		if Orient(a, b, v) < 0 {
-			return false
-		}
-	}
-	return true
-}

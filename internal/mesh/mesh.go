@@ -111,9 +111,6 @@ func (m *Mesh) Size() int { return m.n }
 // Side returns √n.
 func (m *Mesh) Side() int { return m.side }
 
-// Scheme returns the indexing scheme.
-func (m *Mesh) Scheme() Indexing { return m.ix }
-
 // Name implements the topology interface of internal/machine.
 func (m *Mesh) Name() string {
 	return fmt.Sprintf("mesh[%dx%d,%s]", m.side, m.side, m.ix)

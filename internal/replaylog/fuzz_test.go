@@ -37,7 +37,7 @@ func validSegment(tb testing.TB) []byte {
 		rec.V = api.Version
 		rec.Seq = uint64(i)
 		rec.Time = "2026-01-02T03:04:05Z"
-		if _, err := seal(nil, &rec, prev); err != nil {
+		if _, err := seal(nil, &rec, prev, 0); err != nil {
 			tb.Fatalf("seal: %v", err)
 		}
 		line, err := json.Marshal(&rec)
@@ -50,7 +50,7 @@ func validSegment(tb testing.TB) []byte {
 	}
 	anchor := api.ReplayRecord{V: api.Version, Seq: 3, Time: "2026-01-02T03:04:06Z",
 		Anchor: true, Count: 3, Root: MerkleRoot(leaves)}
-	if _, err := seal(nil, &anchor, prev); err != nil {
+	if _, err := seal(nil, &anchor, prev, 0); err != nil {
 		tb.Fatalf("seal anchor: %v", err)
 	}
 	line, err := json.Marshal(&anchor)

@@ -12,12 +12,12 @@ import (
 // field by field without reflection: the fields in declaration order,
 // omitempty honoured, strings escaped as encoding/json escapes them
 // (HTML-safe, U+2028/U+2029, invalid UTF-8 as U+FFFD), request_bin in
-// standard base64. A raw body that is already compact and has nothing
-// to escape is copied as is; any other body takes one json.Marshal
-// compaction pass, which also words the error for a body that is not
-// JSON. VerifyChain re-encodes records with json.Marshal, so it checks
-// these bytes independently.
-func appendRecord(dst []byte, rec *api.ReplayRecord) ([]byte, error) {
+// standard base64. A raw body flagged in known, or that verbatim finds
+// already compact with nothing to escape, is copied as is; any other
+// body takes one json.Marshal compaction pass, which also words the
+// error for a body that is not JSON. VerifyChain re-encodes records
+// with json.Marshal, so it checks these bytes independently.
+func appendRecord(dst []byte, rec *api.ReplayRecord, known Embedded) ([]byte, error) {
 	var err error
 	dst = append(dst, `{"v":`...)
 	dst = strconv.AppendInt(dst, int64(rec.V), 10)
@@ -37,7 +37,7 @@ func appendRecord(dst []byte, rec *api.ReplayRecord) ([]byte, error) {
 	}
 	dst = appendMeta(append(dst, `,"meta":`...), &rec.Meta)
 	if len(rec.Request) > 0 {
-		if dst, err = appendRaw(append(dst, `,"request":`...), rec.Request); err != nil {
+		if dst, err = appendRaw(append(dst, `,"request":`...), rec.Request, known&RequestEmbedded != 0); err != nil {
 			return nil, err
 		}
 	}
@@ -46,7 +46,7 @@ func appendRecord(dst []byte, rec *api.ReplayRecord) ([]byte, error) {
 		dst = append(base64.StdEncoding.AppendEncode(dst, rec.RequestBin), '"')
 	}
 	if len(rec.Response) > 0 {
-		if dst, err = appendRaw(append(dst, `,"response":`...), rec.Response); err != nil {
+		if dst, err = appendRaw(append(dst, `,"response":`...), rec.Response, known&ResponseEmbedded != 0); err != nil {
 			return nil, err
 		}
 	}
@@ -110,8 +110,9 @@ func appendString(dst []byte, s string) []byte {
 
 // appendRaw appends a raw JSON body as json.Marshal embeds a
 // json.RawMessage: compacted, with <, >, &, U+2028 and U+2029 escaped.
-func appendRaw(dst, b []byte) ([]byte, error) {
-	if verbatim(b) {
+// embedded says b is known to be in that form already.
+func appendRaw(dst, b []byte, embedded bool) ([]byte, error) {
+	if embedded || verbatim(b) {
 		return append(dst, b...), nil
 	}
 	c, err := json.Marshal(json.RawMessage(b))

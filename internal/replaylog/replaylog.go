@@ -71,6 +71,7 @@ type Log struct {
 	seq     uint64 // next record's Seq
 	prev    string // hash of the last written record
 	leaves  []string
+	line    []byte // storage of the last line written, reused by the next
 
 	records  atomic.Uint64
 	bytes    atomic.Uint64
@@ -197,12 +198,13 @@ func (l *Log) Head() (seq uint64, hash string) {
 // line to dst. The canonical encoding is json.Marshal's (appendRecord
 // writes it by hand); the line is that pre-image with the hex digest,
 // which JSON never escapes, spliced in before the closing `"}`, so it
-// is byte-identical to encoding the sealed record again.
-func seal(dst []byte, rec *api.ReplayRecord, prev string) ([]byte, error) {
+// is byte-identical to encoding the sealed record again. known flags
+// the bodies already embedded (see Embedded).
+func seal(dst []byte, rec *api.ReplayRecord, prev string, known Embedded) ([]byte, error) {
 	rec.Prev = prev
 	rec.Hash = ""
 	start := len(dst)
-	dst, err := appendRecord(dst, rec)
+	dst, err := appendRecord(dst, rec, known)
 	if err != nil {
 		return nil, err
 	}
@@ -211,6 +213,18 @@ func seal(dst []byte, rec *api.ReplayRecord, prev string) ([]byte, error) {
 	rec.Hash = string(dst[len(dst)-2*len(sum):])
 	return append(dst, "\"}\n"...), nil
 }
+
+// Embedded flags the bodies of a record that are already in the form
+// json.Marshal embeds a json.RawMessage in: compact, with <, >, &,
+// U+2028 and U+2029 escaped. A flagged body is copied into the line
+// without the scan that would establish this. Set a flag only for bytes
+// json.Marshal itself produced, or that a scanner as strict has passed.
+type Embedded uint8
+
+const (
+	RequestEmbedded  Embedded = 1 << iota // rec.Request
+	ResponseEmbedded                      // rec.Response
+)
 
 // Append seals rec onto the chain (assigning Seq, Time, Prev, Hash) and
 // writes it as one JSONL line, rotating the segment when it exceeds the
@@ -222,14 +236,18 @@ func seal(dst []byte, rec *api.ReplayRecord, prev string) ([]byte, error) {
 // written without reflection (appendRecord): a compact body with
 // nothing to escape is copied as is, any other takes one compaction
 // pass.
-func (l *Log) Append(rec api.ReplayRecord) error {
+func (l *Log) Append(rec api.ReplayRecord) error { return l.AppendEmbedded(rec, 0) }
+
+// AppendEmbedded is Append for a record whose bodies flagged in known
+// are already embedded (see Embedded), so they are not scanned again.
+func (l *Log) AppendEmbedded(rec api.ReplayRecord, known Embedded) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	rec.V = api.Version
 	rec.Seq = l.seq
 	rec.Time = l.now().UTC().Format(time.RFC3339Nano)
 	rec.Anchor, rec.Count, rec.Root = false, 0, ""
-	if err := l.write(&rec); err != nil {
+	if err := l.write(&rec, known); err != nil {
 		l.errors.Add(1)
 		return err
 	}
@@ -248,12 +266,25 @@ func (l *Log) Append(rec api.ReplayRecord) error {
 	return nil
 }
 
+// maxKeptLine bounds the line storage a Log keeps between writes, so
+// one outsized record does not pin its buffer for the log's lifetime.
+const maxKeptLine = 64 << 10
+
 // write seals and writes one record line to the open segment. Caller
-// holds mu; rec.Seq must equal l.seq.
-func (l *Log) write(rec *api.ReplayRecord) error {
-	line, err := seal(make([]byte, 0, recordSize(rec)), rec, l.prev)
+// holds mu; rec.Seq must equal l.seq. The line is built in the storage
+// of the last one when it fits: Write has copied those bytes out, and
+// rec keeps none of them (Hash is a string copy).
+func (l *Log) write(rec *api.ReplayRecord, known Embedded) error {
+	dst := l.line[:0]
+	if size := recordSize(rec); cap(dst) < size {
+		dst = make([]byte, 0, size)
+	}
+	line, err := seal(dst, rec, l.prev, known)
 	if err != nil {
 		return fmt.Errorf("replaylog: sealing record %d: %w", rec.Seq, err)
+	}
+	if cap(line) <= maxKeptLine {
+		l.line = line
 	}
 	if _, err := l.f.Write(line); err != nil {
 		return fmt.Errorf("replaylog: appending record %d: %w", rec.Seq, err)
@@ -283,7 +314,7 @@ func (l *Log) sealSegment() error {
 		Count:  uint64(len(l.leaves)),
 		Root:   MerkleRoot(l.leaves),
 	}
-	if err := l.write(&anchor); err != nil {
+	if err := l.write(&anchor, 0); err != nil {
 		return err
 	}
 	if err := l.f.Close(); err != nil {

@@ -279,7 +279,7 @@ func TestOpenPathIsFile(t *testing.T) {
 func TestMerkleRoot(t *testing.T) {
 	h := func(s string) string {
 		rec := api.ReplayRecord{Path: s}
-		if _, err := seal(nil, &rec, ""); err != nil {
+		if _, err := seal(nil, &rec, "", 0); err != nil {
 			t.Fatalf("seal: %v", err)
 		}
 		return rec.Hash
@@ -354,7 +354,7 @@ func TestSealLineMatchesMarshal(t *testing.T) {
 			Response: json.RawMessage(`{"v":1,"code":"bad_system","message":"empty system"}`)},
 	} {
 		rec.V, rec.Seq, rec.Time = api.Version, uint64(i), "2026-01-02T03:04:05Z"
-		line, err := seal(nil, &rec, prev)
+		line, err := seal(nil, &rec, prev, 0)
 		if err != nil {
 			t.Fatalf("record %d: seal: %v", i, err)
 		}
@@ -373,7 +373,7 @@ func TestSealLineMatchesMarshal(t *testing.T) {
 // record, or the same error.
 func checkSeal(t *testing.T, rec api.ReplayRecord) {
 	t.Helper()
-	line, err := seal(nil, &rec, "ab")
+	line, err := seal(nil, &rec, "ab", 0)
 	want, werr := json.Marshal(&rec)
 	switch {
 	case (err == nil) != (werr == nil):
@@ -410,7 +410,48 @@ func FuzzSealRecord(f *testing.F) {
 			Request: req, RequestBin: bin, Response: resp,
 			Anchor: anchor, Count: uint64(len(bin)), Root: session}
 		checkSeal(t, rec)
+		checkEmbedded(t, rec)
 	})
+}
+
+// checkEmbedded holds the two ways a body reaches a record without its
+// scan. verbatim never claims a body that json.Marshal would change;
+// and json.Marshal's own output, which the server's response bodies
+// are, sealed with both Embedded flags set, is the line json.Marshal
+// writes for the record.
+func checkEmbedded(t *testing.T, rec api.ReplayRecord) {
+	t.Helper()
+	for _, b := range [][]byte{rec.Request, rec.Response} {
+		if !verbatim(b) {
+			continue
+		}
+		if m, err := json.Marshal(json.RawMessage(b)); err != nil || !bytes.Equal(m, b) {
+			t.Fatalf("verbatim claims %q, json.Marshal gives %q, %v", b, m, err)
+		}
+	}
+	remarshal := func(b []byte) json.RawMessage {
+		var v any
+		if len(b) == 0 || json.Unmarshal(b, &v) != nil {
+			return nil
+		}
+		m, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("re-marshalling %q: %v", b, err)
+		}
+		return m
+	}
+	rec.Request, rec.Response = remarshal(rec.Request), remarshal(rec.Response)
+	line, err := seal(nil, &rec, "ab", RequestEmbedded|ResponseEmbedded)
+	if err != nil {
+		t.Fatalf("seal of json.Marshal output: %v", err)
+	}
+	want, err := json.Marshal(&rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(line) != string(want)+"\n" {
+		t.Fatalf("embedded seal line\n %q\nwant\n %q", line, want)
+	}
 }
 
 // TestRecordEncoderKnowsEveryField: appendRecord writes api.ReplayRecord

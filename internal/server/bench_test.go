@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,7 @@ import (
 
 	"dyncg/internal/api"
 	"dyncg/internal/motion"
+	"dyncg/internal/replaylog"
 )
 
 // benchRequest is the serving workload of the pinned benchmarks: a
@@ -40,15 +43,21 @@ func serveOnce(b testing.TB, s *Server, algo string, body []byte) {
 // allocations; the rational-function sign predicates run in a stack
 // arena and make none either, and the Lemma 3.1 window step allocates
 // nothing per window. A memory profile of the warm run (-benchtime
-// 2000x -memprofilerate 1: 346 allocs/op on a 2-vCPU Xeon, go1.24.0)
-// puts 36% of them in pgeom.HullStatic (7% the boxed curves of its dual
-// lines, whose coefficients share one block; 5% its envelope; 11% the
-// geom.Hull seam cleanup), 34% in verifySteadyHull (27% the one-block
-// results of RatFun.Sub behind geom.Point.Sub), 7% in the system build,
-// 5% in the canonical key and 1.5% in JSON decode (api.DecodeRequest,
-// which puts the body's coefficients in one block; json.Unmarshal was
-// 12% of 419). The cold variant constructs a machine per request, and
-// the gap between the two is what the pool buys.
+// 2000x -memprofilerate 1: 328 allocs/op on a 2-vCPU Xeon, go1.24.0)
+// puts 38% of them in pgeom.HullStatic (12% the geom.Hull seam
+// cleanup), 36% in verifySteadyHull, 8% in the system build, 1% in JSON
+// decode (api.DecodeRequest, which puts the body's coefficients in one
+// block) and one allocation, the hex string, in the canonical key, which
+// hashes one stack buffer (it was 18 of 346 when it hashed a poly.New
+// copy of every coefficient array). The cold variant constructs a
+// machine per request, and the gap between the two is what the pool
+// buys. The cached variant is a response-cache hit with the replay log
+// on and a JSON request log: 36 allocs/op, of which 21 are the
+// httptest request and recorder and the response headers, 3 decode, 2
+// the replay record (its time stamp and hash; the line reuses the log's
+// storage), 2 the body read, 2 the decoded request and its outcome, 1
+// the canonical key and 1 the log record's attributes; a hit builds no
+// system, sets no deadline timer and checks out no machine.
 func BenchmarkServer(b *testing.B) {
 	algo, body := benchRequest(b)
 	b.Run("warm", func(b *testing.B) {
@@ -66,6 +75,27 @@ func BenchmarkServer(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			serveOnce(b, s, algo, body)
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		rlog, err := replaylog.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := New(Config{
+			CacheBytes: DefaultCacheBytes,
+			ReplayLog:  rlog,
+			Logger:     slog.New(slog.NewJSONHandler(io.Discard, nil)),
+		})
+		serveOnce(b, s, algo, body) // compute and cache the answer
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serveOnce(b, s, algo, body)
+		}
+		b.StopTimer() // sealing the segment is not a request's work
+		if err := rlog.Close(); err != nil {
+			b.Fatal(err)
 		}
 	})
 }

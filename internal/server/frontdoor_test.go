@@ -177,7 +177,8 @@ func TestFaultRequestsBypassFrontDoor(t *testing.T) {
 }
 
 // TestCacheRespectsDraining: a draining server rejects requests even
-// when the answer sits in the cache.
+// when the answer sits in the cache: it skips the cache read, so the
+// cached key goes on to admission, which answers 503 draining.
 func TestCacheRespectsDraining(t *testing.T) {
 	algo, body := benchRequest(t)
 	s := New(Config{CacheBytes: 1 << 20})
@@ -185,12 +186,19 @@ func TestCacheRespectsDraining(t *testing.T) {
 		t.Fatalf("prime: status %d", rec.Code)
 	}
 	s.SetDraining(true)
+	before := s.RCacheStats()
 	rec := postRec(t, s.Handler(), algo, body)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining cache-hit: status %d, want 503", rec.Code)
 	}
-	if !strings.Contains(rec.Body.String(), "draining") {
-		t.Errorf("draining rejection body: %s", rec.Body.String())
+	if e := decodeErr(t, rec.Body.Bytes()); e.Code != api.CodeDraining {
+		t.Errorf("draining rejection code %q: %s", e.Code, rec.Body.String())
+	}
+	if src := rec.Header().Get("X-Dyncg-Source"); src != "computed" {
+		t.Errorf("X-Dyncg-Source = %q, want computed", src)
+	}
+	if after := s.RCacheStats(); after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("a draining server read the cache: %+v, then %+v", before, after)
 	}
 }
 

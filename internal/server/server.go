@@ -10,11 +10,18 @@
 // (front.Recorder), observes the request registry and emits the one
 // structured log record. A one-shot's handler runs:
 //
-//	decode → validate → front door (cache, coalescing)
+//	decode → version gate → resolve (topology, workers, canonical key)
+//	→ response cache: a hit is answered here
+//	→ validate (faults, system, machine size) → coalescing
 //	→ admit (bounded queue + in-flight cap, deadline)
 //	→ check a machine out of the pool (or construct on miss)
 //	→ run the algorithm → convert the answer to its wire form
 //	→ check the machine back in.
+//
+// A cache hit skips everything after the lookup. Its key is a canonical
+// twin of a request that answered 200, and canon hashes exactly what
+// validation reads, so the hit would pass validation too; a draining
+// server skips the lookup, so admission still rejects a cached key.
 //
 // Fault-injected requests bypass the pool: the recovery harness
 // (internal/fault.Run) owns machine construction across its re-run
@@ -87,11 +94,12 @@ type Config struct {
 	SessionTTL time.Duration
 	// CacheBytes, when positive, enables the response cache: a
 	// bounded-bytes LRU (internal/rcache) of exact wire response bytes
-	// keyed by the canonical request hash (internal/canon). Cached
-	// responses are served without admission or simulated work and are
-	// byte-identical to the original computation, so replay logs stay
-	// verifiable — provided replay runs with the same cache
-	// configuration. 0 disables caching.
+	// keyed by the canonical request hash (internal/canon). The cache is
+	// read as soon as the key is known, so a cached response is served
+	// without validation, system build, deadline timer, admission or
+	// simulated work, and is byte-identical to the original computation;
+	// replay logs stay verifiable — provided replay runs with the same
+	// cache configuration. 0 disables caching.
 	CacheBytes int64
 	// Coalesce, when true, merges identical in-flight one-shot requests
 	// (equal canonical hashes) into a single pool computation whose
@@ -230,9 +238,6 @@ func (s *Server) CoalesceMerged() int64 { return s.stage.Merged() }
 // requests are rejected, while admitted requests run to completion.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Draining reports whether the server is draining.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // InFlight returns the number of currently executing requests.
 func (s *Server) InFlight() int { return len(s.sem) }
 
@@ -245,12 +250,12 @@ const unknownAlgorithm = "unknown"
 // with every caller of its flight, so nothing per caller is written
 // into the outcome: it lives here.
 type call struct {
-	raw     []byte    // the request body, for the replay record
-	rawJSON bool      // raw decoded, so the record need not validate it
-	source  string    // one-shot: the X-Dyncg-Source value
-	n       int       // one-shot: the system's point count
-	sid     string    // session: the session addressed
-	extra   slog.Attr // session: the endpoint's own log attribute, if any
+	raw    []byte      // the request body, for the replay record
+	known  front.Known // what decode learnt of raw, so the record need not scan it
+	source string      // one-shot: the X-Dyncg-Source value
+	n      int         // one-shot: the system's point count
+	sid    string      // session: the session addressed
+	extra  slog.Attr   // session: the endpoint's own log attribute, if any
 }
 
 // handler is one /v1 endpoint: it fills in the per-caller facts of c
@@ -281,8 +286,10 @@ func (s *Server) serve(endpoint string, h handler) http.HandlerFunc {
 				metric = unknownAlgorithm
 			}
 		}
+		// Every body an outcome carries is json.Marshal's output, or
+		// cached bytes that were.
 		status, body := o.Wire()
-		s.rec.Send(w, r, status, body, c.raw, c.rawJSON, api.ReplayMeta{
+		s.rec.Send(w, r, status, body, c.raw, c.known|front.BodyEmbedded, api.ReplayMeta{
 			Topology:  o.mi.Topology,
 			PEs:       o.mi.PEs,
 			Workers:   o.mi.Workers,
@@ -310,10 +317,10 @@ func (s *Server) serve(endpoint string, h handler) http.HandlerFunc {
 			if c.extra.Key == "" {
 				n--
 			}
-			s.log.LogAttrs(r.Context(), lvl, "session", attrs[:n]...)
+			s.logRecord(r.Context(), lvl, "session", attrs[:n]...)
 			return
 		}
-		s.log.LogAttrs(r.Context(), lvl, "request",
+		s.logRecord(r.Context(), lvl, "request",
 			slog.String("algorithm", r.PathValue("algorithm")),
 			slog.Int("status", status),
 			slog.Duration("latency", lat),
@@ -328,6 +335,21 @@ func (s *Server) serve(endpoint string, h handler) http.HandlerFunc {
 			slog.String("error", o.errMsg),
 		)
 	}
+}
+
+// logRecord hands one structured record straight to the logger's
+// handler. It is Logger.LogAttrs without the caller's program counter:
+// no handler the daemon builds sets AddSource, so the runtime.Callers
+// walk LogAttrs pays for it on every record would buy nothing, and the
+// written bytes are the same.
+func (s *Server) logRecord(ctx context.Context, lvl slog.Level, msg string, attrs ...slog.Attr) {
+	h := s.log.Handler()
+	if !h.Enabled(ctx, lvl) {
+		return
+	}
+	rec := slog.NewRecord(time.Now(), lvl, msg, 0)
+	rec.AddAttrs(attrs...)
+	_ = h.Handle(ctx, rec) // as in LogAttrs: a failed log write changes no answer
 }
 
 // contained runs h and turns a panic into a typed 500 internal
@@ -346,11 +368,10 @@ func contained(h handler, w http.ResponseWriter, r *http.Request, c *call) (o *o
 }
 
 // admitted applies admission control: reject when draining, 429 when
-// the wait queue is full, then wait for an execution slot until ctx is
-// done or, when d > 0, d has passed (a one-shot passes 0: its ctx
-// already carries the request deadline). It returns the slot's release,
-// or the rejection.
-func (s *Server) admitted(ctx context.Context, d time.Duration) (release func(), rejected *outcome) {
+// the wait queue is full, then wait for an execution slot until ctx,
+// which carries the request's deadline, is done. It returns the slot's
+// release, or the rejection.
+func (s *Server) admitted(ctx context.Context) (release func(), rejected *outcome) {
 	reject := func(st int, code api.ErrorCode) (func(), *outcome) {
 		return nil, fail(st, code, fmt.Errorf("server: request not admitted: %s", code))
 	}
@@ -361,11 +382,6 @@ func (s *Server) admitted(ctx context.Context, d time.Duration) (release func(),
 	case s.queue <- struct{}{}:
 	default:
 		return reject(http.StatusTooManyRequests, api.CodeQueueFull)
-	}
-	if d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
 	}
 	select {
 	case s.sem <- struct{}{}:
@@ -387,6 +403,20 @@ func (s *Server) deadline(ms int64) time.Duration {
 		return time.Duration(ms) * time.Millisecond
 	}
 	return s.cfg.Deadline
+}
+
+// sizeClass returns the pool key of a request resolved as res, for a
+// system of n points of motion degree k and the client's PEs floor,
+// and the PE count the algorithm prescribes (need) before rounding.
+func sizeClass(alg algo.Algorithm, res front.Resolved, n, k, pes int) (key Key, need int, err error) {
+	need = max(alg.PEs(string(res.Topology), n, k), pes)
+	size, err := topo.Size(res.Topology, need)
+	return Key{Topo: string(res.Topology), PEs: size, Workers: res.Workers}, need, err
+}
+
+// info is the machine report of a request served on key's size class.
+func (k Key) info() api.MachineInfo {
+	return api.MachineInfo{Topology: k.Topo, PEs: k.PEs, Workers: infoWorkers(k.Workers)}
 }
 
 // checkout takes an idle machine of key's size class from the pool or,
@@ -475,6 +505,14 @@ func (o *outcome) failed(err error) *outcome {
 	return o.fail(st, code, err)
 }
 
+// late makes o answer a request whose deadline passed while it
+// executed, err being its context's error: 504 deadline_exceeded, which
+// replay skips as load-dependent.
+func (o *outcome) late(err error) *outcome {
+	return o.fail(http.StatusGatewayTimeout, api.CodeDeadlineExceeded,
+		fmt.Errorf("server: deadline expired during execution: %w", err))
+}
+
 // fail and failed answer a request that failed before it reached a
 // machine.
 func fail(st int, code api.ErrorCode, err error) *outcome { return new(outcome).fail(st, code, err) }
@@ -499,23 +537,28 @@ func (o *outcome) Wire() (int, []byte) {
 // decode reads a request body under the server's body cap into c.raw,
 // decodes it into v — api.DecodeRequest for a one-shot *api.Request,
 // json.Unmarshal for a session body — and applies the version gate. A
-// body that decodes is JSON, which decode notes in c.rawJSON for the
-// replay record. A non-nil outcome is the 400/413 failure.
+// body that decodes is JSON, and one api.DecodeRequest found verbatim
+// is embedded as is; decode notes both in c.known for the replay
+// record. A non-nil outcome is the 400/413 failure.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, c *call, v any, version func() int) *outcome {
 	raw, st, err := front.ReadBody(w, r, s.cfg.MaxBody)
 	c.raw = raw
 	if st != 0 {
 		return fail(st, api.CodeBadRequest, err)
 	}
+	verbatim := false
 	if req, ok := v.(*api.Request); ok {
-		err = api.DecodeRequest(raw, req)
+		verbatim, err = api.DecodeRequest(raw, req)
 	} else {
 		err = json.Unmarshal(raw, v)
 	}
 	if err != nil {
 		return fail(http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("server: decoding request: %w", err))
 	}
-	c.rawJSON = true
+	c.known = front.RawJSON
+	if verbatim {
+		c.known |= front.RawEmbedded
+	}
 	if got := version(); got != api.Version {
 		return fail(http.StatusBadRequest, api.CodeBadVersion,
 			fmt.Errorf("server: unsupported schema version %d (want %d)", got, api.Version))
@@ -523,10 +566,10 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, c *call, v any, 
 	return nil
 }
 
-// handleAlgorithm serves POST /v1/<algorithm>: decode, validate, then
-// either serve from the response cache, join an identical in-flight
-// computation, or compute. Every response carries X-Dyncg-Source:
-// computed|coalesced|cache.
+// handleAlgorithm serves POST /v1/<algorithm>: decode and resolve,
+// answer from the response cache if it can, else validate and join an
+// identical in-flight computation or compute. Every response carries
+// X-Dyncg-Source: computed|coalesced|cache.
 func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request, c *call) (o *outcome) {
 	c.source = front.SourceComputed
 	name := r.PathValue("algorithm")
@@ -543,6 +586,20 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request, c *call
 	if err != nil {
 		return fail(http.StatusBadRequest, api.CodeBadTopology, err)
 	}
+
+	// A cacheable request (res.Key set) is looked up once, before any
+	// validation: a hit is the canonical twin of a request that passed
+	// it and answered 200. Its machine report comes from the request's
+	// shape, so no system is built. A draining server skips the read, so
+	// admission rejects even a request whose answer is cached.
+	if !s.draining.Load() {
+		if body, hit := s.stage.Get(res.Key); hit {
+			c.source, c.n = front.SourceCache, res.Shape.N
+			key, _, _ := sizeClass(alg, res, res.Shape.N, res.Shape.K, req.Options.PEs)
+			return &outcome{status: http.StatusOK, body: body, mi: key.info()}
+		}
+	}
+
 	spec, err := fault.ParseSpec(req.Options.Faults)
 	if err != nil {
 		return fail(http.StatusBadRequest, api.CodeBadFaults, err)
@@ -552,29 +609,17 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request, c *call
 		return failed(err)
 	}
 	c.n = sys.N()
-	need := max(alg.PEs(string(res.Topology), sys), req.Options.PEs)
-	classSize, err := topo.Size(res.Topology, need)
+	key, need, err := sizeClass(alg, res, sys.N(), sys.K, req.Options.PEs)
 	if err != nil {
 		return failed(err)
 	}
-	key := Key{Topo: string(res.Topology), PEs: classSize, Workers: res.Workers}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.Options.DeadlineMs))
 	defer cancel()
 
-	// Front door: a cacheable request (res.Key set) with the cache or
-	// the coalescer on is served from the cache with no admission and no
-	// simulated work, joins an identical in-flight computation, or leads
-	// one. A draining server skips the cache read, so admission rejects
-	// even a request whose answer is cached.
-	o, c.source, err = s.stage.Do(ctx, res.Key, !s.draining.Load(),
-		func(body []byte) *outcome {
-			return &outcome{
-				status: http.StatusOK,
-				body:   body,
-				mi:     api.MachineInfo{Topology: key.Topo, PEs: key.PEs, Workers: infoWorkers(key.Workers)},
-			}
-		},
+	// The miss path of the front door: join an identical in-flight
+	// computation, or lead one and cache its 200 answer.
+	o, c.source, err = s.stage.Do(ctx, res.Key,
 		func() (*outcome, error) { return s.compute(ctx, name, alg, &req, sys, spec, key, need), nil })
 	switch {
 	case errors.Is(err, coalesce.ErrLeaderPanicked):
@@ -597,7 +642,7 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request, c *call
 // prescribes before rounding. It is the single computation a coalesced
 // flight performs on behalf of all its callers.
 func (s *Server) compute(ctx context.Context, name string, alg algo.Algorithm, req *api.Request, sys *motion.System, spec fault.Spec, key Key, need int) *outcome {
-	release, rejected := s.admitted(ctx, 0)
+	release, rejected := s.admitted(ctx)
 	if rejected != nil {
 		return rejected
 	}
@@ -694,8 +739,7 @@ func (s *Server) compute(ctx context.Context, name string, alg algo.Algorithm, r
 		return o.failed(runErr)
 	}
 	if ctx.Err() != nil {
-		return o.fail(http.StatusGatewayTimeout, api.CodeDeadlineExceeded,
-			fmt.Errorf("server: deadline expired during execution: %w", ctx.Err()))
+		return o.late(ctx.Err())
 	}
 
 	o.status = http.StatusOK

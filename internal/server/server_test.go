@@ -194,7 +194,7 @@ func runDirect(t *testing.T, name string, tp topo.Topology, req api.Request) (an
 // prescribedPEs is the table's PE prescription for one algorithm.
 func prescribedPEs(name, tp string, sys *motion.System) int {
 	a, _ := algo.Lookup(name)
-	return a.PEs(tp, sys)
+	return a.PEs(tp, sys.N(), sys.K)
 }
 
 func check(t *testing.T, err error) {

@@ -15,6 +15,8 @@ package server
 //	DELETE /v1/sessions/{id}         release (not admitted; frees capacity)
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -197,7 +199,9 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request, c *
 	key := Key{Topo: string(tp), PEs: classSize, Workers: front.Workers(req.Options.Workers, runtime.GOMAXPROCS(0))}
 
 	deadline := s.deadline(req.Options.DeadlineMs)
-	release, rejected := s.admitted(r.Context(), deadline)
+	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	defer cancel()
+	release, rejected := s.admitted(ctx)
 	if rejected != nil {
 		return rejected
 	}
@@ -208,6 +212,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request, c *
 	}
 	eng, err := session.New(m, cfg, sys.Points)
 	buildStats := m.Stats()
+	if err == nil && ctx.Err() != nil {
+		// Built too late: the session is never registered.
+		s.pool.Put(key, m)
+		return new(outcome).late(ctx.Err())
+	}
 	var ss *session.Session
 	if err == nil {
 		ss, err = s.sessions.Add(eng, m, key.Topo, key.Workers, deadline)
@@ -244,7 +253,9 @@ func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request, c *
 		return failed(err)
 	}
 
-	release, rejected := s.admitted(r.Context(), s.sessionDeadline(id))
+	ctx, cancel := context.WithTimeout(r.Context(), s.sessionDeadline(id))
+	defer cancel()
+	release, rejected := s.admitted(ctx)
 	if rejected != nil {
 		return rejected
 	}
@@ -253,7 +264,7 @@ func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request, c *
 	var resp *api.SessionUpdateResponse
 	err = s.sessions.Do(id, func(ss *session.Session) error {
 		before := ss.M.Stats()
-		inserted, ast, err := ss.Eng.Apply(deltas)
+		inserted, ast, err := ss.Eng.ApplyContext(ctx, deltas)
 		if err != nil {
 			return err
 		}
@@ -268,6 +279,9 @@ func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request, c *
 		}
 		return nil
 	})
+	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+		return new(outcome).late(ctx.Err()) // discarded by ApplyContext: nothing committed
+	}
 	if err != nil {
 		return failed(err)
 	}
@@ -283,8 +297,12 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request, c *c
 	id := r.PathValue("id")
 	verify := r.URL.Query().Get("verify") == "1"
 	c.sid, c.extra = id, slog.Bool("verify", verify)
+	ctx := r.Context()
 	if verify {
-		release, rejected := s.admitted(r.Context(), s.sessionDeadline(id))
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.sessionDeadline(id))
+		defer cancel()
+		release, rejected := s.admitted(ctx)
 		if rejected != nil {
 			return rejected
 		}
@@ -310,6 +328,9 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request, c *c
 	})
 	if err != nil {
 		return failed(err)
+	}
+	if verify && ctx.Err() != nil {
+		return new(outcome).late(ctx.Err())
 	}
 	return &outcome{status: http.StatusOK, out: resp, mi: resp.Session.Machine}
 }

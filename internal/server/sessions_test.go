@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -545,5 +546,77 @@ func TestSessionChurnPoolAccounting(t *testing.T) {
 	runtime.GC()
 	if goroutinesAfter := runtime.NumGoroutine(); goroutinesAfter > goroutinesBefore+2 {
 		t.Fatalf("goroutines grew across churn: %d → %d", goroutinesBefore, goroutinesAfter)
+	}
+}
+
+// lateSession creates a 64-point closest-pair-sequence session under
+// the server default deadline and returns its ID and 32 retargets of
+// its first points.
+func lateSession(t *testing.T, h http.Handler) (string, api.SessionUpdateRequest) {
+	t.Helper()
+	sys := motion.Random(rand.New(rand.NewSource(71)), 64, 1, 2, 10)
+	created := createSession(t, h, api.SessionCreateRequest{
+		V: api.Version, Algorithm: "closest-pair-sequence", System: wireSystem(sys),
+	})
+	moved := motion.Random(rand.New(rand.NewSource(72)), 32, 1, 2, 10)
+	update := api.SessionUpdateRequest{V: api.Version}
+	for i, p := range moved.Points {
+		update.Deltas = append(update.Deltas, api.SessionDelta{Op: "retarget", ID: i, Point: wirePoint(p)})
+	}
+	return created.Session.ID, update
+}
+
+// TestLateSessionUpdateCommitsNothing: a session's deadline bounds the
+// execution of its batches, not only their wait for admission. A
+// 32-retarget batch on a 64-point closest-pair-sequence session with a
+// 1 ms deadline answers 504 deadline_exceeded, and the session still
+// answers its query as before: nothing of the batch was committed.
+func TestLateSessionUpdateCommitsNothing(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	id, update := lateSession(t, h)
+	path := "/v1/sessions/" + id
+	st, before := sessionCall(t, h, http.MethodGet, path+"/query", nil)
+	if st != http.StatusOK {
+		t.Fatalf("query: %d %s", st, before)
+	}
+	ss, ok := s.Sessions().Lookup(id)
+	if !ok {
+		t.Fatal("session not registered")
+	}
+	ss.Deadline = time.Millisecond // as if created with deadline_ms: 1
+
+	st, body := sessionCall(t, h, http.MethodPost, path+"/update", update)
+	if st != http.StatusGatewayTimeout || decodeErr(t, body).Code != api.CodeDeadlineExceeded {
+		t.Fatalf("late update: %d %s, want 504 deadline_exceeded", st, body)
+	}
+	if st, after := sessionCall(t, h, http.MethodGet, path+"/query", nil); st != http.StatusOK || !bytes.Equal(after, before) {
+		t.Errorf("query after the late update: %d\n%s\nwant\n%s", st, after, before)
+	}
+	st, body = sessionCall(t, h, http.MethodGet, path+"/query?verify=1", nil)
+	if st != http.StatusGatewayTimeout || decodeErr(t, body).Code != api.CodeDeadlineExceeded {
+		t.Errorf("late verified query: %d %s, want 504 deadline_exceeded", st, body)
+	}
+}
+
+// TestLateSessionCreateRegistersNothing: a create whose build outlives
+// deadline_ms answers 504, registers no session, and returns its
+// machine to the pool.
+func TestLateSessionCreateRegistersNothing(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	sys := motion.Random(rand.New(rand.NewSource(71)), 64, 1, 2, 10)
+	st, body := sessionCall(t, h, http.MethodPost, "/v1/sessions", api.SessionCreateRequest{
+		V: api.Version, Algorithm: "closest-pair-sequence", System: wireSystem(sys),
+		Options: api.SessionOptions{DeadlineMs: 1},
+	})
+	if st != http.StatusGatewayTimeout || decodeErr(t, body).Code != api.CodeDeadlineExceeded {
+		t.Fatalf("late create: %d %s, want 504 deadline_exceeded", st, body)
+	}
+	if n := s.Sessions().Len(); n != 0 {
+		t.Errorf("%d sessions registered, want 0", n)
+	}
+	if idle := s.Pool().Stats().Idle; idle != 1 {
+		t.Errorf("pool holds %d idle machines, want the late create's 1", idle)
 	}
 }

@@ -27,6 +27,7 @@
 package session
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -464,6 +465,13 @@ func (e *Engine) validatePoint(p motion.Point) error {
 // batch's inserts, in order. The machine's Stats delta across the call
 // equals that of a following Rebuild.
 func (e *Engine) Apply(deltas []Delta) ([]int, ApplyStats, error) {
+	return e.ApplyContext(context.Background(), deltas)
+}
+
+// ApplyContext is Apply under ctx: a batch whose ctx is done by the time
+// its answer is derived is discarded like a failed one, before anything
+// is committed, and the error wraps ctx.Err().
+func (e *Engine) ApplyContext(ctx context.Context, deltas []Delta) ([]int, ApplyStats, error) {
 	var st ApplyStats
 	if len(deltas) == 0 {
 		return nil, st, fmt.Errorf("session: empty update batch: %w", motion.ErrBadSystem)
@@ -502,6 +510,9 @@ func (e *Engine) Apply(deltas []Delta) ([]int, ApplyStats, error) {
 	res, err := e.solve(leaves, &next)
 	if err != nil {
 		return nil, st, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, st, fmt.Errorf("session: batch not committed: %w", err)
 	}
 	e.live, e.leaves, e.res = next, leaves, res
 	e.updates++
